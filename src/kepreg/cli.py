@@ -244,10 +244,9 @@ def cmd_theorem_demo(config, out, jobs):
         reconstruct.generalized_to_csv(
             gensol, out / f"generalized_k{k}.csv",
             header_lines=config.header_lines())
-        fld = lambda X: model.reg_field(X, orbit.eps, pert)
-        traj = flow.integrate(fld, orbit.X0, orbit.S, config.cfg)
-        flow.trajectory_to_csv(traj, out / f"orbit_k{k}.csv", orbit.eps,
-                               pert, config.header_lines())
+        # to_generalized has integrated orbit.X0 over orbit.S already
+        flow.trajectory_to_csv(gensol.traj, out / f"orbit_k{k}.csv",
+                               orbit.eps, pert, config.header_lines())
     report = shooting.distinctness(final) if len(final) >= 2 else \
         {"pairs": [], "all_disjoint": True}
     with open(out / "summary.csv", "w") as fh:

@@ -56,10 +56,15 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Accepted-step samples of an integration plus dense output."""
+    """Accepted-step samples of an integration plus dense output.
+
+    ``states`` has shape (n_steps + 1, D_aug) for one initial state and
+    (n_steps + 1, m, D_aug) for a stack of m; D_aug exceeds ``dim`` by
+    the fundamental-matrix columns of a variational integration.
+    """
 
     s: np.ndarray
-    states: np.ndarray          # shape (n_steps, dim)
+    states: np.ndarray
     sol: object                 # scipy OdeSolution or None
     nfev: int
     dim: int                    # state dimension (augmented columns excluded)
@@ -69,12 +74,9 @@ class Trajectory:
         if self.sol is None:
             raise ValueError("trajectory was integrated without dense output")
         out = self.sol(s)
-        return out[: self.dim] if out.ndim == 1 else out[: self.dim, :]
-
-    def eval_full(self, s):
-        if self.sol is None:
-            raise ValueError("trajectory was integrated without dense output")
-        return self.sol(s)
+        out = out.reshape(self.states.shape[1:] + out.shape[1:])
+        return out[..., : self.dim] if out.ndim == self.states.ndim - 1 \
+            else out[..., : self.dim, :]
 
     @property
     def s0(self):
@@ -89,26 +91,33 @@ class Trajectory:
         return len(self.s) - 1
 
 
-def _solve(fun, X0, s_end, cfg, dim):
-    res = solve_ivp(fun, (0.0, s_end), np.asarray(X0, float),
-                    method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step, dense_output=cfg.dense)
+def _solve(fun, Y0, s_end, cfg, dim):
+    """Integrate dY/ds = fun(Y) for Y0 of shape (D_aug,) or (m, D_aug)."""
+    shape = Y0.shape
+    res = solve_ivp(lambda s, y: fun(y.reshape(shape)).ravel(), (0.0, s_end),
+                    Y0.ravel(), method="DOP853", rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol, max_step=cfg.max_step,
+                    dense_output=cfg.dense)
     if not res.success:
         raise FlowError(f"integration failed: {res.message}",
                         last_s=res.t[-1] if len(res.t) else None,
-                        last_state=res.y[:, -1] if res.y.size else None)
-    return Trajectory(s=res.t, states=res.y.T, sol=res.sol if cfg.dense else None,
-                      nfev=res.nfev, dim=dim)
+                        last_state=res.y[:, -1].reshape(shape)
+                        if res.y.size else None)
+    return Trajectory(s=res.t, states=res.y.T.reshape((-1,) + shape),
+                      sol=res.sol if cfg.dense else None, nfev=res.nfev,
+                      dim=dim)
 
 
 def integrate(field, X0, s_end, cfg=None):
     """Integrate dX/ds = field(X) over [0, s_end].
 
-    ``field`` maps a state vector to its derivative (autonomous form).
+    ``field`` maps a state to its derivative (autonomous form).  X0 is
+    one state (D,) or a stack (m, D) of initial states, integrated as
+    one system on one step sequence; ``field`` then maps (m, D) arrays.
     """
     cfg = cfg or IntegratorConfig()
     X0 = np.asarray(X0, float)
-    return _solve(lambda s, y: field(y), X0, s_end, cfg, X0.size)
+    return _solve(field, X0, s_end, cfg, X0.shape[-1])
 
 
 def integrate_with_variational(field, jacobian, X0, s_end, cfg=None):
@@ -116,22 +125,23 @@ def integrate_with_variational(field, jacobian, X0, s_end, cfg=None):
 
     Returns (trajectory, M) with M the fundamental solution at s_end,
     M(0) = Id.  The matrix columns ride through the same step/error
-    machinery as the state.
+    machinery as the state.  For a stack X0 (m, D), ``jacobian`` maps
+    (m, D) states to (m, D, D) and M is the (m, D, D) stack.
     """
     cfg = cfg or IntegratorConfig()
     X0 = np.asarray(X0, float)
-    D = X0.size
+    D = X0.shape[-1]
+    flat = X0.shape[:-1] + (D * D,)
 
-    def fun(s, y):
-        X = y[:D]
-        M = y[D:].reshape(D, D)
-        return np.concatenate([field(X), (jacobian(X) @ M).ravel()])
+    def fun(Y):
+        X = Y[..., :D]
+        M = Y[..., D:].reshape(X0.shape + (D,))
+        return np.concatenate([field(X), (jacobian(X) @ M).reshape(flat)],
+                              axis=-1)
 
-    y0 = np.concatenate([X0, np.eye(D).ravel()])
-    traj = _solve(fun, y0, s_end, cfg, D)
-    M = traj.states[-1, D:].reshape(D, D)
-    traj.states = np.ascontiguousarray(traj.states)
-    return traj, M
+    eye = np.broadcast_to(np.eye(D).ravel(), flat)
+    traj = _solve(fun, np.concatenate([X0, eye], axis=-1), s_end, cfg, D)
+    return traj, traj.states[-1, ..., D:].reshape(X0.shape + (D,))
 
 
 @dataclass

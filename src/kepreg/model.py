@@ -17,13 +17,14 @@ used in both dimensions so that both reduce to the same physical
 equation.
 """
 
-import numpy as np
+from typing import NamedTuple
 
-from .algebra import ks_map
+import numpy as np
 
 __all__ = [
     "Perturbation",
     "PerturbationError",
+    "PerturbationValues",
     "zero_perturbation",
     "forced_kepler",
     "fatou",
@@ -44,13 +45,37 @@ __all__ = [
     "bl_gradient",
     "group_direction",
     "group_rotation_matrix",
+    "I_MUL_MATRIX",
     "physical_field",
     "physical_energy",
 ]
 
 
+# relative step of the central differences that stand in for second
+# derivatives a callable-built perturbation does not provide
+FD_STEP = 1e-6
+
+
 class PerturbationError(ValueError):
     """Raised when a perturbation fails its derivative self-check."""
+
+
+class PerturbationValues(NamedTuple):
+    """U and its derivatives at one point or a stack of points.
+
+    ``value``, ``dt`` and ``dt2`` have the shape of t, the u-vectors
+    ``grad`` and ``grad_dt`` and the Hessian ``hess`` add one or two
+    trailing axes of length N.  The second derivatives may be None
+    unless requested; ``hess`` is None when U is affine in u, where it
+    vanishes.
+    """
+
+    value: np.ndarray
+    grad: np.ndarray
+    dt: np.ndarray
+    hess: np.ndarray = None
+    grad_dt: np.ndarray = None
+    dt2: np.ndarray = None
 
 
 class Perturbation:
@@ -94,6 +119,47 @@ class Perturbation:
 
     def dt(self, t, u, eps):
         return float(self._dt(self._reduce(t), np.asarray(u, float), eps))
+
+    def evaluate(self, t, u, eps, second=False):
+        """U, grad_u U and dU/dt at t of shape S and u of shape S + (N,).
+
+        With ``second`` the Hessian in u, d/dt grad_u U and d^2U/dt^2
+        are added.  The three callables give no second derivatives, so
+        they are taken by central differences of grad_u and dt, point by
+        point, with step FD_STEP * max(1, |u_i|) in u and
+        FD_STEP * max(1, T) in t.
+        """
+        t = np.asarray(t, float)
+        u = np.asarray(u, float)
+        ts, us = t.reshape(-1), u.reshape(-1, u.shape[-1])
+        value = np.array([self.value(ti, ui, eps) for ti, ui in zip(ts, us)])
+        grad = np.array([self.grad_u(ti, ui, eps) for ti, ui in zip(ts, us)])
+        dt = np.array([self.dt(ti, ui, eps) for ti, ui in zip(ts, us)])
+        out = PerturbationValues(value.reshape(t.shape), grad.reshape(u.shape),
+                                 dt.reshape(t.shape))
+        if not second:
+            return out
+        hess, grad_dt, dt2 = zip(*(self._second_fd(ti, ui, eps)
+                                   for ti, ui in zip(ts, us)))
+        return out._replace(hess=np.reshape(hess, u.shape + u.shape[-1:]),
+                            grad_dt=np.reshape(grad_dt, u.shape),
+                            dt2=np.reshape(dt2, t.shape))
+
+    def _second_fd(self, t, u, eps):
+        n = u.size
+        H = np.empty((n, n))
+        for i in range(n):
+            h = FD_STEP * max(1.0, abs(u[i]))
+            up, um = u.copy(), u.copy()
+            up[i] += h
+            um[i] -= h
+            H[:, i] = (self.grad_u(t, up, eps) - self.grad_u(t, um, eps)) / (2 * h)
+        H = 0.5 * (H + H.T)
+        ht = FD_STEP * max(1.0, self.period)
+        grad_dt = (self.grad_u(t + ht, u, eps)
+                   - self.grad_u(t - ht, u, eps)) / (2 * ht)
+        dt2 = (self.dt(t + ht, u, eps) - self.dt(t - ht, u, eps)) / (2 * ht)
+        return H, grad_dt, dt2
 
     def self_check(self, points, eps=1e-3, rel_tol=1e-5):
         """Compare analytic derivatives with central differences.
@@ -142,7 +208,11 @@ def zero_perturbation(period=2.0 * np.pi, dim=2):
 
 
 class _Fourier:
-    """Truncated real Fourier series with exact mean readout."""
+    """Truncated real Fourier series with exact mean readout.
+
+    Evaluates at a scalar t or an array of times, from one cos and one
+    sin of the harmonic phases.
+    """
 
     def __init__(self, period, const, cos=None, sin=None):
         self.period = float(period)
@@ -154,31 +224,64 @@ class _Fourier:
         if self.cos.shape[1:] != self.const.shape or \
                 self.sin.shape[1:] != self.const.shape:
             raise ValueError("coefficient shapes do not match")
+        n, N = max(len(self.cos), len(self.sin)), self.dim
+        self._freq = 2.0 * np.pi / self.period * np.arange(1, n + 1)
+        C = np.zeros((n, N))
+        C[: len(self.cos)] = self.cos
+        S = np.zeros((n, N))
+        S[: len(self.sin)] = self.sin
+        f = self._freq[:, None]
+        # rows: cos and sin of the phases; columns: p, p' and p''
+        self._coef = np.block([[C, f * S, -f ** 2 * C],
+                               [S, -f * C, -f ** 2 * S]])
+        self._jet0 = np.zeros((3, N))
+        self._jet0[0] = self.const
 
     @property
     def dim(self):
         return self.const.size
 
-    def __call__(self, t):
-        out = self.const.copy()
-        w = 2.0 * np.pi / self.period
-        for m in range(self.cos.shape[0]):
-            out = out + self.cos[m] * np.cos((m + 1) * w * t)
-        for m in range(self.sin.shape[0]):
-            out = out + self.sin[m] * np.sin((m + 1) * w * t)
-        return out
+    def _basis(self, t):
+        phase = np.multiply.outer(t, self._freq)
+        return np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
 
-    def deriv(self, t):
-        out = np.zeros_like(self.const)
-        w = 2.0 * np.pi / self.period
-        for m in range(self.cos.shape[0]):
-            out = out - (m + 1) * w * self.cos[m] * np.sin((m + 1) * w * t)
-        for m in range(self.sin.shape[0]):
-            out = out + (m + 1) * w * self.sin[m] * np.cos((m + 1) * w * t)
-        return out
+    def __call__(self, t):
+        return self.const + self._basis(t) @ self._coef[:, : self.dim]
+
+    def jet(self, t):
+        """p, p' and p'' at t, stacked as (..., 3, N)."""
+        series = self._basis(t) @ self._coef
+        return self._jet0 + series.reshape(series.shape[:-1] + (3, self.dim))
 
     def mean(self):
         return self.const.copy()
+
+
+class _LinearForcing(Perturbation):
+    """U(t, u) = <p(t), u>, with every derivative in closed form.
+
+    U is linear in u, so the Hessian vanishes, d/dt grad_u U = p'(t)
+    and d^2U/dt^2 = <p''(t), u>.
+    """
+
+    def __init__(self, forcing):
+        p = forcing
+        super().__init__(
+            p.period,
+            lambda t, u, eps: float(np.dot(p(t), u)),
+            lambda t, u, eps: p(t),
+            lambda t, u, eps: float(np.dot(p.jet(t)[1], u)),
+            name="forced_kepler",
+            params={"dim": p.dim},
+        )
+        self.forcing = p
+
+    def evaluate(self, t, u, eps, second=False):
+        jet = self.forcing.jet(self._reduce(t))
+        vals = np.matvec(jet, np.asarray(u, float))
+        return PerturbationValues(value=vals[..., 0], grad=jet[..., 0, :],
+                                  dt=vals[..., 1], grad_dt=jet[..., 1, :],
+                                  dt2=vals[..., 2])
 
 
 def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
@@ -188,16 +291,7 @@ def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
     p = _Fourier(period, const, cos, sin)
     if p.dim != dim:
         raise ValueError("forcing coefficients must have length dim")
-    pert = Perturbation(
-        period,
-        lambda t, u, eps: float(np.dot(p(t), u)),
-        lambda t, u, eps: p(t),
-        lambda t, u, eps: float(np.dot(p.deriv(t), u)),
-        name="forced_kepler",
-        params={"dim": dim},
-    )
-    pert.forcing = p
-    return pert
+    return _LinearForcing(p)
 
 
 def fatou(k_prime, h_prime, n_prime, gamma=0.0):
@@ -294,39 +388,38 @@ def unpack_state(X):
     return X[:zd], X[zd:2 * zd], float(X[2 * zd]), float(X[2 * zd + 1])
 
 
-def position(z):
-    """Physical position u for a regularized coordinate z (LC or KS)."""
-    z = np.asarray(z, float)
-    if z.size == 2:
-        return np.array([z[0] ** 2 - z[1] ** 2, 2.0 * z[0] * z[1]])
-    return ks_map(z)
-
-
-def position_jacobian(z):
-    """Jacobian A with A[k, i] = d u_k / d z_i."""
-    z = np.asarray(z, float)
-    if z.size == 2:
-        x, y = z
-        return np.array([[2 * x, -2 * y],
-                         [2 * y, 2 * x]])
-    z0, z1, z2, z3 = z
-    return np.array([[2 * z0, 2 * z1, -2 * z2, -2 * z3],
-                     [-2 * z3, 2 * z2, 2 * z1, -2 * z0],
-                     [2 * z2, 2 * z3, 2 * z0, 2 * z1]])
+_B2 = np.array([[[2.0, 0.0], [0.0, -2.0]],
+                [[0.0, 2.0], [2.0, 0.0]]])
+_B3 = np.zeros((3, 4, 4))
+_B3[0] = np.diag([2.0, 2.0, -2.0, -2.0])
+_B3[1][1, 2] = _B3[1][2, 1] = 2.0
+_B3[1][0, 3] = _B3[1][3, 0] = -2.0
+_B3[2][1, 3] = _B3[2][3, 1] = 2.0
+_B3[2][0, 2] = _B3[2][2, 0] = 2.0
 
 
 def _position_hessians(zd):
     """Constant tensors B[k] with B[k][i, j] = d^2 u_k / d z_i d z_j."""
-    if zd == 2:
-        return np.array([[[2.0, 0.0], [0.0, -2.0]],
-                         [[0.0, 2.0], [2.0, 0.0]]])
-    B = np.zeros((3, 4, 4))
-    B[0] = np.diag([2.0, 2.0, -2.0, -2.0])
-    B[1][1, 2] = B[1][2, 1] = 2.0
-    B[1][0, 3] = B[1][3, 0] = -2.0
-    B[2][1, 3] = B[2][3, 1] = 2.0
-    B[2][0, 2] = B[2][2, 0] = 2.0
-    return B
+    return _B2 if zd == 2 else _B3
+
+
+def position_jacobian(z):
+    """Jacobian A with A[k, i] = d u_k / d z_i, for z (zd,) or (..., zd).
+
+    u is quadratic in z, so A[k] = B[k] z.
+    """
+    z = np.asarray(z, float)
+    return np.matvec(_position_hessians(z.shape[-1]), z[..., None, :])
+
+
+def position(z):
+    """Physical position u for a regularized coordinate z (LC or KS).
+
+    u_k = z^T B[k] z / 2: the Levi-Civita square z^2 in 2D and the
+    Kustaanheimo-Stiefel map conj(z) i z in 3D.  z may be a stack.
+    """
+    z = np.asarray(z, float)
+    return 0.5 * np.matvec(position_jacobian(z), z)
 
 
 def _check_regularizable(pert):
@@ -338,6 +431,34 @@ def _check_regularizable(pert):
 
 # ---------------------------------------------------------------------------
 # regularized Hamiltonian and field
+#
+# reg_field, reg_energy_gradient and reg_field_jacobian take one state
+# (D,) or a stack of states (m, D) and return (..., D) or (..., D, D).
+# Each call evaluates the perturbation once, for the whole stack.
+
+def _split(X):
+    """(z, w, t, tau) views of a state (D,) or a stack of states (..., D)."""
+    zd = (X.shape[-1] - 2) // 2
+    return X[..., :zd], X[..., zd:2 * zd], X[..., 2 * zd], X[..., 2 * zd + 1]
+
+
+def _perturbation_at(z, t, eps, pert, second=False):
+    """U at (t, u(z)) and the position Jacobian A at z."""
+    _check_regularizable(pert)
+    A = position_jacobian(z)
+    u = 0.5 * np.matvec(A, z)           # position(z), reusing A
+    return pert.evaluate(t, u, eps, second), A
+
+
+def _grad_z_P(z, A, ev):
+    """Gradient of P(t, z) = |z|^2 U(t, u(z)) with respect to z.
+
+    ``A`` is position_jacobian(z) and ``ev`` the evaluation of U at
+    (t, position(z)).
+    """
+    return (2.0 * ev.value[..., None] * z
+            + np.vecdot(z, z)[..., None] * np.vecmat(ev.grad, A))
+
 
 def reg_energy(X, eps, pert):
     """Extended regularized Hamiltonian K_eps(X)."""
@@ -350,92 +471,79 @@ def reg_energy(X, eps, pert):
     return K
 
 
-def _grad_z_P(z, t, eps, pert):
-    """Gradient of P(t, z) = |z|^2 U(t, u(z)) with respect to z."""
-    u = position(z)
-    A = position_jacobian(z)
-    Uval = pert.value(t, u, eps)
-    g = pert.grad_u(t, u, eps)
-    return 2.0 * Uval * z + float(np.dot(z, z)) * (A.T @ g)
-
-
 def reg_field(X, eps, pert=None):
     """Right-hand side of the regularized Hamiltonian system."""
-    z, w, t, tau = unpack_state(X)
-    r2 = float(np.dot(z, z))
-    if eps == 0.0 or pert is None:
-        dw = -2.0 * tau * z
-        dtau = 0.0
-    else:
-        _check_regularizable(pert)
-        dw = -2.0 * tau * z + eps * _grad_z_P(z, t, eps, pert)
-        dtau = eps * r2 * pert.dt(t, position(z), eps)
-    return pack_state(w / 4.0, dw, r2, dtau)
+    X = np.asarray(X, float)
+    z, w, t, tau = _split(X)
+    zd = z.shape[-1]
+    F = np.empty(X.shape)
+    F[..., :zd] = w / 4.0
+    F[..., zd:2 * zd] = (-2.0 * tau)[..., None] * z
+    F[..., 2 * zd] = np.vecdot(z, z)
+    F[..., 2 * zd + 1] = 0.0
+    if eps != 0.0 and pert is not None:
+        ev, A = _perturbation_at(z, t, eps, pert)
+        F[..., zd:2 * zd] += eps * _grad_z_P(z, A, ev)
+        F[..., 2 * zd + 1] = eps * F[..., 2 * zd] * ev.dt
+    return F
 
 
 def reg_energy_gradient(X, eps, pert=None):
     """Gradient of K_eps with respect to the state."""
-    z, w, t, tau = unpack_state(X)
-    r2 = float(np.dot(z, z))
-    if eps == 0.0 or pert is None:
-        gz = 2.0 * tau * z
-        gt = 0.0
-    else:
-        gz = 2.0 * tau * z - eps * _grad_z_P(z, t, eps, pert)
-        gt = -eps * r2 * pert.dt(t, position(z), eps)
-    return pack_state(gz, w / 4.0, gt, r2)
+    X = np.asarray(X, float)
+    z, w, t, tau = _split(X)
+    zd = z.shape[-1]
+    G = np.empty(X.shape)
+    G[..., :zd] = (2.0 * tau)[..., None] * z
+    G[..., zd:2 * zd] = w / 4.0
+    G[..., 2 * zd] = 0.0
+    G[..., 2 * zd + 1] = np.vecdot(z, z)
+    if eps != 0.0 and pert is not None:
+        ev, A = _perturbation_at(z, t, eps, pert)
+        G[..., :zd] -= eps * _grad_z_P(z, A, ev)
+        G[..., 2 * zd] = -eps * G[..., 2 * zd + 1] * ev.dt
+    return G
 
 
-def reg_field_jacobian(X, eps, pert=None, u_step=1e-6):
+_EYE = {2: np.eye(2), 4: np.eye(4)}
+
+
+def reg_field_jacobian(X, eps, pert=None):
     """Exact Jacobian DF(X) of the regularized field.
 
-    Second derivatives of U are obtained by central differencing its
-    analytic gradient with step ``u_step * max(1, |u|)``; everything
-    else is assembled analytically.
+    The second derivatives of U come from ``pert.evaluate``: in closed
+    form for forced_kepler, by central differences for perturbations
+    built from callables.  Everything else is assembled analytically.
     """
-    z, w, t, tau = unpack_state(X)
-    zd = z.size
-    D = 2 * zd + 2
-    J = np.zeros((D, D))
-    J[:zd, zd:2 * zd] = np.eye(zd) / 4.0
-    J[zd:2 * zd, :zd] = -2.0 * tau * np.eye(zd)
-    J[zd:2 * zd, 2 * zd + 1] = -2.0 * z
-    J[2 * zd, :zd] = 2.0 * z
+    X = np.asarray(X, float)
+    z, w, t, tau = _split(X)
+    zd = z.shape[-1]
+    eye = _EYE[zd]
+    J = np.zeros(X.shape + X.shape[-1:])
+    J[..., :zd, zd:2 * zd] = eye / 4.0
+    J[..., zd:2 * zd, :zd] = (-2.0 * tau)[..., None, None] * eye
+    J[..., zd:2 * zd, 2 * zd + 1] = -2.0 * z
+    J[..., 2 * zd, :zd] = 2.0 * z
     if eps == 0.0 or pert is None:
         return J
-    _check_regularizable(pert)
 
-    u = position(z)
-    A = position_jacobian(z)
+    ev, A = _perturbation_at(z, t, eps, pert, second=True)
+    r2 = np.vecdot(z, z)[..., None]
+    Ag = np.vecmat(ev.grad, A)
+    zAg = z[..., :, None] * Ag[..., None, :]
+    # curvature of U(t, u(z)) in z: sum_k g_k B[k] + A^T H A
     B = _position_hessians(zd)
-    r2 = float(np.dot(z, z))
-    Uval = pert.value(t, u, eps)
-    g = pert.grad_u(t, u, eps)
-    dUdt = pert.dt(t, u, eps)
+    curv = (ev.grad @ B.reshape(len(B), -1)).reshape(J.shape[:-2] + (zd, zd))
+    if ev.hess is not None:
+        curv = curv + np.swapaxes(A, -1, -2) @ ev.hess @ A
+    Hp = (2.0 * (zAg + np.swapaxes(zAg, -1, -2))
+          + (2.0 * ev.value)[..., None, None] * eye + r2[..., None] * curv)
+    dgradP_dt = 2.0 * ev.dt[..., None] * z + r2 * np.vecmat(ev.grad_dt, A)
 
-    n = u.size
-    H = np.empty((n, n))
-    for i in range(n):
-        h = u_step * max(1.0, abs(u[i]))
-        up, um = u.copy(), u.copy()
-        up[i] += h
-        um[i] -= h
-        H[:, i] = (pert.grad_u(t, up, eps) - pert.grad_u(t, um, eps)) / (2 * h)
-    H = 0.5 * (H + H.T)
-    ht = u_step * max(1.0, pert.period)
-    dgdt = (pert.grad_u(t + ht, u, eps) - pert.grad_u(t - ht, u, eps)) / (2 * ht)
-    d2Udt2 = (pert.dt(t + ht, u, eps) - pert.dt(t - ht, u, eps)) / (2 * ht)
-
-    Ag = A.T @ g
-    Hp = (2.0 * np.outer(z, Ag) + 2.0 * np.outer(Ag, z)
-          + 2.0 * Uval * np.eye(zd)
-          + r2 * (np.tensordot(g, B, axes=1) + A.T @ H @ A))
-    dgradP_dt = 2.0 * dUdt * z + r2 * (A.T @ dgdt)
-
-    J[zd:2 * zd, :zd] += eps * Hp
-    J[zd:2 * zd, 2 * zd] = eps * dgradP_dt
-    J[2 * zd + 1, :zd] = eps * (2.0 * dUdt * z + r2 * (A.T @ dgdt))
-    J[2 * zd + 1, 2 * zd] = eps * r2 * d2Udt2
+    J[..., zd:2 * zd, :zd] += eps * Hp
+    J[..., zd:2 * zd, 2 * zd] = eps * dgradP_dt
+    J[..., 2 * zd + 1, :zd] = eps * dgradP_dt
+    J[..., 2 * zd + 1, 2 * zd] = eps * r2[..., 0] * ev.dt2
     return J
 
 
@@ -484,14 +592,17 @@ def group_direction(X):
     return pack_state(i_mul(z), i_mul(w), 0.0, 0.0)
 
 
+# left multiplication q -> i q of a quaternion (1, i, j, k)
+I_MUL_MATRIX = np.array([[0.0, -1.0, 0.0, 0.0],
+                         [1.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, -1.0],
+                         [0.0, 0.0, 1.0, 0.0]])
+
+
 def group_rotation_matrix(theta):
     """Matrix of X -> (g z, g w, t, tau) with g = cos(theta) + i sin(theta)."""
     c, s = np.cos(theta), np.sin(theta)
-    Li = np.array([[0.0, -1.0, 0.0, 0.0],
-                   [1.0, 0.0, 0.0, 0.0],
-                   [0.0, 0.0, 0.0, -1.0],
-                   [0.0, 0.0, 1.0, 0.0]])
-    g = c * np.eye(4) + s * Li
+    g = c * np.eye(4) + s * I_MUL_MATRIX
     R = np.eye(10)
     R[:4, :4] = g
     R[4:8, 4:8] = g

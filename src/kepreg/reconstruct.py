@@ -23,7 +23,6 @@ __all__ = [
     "TimeMap",
     "GeneralizedSolution",
     "RemovalResult",
-    "physical_time_map",
     "find_collisions",
     "collision_limits",
     "to_generalized",
@@ -110,11 +109,6 @@ class TimeMap:
                     s = float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
             out[i] = s
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-
-def physical_time_map(traj):
-    """Time map t(s) with inverse for a regularized trajectory."""
-    return TimeMap(traj)
 
 
 def find_collisions(traj):

@@ -8,7 +8,7 @@ continuation in eps grows families out of the unperturbed manifolds.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "residual_and_jacobian",
     "solve",
     "continue_in_epsilon",
-    "index_of",
     "energy_band",
     "distinctness",
     "save_orbits",
@@ -116,12 +115,7 @@ def _rotation(problem, theta):
 
 def _rotation_deriv(problem, theta):
     # d/dtheta of the left multiplication by cos(theta) + i sin(theta)
-    c, s = np.cos(theta), np.sin(theta)
-    Li = np.array([[0.0, -1.0, 0.0, 0.0],
-                   [1.0, 0.0, 0.0, 0.0],
-                   [0.0, 0.0, 0.0, -1.0],
-                   [0.0, 0.0, 1.0, 0.0]])
-    dg = -s * np.eye(4) + c * Li
+    dg = -np.sin(theta) * np.eye(4) + np.cos(theta) * model.I_MUL_MATRIX
     dR = np.zeros((10, 10))
     dR[:4, :4] = dg
     dR[4:8, 4:8] = dg
@@ -136,22 +130,31 @@ def _phase_rows(problem):
     return rows
 
 
+def _segment_cfg(problem):
+    # no segment's dense output is ever read
+    return replace(problem.cfg, dense=False)
+
+
+def _segment_targets(problem, states, theta):
+    """Where each segment must end: the next segment's start, and for the
+    last one the rotated, time-shifted first state."""
+    closure = _rotation(problem, theta) @ states[0] + problem.time_shift()
+    return np.vstack([states[1:], closure])
+
+
 def residual(problem, unknowns):
     """Residual vector of the multiple-shooting system.
 
     Concatenates segment matching defects, the (possibly rotated)
     closure defect, K_eps(X0), (3D) BL(X0) and the anchored time and
-    (3D) group phase conditions.
+    (3D) group phase conditions.  All segments are integrated together
+    as one stacked system.
     """
     states, S, theta = unpack_unknowns(problem, unknowns)
-    h = S / problem.m
-    parts = []
-    for j in range(problem.m):
-        traj = flow.integrate(problem.field, states[j], h, problem.cfg)
-        end = traj.states[-1, : problem.D]
-        target = states[j + 1] if j + 1 < problem.m else \
-            _rotation(problem, theta) @ states[0] + problem.time_shift()
-        parts.append(end - target)
+    traj = flow.integrate(problem.field, states, S / problem.m,
+                          _segment_cfg(problem))
+    ends = traj.states[-1]
+    parts = [np.ravel(ends - _segment_targets(problem, states, theta))]
     X0 = states[0]
     parts.append([model.reg_energy(X0, problem.eps, problem.pert)])
     if problem.spec.dim == 3:
@@ -162,31 +165,33 @@ def residual(problem, unknowns):
 
 
 def residual_and_jacobian(problem, unknowns):
-    """Residual together with its exact Jacobian from variational flow."""
+    """Residual together with its exact Jacobian from variational flow.
+
+    One stacked variational integration gives every segment's end state
+    and fundamental matrix.
+    """
     states, S, theta = unpack_unknowns(problem, unknowns)
     D, m = problem.D, problem.m
-    h = S / m
     n_res = m * D + 2 + (2 if problem.spec.dim == 3 else 0)
     res = np.zeros(n_res)
     J = np.zeros((n_res, problem.n_unknowns))
     iS = m * D
-    for j in range(m):
-        traj, M = flow.integrate_with_variational(
-            problem.field, problem.jacobian, states[j], h, problem.cfg)
-        end = traj.states[-1, :D]
-        r0, r1 = j * D, (j + 1) * D
-        J[r0:r1, j * D:(j + 1) * D] = M
-        # dPhi_h/dS = field at the endpoint times dh/dS = 1/m
-        J[r0:r1, iS] = problem.field(end) / m
-        if j + 1 < m:
-            res[r0:r1] = end - states[j + 1]
-            J[r0:r1, (j + 1) * D:(j + 2) * D] -= np.eye(D)
-        else:
-            R = _rotation(problem, theta)
-            res[r0:r1] = end - R @ states[0] - problem.time_shift()
-            J[r0:r1, :D] -= R
-            if problem.spec.dim == 3:
-                J[r0:r1, iS + 1] = -_rotation_deriv(problem, theta) @ states[0]
+    traj, M = flow.integrate_with_variational(
+        problem.field, problem.jacobian, states, S / m, _segment_cfg(problem))
+    ends = traj.states[-1, :, :D]
+    res[:iS] = np.ravel(ends - _segment_targets(problem, states, theta))
+    # segment j's defect depends on its own start through M[j] and on the
+    # next segment's start (the first one's, rotated, for the closure)
+    blocks = np.zeros((m, D, m, D))
+    seg = np.arange(m)
+    blocks[seg, :, seg, :] = M
+    blocks[seg[:-1], :, seg[1:], :] = -np.eye(D)
+    J[:iS, :iS] = blocks.reshape(iS, iS)
+    J[iS - D:iS, :D] -= _rotation(problem, theta)
+    # dPhi_h/dS = field at the endpoint times dh/dS = 1/m
+    J[:iS, iS] = np.ravel(problem.field(ends)) / m
+    if problem.spec.dim == 3:
+        J[iS - D:iS, iS + 1] = -_rotation_deriv(problem, theta) @ states[0]
     X0 = states[0]
     row = m * D
     res[row] = model.reg_energy(X0, problem.eps, problem.pert)
@@ -240,7 +245,12 @@ def _finish(problem, unknowns, res_norm):
     traj, mono = flow.monodromy(problem.field, problem.jacobian, X0, S,
                                 problem.cfg)
     X_end = traj.states[-1, : problem.D]
-    eta = index_of_winding(X0, X_end, problem.pert.period)
+    try:
+        eta = index_of_winding(X0, X_end, problem.pert.period)
+    except ValueError as exc:
+        raise ShootingError(f"converged orbit rejected: {exc}",
+                            best_unknowns=unknowns,
+                            best_residual=res_norm) from exc
     band = energy_band(traj, problem.eps, problem.pert)
     return PeriodicOrbit(X0=X0, S=S, eps=problem.eps, eta=eta,
                          residual_norm=res_norm, energy_band=band,
@@ -301,7 +311,12 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
     u = np.asarray(unknowns0, float).copy()
     best_u, best_r = u.copy(), float(np.linalg.norm(residual(problem, u)))
     for _ in range(max_outer):
-        u, res, (U, sv, Vt) = _strong_sweep(problem, u)
+        try:
+            u, res, (U, sv, Vt) = _strong_sweep(problem, u)
+        except np.linalg.LinAlgError as exc:
+            raise ShootingError(
+                f"SVD of the shooting Jacobian failed ({exc}); it is not "
+                "finite", best_unknowns=best_u, best_residual=best_r) from exc
         rnorm = float(np.linalg.norm(res))
         if rnorm < best_r:
             best_u, best_r = u.copy(), rnorm
@@ -350,14 +365,6 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
         f"no convergence in {max_outer} outer iterations "
         f"(residual {rnorm:.3e})",
         best_unknowns=best_u, best_residual=best_r)
-
-
-def solve_from_seed(spec, eps, pert, X_seed, S_seed, m=0, cfg=None):
-    """Convenience wrapper: build the problem anchored at the seed and solve."""
-    cfg = cfg or flow.IntegratorConfig()
-    problem = ShootingProblem(spec=spec, eps=eps, pert=pert, X_ref=X_seed,
-                              m=m, cfg=cfg)
-    return problem, solve(problem, seed_unknowns(problem, X_seed, S_seed))
 
 
 def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
@@ -413,11 +420,6 @@ def index_of_winding(X0, X_end, T):
     if eta < 1:
         raise ValueError(f"nonpositive winding index {eta}")
     return eta
-
-
-def index_of(orbit):
-    """Winding index of a converged orbit (recomputed from its data)."""
-    return orbit.eta
 
 
 def distinctness(orbits):

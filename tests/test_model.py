@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kepreg import model
+from kepreg import algebra, model
 
 rng = np.random.default_rng(7)
 
@@ -14,6 +14,11 @@ def random_state(dim, rng=rng):
     z /= max(np.linalg.norm(z), 0.3)
     w = rng.normal(size=zd)
     return model.pack_state(z, w, rng.uniform(0.0, T), rng.uniform(0.3, 1.5))
+
+
+def grad_z_P(z, t, eps, pert):
+    ev, A = model._perturbation_at(np.asarray(z, float), t, eps, pert)
+    return model._grad_z_P(z, A, ev)
 
 
 def sample_pert(dim):
@@ -181,7 +186,7 @@ class TestRegularizedField:
             zd = 2 * dim - 2
             z = rng.normal(size=zd)
             t = 0.77
-            g = model._grad_z_P(z, t, 1e-3, pert)
+            g = grad_z_P(z, t, 1e-3, pert)
 
             def P(zz):
                 return float(np.dot(zz, zz)) * pert.value(
@@ -200,7 +205,7 @@ class TestRegularizedField:
         pert = sample_pert(2)
         z = rng.normal(size=2)
         t = 1.9
-        g = model._grad_z_P(z, t, 0.0, pert)
+        g = grad_z_P(z, t, 0.0, pert)
         zc = complex(z[0], z[1])
         u = model.position(z)
         gu = pert.grad_u(t, u, 0.0)
@@ -232,6 +237,45 @@ class TestRegularizedField:
                            - model.reg_field(Xm, eps, pert)) / (2 * h)
                     assert np.allclose(J[:, i], col, atol=5e-7), \
                         f"dim={dim} eps={eps} column {i}"
+
+    def test_closed_form_second_derivatives_match_fd(self):
+        """forced_kepler's closed-form jet against the generic evaluate,
+        which differences grad_u and dt."""
+        for dim in (2, 3):
+            pert = sample_pert(dim)
+            t = rng.uniform(-T, 2 * T, size=5)
+            u = rng.normal(size=(5, dim))
+            exact = pert.evaluate(t, u, 1e-2, second=True)
+            fd = model.Perturbation.evaluate(pert, t, u, 1e-2, second=True)
+            assert exact.hess is None      # U is linear in u
+            assert np.allclose(fd.hess, 0.0, atol=5e-7)
+            for name in ("value", "grad", "dt", "grad_dt", "dt2"):
+                assert np.allclose(getattr(exact, name), getattr(fd, name),
+                                   atol=5e-7), f"dim={dim} {name}"
+
+    def test_stacked_kernels_match_rows(self):
+        """A stack of states gives the row-by-row results, for the
+        closed-form and the finite-difference perturbation paths."""
+        for dim in (2, 3):
+            linear = sample_pert(dim)
+            generic = model.Perturbation(
+                T, linear._value, linear._grad_u, linear._dt)
+            Xs = np.array([random_state(dim) for _ in range(5)])
+            for pert in (linear, generic):
+                for eps in (0.0, 1e-2):
+                    for fn in (model.reg_field, model.reg_energy_gradient,
+                               model.reg_field_jacobian):
+                        rows = np.array([fn(X, eps, pert) for X in Xs])
+                        assert np.allclose(fn(Xs, eps, pert), rows,
+                                           rtol=1e-14, atol=1e-15), \
+                            f"dim={dim} eps={eps} {fn.__name__}"
+            Z = Xs[:, : 2 * dim - 2]
+            single = [algebra.lc_position(complex(*z)) for z in Z] \
+                if dim == 2 else [algebra.ks_map(z) for z in Z]
+            if dim == 2:
+                single = [[c.real, c.imag] for c in single]
+            assert np.allclose(model.position(Z), single, rtol=1e-14,
+                               atol=1e-15)
 
     def test_variational_field_unperturbed_matches_generic(self):
         for dim in (2, 3):

@@ -98,6 +98,104 @@ class TestResidual:
             assert np.linalg.norm(J[:, i] - col) < 1e-5 * scale, f"column {i}"
 
 
+def per_segment_reference(problem, u):
+    """Segment defects, blocks M_j and S-column of the shooting Jacobian,
+    from one single-state variational integration per segment."""
+    states, S, theta = shooting.unpack_unknowns(problem, u)
+    ends, Ms = [], []
+    for X in states:
+        traj, M = flow.integrate_with_variational(
+            problem.field, problem.jacobian, X, S / problem.m, problem.cfg)
+        ends.append(traj.states[-1, : problem.D])
+        Ms.append(M)
+    targets = list(states[1:]) + [shooting._rotation(problem, theta)
+                                  @ states[0] + problem.time_shift()]
+    defects = np.concatenate([e - t for e, t in zip(ends, targets)])
+    dS = np.concatenate([problem.field(e) / problem.m for e in ends])
+    return defects, Ms, dS
+
+
+class TestStackedSegments:
+    # The stacked system shares one step sequence across the segments
+    # (DOP853's error norm is an RMS over every component), so it agrees
+    # with separate integrations to the integrator's tolerance (rel_tol
+    # 1e-12 on O(1) states and entries of M), not bit for bit; measured
+    # differences are below 1e-12.
+    TOL = 1e-10
+
+    def test_matches_per_segment_reference(self):
+        rng = np.random.default_rng(3)
+        for dim in (2, 3):
+            spec = manifolds.ManifoldSpec(k=2, T=T, dim=dim)
+            c = manifolds.constants(spec)
+            X0 = manifolds.seed_state(
+                spec, manifolds.random_seed_params(spec, rng))
+            problem = shooting.ShootingProblem(
+                spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
+            u = shooting.seed_unknowns(problem, X0, c.S, 0.1)
+            u[: -2] += 1e-4 * rng.normal(size=u.size - 2)
+            res, J = shooting.residual_and_jacobian(problem, u)
+            defects, Ms, dS = per_segment_reference(problem, u)
+            D, m = problem.D, problem.m
+            iS = m * D
+            assert np.allclose(res[:iS], defects, rtol=0, atol=self.TOL)
+            assert np.allclose(shooting.residual(problem, u)[:iS], defects,
+                               rtol=0, atol=self.TOL)
+            assert np.allclose(J[:iS, iS], dS, rtol=0, atol=self.TOL)
+            for j, M in enumerate(Ms):
+                rows = J[j * D:(j + 1) * D]
+                assert np.allclose(rows[:, j * D:(j + 1) * D], M, rtol=0,
+                                   atol=self.TOL)
+                if j + 1 < m:
+                    assert np.array_equal(
+                        rows[:, (j + 1) * D:(j + 2) * D], -np.eye(D))
+
+
+class TestTypedFailures:
+    def test_winding_failure_becomes_shooting_error(self, monkeypatch):
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2), X_ref=X0)
+        u = shooting.seed_unknowns(problem, X0, c.S)
+
+        def no_winding(X0, X_end, T):
+            raise ValueError("time winding 0.5 is not close to an integer")
+
+        monkeypatch.setattr(shooting, "index_of_winding", no_winding)
+        with pytest.raises(shooting.ShootingError, match="winding") as info:
+            shooting.solve(problem, u)
+        assert np.array_equal(info.value.best_unknowns, u)
+        assert info.value.best_residual < 1e-9
+
+    def test_nonfinite_jacobian_becomes_shooting_error(self, monkeypatch):
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        real = shooting.residual_and_jacobian
+
+        def nan_jacobian(problem, unknowns):
+            res, J = real(problem, unknowns)
+            J[0, 0] = np.nan
+            return res, J
+
+        monkeypatch.setattr(shooting, "residual_and_jacobian", nan_jacobian)
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
+        u = shooting.seed_unknowns(problem, X0, c.S)
+        with pytest.raises(shooting.ShootingError, match="SVD") as info:
+            shooting.solve(problem, u)
+        assert info.value.best_unknowns is not None
+        # continuation halves eps, then reports the failure instead of
+        # raising it
+        family, diags = shooting.continue_in_epsilon(
+            spec, forcing_pert(2), X0, c.S, [EPS], step_floor=EPS / 2)
+        assert family == []
+        assert [d["eps"] for d in diags] == [EPS / 2]
+        assert "SVD" in diags[0]["error"]
+
+
 class TestSolve:
     def test_family_converged(self, family2d):
         spec, family = family2d
