@@ -74,7 +74,9 @@ class Trajectory:
         if self.sol is None:
             raise ValueError("trajectory was integrated without dense output")
         out = self.sol(s)
-        out = out.reshape(self.states.shape[1:] + out.shape[1:])
+        if self.states.ndim == 3:
+            # a stack: split the flat components by segment
+            out = out.reshape(self.states.shape[1:] + out.shape[1:])
         return out[..., : self.dim] if out.ndim == self.states.ndim - 1 \
             else out[..., : self.dim, :]
 
