@@ -9,16 +9,15 @@ physical coordinates (the orbits stay far from the origin) and mapped
 back.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import model
+from .model import ForcingSpec
 
 __all__ = [
     "ForcingSpec",
-    "mean_force",
     "averaged_equilibrium",
     "averaged_jacobian_matrix",
     "averaged_jacobian_det",
@@ -27,40 +26,6 @@ __all__ = [
     "fit_scaling_slope",
     "family_to_csv",
 ]
-
-
-@dataclass
-class ForcingSpec:
-    """T-periodic N-vector forcing as a truncated Fourier series.
-
-    The mean is the constant coefficient, read off exactly rather than
-    estimated by quadrature.
-    """
-
-    period: float
-    const: np.ndarray
-    cos: np.ndarray = None
-    sin: np.ndarray = None
-    _series: object = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.const = np.atleast_1d(np.asarray(self.const, float))
-        self._series = model._Fourier(self.period, self.const,
-                                      self.cos, self.sin)
-        self.cos = self._series.cos
-        self.sin = self._series.sin
-
-    @property
-    def dim(self):
-        return self.const.size
-
-    def __call__(self, t):
-        return self._series(t)
-
-
-def mean_force(spec):
-    """Mean forcing (1/T) int_0^T p dt, exact from the coefficients."""
-    return spec._series.mean()
 
 
 def averaged_equilibrium(p_bar):
@@ -143,7 +108,7 @@ def solve_scaled_periodic(spec, eps, y0=None, rtol=1e-12, atol=1e-14,
     lam = eps ** 1.5
     fun = _scaled_field(spec, lam)
     if y0 is None:
-        x_star = averaged_equilibrium(mean_force(spec))
+        x_star = averaged_equilibrium(spec.mean())
         if x_star is None:
             raise ValueError("zero-mean forcing: no averaged equilibrium "
                              "to seed the shooting")
@@ -190,7 +155,7 @@ def bifurcation_from_infinity(spec, eps_list, n_samples=400):
     u_eps = eps^{-1/2} x.  Returns (entries, diagnostics); a failed eps
     leaves a partial family with the failure recorded.
     """
-    x_star = averaged_equilibrium(mean_force(spec))
+    x_star = averaged_equilibrium(spec.mean())
     if x_star is None:
         raise ValueError("zero-mean forcing has no bifurcation from infinity")
     entries = []

@@ -9,7 +9,6 @@ import argparse
 import configparser
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -128,15 +127,17 @@ class RunConfig:
                                float(sec.get("gamma", 0.0)))
         raise ConfigError(f"unknown perturbation '{name}'")
 
+    def perturbed(self):
+        """Whether a run leaves eps = 0, through eps or the eps schedule."""
+        return any(e != 0.0 for e in [self.eps, *(self.eps_schedule or [])])
+
     def forcing_spec(self):
         """Forcing series for the averaging command (physical forcing p)."""
         pert = self.perturbation()
         if not hasattr(pert, "forcing"):
             raise ConfigError("the average command needs a forced_kepler "
                               "perturbation (its p(t) is the forcing)")
-        f = pert.forcing
-        return averaging.ForcingSpec(period=f.period, const=f.const,
-                                     cos=f.cos, sin=f.sin)
+        return pert.forcing
 
 
 def _write_json(path, payload, config):
@@ -148,7 +149,7 @@ def _write_json(path, payload, config):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_seed(config, out, jobs):
+def cmd_seed(config, out):
     rng = np.random.default_rng(config.seed)
     with open(out / "constants.csv", "w") as fh:
         for line in config.header_lines():
@@ -180,7 +181,7 @@ def cmd_seed(config, out, jobs):
     return EXIT_OK
 
 
-def cmd_flow(config, out, jobs):
+def cmd_flow(config, out):
     rng = np.random.default_rng(config.seed)
     pert = config.perturbation()
     reports = {}
@@ -212,7 +213,7 @@ def _continue_branch(config, pert, k):
     return family, diags
 
 
-def cmd_shoot(config, out, jobs):
+def cmd_shoot(config, out):
     pert = config.perturbation()
     orbits = []
     all_diags = []
@@ -226,7 +227,7 @@ def cmd_shoot(config, out, jobs):
     return EXIT_PARTIAL if all_diags else EXIT_OK
 
 
-def cmd_theorem_demo(config, out, jobs):
+def cmd_theorem_demo(config, out):
     pert = config.perturbation()
     ks = list(range(1, config.l + 1))
     final = []
@@ -265,25 +266,16 @@ def cmd_theorem_demo(config, out, jobs):
     return EXIT_OK
 
 
-def cmd_certify(config, out, jobs):
-    angles = []
-    reports = []
-
-    def one(args):
-        k, i = args
+def cmd_certify(config, out):
+    def one(k, i):
         spec = manifolds.ManifoldSpec(k=k, T=config.period,
                                       dim=config.dimension)
         rng = np.random.default_rng(config.seed + 1000 * k + i)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(spec, rng))
         return manifolds.nondegeneracy_certificate(spec, X0, config.cfg)
 
-    tasks = [(k, i) for k in config.k_list
-             for i in range(config.certify_seeds)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, tasks))
-    else:
-        reports = [one(t) for t in tasks]
+    reports = [one(k, i) for k in config.k_list
+               for i in range(config.certify_seeds)]
     angles = [r["principal_angle"] for r in reports]
     _write_json(out / "certificates.json",
                 {"min_principal_angle": min(angles),
@@ -292,7 +284,7 @@ def cmd_certify(config, out, jobs):
     return EXIT_OK if min(angles) > 1e-3 else EXIT_PARTIAL
 
 
-def cmd_reconstruct(config, out, jobs):
+def cmd_reconstruct(config, out):
     pert = config.perturbation()
     code = EXIT_OK
     for k in config.k_list:
@@ -322,7 +314,7 @@ def cmd_reconstruct(config, out, jobs):
     return code
 
 
-def cmd_average(config, out, jobs):
+def cmd_average(config, out):
     spec = config.forcing_spec()
     entries, diags = averaging.bifurcation_from_infinity(
         spec, config.avg_eps_list)
@@ -335,7 +327,7 @@ def cmd_average(config, out, jobs):
     return EXIT_OK
 
 
-def cmd_remove_collisions(config, out, jobs):
+def cmd_remove_collisions(config, out):
     if config.dimension != 2:
         raise ConfigError("remove-collisions is planar only")
     spec = manifolds.ManifoldSpec(k=config.remove_k, T=config.period, dim=2)
@@ -367,6 +359,9 @@ COMMANDS = {
     "remove-collisions": cmd_remove_collisions,
 }
 
+# the commands that evaluate the perturbation on the regularized field
+REGULARIZED = {"flow", "shoot", "theorem-demo", "reconstruct"}
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -377,18 +372,18 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel jobs for independent runs")
     args = parser.parse_args(argv)
     out = Path(args.out)
     try:
         config = RunConfig(args.config)
+        if args.command in REGULARIZED and config.perturbed():
+            model.check_regularizable(config.perturbation())
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](config, out, args.jobs)
+        return COMMANDS[args.command](config, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

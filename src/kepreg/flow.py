@@ -177,11 +177,12 @@ class EventSpec:
     """Scalar event function with a crossing direction.
 
     direction +1 detects -/+ crossings, -1 detects +/-, 0 both.
-    ``accept`` optionally filters localized events by state.
+    ``fn`` maps one state (D,) to a scalar and a stack (..., D) to
+    (...,).  ``accept`` optionally filters localized events by state.
     """
 
     name: str
-    fn: object                     # state -> float
+    fn: object                     # state (..., D) -> (...,)
     direction: int = 0
     accept: object = None          # state -> bool
 
@@ -203,8 +204,8 @@ def collision_event_spec(threshold=COLLISION_R2_THRESHOLD):
     """
 
     def radial_momentum(X):
-        z, w, _, _ = model.unpack_state(X)
-        return float(np.dot(z, w))
+        zd = (X.shape[-1] - 2) // 2
+        return np.vecdot(X[..., :zd], X[..., zd:2 * zd])
 
     def near_origin(X):
         z, _, _, _ = model.unpack_state(X)
@@ -218,7 +219,7 @@ def time_section_spec(t_target):
     """Crossing of the section t(s) = t_target (t is monotone in s)."""
 
     def gap(X):
-        return float(X[-2] - t_target)
+        return X[..., -2] - t_target
 
     return EventSpec(name=f"t={t_target}", fn=gap, direction=+1)
 
@@ -231,37 +232,22 @@ def detect_events(traj, specs, subdiv=8, s_tol=1e-13):
     """
     if traj.sol is None:
         raise ValueError("event detection needs dense output")
+    grid = np.append(np.linspace(traj.s[:-1], traj.s[1:], subdiv,
+                                 endpoint=False, axis=1).ravel(), traj.s[-1])
     events = []
-    nodes = []
-    for i in range(traj.n_steps):
-        a, b = traj.s[i], traj.s[i + 1]
-        nodes.append(np.linspace(a, b, subdiv + 1)[:-1])
-    nodes.append(np.array([traj.s[-1]]))
-    grid = np.concatenate(nodes)
     for spec in specs:
-        vals = np.array([spec.fn(traj.eval(s)) for s in grid])
-        for i in range(len(grid) - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if v0 == 0.0:
-                crossing = True
-                s_star = grid[i]
-            elif v0 * v1 < 0.0:
-                rising = v0 < 0.0
-                if spec.direction == +1 and not rising:
-                    continue
-                if spec.direction == -1 and rising:
-                    continue
-                s_star = brentq(lambda s: spec.fn(traj.eval(s)),
-                                grid[i], grid[i + 1], xtol=s_tol)
-                crossing = True
-            else:
-                crossing = False
-            if crossing:
-                state = traj.eval(s_star)
-                if spec.accept is None or spec.accept(state):
-                    events.append(Event(name=spec.name, s=float(s_star),
-                                        state=state,
-                                        value=float(spec.fn(state))))
+        vals = spec.fn(traj.eval(grid).T)
+        v0, v1 = vals[:-1], vals[1:]
+        rising = v0 < 0.0
+        wanted = {+1: rising, -1: ~rising}.get(spec.direction, True)
+        for i in np.flatnonzero((v0 == 0.0) | ((v0 * v1 < 0.0) & wanted)):
+            s_star = grid[i] if v0[i] == 0.0 else brentq(
+                lambda s: spec.fn(traj.eval(s)), grid[i], grid[i + 1],
+                xtol=s_tol)
+            state = traj.eval(s_star)
+            if spec.accept is None or spec.accept(state):
+                events.append(Event(name=spec.name, s=float(s_star),
+                                    state=state, value=float(spec.fn(state))))
     events.sort(key=lambda e: e.s)
     return events
 
@@ -272,13 +258,12 @@ def detect_events(traj, specs, subdiv=8, s_tol=1e-13):
 def invariant_report(traj, eps, pert, n_samples=None):
     """Maximum drift of K_eps (and BL in 3D) over the sample nodes."""
     states = traj.states[:, : traj.dim]
-    K0 = model.reg_energy(states[0], eps, pert)
-    k_drift = max(abs(model.reg_energy(X, eps, pert) - K0) for X in states)
-    report = {"k_drift": k_drift,
+    K = model.reg_energy(states, eps, pert)
+    report = {"k_drift": float(np.max(np.abs(K - K[0]))),
               "tau_drift": float(np.max(np.abs(states[:, -1] - states[0, -1])))}
     if traj.dim == 10:
-        bl0 = model.bl_value(states[0])
-        report["bl_drift"] = max(abs(model.bl_value(X) - bl0) for X in states)
+        bl = model.bl_value(states)
+        report["bl_drift"] = float(np.max(np.abs(bl - bl[0])))
     return report
 
 
@@ -287,15 +272,14 @@ def trajectory_to_csv(traj, path, eps, pert, header_lines=()):
     states = traj.states[:, : traj.dim]
     zd = (traj.dim - 2) // 2
     cols = ([f"z{i}" for i in range(zd)] + [f"w{i}" for i in range(zd)]
-            + ["t", "tau"])
-    is3d = traj.dim == 10
+            + ["t", "tau", "K"])
+    values = [traj.s, states, model.reg_energy(states, eps, pert)]
+    if traj.dim == 10:
+        cols.append("BL")
+        values.append(model.bl_value(states))
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write("s," + ",".join(cols) + ",K" + (",BL" if is3d else "") + "\n")
-        for s, X in zip(traj.s, states):
-            row = [f"{s:.16e}"] + [f"{x:.16e}" for x in X]
-            row.append(f"{model.reg_energy(X, eps, pert):.16e}")
-            if is3d:
-                row.append(f"{model.bl_value(X):.16e}")
-            fh.write(",".join(row) + "\n")
+        fh.write("s," + ",".join(cols) + "\n")
+        for row in np.column_stack(values):
+            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")

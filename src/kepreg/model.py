@@ -28,8 +28,8 @@ __all__ = [
     "zero_perturbation",
     "forced_kepler",
     "fatou",
-    "builtin_perturbations",
-    "make_perturbation",
+    "ForcingSpec",
+    "check_regularizable",
     "pack_state",
     "unpack_state",
     "state_dim",
@@ -46,6 +46,9 @@ __all__ = [
     "group_direction",
     "group_rotation_matrix",
     "I_MUL_MATRIX",
+    "state_position",
+    "state_velocity",
+    "state_energy",
     "physical_field",
     "physical_energy",
 ]
@@ -207,11 +210,12 @@ def zero_perturbation(period=2.0 * np.pi, dim=2):
     )
 
 
-class _Fourier:
-    """Truncated real Fourier series with exact mean readout.
+class ForcingSpec:
+    """T-periodic N-vector forcing p(t) as a truncated real Fourier series.
 
     Evaluates at a scalar t or an array of times, from one cos and one
-    sin of the harmonic phases.
+    sin of the harmonic phases.  The mean is the constant coefficient,
+    read off exactly rather than estimated by quadrature.
     """
 
     def __init__(self, period, const, cos=None, sin=None):
@@ -288,7 +292,7 @@ def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
     """Linear forcing U(t, u) = <p(t), u> with p a truncated Fourier series."""
     if const is None:
         const = np.zeros(dim)
-    p = _Fourier(period, const, cos, sin)
+    p = ForcingSpec(period, const, cos, sin)
     if p.dim != dim:
         raise ValueError("forcing coefficients must have length dim")
     return _LinearForcing(p)
@@ -337,22 +341,6 @@ def fatou(k_prime, h_prime, n_prime, gamma=0.0):
         smooth_at_origin=False, name="fatou",
         params={"k_prime": k_prime, "h_prime": h_prime,
                 "n_prime": n_prime, "gamma": gamma})
-
-
-def builtin_perturbations():
-    """Catalog of built-in perturbation factories, addressable by name."""
-    return {"zero": zero_perturbation,
-            "forced_kepler": forced_kepler,
-            "fatou": fatou}
-
-
-def make_perturbation(name, params):
-    """Instantiate a catalog perturbation from a parameter map."""
-    catalog = builtin_perturbations()
-    if name not in catalog:
-        raise KeyError(f"unknown perturbation '{name}' "
-                       f"(available: {sorted(catalog)})")
-    return catalog[name](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +410,7 @@ def position(z):
     return 0.5 * np.matvec(position_jacobian(z), z)
 
 
-def _check_regularizable(pert):
+def check_regularizable(pert):
     if not pert.smooth_at_origin:
         raise ValueError(
             f"perturbation '{pert.name}' is singular at the origin and "
@@ -444,7 +432,7 @@ def _split(X):
 
 def _perturbation_at(z, t, eps, pert, second=False):
     """U at (t, u(z)) and the position Jacobian A at z."""
-    _check_regularizable(pert)
+    check_regularizable(pert)
     A = position_jacobian(z)
     u = 0.5 * np.matvec(A, z)           # position(z), reusing A
     return pert.evaluate(t, u, eps, second), A
@@ -461,13 +449,13 @@ def _grad_z_P(z, A, ev):
 
 
 def reg_energy(X, eps, pert):
-    """Extended regularized Hamiltonian K_eps(X)."""
-    z, w, t, tau = unpack_state(X)
-    r2 = float(np.dot(z, z))
-    K = tau * r2 + float(np.dot(w, w)) / 8.0 - 1.0
+    """Extended regularized Hamiltonian K_eps(X), scalar or (m,)."""
+    z, w, t, tau = _split(np.asarray(X, float))
+    r2 = np.vecdot(z, z)
+    K = tau * r2 + np.vecdot(w, w) / 8.0 - 1.0
     if eps != 0.0:
-        _check_regularizable(pert)
-        K -= eps * r2 * pert.value(t, position(z), eps)
+        ev, _ = _perturbation_at(z, t, eps, pert)
+        K = K - eps * r2 * ev.value
     return K
 
 
@@ -571,11 +559,14 @@ def variational_field_unperturbed(X, Y):
 # 3D first integral and circle action
 
 def bl_value(X):
-    """First integral Re(conj(z) i w) of the spatial regularized system."""
-    z, w, _, _ = unpack_state(X)
-    if z.size != 4:
+    """First integral Re(conj(z) i w) of the spatial regularized system,
+    scalar for one state (10,) and (m,) for a stack (m, 10)."""
+    z, w, _, _ = _split(np.asarray(X, float))
+    if z.shape[-1] != 4:
         raise ValueError("bl_value is defined for 3D states only")
-    return float(-z[0] * w[1] + z[1] * w[0] - z[2] * w[3] + z[3] * w[2])
+    z0, z1, z2, z3 = np.moveaxis(z, -1, 0)
+    w0, w1, w2, w3 = np.moveaxis(w, -1, 0)
+    return -z0 * w1 + z1 * w0 - z2 * w3 + z3 * w2
 
 
 def bl_gradient(X):
@@ -610,6 +601,38 @@ def group_rotation_matrix(theta):
 
 
 # ---------------------------------------------------------------------------
+# physical quantities of regularized states
+#
+# Like the field, these take one state (D,) or a stack (..., D).
+
+def state_position(X):
+    """Physical position u(z) of a state or a stack of states."""
+    return position(_split(np.asarray(X, float))[0])
+
+
+def state_velocity(X):
+    """Physical velocity du/dt = A w / (4 |z|^2); diverges at a collision."""
+    z, w, _, _ = _split(np.asarray(X, float))
+    r2 = np.vecdot(z, z)[..., None]
+    return np.matvec(position_jacobian(z), w) / (4.0 * r2)
+
+
+def state_energy(X, eps, pert):
+    """Physical energy E = -tau + eps U(t, u(z)).
+
+    On the level set K_eps = 0 it equals the Kepler energy
+    ``physical_energy(u, v)``, and unlike that it stays finite through
+    a collision.
+    """
+    z, _, t, tau = _split(np.asarray(X, float))
+    E = -tau
+    if eps != 0.0 and pert is not None:
+        ev, _ = _perturbation_at(z, t, eps, pert)
+        E = E + eps * ev.value
+    return E
+
+
+# ---------------------------------------------------------------------------
 # physical-space system
 
 def physical_field(t, y, eps, pert):
@@ -627,6 +650,6 @@ def physical_field(t, y, eps, pert):
 
 
 def physical_energy(u, v):
-    """Kepler energy |v|^2 / 2 - 1 / |u|."""
-    r = float(np.linalg.norm(u))
-    return 0.5 * float(np.dot(v, v)) - 1.0 / r
+    """Kepler energy |v|^2 / 2 - 1 / |u|, for (N,) or stacked (..., N)."""
+    u, v = np.asarray(u, float), np.asarray(v, float)
+    return 0.5 * np.vecdot(v, v) - 1.0 / np.linalg.norm(u, axis=-1)

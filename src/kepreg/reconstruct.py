@@ -54,15 +54,15 @@ class CollisionEvent:
 class TimeMap:
     """Monotone physical time t(s) of a regularized trajectory, with inverse.
 
-    The inverse is seeded from a monotone interpolation table and
-    polished by Newton steps on t(s) - t (derivative |z(s)|^2) away
-    from collisions.
+    ``t_of`` and ``s_of`` take a scalar or an array.  The inverse is
+    seeded from a monotone interpolation table and polished by Newton
+    steps on t(s) - t (derivative |z(s)|^2) away from collisions.
     """
 
     def __init__(self, traj, n_table=4000):
         self.traj = traj
         ss = np.linspace(traj.s0, traj.s_end, n_table)
-        ts = np.array([traj.eval(s)[-2] for s in ss])
+        ts = self.t_of(ss)
         dt = np.diff(ts)
         if np.any(dt < -1e-12):
             raise ValueError("t(s) is not monotone; the trajectory is not "
@@ -76,39 +76,43 @@ class TimeMap:
         self.t_end = float(ts[-1])
 
     def t_of(self, s):
-        out = self.traj.eval(s)
-        return out[-2] if out.ndim == 1 else out[-2, :]
+        return self.traj.eval(s)[-2]
 
     def s_of(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, float))
+        t = np.clip(np.asarray(t, float), self.t_start, self.t_end)
+        ts = t.reshape(-1)
+        s = self._inv(ts)
         t_scale = max(1.0, abs(self.t_start), abs(self.t_end))
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            ti = float(np.clip(ti, self.t_start, self.t_end))
-            s = float(self._inv(ti))
-            converged = False
-            for _ in range(4):
-                X = self.traj.eval(s)
-                r2 = float(np.dot(X[: (len(X) - 2) // 2],
-                                  X[: (len(X) - 2) // 2]))
-                if abs(X[-2] - ti) < 1e-13 * t_scale:
-                    converged = True
-                    break
-                if r2 < 1e-8:
-                    break
-                s = s - (X[-2] - ti) / r2
-                s = float(np.clip(s, self.traj.s0, self.traj.s_end))
-            if not converged:
-                # near a collision t(s) is cubically flat and Newton is
-                # useless; bisect on the dense trajectory instead
-                j = int(np.searchsorted(self._t_table, ti))
-                lo = self._s_table[max(j - 1, 0)]
-                hi = self._s_table[min(j, len(self._s_table) - 1)]
-                g = lambda sx: self.traj.eval(sx)[-2] - ti
-                if lo < hi and g(lo) <= 0.0 <= g(hi):
-                    s = float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
-            out[i] = s
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        converged = np.zeros(ts.size, bool)
+        todo = np.arange(ts.size)           # points Newton still polishes
+        for _ in range(4):
+            if todo.size == 0:
+                break
+            X = self.traj.eval(s[todo])
+            gap = X[-2] - ts[todo]
+            z = X[: (len(X) - 2) // 2]
+            r2 = np.sum(z * z, axis=0)
+            done = np.abs(gap) < 1e-13 * t_scale
+            converged[todo[done]] = True
+            step = ~done & (r2 >= 1e-8)
+            todo = todo[step]
+            s[todo] = np.clip(s[todo] - gap[step] / r2[step],
+                              self.traj.s0, self.traj.s_end)
+        # near a collision t(s) is cubically flat and Newton is useless;
+        # bisect on the dense trajectory instead
+        for i in np.flatnonzero(~converged):
+            j = int(np.searchsorted(self._t_table, ts[i]))
+            lo = self._s_table[max(j - 1, 0)]
+            hi = self._s_table[min(j, len(self._s_table) - 1)]
+            g = lambda sx: self.t_of(sx) - ts[i]
+            if lo < hi and g(lo) <= 0.0 <= g(hi):
+                s[i] = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        return s.reshape(t.shape)[()]
+
+
+def _states(traj, s):
+    """Dense-output states at s, of shape s.shape + (D,)."""
+    return traj.eval(np.ravel(s)).T.reshape(np.shape(s) + (-1,))
 
 
 def find_collisions(traj):
@@ -120,11 +124,12 @@ def collision_limits(traj, tmap, s0, eps=0.0, pert=None):
     """Direction and energy limits at a collision, from the closed formulas.
 
     direction is the physical image of the unit z'(s0); the energy limit
-    is -tau(s0) + eps U(t(s0), 0, eps).  The zero-energy relation pins
-    |z'(s0)|^2 = 1/2; a larger deviation than 1e-6 is an inconsistency.
+    is -tau(s0) + eps U(t(s0), u(s0)), with u(s0) = 0 up to rounding.
+    The zero-energy relation pins |z'(s0)|^2 = 1/2; a larger deviation
+    than 1e-6 is an inconsistency.
     """
     X = traj.eval(s0)
-    z, w, t0, tau = model.unpack_state(X)
+    _, w, t0, _ = model.unpack_state(X)
     zp = w / 4.0
     zp_sq = float(np.dot(zp, zp))
     if abs(zp_sq - 0.5) > ZPRIME_SQ_TOL:
@@ -132,12 +137,10 @@ def collision_limits(traj, tmap, s0, eps=0.0, pert=None):
             f"|z'|^2 = {zp_sq} at the collision, violating the zero-energy "
             "relation |z'|^2 = 1/2")
     d = zp / np.sqrt(zp_sq)
-    direction = model.position(d)
-    energy = -tau
-    if eps != 0.0 and pert is not None:
-        energy += eps * pert.value(t0, np.zeros_like(direction), eps)
-    return CollisionEvent(t0=float(t0), s0=float(s0), direction=direction,
-                          energy=float(energy), zprime_sq=zp_sq)
+    return CollisionEvent(t0=float(t0), s0=float(s0),
+                          direction=model.position(d),
+                          energy=float(model.state_energy(X, eps, pert)),
+                          zprime_sq=zp_sq)
 
 
 @dataclass
@@ -158,26 +161,21 @@ class GeneralizedSolution:
         return self.tmap.t_start
 
     def state_at_t(self, t):
-        return self.traj.eval(self.tmap.s_of(t))
+        """Regularized state at t: (D,) for a scalar, t.shape + (D,)
+        for an array."""
+        return _states(self.traj, self.tmap.s_of(t))
 
     def u(self, t):
-        z, _, _, _ = model.unpack_state(self.state_at_t(t))
-        return model.position(z)
+        return model.state_position(self.state_at_t(t))
 
     def v(self, t):
         """Velocity du/dt; diverges at collisions."""
-        z, w, _, _ = model.unpack_state(self.state_at_t(t))
-        r2 = float(np.dot(z, z))
-        return (model.position_jacobian(z) @ w) / (4.0 * r2)
+        return model.state_velocity(self.state_at_t(t))
 
     def energy(self, t):
         """Physical energy |v|^2/2 - 1/|u|, smooth through collisions
         as -tau + eps U."""
-        z, _, tt, tau = model.unpack_state(self.state_at_t(t))
-        E = -tau
-        if self.eps != 0.0 and self.pert is not None:
-            E += self.eps * self.pert.value(tt, model.position(z), self.eps)
-        return E
+        return model.state_energy(self.state_at_t(t), self.eps, self.pert)
 
     def sample(self, n, excision=None):
         """Arrays (t, u, v) over one period; v is NaN inside excision
@@ -185,19 +183,20 @@ class GeneralizedSolution:
         if excision is None:
             excision = 1e-2 * self.period
         ts = np.linspace(self.t_start, self.t_start + self.period, n)
-        nu = self.dim
-        us = np.empty((n, nu))
-        vs = np.full((n, nu), np.nan)
-        for i, t in enumerate(ts):
-            us[i] = self.u(t)
-            if all(self._coll_distance(t, c) > excision
-                   for c in self.collisions):
-                vs[i] = self.v(t)
-        return ts, us, vs
+        X = self.state_at_t(ts)
+        vs = np.full((n, self.dim), np.nan)
+        far = self._farther_than(ts, excision)
+        vs[far] = model.state_velocity(X[far])
+        return ts, model.state_position(X), vs
 
-    def _coll_distance(self, t, c):
-        d = abs(t - c.t0)
-        return min(d, abs(d - self.period))
+    def _farther_than(self, ts, dist):
+        """Mask of the times ts farther than dist from every collision,
+        modulo the period."""
+        far = np.ones(np.shape(ts), bool)
+        for c in self.collisions:
+            d = np.abs(ts - c.t0)
+            far &= np.minimum(d, np.abs(d - self.period)) > dist
+        return far
 
 
 def to_generalized(orbit, pert, cfg=None, provenance=""):
@@ -212,7 +211,7 @@ def to_generalized(orbit, pert, cfg=None, provenance=""):
     fld = lambda X: model.reg_field(X, orbit.eps, pert)
     traj = flow.integrate(fld, orbit.X0, orbit.S, cfg)
     if orbit.dim == 3:
-        bl = max(abs(model.bl_value(X)) for X in traj.states[:, :10])
+        bl = np.max(np.abs(model.bl_value(traj.states[:, :10])))
         if bl > 1e-9:
             raise ValueError(f"BL drifts to {bl:.2e} along the orbit; its "
                              "KS projection is not a physical solution")
@@ -230,12 +229,17 @@ def to_generalized(orbit, pert, cfg=None, provenance=""):
 # ---------------------------------------------------------------------------
 # oracles for collision limits
 
-def _richardson(f, h):
-    """Limit of f at 0 from samples at h, h/2, h/4 (first-order series)."""
-    f1, f2, f4 = f(h), f(h / 2.0), f(h / 4.0)
+def _richardson(samples):
+    """Limit at 0 from samples at h, h/2, h/4 stacked on the first axis
+    (first-order series)."""
+    f1, f2, f4 = samples
     r1 = 2.0 * f2 - f1
     r2 = 2.0 * f4 - f2
     return 2.0 * r2 - r1            # second elimination stage
+
+
+def _unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def collision_side_limits(gensol, event, delta=1e-2):
@@ -245,26 +249,16 @@ def collision_side_limits(gensol, event, delta=1e-2):
     s0 -+ delta (halved twice) and Richardson-extrapolates; this is the
     independent cross-check of ``collision_limits``.
     """
-    traj = gensol.traj
-    s0 = event.s0
-
-    def at(s):
-        z, w, t, tau = model.unpack_state(traj.eval(s))
-        u = model.position(z)
-        v = (model.position_jacobian(z) @ w) / (4.0 * float(np.dot(z, z)))
-        E = -tau
-        if gensol.eps != 0.0:
-            E += gensol.eps * gensol.pert.value(t, u, gensol.eps)
-        return u / np.linalg.norm(u), E, v / np.linalg.norm(v)
-
+    h = delta / np.array([1.0, 2.0, 4.0])
     out = {}
     for label, sign in (("minus", -1.0), ("plus", +1.0)):
-        udir = _richardson(lambda h: at(s0 + sign * h)[0], delta)
-        E = _richardson(lambda h: at(s0 + sign * h)[1], delta)
-        vdir = _richardson(lambda h: at(s0 + sign * h)[2], delta)
-        out[f"dir_{label}"] = udir / np.linalg.norm(udir)
+        X = gensol.traj.eval(event.s0 + sign * h).T
+        udir = _richardson(_unit(model.state_position(X)))
+        E = _richardson(model.state_energy(X, gensol.eps, gensol.pert))
+        vdir = _richardson(_unit(model.state_velocity(X)))
+        out[f"dir_{label}"] = _unit(udir)
         out[f"energy_{label}"] = float(E)
-        out[f"vdir_{label}"] = vdir / np.linalg.norm(vdir)
+        out[f"vdir_{label}"] = _unit(vdir)
     return out
 
 
@@ -281,32 +275,26 @@ def ode_residual(gensol, n_samples=200, h=None, r_min=0.05):
     eps, pert = gensol.eps, gensol.pert
     ts = np.linspace(gensol.t_start + 3 * h, gensol.t_start + Tp - 3 * h,
                      n_samples)
-    max_res = 0.0
-    max_vdiff = 0.0
-    used = 0
-    for t in ts:
-        if any(gensol._coll_distance(t, c) < 120 * h
-               for c in gensol.collisions):
-            continue
-        u = gensol.u(t)
-        if np.linalg.norm(u) < r_min:
-            continue
-        vm2, vm1 = gensol.v(t - 2 * h), gensol.v(t - h)
-        vp1, vp2 = gensol.v(t + h), gensol.v(t + 2 * h)
-        vdot = (-vp2 + 8.0 * vp1 - 8.0 * vm1 + vm2) / (12.0 * h)
-        acc = -u / np.linalg.norm(u) ** 3
-        if eps != 0.0 and pert is not None:
-            acc = acc + eps * pert.grad_u(t, u, eps)
-        max_res = max(max_res, float(np.linalg.norm(vdot - acc)))
-        um2, um1 = gensol.u(t - 2 * h), gensol.u(t - h)
-        up1, up2 = gensol.u(t + h), gensol.u(t + 2 * h)
-        udot = (-up2 + 8.0 * up1 - 8.0 * um1 + um2) / (12.0 * h)
-        max_vdiff = max(max_vdiff, float(np.linalg.norm(udot - gensol.v(t))))
-        used += 1
-    if used == 0:
+    ts = ts[gensol._farther_than(ts, 120 * h)]
+    # states at t - 2h .. t + 2h, one row per sample point
+    X = gensol.state_at_t(ts[:, None] + h * np.arange(-2.0, 3.0))
+    u = model.state_position(X)
+    keep = np.linalg.norm(u[:, 2], axis=-1) >= r_min
+    ts, X, u = ts[keep], X[keep], u[keep]
+    if ts.size == 0:
         raise ValueError("no usable sample points away from collisions")
-    return {"max_residual": max_res, "max_udot_mismatch": max_vdiff,
-            "n_used": used}
+    v = model.state_velocity(X)
+    u0 = u[:, 2]
+    vdot = (-v[:, 4] + 8.0 * v[:, 3] - 8.0 * v[:, 1] + v[:, 0]) / (12.0 * h)
+    acc = -u0 / np.linalg.norm(u0, axis=-1, keepdims=True) ** 3
+    if eps != 0.0 and pert is not None:
+        acc = acc + eps * pert.evaluate(ts, u0, eps).grad
+    udot = (-u[:, 4] + 8.0 * u[:, 3] - 8.0 * u[:, 1] + u[:, 0]) / (12.0 * h)
+    return {"max_residual": float(np.max(np.linalg.norm(vdot - acc,
+                                                         axis=-1))),
+            "max_udot_mismatch": float(np.max(np.linalg.norm(
+                udot - v[:, 2], axis=-1))),
+            "n_used": int(ts.size)}
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +312,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 def _cumulative_gauss(f, nodes):
-    """Cumulative integral of f at the given nodes (10-point Gauss per gap)."""
-    out = np.zeros(len(nodes))
-    for i in range(len(nodes) - 1):
-        a, b = nodes[i], nodes[i + 1]
-        x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        out[i + 1] = out[i] + 0.5 * (b - a) * float(
-            np.dot(_GL_WEIGHTS, [f(xi) for xi in x]))
-    return out
+    """Cumulative integral of f at the given nodes (10-point Gauss per
+    gap); f maps an array of points to an array of values."""
+    a, b = nodes[:-1, None], nodes[1:, None]
+    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+    gaps = 0.5 * (b - a)[:, 0] * (f(x) @ _GL_WEIGHTS)
+    return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
 def sundman_lift(gensol, n_per_arc=200):
@@ -341,9 +327,10 @@ def sundman_lift(gensol, n_per_arc=200):
     collision singularity is absorbed by the substitution t = t0 -+
     sigma^3), then tracks a continuous square-root branch z(s) of u,
     flipping sheets across each collision so that z stays C^1 through
-    the rectilinear bounce; w = 2 conj(z) v and tau = -E + eps U close
-    the state.  The branch either closes up or returns to -z after one
-    physical period ("anti-periodic" case).
+    the rectilinear bounce; w = 2 conj(z) v and the tau that makes
+    -tau + eps U the energy of (u, v) close the state.  The branch either
+    closes up or returns to -z after one physical period
+    ("anti-periodic" case).
     """
     if gensol.dim != 2:
         raise ValueError("the converse Sundman construction is planar only")
@@ -358,17 +345,17 @@ def sundman_lift(gensol, n_per_arc=200):
         raise ValueError("a collision at the period boundary is not "
                          "supported; shift the time origin first")
 
-    def speed_recip(t):
-        return 1.0 / np.linalg.norm(gensol.u(t))
-
     def half_integrand(endpoint, sign, singular):
         # in sigma = |t - endpoint|^{1/3} the integrand is smooth; below
         # t-offsets resolvable by the dense output, a singular endpoint
         # is replaced by the universal limit r ~ (9/2)^{1/3} |t-t0|^{2/3}
         def f(sg):
-            if singular and sg ** 3 < 1e-8:
-                return 3.0 * (2.0 / 9.0) ** (1.0 / 3.0)
-            return 3.0 * sg ** 2 * speed_recip(endpoint + sign * sg ** 3)
+            out = np.full(sg.shape, 3.0 * (2.0 / 9.0) ** (1.0 / 3.0))
+            smooth = ~(singular & (sg ** 3 < 1e-8))
+            sg = sg[smooth]
+            r = np.linalg.norm(gensol.u(endpoint + sign * sg ** 3), axis=-1)
+            out[smooth] = 3.0 * sg ** 2 * (1.0 / r)
+            return out
         return f
 
     t_nodes = []
@@ -400,29 +387,25 @@ def sundman_lift(gensol, n_per_arc=200):
     s_nodes = np.asarray(s_nodes)
     S_total = float(s_off)
 
-    states = np.empty((len(t_nodes), 6))
-    z_prev = None
-    zp_prev = None
-    s_prev = 0.0
-    for i, (t, s) in enumerate(zip(t_nodes, s_nodes)):
-        u = gensol.u(t)
-        v = gensol.v(t)
-        uc = complex(u[0], u[1])
-        vc = complex(v[0], v[1])
-        root = np.sqrt(uc)
-        if z_prev is None:
-            zc = root
-        else:
-            z_pred = z_prev + (s - s_prev) * zp_prev
-            zc = root if abs(root - z_pred) <= abs(-root - z_pred) else -root
-        wc = 2.0 * zc.conjugate() * vc
-        E = 0.5 * float(np.dot(v, v)) - 1.0 / float(np.linalg.norm(u))
-        tau = -E
-        if gensol.eps != 0.0 and gensol.pert is not None:
-            tau += gensol.eps * gensol.pert.value(t, u, gensol.eps)
-        states[i] = model.pack_state(np.array([zc.real, zc.imag]),
-                                     np.array([wc.real, wc.imag]), t, tau)
-        z_prev, zp_prev, s_prev = zc, wc / 4.0, s
+    X = gensol.state_at_t(t_nodes)
+    u = model.state_position(X)
+    v = model.state_velocity(X)
+    vc = v[:, 0] + 1j * v[:, 1]
+    zc = np.sqrt(u[:, 0] + 1j * u[:, 1])
+    # sheet tracking: each sign follows from the previous node's z, z'
+    for i in range(1, len(zc)):
+        z_prev = zc[i - 1]
+        z_pred = z_prev + (s_nodes[i] - s_nodes[i - 1]) * (
+            2.0 * z_prev.conjugate() * vc[i - 1] / 4.0)
+        if abs(zc[i] - z_pred) > abs(-zc[i] - z_pred):
+            zc[i] = -zc[i]
+    wc = 2.0 * zc.conjugate() * vc
+    states = np.column_stack([zc.real, zc.imag, wc.real, wc.imag, t_nodes,
+                              np.zeros(len(zc))])
+    # E = -tau + eps U falls by one per unit of tau: at tau = 0 it is
+    # eps U, which fixes the tau that gives the Kepler energy of (u, v)
+    states[:, 5] = (model.state_energy(states, gensol.eps, gensol.pert)
+                    - model.physical_energy(u, v))
 
     z_first = complex(states[0, 0], states[0, 1])
     z_last = complex(states[-1, 0], states[-1, 1])
@@ -451,34 +434,42 @@ def _smooth_step_parts(x):
     return g, g1, g2
 
 
+def _bump_jet(s):
+    """(bump, bump', bump'') at s, each of the shape of s.
+
+    The e^{-1/x} step is evaluated on the transitions 1 < |s| < 2 only,
+    where it is finite.
+    """
+    s = np.asarray(s, float)
+    x = 2.0 - np.abs(s)
+    jet = np.zeros((3,) + s.shape)
+    jet[0, x >= 1.0] = 1.0
+    ramp = (x > 0.0) & (x < 1.0)
+    g, g1, g2 = _smooth_step_parts(x[ramp])
+    jet[:, ramp] = [g, np.where(s[ramp] > 0, -g1, g1), g2]
+    return jet
+
+
 def bump(s):
     """Smooth plateau: 1 on [-1, 1], 0 off [-2, 2]."""
-    x = 2.0 - abs(s)
-    if x >= 1.0:
-        return 1.0
-    if x <= 0.0:
-        return 0.0
-    return _smooth_step_parts(x)[0]
+    return _bump_jet(s)[0][()]
 
 
 def bump_d1(s):
-    x = 2.0 - abs(s)
-    if x >= 1.0 or x <= 0.0:
-        return 0.0
-    sgn = -1.0 if s > 0 else 1.0
-    return sgn * _smooth_step_parts(x)[1]
+    return _bump_jet(s)[1][()]
 
 
 def bump_d2(s):
-    x = 2.0 - abs(s)
-    if x >= 1.0 or x <= 0.0:
-        return 0.0
-    return _smooth_step_parts(x)[2]
+    return _bump_jet(s)[2][()]
 
 
 @dataclass
 class RemovalResult:
-    """Collisionless deformation of a planar collision orbit."""
+    """Collisionless deformation of a planar collision orbit.
+
+    The callables of s take a scalar or an array; those of t take a
+    scalar.
+    """
 
     mu: float
     S: float
@@ -488,6 +479,7 @@ class RemovalResult:
     z_mu: object                # callable s -> complex
     u_mu: object                # callable t -> (2,) array
     p_mu: object                # callable t -> (2,) array
+    p_of_s: object              # callable s -> complex, p_mu(t(s))
     min_u: float
     collisions_s: list
 
@@ -495,15 +487,14 @@ class RemovalResult:
         """L1 distance of p_mu to a reference forcing over one period.
 
         Integrated in regularized time: int |p_mu - p_ref| |z_mu|^2 ds.
+        ``p_ref`` maps an array of times (n,) to forcings (n, 2).
         """
         ss = np.linspace(0.0, self.S, n)
-        vals = np.empty(n)
-        for i, s in enumerate(ss):
-            t = self.t_of_s(s)
-            d = self.p_mu(t)
-            if p_ref is not None:
-                d = d - np.asarray(p_ref(t), float)
-            vals[i] = np.linalg.norm(d) * abs(self.z_mu(s)) ** 2
+        pc = self.p_of_s(ss)
+        d = np.column_stack([pc.real, pc.imag])
+        if p_ref is not None:
+            d = d - np.asarray(p_ref(self.t_of_s(ss)), float)
+        vals = np.linalg.norm(d, axis=-1) * np.abs(self.z_mu(ss)) ** 2
         return float(np.trapezoid(vals, ss))
 
     def residual(self, n=200, h=1e-2, r_min=0.3):
@@ -514,29 +505,23 @@ class RemovalResult:
         |u| < r_min are skipped since the 1/|u|^2 amplification there
         pushes stencil noise past any useful tolerance.
         """
-        q_of = lambda s: abs(self.z_mu(s)) ** 2
-        u_of = lambda s: self.z_mu(s) ** 2
-
-        max_res = 0.0
-        used = 0
-        for s in np.linspace(0.0, self.S, n, endpoint=False):
-            q0 = q_of(s)
-            if q0 < r_min:
-                continue
-            us = [u_of(s + j * h) for j in (-2, -1, 0, 1, 2)]
-            qs = [q_of(s + j * h) for j in (-2, -1, 1, 2)]
-            u_s = (-us[4] + 8 * us[3] - 8 * us[1] + us[0]) / (12 * h)
-            u_ss = (-us[4] + 16 * us[3] - 30 * us[2] + 16 * us[1]
-                    - us[0]) / (12 * h ** 2)
-            q_s = (-qs[3] + 8 * qs[2] - 8 * qs[1] + qs[0]) / (12 * h)
-            udd = u_ss / q0 ** 2 - u_s * q_s / q0 ** 3
-            u0 = us[2]
-            rhs = -u0 / abs(u0) ** 3 + complex(*self.p_mu(self.t_of_s(s)))
-            max_res = max(max_res, abs(udd - rhs))
-            used += 1
-        if used == 0:
+        ss = np.linspace(0.0, self.S, n, endpoint=False)
+        # z_mu at s - 2h .. s + 2h, one row per sample point
+        zs = self.z_mu(ss[:, None] + h * np.arange(-2.0, 3.0))
+        qs = np.abs(zs) ** 2
+        keep = qs[:, 2] >= r_min
+        if not np.any(keep):
             raise ValueError("no sample points with |u| >= r_min")
-        return max_res
+        us, qs = zs[keep] ** 2, qs[keep]
+        q0 = qs[:, 2]
+        u_s = (-us[:, 4] + 8 * us[:, 3] - 8 * us[:, 1] + us[:, 0]) / (12 * h)
+        u_ss = (-us[:, 4] + 16 * us[:, 3] - 30 * us[:, 2] + 16 * us[:, 1]
+                - us[:, 0]) / (12 * h ** 2)
+        q_s = (-qs[:, 4] + 8 * qs[:, 3] - 8 * qs[:, 1] + qs[:, 0]) / (12 * h)
+        udd = u_ss / q0 ** 2 - u_s * q_s / q0 ** 3
+        u0 = us[:, 2]
+        rhs = -u0 / np.abs(u0) ** 3 + self.p_of_s(ss[keep])
+        return float(np.max(np.abs(udd - rhs)))
 
 
 def remove_collisions(traj, S, mu, eps=0.0, pert=None, cfg=None):
@@ -567,41 +552,35 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None, cfg=None):
         if min(gaps) <= 4.0 * mu:
             raise ValueError("collision windows of half-width 2 mu overlap")
 
-    normals = {}
-    for sc in s_cols:
-        _, w, _, _ = model.unpack_state(traj.eval(sc))
-        zp = complex(w[0], w[1]) / 4.0
-        normals[sc] = 1j * zp / abs(zp)
+    # window centres: each collision and its images one period away,
+    # each with the unit normal to z'(s_c) = w(s_c) / 4
+    w = np.array([complex(*traj.eval(sc)[2:4]) for sc in s_cols])
+    normals = np.repeat(1j * w / np.abs(w), 3)
+    centres = (np.reshape(s_cols, (-1, 1)) + [-S, 0.0, S]).ravel()
 
-    def z_src(s):
-        X = traj.eval(s)
-        z, w, _, _ = model.unpack_state(X)
-        f = model.reg_field(X, eps, pert)
-        zpp = complex(f[2], f[3]) / 4.0
-        return (complex(z[0], z[1]), complex(w[0], w[1]) / 4.0, zpp)
-
-    def z_mu_full(s):
-        """(z_mu, z_mu', z_mu'') at s, windows wrapped periodically."""
-        z, zp, zpp = z_src(s)
-        for sc, v in normals.items():
-            for image in (sc - S, sc, sc + S):
-                x = (s - image) / mu
-                if abs(x) < 2.0:
-                    z = z + mu ** 3 * bump(x) * v
-                    zp = zp + mu ** 2 * bump_d1(x) * v
-                    zpp = zpp + mu * bump_d2(x) * v
-        return z, zp, zpp
+    def windows(s):
+        """The window terms of z_mu, z_mu' and z_mu'' at s, stacked."""
+        jet = _bump_jet((np.asarray(s, float)[..., None] - centres) / mu)
+        scale = np.array([mu ** 3, mu ** 2, mu])
+        jet *= scale.reshape((3,) + (1,) * (jet.ndim - 1))
+        return jet @ normals
 
     def z_mu(s):
-        return z_mu_full(s)[0]
+        X = _states(traj, s)
+        return X[..., 0] + 1j * X[..., 1] + windows(s)[0]
 
-    def p_tilde(s):
-        z, zp, zpp = z_mu_full(s)
-        r2 = abs(z) ** 2
-        if r2 == 0.0:
+    def p_of_s(s):
+        X = _states(traj, s)
+        F = model.reg_field(X, eps, pert)
+        wz, wzp, wzpp = windows(s)
+        z = X[..., 0] + 1j * X[..., 1] + wz
+        zp = (X[..., 2] + 1j * X[..., 3]) / 4.0 + wzp
+        zpp = (F[..., 2] + 1j * F[..., 3]) / 4.0 + wzpp
+        r2 = np.abs(z) ** 2
+        if np.any(r2 == 0.0):
             raise ValueError("deformed orbit still touches the origin")
-        pc = 2.0 * z * zpp / r2 ** 2 + z ** 2 * (1.0 - 2.0 * abs(zp) ** 2) / r2 ** 3
-        return pc
+        return (2.0 * z * zpp / r2 ** 2
+                + z ** 2 * (1.0 - 2.0 * np.abs(zp) ** 2) / r2 ** 3)
 
     cfg = cfg or flow.IntegratorConfig()
     res = solve_ivp(lambda s, y: [abs(z_mu(s)) ** 2], (0.0, S), [0.0],
@@ -613,7 +592,7 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None, cfg=None):
     t_sol = res.sol
 
     def t_of_s(s):
-        return float(t_sol(s)[0])
+        return t_sol(s)[0]
 
     def s_of_t(t):
         t = float(t) % T_mu
@@ -625,14 +604,13 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None, cfg=None):
         return np.array([uc.real, uc.imag])
 
     def p_mu(t):
-        pc = p_tilde(s_of_t(t))
+        pc = p_of_s(s_of_t(t))
         return np.array([pc.real, pc.imag])
 
-    ss = np.linspace(0.0, S, 4001)
-    min_u = min(abs(z_mu(s)) ** 2 for s in ss)
+    min_u = np.min(np.abs(z_mu(np.linspace(0.0, S, 4001))) ** 2)
     return RemovalResult(mu=mu, S=S, T_mu=T_mu, t_of_s=t_of_s, s_of_t=s_of_t,
-                         z_mu=z_mu, u_mu=u_mu, p_mu=p_mu, min_u=float(min_u),
-                         collisions_s=s_cols)
+                         z_mu=z_mu, u_mu=u_mu, p_mu=p_mu, p_of_s=p_of_s,
+                         min_u=float(min_u), collisions_s=s_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +624,10 @@ def generalized_to_csv(gensol, path, n=1000, header_lines=()):
             fh.write(f"# {line}\n")
         ucols = ",".join(f"u{i}" for i in range(gensol.dim))
         fh.write(f"t,{ucols},r,E,near_collision\n")
-        for t, u, v in zip(ts, us, vs):
-            flag = int(np.any(np.isnan(v)))
-            row = [f"{t:.16e}"] + [f"{x:.16e}" for x in u]
-            row.append(f"{np.linalg.norm(u):.16e}")
-            row.append(f"{gensol.energy(t):.16e}")
-            row.append(str(flag))
-            fh.write(",".join(row) + "\n")
+        rows = np.column_stack([ts, us, np.linalg.norm(us, axis=-1),
+                                gensol.energy(ts)])
+        for row, near in zip(rows, np.isnan(vs).any(axis=-1)):
+            fh.write(",".join(f"{x:.16e}" for x in row) + f",{near:d}\n")
         for c in gensol.collisions:
             d = ",".join(f"{x:.12e}" for x in c.direction)
             fh.write(f"# collision t0={c.t0:.12e} s0={c.s0:.12e} "

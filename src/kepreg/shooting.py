@@ -229,14 +229,8 @@ class PeriodicOrbit:
 def energy_band(traj, eps, pert, n_samples=400):
     """Range of the physical energy E = -tau + eps U along a trajectory."""
     ss = np.linspace(traj.s0, traj.s_end, n_samples)
-    vals = []
-    for s in ss:
-        z, w, t, tau = model.unpack_state(traj.eval(s))
-        E = -tau
-        if eps != 0.0 and pert is not None:
-            E += eps * pert.value(t, model.position(z), eps)
-        vals.append(E)
-    return float(min(vals)), float(max(vals))
+    E = model.state_energy(traj.eval(ss).T, eps, pert)
+    return float(np.min(E)), float(np.max(E))
 
 
 def _finish(problem, unknowns, res_norm):

@@ -270,7 +270,7 @@ def test_collision_physics():
 @criterion(10, "averaging scaling")
 def test_averaging_scaling():
     fs = averaging.ForcingSpec(period=T, const=(1.0, 0.0), cos=[(1.0, 0.0)])
-    x_star = averaging.averaged_equilibrium(averaging.mean_force(fs))
+    x_star = averaging.averaged_equilibrium(fs.mean())
     assert np.allclose(x_star, [1.0, 0.0], atol=1e-14)
     d = averaging.averaged_jacobian_det(x_star)       # includes the
     assert abs(d - 2.0) < 1e-10                       # assembled check

@@ -21,7 +21,7 @@ class TestForcingSpec:
 
     def test_mean_is_exact(self):
         fs = acceptance_forcing()
-        assert np.allclose(averaging.mean_force(fs), [1.0, 0.0])
+        assert np.allclose(fs.mean(), [1.0, 0.0])
         # quadrature cross-check
         ts = np.linspace(0.0, T, 20001)
         vals = np.array([fs(t) for t in ts])

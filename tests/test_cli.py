@@ -112,17 +112,18 @@ class TestCertifyCommand:
         assert report["n_seeds"] == 3
         assert report["min_principal_angle"] > 1e-3
 
-    def test_parallel_matches_serial(self, tmp_path):
-        text = BASE + "\n[certify]\nn_seeds = 2\n"
-        cfg = write_config(tmp_path, text)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        cli.main(["certify", "--config", cfg, "--out", str(out1)])
-        cli.main(["certify", "--config", cfg, "--out", str(out2),
-                  "--jobs", "2"])
-        r1 = json.loads((out1 / "certificates.json").read_text())
-        r2 = json.loads((out2 / "certificates.json").read_text())
-        assert r1["min_principal_angle"] == pytest.approx(
-            r2["min_principal_angle"], rel=1e-12)
+
+@pytest.mark.parametrize("command",
+                         ["flow", "shoot", "theorem-demo", "reconstruct"])
+def test_singular_perturbation_is_config_error(tmp_path, capsys, command):
+    text = BASE.replace("name = forced_kepler", "name = fatou") \
+        .replace("cos1 = 0.3,0.0\nsin1 = 0.0,0.3\n", "h_prime = 0.1\n")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", cfg, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "singular at the origin" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestReconstructCommand:

@@ -96,15 +96,6 @@ class TestPerturbations:
         with pytest.raises(ValueError):
             model.reg_field(X, 1e-3, p)
 
-    def test_catalog(self):
-        names = set(model.builtin_perturbations())
-        assert names == {"zero", "forced_kepler", "fatou"}
-        p = model.make_perturbation("fatou", {"k_prime": 1.0, "h_prime": 0.0,
-                                              "n_prime": 1.0})
-        assert p.name == "fatou"
-        with pytest.raises(KeyError):
-            model.make_perturbation("nope", {})
-
 
 class TestStateLayout:
     def test_pack_unpack_roundtrip(self):
@@ -255,7 +246,8 @@ class TestRegularizedField:
 
     def test_stacked_kernels_match_rows(self):
         """A stack of states gives the row-by-row results, for the
-        closed-form and the finite-difference perturbation paths."""
+        closed-form and the finite-difference perturbation paths, and
+        the same for BL and the position map."""
         for dim in (2, 3):
             linear = sample_pert(dim)
             generic = model.Perturbation(
@@ -263,12 +255,19 @@ class TestRegularizedField:
             Xs = np.array([random_state(dim) for _ in range(5)])
             for pert in (linear, generic):
                 for eps in (0.0, 1e-2):
-                    for fn in (model.reg_field, model.reg_energy_gradient,
+                    for fn in (model.reg_energy, model.reg_field,
+                               model.reg_energy_gradient,
                                model.reg_field_jacobian):
                         rows = np.array([fn(X, eps, pert) for X in Xs])
                         assert np.allclose(fn(Xs, eps, pert), rows,
                                            rtol=1e-14, atol=1e-15), \
                             f"dim={dim} eps={eps} {fn.__name__}"
+            if dim == 3:
+                assert np.array_equal(model.bl_value(Xs),
+                                      [model.bl_value(X) for X in Xs])
+            else:
+                with pytest.raises(ValueError):
+                    model.bl_value(Xs)
             Z = Xs[:, : 2 * dim - 2]
             single = [algebra.lc_position(complex(*z)) for z in Z] \
                 if dim == 2 else [algebra.ks_map(z) for z in Z]

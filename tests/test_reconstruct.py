@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,23 @@ def circ_gensol():
     return reconstruct.to_generalized(orbit, model.zero_perturbation(T, 2))
 
 
+def per_point_newton(tm, t):
+    """Reference inverse of t(s) at one time: at most four Newton steps
+    from the table seed; returns (s, converged)."""
+    t = float(np.clip(t, tm.t_start, tm.t_end))
+    t_scale = max(1.0, abs(tm.t_start), abs(tm.t_end))
+    s = float(tm._inv(t))
+    for _ in range(4):
+        X = tm.traj.eval(s)
+        r2 = X[0] ** 2 + X[1] ** 2
+        if abs(X[-2] - t) < 1e-13 * t_scale:
+            return s, True
+        if r2 < 1e-8:
+            break
+        s = float(np.clip(s - (X[-2] - t) / r2, tm.traj.s0, tm.traj.s_end))
+    return s, False
+
+
 class TestTimeMap:
     def test_inverse_property(self, rect_gensol):
         tm = rect_gensol.tmap
@@ -52,6 +71,27 @@ class TestTimeMap:
                 for sign in (-1.0, 1.0):
                     t = c.t0 + sign * off
                     assert tm.t_of(tm.s_of(t)) == pytest.approx(t, abs=1e-11)
+
+    def test_array_matches_per_point_newton(self):
+        """s_of on an array gives, point for point, what the per-point
+        Newton polish gives; points left to brentq agree in t(s)."""
+        _, _, orbit = collision_orbit(k=2)
+        tm = reconstruct.to_generalized(orbit,
+                                        model.zero_perturbation(T, 2)).tmap
+        ts = np.linspace(tm.t_start, tm.t_end, 1000)
+        got = tm.s_of(ts)
+        assert got.shape == ts.shape
+        n_newton = 0
+        for t, s_arr in zip(ts, got):
+            s, converged = per_point_newton(tm, t)
+            if converged:
+                n_newton += 1
+                assert s_arr == s
+            else:
+                assert tm.t_of(s_arr) == pytest.approx(t, abs=1e-11)
+        assert n_newton > 900
+        assert tm.s_of(ts[3]) == got[3]
+        assert np.ndim(tm.s_of(ts[3])) == 0
 
     def test_period_advance(self, rect_gensol):
         tm = rect_gensol.tmap
@@ -116,6 +156,22 @@ class TestGeneralizedSolution:
                 c.energy, abs=1e-9)
             assert rect_gensol.energy(c.t0 - off) == pytest.approx(
                 c.energy, abs=1e-9)
+
+    def test_array_evaluation_matches_scalar_calls(self, rect_gensol):
+        forced = model.forced_kepler(T, cos=[[0.3, 0.0]], sin=[[0.0, 0.3]])
+        for gensol in (rect_gensol,
+                       dataclasses.replace(rect_gensol, eps=1e-3,
+                                           pert=forced)):
+            c = gensol.collisions[0]
+            ts = np.concatenate([
+                np.linspace(gensol.t_start, gensol.t_start + T, 37),
+                c.t0 + np.array([-1e-3, -1e-6, 1e-6, 1e-3])])
+            for fn in (gensol.u, gensol.v, gensol.energy):
+                rows = np.array([fn(t) for t in ts])
+                assert np.allclose(fn(ts), rows, rtol=1e-14, atol=1e-15)
+                assert np.allclose(fn(ts.reshape(-1, 1)),
+                                   rows.reshape((-1, 1) + rows.shape[1:]),
+                                   rtol=1e-14, atol=1e-15)
 
     def test_sample_excises_velocity(self, rect_gensol):
         ts, us, vs = rect_gensol.sample(200)
@@ -193,6 +249,14 @@ class TestBump:
                   - reconstruct.bump_d1(x - h)) / (2 * h)
             assert reconstruct.bump_d2(x) == pytest.approx(d2, abs=1e-6)
 
+    def test_arrays_match_scalars(self):
+        xs = np.linspace(-2.5, 2.5, 41)
+        for f in (reconstruct.bump, reconstruct.bump_d1,
+                  reconstruct.bump_d2):
+            assert isinstance(f(0.3), float)
+            assert np.array_equal(f(xs), [f(x) for x in xs])
+            assert f(xs.reshape(-1, 1)).shape == (41, 1)
+
     def test_smoothness_at_junctions(self):
         for x0 in (-2.0, -1.0, 1.0, 2.0):
             for f in (reconstruct.bump, reconstruct.bump_d1,
@@ -232,6 +296,19 @@ class TestRemoveCollisions:
                       for s in np.linspace(0.0, c.S, 400))
             assert sup < prev_sup
             prev_sup = sup
+
+    def test_forcing_l1_matches_round_trip(self, source):
+        """Evaluated at s, forcing_l1 matches the reference that maps each
+        s to t and solves back for s before evaluating p_mu."""
+        c, traj, pert = source
+        ss = np.linspace(0.0, c.S, 2000)            # forcing_l1's default
+        for m in range(5):
+            out = reconstruct.remove_collisions(traj, c.S, 0.1 * 2.0 ** (-m),
+                                                0.0, pert)
+            vals = [np.linalg.norm(out.p_mu(out.t_of_s(s)))
+                    * abs(out.z_mu(s)) ** 2 for s in ss]
+            ref = np.trapezoid(vals, ss)
+            assert out.forcing_l1() == pytest.approx(ref, rel=1e-8)
 
     def test_u_mu_consistency(self, source):
         c, traj, pert = source

@@ -280,6 +280,26 @@ class TestSpatial:
         assert np.linalg.norm(res) < 1e-7
 
 
+class TestEnergyBand:
+    def test_matches_per_point_loop(self):
+        for dim in (2, 3):
+            spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+            c = manifolds.constants(spec)
+            pert = forcing_pert(dim)
+            X0 = manifolds.seed_state(spec, manifolds.SeedParams(
+                psi=0.9, phi1=0.4, phi2=1.3, t0=0.2))
+            traj = flow.integrate(lambda X: model.reg_field(X, EPS, pert),
+                                  X0, c.S)
+            energies = []
+            for s in np.linspace(traj.s0, traj.s_end, 400):
+                z, _, t, tau = model.unpack_state(traj.eval(s))
+                energies.append(-tau + EPS * pert.value(t, model.position(z),
+                                                        EPS))
+            band = shooting.energy_band(traj, EPS, pert)
+            assert np.allclose(band, (min(energies), max(energies)),
+                               rtol=1e-14, atol=1e-15)
+
+
 class TestWinding:
     def test_index_of_winding(self):
         X0 = np.zeros(6)
