@@ -91,6 +91,8 @@ class RunConfig:
         self.remove_k = int(rem.get("k", 1))
         cert = parser["certify"] if parser.has_section("certify") else {}
         self.certify_seeds = int(cert.get("n_seeds", 100))
+        if self.certify_seeds < 1:
+            raise ConfigError("n_seeds must be >= 1")
 
     def header_lines(self):
         lines = []
@@ -267,20 +269,29 @@ def cmd_theorem_demo(config, out):
 
 
 def cmd_certify(config, out):
-    def one(k, i):
+    reports = []
+    diags = []
+    for k in config.k_list:
         spec = manifolds.ManifoldSpec(k=k, T=config.period,
                                       dim=config.dimension)
-        rng = np.random.default_rng(config.seed + 1000 * k + i)
-        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(spec, rng))
-        return manifolds.nondegeneracy_certificate(spec, X0, config.cfg)
-
-    reports = [one(k, i) for k in config.k_list
-               for i in range(config.certify_seeds)]
+        X0 = np.array([manifolds.seed_state(
+            spec, manifolds.random_seed_params(
+                spec, np.random.default_rng(config.seed + 1000 * k + i)))
+            for i in range(config.certify_seeds)])
+        try:
+            reports.extend(manifolds.nondegeneracy_certificate(
+                spec, X0, config.cfg))
+        except flow.FlowError as exc:
+            diags.append({"k": k, "error": str(exc)})
     angles = [r["principal_angle"] for r in reports]
     _write_json(out / "certificates.json",
-                {"min_principal_angle": min(angles),
+                {"min_principal_angle": min(angles, default=None),
                  "n_seeds": len(reports),
                  "certificates": reports}, config)
+    if diags:
+        _write_json(out / "certify_diagnostics.json",
+                    {"diagnostics": diags}, config)
+        return EXIT_PARTIAL
     return EXIT_OK if min(angles) > 1e-3 else EXIT_PARTIAL
 
 

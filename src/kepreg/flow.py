@@ -8,7 +8,7 @@ fundamental-matrix (variational) propagation.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize import brentq
 
 from . import model
@@ -44,6 +44,14 @@ class FlowError(RuntimeError):
 
 @dataclass
 class IntegratorConfig:
+    """Tolerances and step bound of the DOP853 integration.
+
+    ``dense`` keeps the accepted-step samples and the dense interpolant;
+    without it (no dense output => end points only) the trajectory holds
+    just the start and end states, and no interpolation stages are
+    evaluated.
+    """
+
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_step: float = np.inf
@@ -60,7 +68,9 @@ class Trajectory:
 
     ``states`` has shape (n_steps + 1, D_aug) for one initial state and
     (n_steps + 1, m, D_aug) for a stack of m; D_aug exceeds ``dim`` by
-    the fundamental-matrix columns of a variational integration.
+    the fundamental-matrix columns of a variational integration.  No
+    dense output => end points only: ``s`` and ``states`` then hold the
+    start and the end of the integration, and ``n_steps`` is 1.
     """
 
     s: np.ndarray
@@ -94,20 +104,34 @@ class Trajectory:
 
 
 def _solve(fun, Y0, s_end, cfg, dim):
-    """Integrate dY/ds = fun(Y) for Y0 of shape (D_aug,) or (m, D_aug)."""
+    """Integrate dY/ds = fun(Y) for Y0 of shape (D_aug,) or (m, D_aug).
+
+    Steps scipy's DOP853 as ``solve_ivp`` does, but collects the
+    accepted steps and the dense-output pieces only when ``cfg.dense``
+    is set; otherwise it keeps the start and end points alone.
+    """
     shape = Y0.shape
-    res = solve_ivp(lambda s, y: fun(y.reshape(shape)).ravel(), (0.0, s_end),
-                    Y0.ravel(), method="DOP853", rtol=cfg.rel_tol,
-                    atol=cfg.abs_tol, max_step=cfg.max_step,
-                    dense_output=cfg.dense)
-    if not res.success:
-        raise FlowError(f"integration failed: {res.message}",
-                        last_s=res.t[-1] if len(res.t) else None,
-                        last_state=res.y[:, -1].reshape(shape)
-                        if res.y.size else None)
-    return Trajectory(s=res.t, states=res.y.T.reshape((-1,) + shape),
-                      sol=res.sol if cfg.dense else None, nfev=res.nfev,
-                      dim=dim)
+    solver = DOP853(lambda s, y: fun(y.reshape(shape)).ravel(), 0.0,
+                    Y0.ravel(), float(s_end), rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol, max_step=cfg.max_step)
+    ts, ys, pieces = [0.0], [Y0.ravel()], []
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise FlowError(f"integration failed: {message}",
+                            last_s=solver.t,
+                            last_state=solver.y.reshape(shape))
+        if cfg.dense:
+            ts.append(solver.t)
+            ys.append(solver.y)
+            pieces.append(solver.dense_output())
+    if not cfg.dense:
+        ts.append(solver.t)
+        ys.append(solver.y)
+    ts = np.array(ts)
+    return Trajectory(s=ts, states=np.reshape(ys, (-1,) + shape),
+                      sol=OdeSolution(ts, pieces) if cfg.dense else None,
+                      nfev=solver.nfev, dim=dim)
 
 
 def integrate(field, X0, s_end, cfg=None):
@@ -163,10 +187,18 @@ class MonodromyData:
 
 
 def monodromy(field, jacobian, X0, S, cfg=None):
-    """Fundamental matrix over one period of a closed orbit."""
+    """Fundamental matrix over one period of a closed orbit.
+
+    X0 is one state (D,), giving one ``MonodromyData``, or a stack
+    (m, D) of states sharing the period S, integrated as one system and
+    giving a list with one ``MonodromyData`` per row.
+    """
+    X0 = np.asarray(X0, float)
     traj, M = integrate_with_variational(field, jacobian, X0, S, cfg)
-    return traj, MonodromyData(M=M, X0=np.asarray(X0, float),
-                               field_dir=field(np.asarray(X0, float)))
+    if X0.ndim == 1:
+        return traj, MonodromyData(M=M, X0=X0, field_dir=field(X0))
+    return traj, [MonodromyData(M=Mi, X0=Xi, field_dir=fi)
+                  for Mi, Xi, fi in zip(M, X0, field(X0))]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +287,7 @@ def detect_events(traj, specs, subdiv=8, s_tol=1e-13):
 # ---------------------------------------------------------------------------
 # invariants and export
 
-def invariant_report(traj, eps, pert, n_samples=None):
+def invariant_report(traj, eps, pert):
     """Maximum drift of K_eps (and BL in 3D) over the sample nodes."""
     states = traj.states[:, : traj.dim]
     K = model.reg_energy(states, eps, pert)

@@ -8,7 +8,7 @@ available in closed form.  The closed forms provide the oracles for the
 numerical monodromy and the Weinstein-type non-degeneracy certificate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -219,16 +219,29 @@ def nondegeneracy_certificate(spec, X0, cfg=None):
 
     P is the monodromy over S_k computed by variational integration.
     The forbidden span is the field direction (2D), joined by the
-    circle-action generator (3D).  Returns a JSON-serializable report
-    with the vectors, the principal angle and the degeneracy index.
+    circle-action generator (3D).  X0 is one state (D,), giving one
+    JSON-serializable report with the vectors, the principal angle and
+    the degeneracy index, or a stack (m, D), giving a list of m reports:
+    all states share the period S_k, so they are integrated together as
+    one stacked system.
     """
-    c = _check_on_manifold(spec, X0)
-    if spec.dim == 3 and abs(model.bl_value(X0)) > ON_MANIFOLD_TOL:
-        raise ValueError("3D certificate needs a BL = 0 state")
-    cfg = cfg or flow.IntegratorConfig()
+    X0 = np.asarray(X0, float)
+    stack = np.atleast_2d(X0)
+    for X in stack:
+        _check_on_manifold(spec, X)
+        if spec.dim == 3 and abs(model.bl_value(X)) > ON_MANIFOLD_TOL:
+            raise ValueError("3D certificate needs a BL = 0 state")
+    # nothing reads the interpolant
+    cfg = replace(cfg or flow.IntegratorConfig(), dense=False)
     field = lambda X: model.reg_field(X, 0.0)
     jac = lambda X: model.reg_field_jacobian(X, 0.0)
-    _, mono = flow.monodromy(field, jac, X0, c.S, cfg)
+    _, monos = flow.monodromy(field, jac, stack, constants(spec).S, cfg)
+    reports = [_certificate(spec, mono) for mono in monos]
+    return reports if X0.ndim == 2 else reports[0]
+
+
+def _certificate(spec, mono):
+    X0 = mono.X0
     Ystar = variation_start(spec, X0)
     residual = Ystar - mono.M @ Ystar
     forbidden = [mono.field_dir]

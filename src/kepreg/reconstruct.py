@@ -120,7 +120,7 @@ def find_collisions(traj):
     return flow.detect_events(traj, [flow.collision_event_spec()])
 
 
-def collision_limits(traj, tmap, s0, eps=0.0, pert=None):
+def collision_limits(traj, s0, eps=0.0, pert=None):
     """Direction and energy limits at a collision, from the closed formulas.
 
     direction is the physical image of the unit z'(s0); the energy limit
@@ -217,7 +217,7 @@ def to_generalized(orbit, pert, cfg=None, provenance=""):
                              "KS projection is not a physical solution")
     tmap = TimeMap(traj)
     events = find_collisions(traj)
-    collisions = [collision_limits(traj, tmap, e.s, orbit.eps, pert)
+    collisions = [collision_limits(traj, e.s, orbit.eps, pert)
                   for e in events]
     period = orbit.eta * pert.period
     return GeneralizedSolution(period=period, traj=traj, tmap=tmap,

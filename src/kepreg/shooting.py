@@ -398,8 +398,12 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
         if eps_target == 0.0:
             problem = ShootingProblem(spec=spec, eps=0.0, pert=pert,
                                       X_ref=X_cur, m=m, cfg=cfg)
-            family.append(solve(problem, seed_unknowns(problem, X_cur,
-                                                       S_cur, th_cur)))
+            try:
+                family.append(solve(problem, seed_unknowns(problem, X_cur,
+                                                           S_cur, th_cur)))
+            except (ShootingError, flow.FlowError) as exc:
+                diags.append({"eps": 0.0, "error": str(exc)})
+                return family, diags
     return family, diags
 
 

@@ -112,6 +112,35 @@ class TestCertifyCommand:
         assert report["n_seeds"] == 3
         assert report["min_principal_angle"] > 1e-3
 
+    def test_failed_k_is_partial(self, tmp_path, monkeypatch):
+        real = cli.manifolds.nondegeneracy_certificate
+
+        def fail_k2(spec, X0, cfg=None):
+            if spec.k == 2:
+                raise cli.flow.FlowError("integration failed: synthetic")
+            return real(spec, X0, cfg)
+
+        monkeypatch.setattr(cli.manifolds, "nondegeneracy_certificate",
+                            fail_k2)
+        text = (BASE.replace("k_list = 1", "k_list = 1,2,3")
+                + "\n[certify]\nn_seeds = 2\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        code = cli.main(["certify", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_PARTIAL
+        report = json.loads((out / "certificates.json").read_text())
+        assert [r["k"] for r in report["certificates"]] == [1, 1, 3, 3]
+        assert report["n_seeds"] == 4
+        diags = json.loads((out / "certify_diagnostics.json").read_text())
+        assert diags["diagnostics"] == [
+            {"k": 2, "error": "integration failed: synthetic"}]
+
+    def test_rejects_no_seeds(self, tmp_path):
+        cfg = write_config(tmp_path, BASE + "\n[certify]\nn_seeds = 0\n")
+        code = cli.main(["certify", "--config", cfg,
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+
 
 @pytest.mark.parametrize("command",
                          ["flow", "shoot", "theorem-demo", "reconstruct"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from kepreg import flow, manifolds, model
 
@@ -55,6 +56,41 @@ class TestIntegrate:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             flow.IntegratorConfig(rel_tol=0.0)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_endpoint_only_without_dense_output(self, stack):
+        """dense=False keeps the start and end points only; the step
+        sequence, and so the end state, is the dense integration's, and
+        both match scipy's solve_ivp evaluation for evaluation."""
+        spec = manifolds.ManifoldSpec(k=2, T=T, dim=2)
+        c = manifolds.constants(spec)
+        local = np.random.default_rng(7)
+        X0 = np.array([manifolds.seed_state(
+            spec, manifolds.random_seed_params(spec, local))
+            for _ in range(3)])
+        X0 = X0 if stack else X0[0]
+        fld = kepler_field()
+        dense = flow.integrate(fld, X0, c.S)
+        ends = flow.integrate(fld, X0, c.S, flow.IntegratorConfig(dense=False))
+        assert ends.s.shape == (2,)
+        assert ends.states.shape == (2,) + X0.shape
+        assert ends.s[0] == 0.0 and ends.s[-1] == dense.s[-1]
+        assert np.array_equal(ends.states[0], X0)
+        assert np.array_equal(ends.states[-1], dense.states[-1])
+        assert ends.sol is None
+        with pytest.raises(ValueError):
+            ends.eval(1.0)
+        for traj, dense_output in ((dense, True), (ends, False)):
+            ref = solve_ivp(lambda s, y: fld(y.reshape(X0.shape)).ravel(),
+                            (0.0, c.S), X0.ravel(), method="DOP853",
+                            rtol=1e-12, atol=1e-14, dense_output=dense_output)
+            assert traj.nfev == ref.nfev
+            assert np.array_equal(traj.states[-1].ravel(), ref.y[:, -1])
+        assert np.array_equal(dense.s, ref.t)
+        assert np.array_equal(dense.states.reshape(len(ref.t), -1), ref.y.T)
+        # the three dense-output stages per step are the only extra
+        # field evaluations
+        assert dense.nfev == ends.nfev + 3 * dense.n_steps
 
     def test_trajectory_properties(self):
         fld = lambda y: np.array([1.0])

@@ -204,3 +204,45 @@ class TestCertificates:
             mono, model.reg_energy_gradient(X0, 0.0))
         assert info["identity_check"]
         assert dim_e >= 1
+
+
+def _seed_stack(dim, k, n=6):
+    spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
+    local = np.random.default_rng(100 * dim + k)
+    return spec, np.array([manifolds.seed_state(
+        spec, manifolds.random_seed_params(spec, local)) for _ in range(n)])
+
+
+class TestStackedCertificates:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stack_matches_single_states(self, dim, k):
+        spec, X0 = _seed_stack(dim, k)
+        stacked = manifolds.nondegeneracy_certificate(spec, X0)
+        assert len(stacked) == len(X0)
+        for X, rep in zip(X0, stacked):
+            one = manifolds.nondegeneracy_certificate(spec, X)
+            assert rep["X0"] == one["X0"]
+            assert rep["dim_E"] == one["dim_E"]
+            assert rep["rank_Id_minus_Gamma"] == one["rank_Id_minus_Gamma"]
+            assert abs(rep["principal_angle"]
+                       - one["principal_angle"]) < 1e-10
+            assert abs(rep["det_monodromy"] - one["det_monodromy"]) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stacked_rows_match_closed_form(self, dim, k):
+        """(Id - P) Y* of every row against the closed-form variation."""
+        spec, X0 = _seed_stack(dim, k)
+        S = manifolds.constants(spec).S
+        for X, rep in zip(X0, manifolds.nondegeneracy_certificate(spec, X0)):
+            expected = (manifolds.variation_start(spec, X)
+                        - manifolds.closed_form_variation(spec, X, S))
+            assert np.max(np.abs(np.array(rep["Id_minus_P_Ystar"])
+                                 - expected)) < 1e-9
+
+    def test_stack_rejects_an_off_manifold_row(self):
+        spec, X0 = _seed_stack(2, 1, n=3)
+        X0[1, -1] += 1e-6
+        with pytest.raises(ValueError, match="off the manifold"):
+            manifolds.nondegeneracy_certificate(spec, X0)

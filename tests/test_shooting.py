@@ -196,6 +196,29 @@ class TestTypedFailures:
         assert "SVD" in diags[0]["error"]
 
 
+    @pytest.mark.parametrize("error", [shooting.ShootingError,
+                                       flow.FlowError])
+    def test_final_unperturbed_failure_is_reported(self, monkeypatch, error):
+        """A failure of the closing eps = 0 solve leaves the partial
+        family and a diagnostic instead of escaping."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        real = shooting.solve
+
+        def fail_unperturbed(problem, unknowns0, **kwargs):
+            if problem.eps == 0.0:
+                raise error("synthetic failure at eps = 0")
+            return real(problem, unknowns0, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve", fail_unperturbed)
+        family, diags = shooting.continue_in_epsilon(
+            spec, forcing_pert(2), X0, c.S, [EPS / 4, 0.0])
+        assert [o.eps for o in family] == [EPS / 4]
+        assert diags == [{"eps": 0.0,
+                          "error": "synthetic failure at eps = 0"}]
+
+
 class TestSolve:
     def test_family_converged(self, family2d):
         spec, family = family2d
