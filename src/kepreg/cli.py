@@ -68,8 +68,8 @@ class RunConfig:
         if self.period <= 0:
             raise ConfigError("period must be positive")
         self.k_list = _parse_ints(run.get("k_list", "1"))
-        if any(k < 1 for k in self.k_list):
-            raise ConfigError("manifold indices must be >= 1")
+        if not self.k_list or any(k < 1 for k in self.k_list):
+            raise ConfigError("k_list must hold manifold indices >= 1")
         self.seed = int(run.get("seed", 0))
         self.eps = float(run.get("eps", 0.0))
         self.l = int(run.get("l", len(self.k_list)))

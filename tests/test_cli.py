@@ -53,6 +53,11 @@ class TestConfig:
             cli.RunConfig(write_config(tmp_path, "[run]\nperiod = -1\n"))
         with pytest.raises(cli.ConfigError):
             cli.RunConfig(write_config(tmp_path, "[run]\nk_list = 0,1\n"))
+        with pytest.raises(cli.ConfigError):
+            cli.RunConfig(write_config(tmp_path, "[run]\nk_list =\n"))
+        with pytest.raises(cli.ConfigError):
+            cli.RunConfig(write_config(tmp_path,
+                                       "[run]\n[certify]\nn_seeds = 0\n"))
 
     def test_perturbation_construction(self, tmp_path):
         cfg = cli.RunConfig(write_config(tmp_path, BASE))
@@ -134,12 +139,6 @@ class TestCertifyCommand:
         diags = json.loads((out / "certify_diagnostics.json").read_text())
         assert diags["diagnostics"] == [
             {"k": 2, "error": "integration failed: synthetic"}]
-
-    def test_rejects_no_seeds(self, tmp_path):
-        cfg = write_config(tmp_path, BASE + "\n[certify]\nn_seeds = 0\n")
-        code = cli.main(["certify", "--config", cfg,
-                         "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("command",
