@@ -139,6 +139,9 @@ class RunConfig:
         if not hasattr(pert, "forcing"):
             raise ConfigError("the average command needs a forced_kepler "
                               "perturbation (its p(t) is the forcing)")
+        if not np.any(pert.forcing.mean()):
+            raise ConfigError("the average command needs a forcing with a "
+                              "nonzero mean (set [perturbation] const)")
         return pert.forcing
 
 

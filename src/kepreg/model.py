@@ -17,6 +17,7 @@ used in both dimensions so that both reduce to the same physical
 equation.
 """
 
+from abc import ABC, abstractmethod
 from typing import NamedTuple
 
 import numpy as np
@@ -54,11 +55,6 @@ __all__ = [
 ]
 
 
-# relative step of the central differences that stand in for second
-# derivatives a callable-built perturbation does not provide
-FD_STEP = 1e-6
-
-
 class PerturbationError(ValueError):
     """Raised when a perturbation fails its derivative self-check."""
 
@@ -81,30 +77,26 @@ class PerturbationValues(NamedTuple):
     dt2: np.ndarray = None
 
 
-class Perturbation:
-    """Evaluator bundle for a smooth T-periodic force function U.
+class Perturbation(ABC):
+    """A smooth T-periodic force function U(t, u), evaluated on arrays.
+
+    A perturbation is a subclass that implements ``evaluate``; it is the
+    only way U is evaluated.
 
     Parameters
     ----------
     period : float
         Forcing period T.
-    value, grad_u, dt : callables
-        value(t, u, eps) -> scalar, grad_u(t, u, eps) -> (N,) array,
-        dt(t, u, eps) -> scalar.  They are called with t already
-        reduced modulo T and must be pure functions.
     smooth_at_origin : bool
         Whether U extends smoothly to u = 0; perturbations with
         singularities at the origin cannot be used in regularized runs.
     """
 
-    def __init__(self, period, value, grad_u, dt, smooth_at_origin=True,
-                 name="custom", params=None):
+    def __init__(self, period, smooth_at_origin=True, name="custom",
+                 params=None):
         if period <= 0:
             raise ValueError("period must be positive")
         self.period = float(period)
-        self._value = value
-        self._grad_u = grad_u
-        self._dt = dt
         self.smooth_at_origin = bool(smooth_at_origin)
         self.name = name
         self.params = dict(params or {})
@@ -113,101 +105,43 @@ class Perturbation:
         T = self.period
         return t - T * np.floor(t / T)
 
-    def value(self, t, u, eps):
-        return float(self._value(self._reduce(t), np.asarray(u, float), eps))
-
-    def grad_u(self, t, u, eps):
-        return np.asarray(self._grad_u(self._reduce(t), np.asarray(u, float), eps),
-                          float)
-
-    def dt(self, t, u, eps):
-        return float(self._dt(self._reduce(t), np.asarray(u, float), eps))
-
+    @abstractmethod
     def evaluate(self, t, u, eps, second=False):
         """U, grad_u U and dU/dt at t of shape S and u of shape S + (N,).
 
-        With ``second`` the Hessian in u, d/dt grad_u U and d^2U/dt^2
-        are added.  The three callables give no second derivatives, so
-        they are taken by central differences of grad_u and dt, point by
-        point, with step FD_STEP * max(1, |u_i|) in u and
-        FD_STEP * max(1, T) in t.
+        With ``second`` the Hessian in u (None when U is affine in u),
+        d/dt grad_u U and d^2U/dt^2 are added.  Implementations reduce t
+        modulo the period with ``_reduce``.
         """
-        t = np.asarray(t, float)
-        u = np.asarray(u, float)
-        ts, us = t.reshape(-1), u.reshape(-1, u.shape[-1])
-        value = np.array([self.value(ti, ui, eps) for ti, ui in zip(ts, us)])
-        grad = np.array([self.grad_u(ti, ui, eps) for ti, ui in zip(ts, us)])
-        dt = np.array([self.dt(ti, ui, eps) for ti, ui in zip(ts, us)])
-        out = PerturbationValues(value.reshape(t.shape), grad.reshape(u.shape),
-                                 dt.reshape(t.shape))
-        if not second:
-            return out
-        hess, grad_dt, dt2 = zip(*(self._second_fd(ti, ui, eps)
-                                   for ti, ui in zip(ts, us)))
-        return out._replace(hess=np.reshape(hess, u.shape + u.shape[-1:]),
-                            grad_dt=np.reshape(grad_dt, u.shape),
-                            dt2=np.reshape(dt2, t.shape))
-
-    def _second_fd(self, t, u, eps):
-        n = u.size
-        H = np.empty((n, n))
-        for i in range(n):
-            h = FD_STEP * max(1.0, abs(u[i]))
-            up, um = u.copy(), u.copy()
-            up[i] += h
-            um[i] -= h
-            H[:, i] = (self.grad_u(t, up, eps) - self.grad_u(t, um, eps)) / (2 * h)
-        H = 0.5 * (H + H.T)
-        ht = FD_STEP * max(1.0, self.period)
-        grad_dt = (self.grad_u(t + ht, u, eps)
-                   - self.grad_u(t - ht, u, eps)) / (2 * ht)
-        dt2 = (self.dt(t + ht, u, eps) - self.dt(t - ht, u, eps)) / (2 * ht)
-        return H, grad_dt, dt2
 
     def self_check(self, points, eps=1e-3, rel_tol=1e-5):
         """Compare analytic derivatives with central differences.
 
         ``points`` is an iterable of (t, u) samples.  Raises
-        PerturbationError when either grad_u or dt disagrees with the
-        finite-difference value beyond ``rel_tol`` relative error.
+        PerturbationError when either grad or dt disagrees with the
+        finite-difference value of U beyond ``rel_tol`` relative error.
         """
         for t, u in points:
             u = np.asarray(u, float)
-            g = self.grad_u(t, u, eps)
-            g_fd = np.empty_like(g)
-            for i in range(u.size):
-                h = 1e-6 * max(1.0, abs(u[i]))
-                up = u.copy()
-                um = u.copy()
-                up[i] += h
-                um[i] -= h
-                g_fd[i] = (self.value(t, up, eps) - self.value(t, um, eps)) / (2 * h)
-            scale = max(1.0, float(np.linalg.norm(g)))
-            if np.linalg.norm(g - g_fd) > rel_tol * scale:
+            ev = self.evaluate(t, u, eps)
+            h = 1e-6 * np.maximum(1.0, np.abs(u))
+            ts = np.full(u.size, float(t))
+            g_fd = (self.evaluate(ts, u + np.diag(h), eps).value
+                    - self.evaluate(ts, u - np.diag(h), eps).value) / (2 * h)
+            scale = max(1.0, float(np.linalg.norm(ev.grad)))
+            if np.linalg.norm(ev.grad - g_fd) > rel_tol * scale:
                 raise PerturbationError(
-                    f"grad_u of '{self.name}' disagrees with finite differences "
-                    f"at t={t}, u={u}: {g} vs {g_fd}")
+                    f"grad of '{self.name}' disagrees with finite differences "
+                    f"at t={t}, u={u}: {ev.grad} vs {g_fd}")
             ht = 1e-6 * max(1.0, self.period)
-            d_fd = (self.value(t + ht, u, eps) - self.value(t - ht, u, eps)) / (2 * ht)
-            d = self.dt(t, u, eps)
-            if abs(d - d_fd) > rel_tol * max(1.0, abs(d)):
+            vp, vm = self.evaluate(np.array([t + ht, t - ht]),
+                                   np.array([u, u]), eps).value
+            d_fd = (vp - vm) / (2 * ht)
+            if abs(ev.dt - d_fd) > rel_tol * max(1.0, abs(ev.dt)):
                 raise PerturbationError(
                     f"dt of '{self.name}' disagrees with finite differences "
-                    f"at t={t}, u={u}: {d} vs {d_fd}")
+                    f"at t={t}, u={u}: {ev.dt} vs {d_fd}")
         return True
-
-
-def zero_perturbation(period=2.0 * np.pi, dim=2):
-    """The trivial U = 0, for unperturbed runs."""
-    n = dim
-    return Perturbation(
-        period,
-        lambda t, u, eps: 0.0,
-        lambda t, u, eps: np.zeros(n),
-        lambda t, u, eps: 0.0,
-        name="zero",
-        params={"dim": dim},
-    )
 
 
 class ForcingSpec:
@@ -268,17 +202,10 @@ class _LinearForcing(Perturbation):
     and d^2U/dt^2 = <p''(t), u>.
     """
 
-    def __init__(self, forcing):
-        p = forcing
-        super().__init__(
-            p.period,
-            lambda t, u, eps: float(np.dot(p(t), u)),
-            lambda t, u, eps: p(t),
-            lambda t, u, eps: float(np.dot(p.jet(t)[1], u)),
-            name="forced_kepler",
-            params={"dim": p.dim},
-        )
-        self.forcing = p
+    def __init__(self, forcing, name="forced_kepler"):
+        super().__init__(forcing.period, name=name,
+                         params={"dim": forcing.dim})
+        self.forcing = forcing
 
     def evaluate(self, t, u, eps, second=False):
         jet = self.forcing.jet(self._reduce(t))
@@ -286,6 +213,11 @@ class _LinearForcing(Perturbation):
         return PerturbationValues(value=vals[..., 0], grad=jet[..., 0, :],
                                   dt=vals[..., 1], grad_dt=jet[..., 1, :],
                                   dt2=vals[..., 2])
+
+
+def zero_perturbation(period=2.0 * np.pi, dim=2):
+    """The trivial U = 0, for unperturbed runs."""
+    return _LinearForcing(ForcingSpec(period, np.zeros(dim)), name="zero")
 
 
 def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
@@ -298,49 +230,51 @@ def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
     return _LinearForcing(p)
 
 
+class _Fatou(Perturbation):
+    """U = k'/r^3 + h'/r^5 [ (u1^2-u2^2) cos(2(n't+gamma))
+                              + 2 u1 u2 sin(2(n't+gamma)) ].
+
+    Value, gradient and dU/dt are in closed form.  U is not affine in
+    u, so ``second=True`` raises rather than return ``hess=None``.
+    """
+
+    def __init__(self, k_prime, h_prime, n_prime, gamma):
+        super().__init__(
+            np.pi / n_prime, smooth_at_origin=False, name="fatou",
+            params={"k_prime": k_prime, "h_prime": h_prime,
+                    "n_prime": n_prime, "gamma": gamma})
+
+    def evaluate(self, t, u, eps, second=False):
+        if second:
+            raise ValueError("fatou gives no second derivatives")
+        k, h, n, gamma = (self.params[key] for key in
+                          ("k_prime", "h_prime", "n_prime", "gamma"))
+        phase = 2.0 * (n * self._reduce(np.asarray(t, float)) + gamma)
+        c, s = np.cos(phase), np.sin(phase)
+        u = np.asarray(u, float)
+        u1, u2 = u[..., 0], u[..., 1]
+        r = np.sqrt(np.vecdot(u, u))
+        quad = (u1 ** 2 - u2 ** 2) * c + 2.0 * u1 * u2 * s
+        g = np.stack([2.0 * u1 * c + 2.0 * u2 * s,
+                      -2.0 * u2 * c + 2.0 * u1 * s], axis=-1)
+        grad = ((-3.0 * k / r ** 5)[..., None] * u
+                + h * g / (r ** 5)[..., None]
+                - (5.0 * h * quad)[..., None] * u / (r ** 7)[..., None])
+        dt = 2.0 * n * h * (-(u1 ** 2 - u2 ** 2) * s
+                            + 2.0 * u1 * u2 * c) / r ** 5
+        return PerturbationValues(value=k / r ** 3 + h * quad / r ** 5,
+                                  grad=grad, dt=dt)
+
+
 def fatou(k_prime, h_prime, n_prime, gamma=0.0):
     """Fatou's rotating-body potential (planar, singular at the origin).
-
-    U = k'/r^3 + h'/r^5 [ (u1^2-u2^2) cos(2(n't+gamma))
-                          + 2 u1 u2 sin(2(n't+gamma)) ].
 
     Periodic with period pi/n'.  Not smooth at u = 0, hence unusable
     for regularized runs.
     """
     if n_prime <= 0:
         raise ValueError("n_prime must be positive")
-
-    def _phase(t):
-        return 2.0 * (n_prime * t + gamma)
-
-    def value(t, u, eps):
-        r2 = float(np.dot(u, u))
-        r = np.sqrt(r2)
-        c, s = np.cos(_phase(t)), np.sin(_phase(t))
-        quad = (u[0] ** 2 - u[1] ** 2) * c + 2.0 * u[0] * u[1] * s
-        return k_prime / r ** 3 + h_prime * quad / r ** 5
-
-    def grad_u(t, u, eps):
-        r2 = float(np.dot(u, u))
-        r = np.sqrt(r2)
-        c, s = np.cos(_phase(t)), np.sin(_phase(t))
-        quad = (u[0] ** 2 - u[1] ** 2) * c + 2.0 * u[0] * u[1] * s
-        g = np.array([2.0 * u[0] * c + 2.0 * u[1] * s,
-                      -2.0 * u[1] * c + 2.0 * u[0] * s])
-        return (-3.0 * k_prime / r ** 5) * u + h_prime * g / r ** 5 \
-            - 5.0 * h_prime * quad * u / r ** 7
-
-    def dt(t, u, eps):
-        r = np.sqrt(float(np.dot(u, u)))
-        c, s = np.cos(_phase(t)), np.sin(_phase(t))
-        return 2.0 * n_prime * h_prime * (
-            -(u[0] ** 2 - u[1] ** 2) * s + 2.0 * u[0] * u[1] * c) / r ** 5
-
-    return Perturbation(
-        np.pi / n_prime, value, grad_u, dt,
-        smooth_at_origin=False, name="fatou",
-        params={"k_prime": k_prime, "h_prime": h_prime,
-                "n_prime": n_prime, "gamma": gamma})
+    return _Fatou(k_prime, h_prime, n_prime, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +433,9 @@ _EYE = {2: np.eye(2), 4: np.eye(4)}
 def reg_field_jacobian(X, eps, pert=None):
     """Exact Jacobian DF(X) of the regularized field.
 
-    The second derivatives of U come from ``pert.evaluate``: in closed
-    form for forced_kepler, by central differences for perturbations
-    built from callables.  Everything else is assembled analytically.
+    The second derivatives of U come from ``pert.evaluate(...,
+    second=True)``; its ``hess`` is None when U is affine in u.
+    Everything else is assembled analytically.
     """
     X = np.asarray(X, float)
     z, w, t, tau = _split(X)
@@ -636,17 +570,21 @@ def state_energy(X, eps, pert):
 # physical-space system
 
 def physical_field(t, y, eps, pert):
-    """Right-hand side of the physical system, y = (u, v)."""
+    """Right-hand side (v, -u/|u|^3 + eps grad U) of the physical system.
+
+    y = (u, v) has shape (2N,) or (..., 2N) and t the shape of y
+    without its last axis.
+    """
     y = np.asarray(y, float)
-    n = y.size // 2
-    u, v = y[:n], y[n:]
-    r = float(np.linalg.norm(u))
-    if r == 0.0:
+    n = y.shape[-1] // 2
+    u, v = y[..., :n], y[..., n:]
+    r = np.linalg.norm(u, axis=-1, keepdims=True)
+    if np.any(r == 0.0):
         raise ValueError("physical field is singular at u = 0")
     acc = -u / r ** 3
-    if eps != 0.0:
-        acc = acc + eps * pert.grad_u(t, u, eps)
-    return np.concatenate([v, acc])
+    if eps != 0.0 and pert is not None:
+        acc = acc + eps * pert.evaluate(t, u, eps).grad
+    return np.concatenate([v, acc], axis=-1)
 
 
 def physical_energy(u, v):

@@ -102,7 +102,8 @@ def seed_unknowns(problem, X0, S, theta=0.0):
     h = S / problem.m
     states = [np.asarray(X0, float)]
     for _ in range(problem.m - 1):
-        traj = flow.integrate(problem.field, states[-1], h, problem.cfg)
+        traj = flow.integrate(problem.field, states[-1], h,
+                              _segment_cfg(problem))
         states.append(traj.states[-1, : problem.D])
     return pack_unknowns(problem, np.array(states), S, theta)
 

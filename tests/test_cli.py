@@ -187,11 +187,16 @@ eps_list = 1e-2,1e-3
         slope = float(slope_line.split("=")[1])
         assert -0.55 < slope < -0.45
 
-    def test_needs_forcing(self, tmp_path):
-        cfg = write_config(tmp_path, "[run]\n")
-        code = cli.main(["average", "--config", cfg,
-                         "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_CONFIG
+    def test_needs_forcing(self, tmp_path, capsys):
+        """No forcing, and a forcing with zero mean, are configuration
+        errors: neither has a bifurcation from infinity."""
+        zero_mean = "[perturbation]\nname = forced_kepler\ncos1 = 1.0,0.0\n"
+        for text in ("[run]\n", "[run]\n\n" + zero_mean):
+            cfg = write_config(tmp_path, text)
+            code = cli.main(["average", "--config", cfg,
+                             "--out", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            assert "configuration error" in capsys.readouterr().err
 
     def test_partial_exit(self, tmp_path, monkeypatch):
         def fake(spec, eps_list, n_samples=400):

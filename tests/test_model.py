@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kepreg import algebra, model
 
@@ -27,57 +28,107 @@ def sample_pert(dim):
     return model.forced_kepler(T, const=[0.1] * dim, cos=cos, sin=sin, dim=dim)
 
 
+class Quadratic(model.Perturbation):
+    """U = a(t) |u|^2 / 2 with a(t) = 1 + 0.3 cos(t) - 0.2 sin(2t): not
+    affine in u, so ``evaluate`` returns the Hessian a(t) Id."""
+
+    def __init__(self):
+        super().__init__(T, name="quadratic")
+
+    def evaluate(self, t, u, eps, second=False):
+        t = self._reduce(np.asarray(t, float))
+        u = np.asarray(u, float)
+        a = 1.0 + 0.3 * np.cos(t) - 0.2 * np.sin(2 * t)
+        da = -0.3 * np.sin(t) - 0.4 * np.cos(2 * t)
+        dda = -0.3 * np.cos(t) + 0.8 * np.sin(2 * t)
+        q = 0.5 * np.vecdot(u, u)
+        out = model.PerturbationValues(value=a * q, grad=a[..., None] * u,
+                                       dt=da * q)
+        if not second:
+            return out
+        eye = np.eye(u.shape[-1])
+        return out._replace(hess=a[..., None, None] * eye,
+                            grad_dt=da[..., None] * u, dt2=dda * q)
+
+
 class TestPerturbations:
     def test_zero(self):
         p = model.zero_perturbation(T, 2)
-        assert p.value(1.0, [1.0, 2.0], 0.1) == 0.0
-        assert np.allclose(p.grad_u(1.0, [1.0, 2.0], 0.1), 0.0)
-        assert p.dt(1.0, [1.0, 2.0], 0.1) == 0.0
+        ev = p.evaluate(1.0, [1.0, 2.0], 0.1, second=True)
+        assert ev.value == 0.0 and ev.dt == 0.0 and ev.dt2 == 0.0
+        assert np.array_equal(ev.grad, [0.0, 0.0])
+        assert np.array_equal(ev.grad_dt, [0.0, 0.0])
+        assert ev.hess is None
 
     def test_time_reduction(self):
         p = sample_pert(2)
         u = np.array([0.4, -0.2])
-        assert p.value(0.3, u, 0.0) == pytest.approx(
-            p.value(0.3 + 7 * T, u, 0.0), rel=1e-12)
+        assert p.evaluate(0.3, u, 0.0).value == pytest.approx(
+            p.evaluate(0.3 + 7 * T, u, 0.0).value, rel=1e-12)
 
     def test_forced_kepler_is_linear_in_u(self):
         p = sample_pert(2)
         t = 1.234
         u = np.array([0.5, -0.3])
-        assert p.value(t, 2.0 * u, 0.0) == pytest.approx(
-            2.0 * p.value(t, u, 0.0), rel=1e-12)
+        assert p.evaluate(t, 2.0 * u, 0.0).value == pytest.approx(
+            2.0 * p.evaluate(t, u, 0.0).value, rel=1e-12)
         # gradient is the forcing vector itself, independent of u
-        assert np.allclose(p.grad_u(t, u, 0.0), p.grad_u(t, 5.0 * u, 0.0))
+        assert np.allclose(p.evaluate(t, u, 0.0).grad,
+                           p.evaluate(t, 5.0 * u, 0.0).grad)
 
     def test_self_check_passes(self):
         for dim in (2, 3):
-            p = sample_pert(dim)
             pts = [(rng.uniform(0, T), rng.normal(size=dim)) for _ in range(5)]
-            assert p.self_check(pts)
+            assert sample_pert(dim).self_check(pts)
+            assert Quadratic().self_check(pts)
 
     def test_self_check_catches_wrong_gradient(self):
-        p = model.Perturbation(
-            T,
-            lambda t, u, eps: float(np.dot(u, u)),
-            lambda t, u, eps: 3.0 * u,        # wrong: should be 2 u
-            lambda t, u, eps: 0.0)
+        class WrongGradient(model.Perturbation):
+            def evaluate(self, t, u, eps, second=False):
+                u = np.asarray(u, float)
+                return model.PerturbationValues(
+                    value=np.vecdot(u, u),
+                    grad=3.0 * u,                 # wrong: should be 2 u
+                    dt=np.zeros(np.shape(t)))
+
         with pytest.raises(model.PerturbationError):
-            p.self_check([(0.5, np.array([1.0, 2.0]))])
+            WrongGradient(T).self_check([(0.5, np.array([1.0, 2.0]))])
 
     def test_self_check_catches_wrong_dt(self):
-        p = model.Perturbation(
-            T,
-            lambda t, u, eps: np.sin(t) * u[0],
-            lambda t, u, eps: np.array([np.sin(t), 0.0]),
-            lambda t, u, eps: -np.cos(t) * u[0])   # wrong sign
+        class WrongDt(model.Perturbation):
+            def evaluate(self, t, u, eps, second=False):
+                t = self._reduce(np.asarray(t, float))
+                u = np.asarray(u, float)
+                grad = np.zeros(u.shape)
+                grad[..., 0] = np.sin(t)
+                return model.PerturbationValues(
+                    value=np.sin(t) * u[..., 0], grad=grad,
+                    dt=-np.cos(t) * u[..., 0])    # wrong sign
+
         with pytest.raises(model.PerturbationError):
-            p.self_check([(0.5, np.array([1.0, 2.0]))])
+            WrongDt(T).self_check([(0.5, np.array([1.0, 2.0]))])
 
     def test_fatou_value(self):
         # at u = (1, 0), t = gamma = 0: U = k' + h'
         p = model.fatou(k_prime=1.3, h_prime=0.4, n_prime=2.0)
-        assert p.value(0.0, [1.0, 0.0], 0.0) == pytest.approx(1.7, rel=1e-12)
+        assert p.evaluate(0.0, [1.0, 0.0], 0.0).value == pytest.approx(
+            1.7, rel=1e-12)
         assert p.period == pytest.approx(np.pi / 2.0)
+
+    def test_fatou_on_arrays(self):
+        """A stack of points gives the point-by-point values, and the
+        missing second derivatives are an error, not a zero Hessian."""
+        p = model.fatou(k_prime=0.7, h_prime=0.2, n_prime=1.5, gamma=0.3)
+        t = rng.uniform(-p.period, 2 * p.period, size=(2, 3))
+        u = rng.normal(size=(2, 3, 2)) + 1.0
+        ev = p.evaluate(t, u, 0.0)
+        for i in np.ndindex(t.shape):
+            one = p.evaluate(t[i], u[i], 0.0)
+            for name in ("value", "grad", "dt"):
+                assert np.allclose(getattr(ev, name)[i], getattr(one, name),
+                                   rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError):
+            p.evaluate(t, u, 0.0, second=True)
 
     def test_fatou_derivatives(self):
         p = model.fatou(k_prime=0.7, h_prime=0.2, n_prime=1.5, gamma=0.3)
@@ -180,8 +231,8 @@ class TestRegularizedField:
             g = grad_z_P(z, t, 1e-3, pert)
 
             def P(zz):
-                return float(np.dot(zz, zz)) * pert.value(
-                    t, model.position(zz), 1e-3)
+                return float(np.dot(zz, zz)) * pert.evaluate(
+                    t, model.position(zz), 1e-3).value
 
             for i in range(zd):
                 h = 1e-6
@@ -199,8 +250,9 @@ class TestRegularizedField:
         g = grad_z_P(z, t, 0.0, pert)
         zc = complex(z[0], z[1])
         u = model.position(z)
-        gu = pert.grad_u(t, u, 0.0)
-        expected = (2.0 * pert.value(t, u, 0.0) * zc
+        ev = pert.evaluate(t, u, 0.0)
+        gu = ev.grad
+        expected = (2.0 * ev.value * zc
                     + 2.0 * abs(zc) ** 2
                     * np.conj(zc) * complex(gu[0], gu[1]))
         assert g[0] == pytest.approx(expected.real, abs=1e-12)
@@ -214,46 +266,56 @@ class TestRegularizedField:
             np.dot([1.0, 2.0], [1.0, 2.0]) / 8.0 - 1.0, rel=1e-13)
 
     def test_field_jacobian_fd(self):
+        """For forced_kepler (affine in u) and Quadratic, whose Hessian
+        reaches the A^T H A term."""
         for dim in (2, 3):
-            pert = sample_pert(dim)
-            for eps in (0.0, 1e-2):
-                X = random_state(dim)
-                J = model.reg_field_jacobian(X, eps, pert)
-                for i in range(len(X)):
-                    h = 1e-6
-                    Xp, Xm = X.copy(), X.copy()
-                    Xp[i] += h
-                    Xm[i] -= h
-                    col = (model.reg_field(Xp, eps, pert)
-                           - model.reg_field(Xm, eps, pert)) / (2 * h)
-                    assert np.allclose(J[:, i], col, atol=5e-7), \
-                        f"dim={dim} eps={eps} column {i}"
+            for pert in (sample_pert(dim), Quadratic()):
+                for eps in (0.0, 1e-2):
+                    X = random_state(dim)
+                    J = model.reg_field_jacobian(X, eps, pert)
+                    for i in range(len(X)):
+                        h = 1e-6
+                        Xp, Xm = X.copy(), X.copy()
+                        Xp[i] += h
+                        Xm[i] -= h
+                        col = (model.reg_field(Xp, eps, pert)
+                               - model.reg_field(Xm, eps, pert)) / (2 * h)
+                        assert np.allclose(J[:, i], col, atol=5e-7), \
+                            f"dim={dim} {pert.name} eps={eps} column {i}"
 
     def test_closed_form_second_derivatives_match_fd(self):
-        """forced_kepler's closed-form jet against the generic evaluate,
-        which differences grad_u and dt."""
+        """forced_kepler's closed-form second derivatives against central
+        differences of its grad and dt, with step 1e-6 max(1, |u_i|) in u
+        and 1e-6 max(1, T) in t."""
         for dim in (2, 3):
             pert = sample_pert(dim)
             t = rng.uniform(-T, 2 * T, size=5)
             u = rng.normal(size=(5, dim))
             exact = pert.evaluate(t, u, 1e-2, second=True)
-            fd = model.Perturbation.evaluate(pert, t, u, 1e-2, second=True)
             assert exact.hess is None      # U is linear in u
-            assert np.allclose(fd.hess, 0.0, atol=5e-7)
-            for name in ("value", "grad", "dt", "grad_dt", "dt2"):
-                assert np.allclose(getattr(exact, name), getattr(fd, name),
-                                   atol=5e-7), f"dim={dim} {name}"
+            hu = 1e-6 * np.maximum(1.0, np.abs(u))
+            for i in range(dim):
+                step = np.zeros(dim)
+                step[i] = 1.0
+                dgrad = (pert.evaluate(t, u + hu[:, i:i + 1] * step, 1e-2).grad
+                         - pert.evaluate(t, u - hu[:, i:i + 1] * step,
+                                         1e-2).grad) / (2 * hu[:, i:i + 1])
+                assert np.allclose(dgrad, 0.0, atol=5e-7), f"dim={dim} hess"
+            ht = 1e-6 * max(1.0, T)
+            plus = pert.evaluate(t + ht, u, 1e-2)
+            minus = pert.evaluate(t - ht, u, 1e-2)
+            assert np.allclose(exact.grad_dt, (plus.grad - minus.grad)
+                               / (2 * ht), atol=5e-7), f"dim={dim} grad_dt"
+            assert np.allclose(exact.dt2, (plus.dt - minus.dt) / (2 * ht),
+                               atol=5e-7), f"dim={dim} dt2"
 
     def test_stacked_kernels_match_rows(self):
-        """A stack of states gives the row-by-row results, for the
-        closed-form and the finite-difference perturbation paths, and
-        the same for BL and the position map."""
+        """A stack of states gives the row-by-row results, for a
+        perturbation affine in u and one with a Hessian, and the same for
+        BL and the position map."""
         for dim in (2, 3):
-            linear = sample_pert(dim)
-            generic = model.Perturbation(
-                T, linear._value, linear._grad_u, linear._dt)
             Xs = np.array([random_state(dim) for _ in range(5)])
-            for pert in (linear, generic):
+            for pert in (sample_pert(dim), Quadratic()):
                 for eps in (0.0, 1e-2):
                     for fn in (model.reg_energy, model.reg_field,
                                model.reg_energy_gradient,
@@ -345,6 +407,46 @@ class TestPhysicalSystem:
         assert np.allclose(f[:2], y[2:])
         with pytest.raises(ValueError):
             model.physical_field(0.0, np.zeros(4), 0.0, pert)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), eps=st.sampled_from([0.0, 1e-3, 1e-1]),
+           m=st.integers(1, 4), data=st.data())
+    def test_regularized_field_is_physical_field(self, dim, eps, m, data):
+        """On K_eps = 0 (and BL = 0 in 3D) the regularized field, read
+        through (state_position, state_velocity) and divided by
+        dt/ds = |z|^2, is the physical field."""
+        zd = 2 * dim - 2
+        pert = sample_pert(dim)
+        coord = st.floats(-1.5, 1.5)
+        Z = np.array(data.draw(st.lists(st.lists(coord, min_size=zd,
+                                                 max_size=zd),
+                                        min_size=m, max_size=m)))
+        W = np.array(data.draw(st.lists(st.lists(coord, min_size=zd,
+                                                 max_size=zd),
+                                        min_size=m, max_size=m)))
+        t = np.array(data.draw(st.lists(st.floats(0.0, T), min_size=m,
+                                        max_size=m)))
+        r2 = np.vecdot(Z, Z)
+        assume(np.all(r2 > 0.25))
+        if dim == 3:
+            # w along the BL gradient -i z is removed, so BL = 0
+            g = -Z @ model.I_MUL_MATRIX.T
+            W = W - (np.vecdot(g, W) / r2)[:, None] * g
+        U = pert.evaluate(t, model.position(Z), eps).value
+        tau = (1.0 - np.vecdot(W, W) / 8.0) / r2 + eps * U
+        X = np.column_stack([Z, W, t, tau])
+        assert np.allclose(model.reg_energy(X, eps, pert), 0.0, atol=1e-12)
+
+        def y(X):
+            return np.concatenate([model.state_position(X),
+                                   model.state_velocity(X)], axis=-1)
+
+        h = 1e-5
+        F = model.reg_field(X, eps, pert)
+        dyds = (y(X + h * F) - y(X - h * F)) / (2 * h)
+        exact = model.physical_field(t, y(X), eps, pert)
+        err = np.linalg.norm(dyds / r2[:, None] - exact, axis=-1)
+        assert np.all(err <= 1e-7 * np.linalg.norm(exact, axis=-1))
 
     def test_energy(self):
         assert model.physical_energy([1.0, 0.0], [0.0, 1.0]) == \

@@ -57,6 +57,27 @@ class TestResidual:
             res = shooting.residual(problem, u)
             assert np.linalg.norm(res) < 1e-10
 
+    def test_seed_unknowns_skips_dense_output(self, monkeypatch):
+        """seed_unknowns reads only each segment's end state, so it
+        integrates without dense output even when the problem's cfg has
+        it."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
+        assert problem.cfg.dense
+        real, cfgs = flow.integrate, []
+
+        def spy(fun, X0, S, cfg=None):
+            cfgs.append(cfg)
+            return real(fun, X0, S, cfg)
+
+        monkeypatch.setattr(flow, "integrate", spy)
+        shooting.seed_unknowns(problem, X0, c.S)
+        assert len(cfgs) == problem.m - 1
+        assert all(cfg.dense is False for cfg in cfgs)
+
     def test_default_segments(self):
         spec = manifolds.ManifoldSpec(k=3, T=T, dim=2)
         problem = shooting.ShootingProblem(
@@ -316,8 +337,8 @@ class TestEnergyBand:
             energies = []
             for s in np.linspace(traj.s0, traj.s_end, 400):
                 z, _, t, tau = model.unpack_state(traj.eval(s))
-                energies.append(-tau + EPS * pert.value(t, model.position(z),
-                                                        EPS))
+                energies.append(-tau + EPS * pert.evaluate(
+                    t, model.position(z), EPS).value)
             band = shooting.energy_band(traj, EPS, pert)
             assert np.allclose(band, (min(energies), max(energies)),
                                rtol=1e-14, atol=1e-15)
