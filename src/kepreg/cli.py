@@ -136,12 +136,9 @@ class RunConfig:
     def forcing_spec(self):
         """Forcing series for the averaging command (physical forcing p)."""
         pert = self.perturbation()
-        if not hasattr(pert, "forcing"):
+        if pert.name != "forced_kepler" or not np.any(pert.forcing.mean()):
             raise ConfigError("the average command needs a forced_kepler "
-                              "perturbation (its p(t) is the forcing)")
-        if not np.any(pert.forcing.mean()):
-            raise ConfigError("the average command needs a forcing with a "
-                              "nonzero mean (set [perturbation] const)")
+                              "perturbation with a nonzero mean (const)")
         return pert.forcing
 
 

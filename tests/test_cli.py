@@ -188,15 +188,23 @@ eps_list = 1e-2,1e-3
         assert -0.55 < slope < -0.45
 
     def test_needs_forcing(self, tmp_path, capsys):
-        """No forcing, and a forcing with zero mean, are configuration
-        errors: neither has a bifurcation from infinity."""
+        """No forcing, a zero or fatou perturbation, and a forcing with
+        zero mean are configuration errors: none has a bifurcation from
+        infinity."""
         zero_mean = "[perturbation]\nname = forced_kepler\ncos1 = 1.0,0.0\n"
-        for text in ("[run]\n", "[run]\n\n" + zero_mean):
+        for text in ("[run]\n",
+                     "[run]\n\n[perturbation]\nname = zero\n"
+                     "const = 1.0,0.0\n",
+                     "[run]\n\n[perturbation]\nname = fatou\n",
+                     "[run]\n\n" + zero_mean):
             cfg = write_config(tmp_path, text)
             code = cli.main(["average", "--config", cfg,
                              "--out", str(tmp_path / "o")])
             assert code == cli.EXIT_CONFIG
-            assert "configuration error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "configuration error" in err
+            assert ("needs a forced_kepler perturbation with a nonzero "
+                    "mean") in err
 
     def test_partial_exit(self, tmp_path, monkeypatch):
         def fake(spec, eps_list, n_samples=400):

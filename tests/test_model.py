@@ -284,15 +284,26 @@ class TestRegularizedField:
                             f"dim={dim} {pert.name} eps={eps} column {i}"
 
     def test_closed_form_second_derivatives_match_fd(self):
-        """forced_kepler's closed-form second derivatives against central
-        differences of its grad and dt, with step 1e-6 max(1, |u_i|) in u
-        and 1e-6 max(1, T) in t."""
+        """forced_kepler's closed-form jet against an independent
+        reference: value and grad against <p(t), u> and p(t) from the
+        forcing series itself, dt against a central difference of
+        <p(t), u>, and the second derivatives against central
+        differences of its grad and dt, with step 1e-6 max(1, |u_i|) in
+        u and 1e-6 max(1, T) in t."""
         for dim in (2, 3):
             pert = sample_pert(dim)
             t = rng.uniform(-T, 2 * T, size=5)
             u = rng.normal(size=(5, dim))
             exact = pert.evaluate(t, u, 1e-2, second=True)
             assert exact.hess is None      # U is linear in u
+            p = pert.forcing(t)
+            assert np.allclose(exact.value, np.vecdot(p, u), atol=5e-7), \
+                f"dim={dim} value"
+            assert np.allclose(exact.grad, p, atol=5e-7), f"dim={dim} grad"
+            ht = 1e-6 * max(1.0, T)
+            ref_dt = (np.vecdot(pert.forcing(t + ht), u)
+                      - np.vecdot(pert.forcing(t - ht), u)) / (2 * ht)
+            assert np.allclose(exact.dt, ref_dt, atol=5e-7), f"dim={dim} dt"
             hu = 1e-6 * np.maximum(1.0, np.abs(u))
             for i in range(dim):
                 step = np.zeros(dim)
@@ -301,7 +312,6 @@ class TestRegularizedField:
                          - pert.evaluate(t, u - hu[:, i:i + 1] * step,
                                          1e-2).grad) / (2 * hu[:, i:i + 1])
                 assert np.allclose(dgrad, 0.0, atol=5e-7), f"dim={dim} hess"
-            ht = 1e-6 * max(1.0, T)
             plus = pert.evaluate(t + ht, u, 1e-2)
             minus = pert.evaluate(t - ht, u, 1e-2)
             assert np.allclose(exact.grad_dt, (plus.grad - minus.grad)
