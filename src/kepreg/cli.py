@@ -3,6 +3,8 @@
 Every subcommand reads a validated config file, writes CSV/JSON outputs
 into the chosen directory with the full config echoed as a header, and
 exits with 0 (success), 2 (partial results) or 3 (configuration error).
+An integration or shooting failure that reaches ``main`` ends with exit
+2 and ``<command>_diagnostics.json`` holding its message.
 """
 
 import argparse
@@ -398,6 +400,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (flow.FlowError, shooting.ShootingError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        _write_json(out / f"{args.command}_diagnostics.json",
+                    {"diagnostics": [{"error": str(exc)}]}, config)
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

@@ -2,10 +2,14 @@
 
 Wraps an explicit high-order embedded Runge-Kutta pair (DOP853) with
 dense output, and adds event localization on the dense interpolant plus
-fundamental-matrix (variational) propagation.
+fundamental-matrix (variational) propagation.  A variational
+integration controls its step size on the state components alone; the
+fundamental-matrix columns follow the state's accepted steps (internal
+numerical differentiation, Hairer, Norsett and Wanner, Solving ODEs I).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
@@ -103,15 +107,43 @@ class Trajectory:
         return len(self.s) - 1
 
 
-def _solve(fun, Y0, s_end, cfg, dim):
+class _StateErrorDOP853(DOP853):
+    """DOP853 whose local error norm reads only the ``state`` components.
+
+    The RMS is taken over those components alone, so their tolerance is
+    the one a plain integration of the state would meet; every other
+    component is carried along the accepted steps.  This overrides
+    scipy's private ``DOP853._estimate_error_norm``, so the constructor
+    checks that it is still there.
+    """
+
+    def __init__(self, *args, state, **kwargs):
+        if "_estimate_error_norm" not in vars(DOP853):
+            raise RuntimeError(
+                "scipy's DOP853 no longer defines _estimate_error_norm; "
+                "state-only step control of variational integrations "
+                "needs it")
+        self._state = state
+        super().__init__(*args, **kwargs)
+
+    def _estimate_error_norm(self, K, h, scale):
+        return super()._estimate_error_norm(K[:, self._state], h,
+                                            scale[self._state])
+
+
+def _solve(fun, Y0, s_end, cfg, dim, state=None):
     """Integrate dY/ds = fun(Y) for Y0 of shape (D_aug,) or (m, D_aug).
 
     Steps scipy's DOP853 as ``solve_ivp`` does, but collects the
     accepted steps and the dense-output pieces only when ``cfg.dense``
-    is set; otherwise it keeps the start and end points alone.
+    is set; otherwise it keeps the start and end points alone.  A
+    boolean ``state`` mask over the flattened Y0 limits step control to
+    those components.
     """
     shape = Y0.shape
-    solver = DOP853(lambda s, y: fun(y.reshape(shape)).ravel(), 0.0,
+    method = DOP853 if state is None else partial(_StateErrorDOP853,
+                                                  state=state)
+    solver = method(lambda s, y: fun(y.reshape(shape)).ravel(), 0.0,
                     Y0.ravel(), float(s_end), rtol=cfg.rel_tol,
                     atol=cfg.abs_tol, max_step=cfg.max_step)
     ts, ys, pieces = [0.0], [Y0.ravel()], []
@@ -150,14 +182,19 @@ def integrate_with_variational(field, jacobian, X0, s_end, cfg=None):
     """Integrate the state together with the fundamental matrix.
 
     Returns (trajectory, M) with M the fundamental solution at s_end,
-    M(0) = Id.  The matrix columns ride through the same step/error
-    machinery as the state.  For a stack X0 (m, D), ``jacobian`` maps
+    M(0) = Id.  Step control reads the state columns only: the matrix
+    columns are integrated on the state's accepted steps and do not
+    shorten them, so the state takes the steps of a plain ``integrate``
+    give or take one (the first step size is still chosen from every
+    column).  For a stack X0 (m, D), ``jacobian`` maps
     (m, D) states to (m, D, D) and M is the (m, D, D) stack.
     """
     cfg = cfg or IntegratorConfig()
     X0 = np.asarray(X0, float)
     D = X0.shape[-1]
     flat = X0.shape[:-1] + (D * D,)
+    state = np.zeros(X0.shape[:-1] + (D + D * D,), bool)
+    state[..., :D] = True
 
     def fun(Y):
         X = Y[..., :D]
@@ -166,7 +203,8 @@ def integrate_with_variational(field, jacobian, X0, s_end, cfg=None):
                               axis=-1)
 
     eye = np.broadcast_to(np.eye(D).ravel(), flat)
-    traj = _solve(fun, np.concatenate([X0, eye], axis=-1), s_end, cfg, D)
+    traj = _solve(fun, np.concatenate([X0, eye], axis=-1), s_end, cfg, D,
+                  state.ravel())
     return traj, traj.states[-1, ..., D:].reshape(X0.shape + (D,))
 
 

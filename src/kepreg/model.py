@@ -40,8 +40,6 @@ __all__ = [
     "reg_energy",
     "reg_field",
     "reg_field_jacobian",
-    "variational_field",
-    "variational_field_unperturbed",
     "bl_value",
     "bl_gradient",
     "group_direction",
@@ -469,26 +467,6 @@ def reg_field_jacobian(X, eps, pert=None):
     return J
 
 
-def variational_field(X, Y, eps, pert=None):
-    """DF(X) . Y for the regularized field (any eps)."""
-    return reg_field_jacobian(X, eps, pert) @ np.asarray(Y, float)
-
-
-def variational_field_unperturbed(X, Y):
-    """Linearized field along an unperturbed solution, in closed form.
-
-    Valid only at eps = 0, where the linearization decouples as
-    Y1' = Y2/4, Y2' = -2 tau Y1 - 2 z Y4, Y3' = 2 <z, Y1>, Y4' = 0.
-    """
-    z, _, _, tau = unpack_state(X)
-    zd = z.size
-    Y = np.asarray(Y, float)
-    Y1, Y2 = Y[:zd], Y[zd:2 * zd]
-    Y4 = Y[2 * zd + 1]
-    return pack_state(Y2 / 4.0, -2.0 * tau * Y1 - 2.0 * z * Y4,
-                      2.0 * float(np.dot(z, Y1)), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # 3D first integral and circle action
 
@@ -525,12 +503,13 @@ I_MUL_MATRIX = np.array([[0.0, -1.0, 0.0, 0.0],
 
 
 def group_rotation_matrix(theta):
-    """Matrix of X -> (g z, g w, t, tau) with g = cos(theta) + i sin(theta)."""
-    c, s = np.cos(theta), np.sin(theta)
-    g = c * np.eye(4) + s * I_MUL_MATRIX
-    R = np.eye(10)
-    R[:4, :4] = g
-    R[4:8, 4:8] = g
+    """Matrix of X -> (g z, g w, t, tau) with g = cos(theta) + i sin(theta):
+    (10, 10) for one theta, (..., 10, 10) for an array of them."""
+    theta = np.asarray(theta, float)[..., None, None]
+    g = np.cos(theta) * np.eye(4) + np.sin(theta) * I_MUL_MATRIX
+    R = np.broadcast_to(np.eye(10), g.shape[:-2] + (10, 10)).copy()
+    R[..., :4, :4] = g
+    R[..., 4:8, 4:8] = g
     return R
 
 

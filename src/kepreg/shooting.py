@@ -90,11 +90,18 @@ def pack_unknowns(problem, states, S, theta=0.0):
 
 
 def unpack_unknowns(problem, vec):
+    states, S, theta = _unpack_batch(problem, np.reshape(vec, (1, -1)))
+    return states[0], float(S[0]), float(theta[0])
+
+
+def _unpack_batch(problem, U):
+    """Segment starts (n, m, D), lengths S (n,) and phases theta (n,) of
+    a batch U (n, n_unknowns)."""
     D, m = problem.D, problem.m
-    states = np.asarray(vec[: m * D], float).reshape(m, D)
-    S = float(vec[m * D])
-    theta = float(vec[m * D + 1]) if problem.spec.dim == 3 else 0.0
-    return states, S, theta
+    U = np.asarray(U, float)
+    states = U[:, : m * D].reshape(len(U), m, D)
+    theta = U[:, m * D + 1] if problem.spec.dim == 3 else np.zeros(len(U))
+    return states, U[:, m * D], theta
 
 
 def seed_unknowns(problem, X0, S, theta=0.0):
@@ -136,11 +143,42 @@ def _segment_cfg(problem):
     return replace(problem.cfg, dense=False)
 
 
-def _segment_targets(problem, states, theta):
-    """Where each segment must end: the next segment's start, and for the
-    last one the rotated, time-shifted first state."""
-    closure = _rotation(problem, theta) @ states[0] + problem.time_shift()
-    return np.vstack([states[1:], closure])
+def _integrate_segments(problem, states, S, variational=False):
+    """End states (n, m, D) of every segment of a batch, and with
+    ``variational`` their fundamental matrices (n, m, D, D).
+
+    All n * m segments are one stacked integration in normalized time:
+    row j solves dX/dsigma = h_j f(X) on sigma in [0, 1] with its own
+    length h_j = S_j / m (and its Jacobian scaled by h_j), so rows of
+    different S share one step sequence.
+    """
+    n, m, D = states.shape
+    h = np.repeat(np.asarray(S, float) / m, m)[:, None]
+    X = states.reshape(n * m, D)
+    # max_step bounds s; a sigma-step advances row j by h_j times it
+    cfg = replace(_segment_cfg(problem),
+                  max_step=problem.cfg.max_step / np.max(h))
+    scaled = lambda Y: h * problem.field(Y)
+    if not variational:
+        return flow.integrate(scaled, X, 1.0, cfg).states[-1].reshape(
+            states.shape)
+    traj, M = flow.integrate_with_variational(
+        scaled, lambda Y: h[..., None] * problem.jacobian(Y), X, 1.0, cfg)
+    return (traj.states[-1, :, :D].reshape(states.shape),
+            M.reshape(states.shape + (D,)))
+
+
+def _residual_rows(problem, states, theta, ends):
+    """Residual rows (n, n_res) of a batch from its segment ends."""
+    X0 = states[:, 0]
+    closure = np.matvec(_rotation(problem, theta), X0) + problem.time_shift()
+    targets = np.concatenate([states[:, 1:], closure[:, None]], axis=1)
+    parts = [(ends - targets).reshape(len(X0), -1),
+             model.reg_energy(X0, problem.eps, problem.pert)[:, None]]
+    if problem.spec.dim == 3:
+        parts.append(model.bl_value(X0)[:, None])
+    parts.append((X0 - problem.X_ref) @ np.transpose(_phase_rows(problem)))
+    return np.concatenate(parts, axis=1)
 
 
 def residual(problem, unknowns):
@@ -148,21 +186,15 @@ def residual(problem, unknowns):
 
     Concatenates segment matching defects, the (possibly rotated)
     closure defect, K_eps(X0), (3D) BL(X0) and the anchored time and
-    (3D) group phase conditions.  All segments are integrated together
-    as one stacked system.
+    (3D) group phase conditions.  ``unknowns`` is one vector
+    (n_unknowns,) or a batch (n, n_unknowns), giving (n_res,) or
+    (n, n_res); every segment of every row is integrated in one stack.
     """
-    states, S, theta = unpack_unknowns(problem, unknowns)
-    traj = flow.integrate(problem.field, states, S / problem.m,
-                          _segment_cfg(problem))
-    ends = traj.states[-1]
-    parts = [np.ravel(ends - _segment_targets(problem, states, theta))]
-    X0 = states[0]
-    parts.append([model.reg_energy(X0, problem.eps, problem.pert)])
-    if problem.spec.dim == 3:
-        parts.append([model.bl_value(X0)])
-    for row in _phase_rows(problem):
-        parts.append([float(np.dot(row, X0 - problem.X_ref))])
-    return np.concatenate([np.atleast_1d(p) for p in parts])
+    U = np.asarray(unknowns, float)
+    states, S, theta = _unpack_batch(problem, U.reshape(-1, U.shape[-1]))
+    res = _residual_rows(problem, states, theta,
+                         _integrate_segments(problem, states, S))
+    return res.reshape(U.shape[:-1] + res.shape[-1:])
 
 
 def residual_and_jacobian(problem, unknowns):
@@ -171,16 +203,13 @@ def residual_and_jacobian(problem, unknowns):
     One stacked variational integration gives every segment's end state
     and fundamental matrix.
     """
-    states, S, theta = unpack_unknowns(problem, unknowns)
+    states, S, theta = _unpack_batch(problem, np.reshape(unknowns, (1, -1)))
     D, m = problem.D, problem.m
-    n_res = m * D + 2 + (2 if problem.spec.dim == 3 else 0)
-    res = np.zeros(n_res)
-    J = np.zeros((n_res, problem.n_unknowns))
+    ends, M = _integrate_segments(problem, states, S, variational=True)
+    res = _residual_rows(problem, states, theta, ends)[0]
+    X0, theta, ends, M = states[0, 0], theta[0], ends[0], M[0]
+    J = np.zeros((res.size, problem.n_unknowns))
     iS = m * D
-    traj, M = flow.integrate_with_variational(
-        problem.field, problem.jacobian, states, S / m, _segment_cfg(problem))
-    ends = traj.states[-1, :, :D]
-    res[:iS] = np.ravel(ends - _segment_targets(problem, states, theta))
     # segment j's defect depends on its own start through M[j] and on the
     # next segment's start (the first one's, rotated, for the closure)
     blocks = np.zeros((m, D, m, D))
@@ -192,20 +221,14 @@ def residual_and_jacobian(problem, unknowns):
     # dPhi_h/dS = field at the endpoint times dh/dS = 1/m
     J[:iS, iS] = np.ravel(problem.field(ends)) / m
     if problem.spec.dim == 3:
-        J[iS - D:iS, iS + 1] = -_rotation_deriv(problem, theta) @ states[0]
-    X0 = states[0]
-    row = m * D
-    res[row] = model.reg_energy(X0, problem.eps, problem.pert)
+        J[iS - D:iS, iS + 1] = -_rotation_deriv(problem, theta) @ X0
+    row = iS
     J[row, :D] = model.reg_energy_gradient(X0, problem.eps, problem.pert)
     row += 1
     if problem.spec.dim == 3:
-        res[row] = model.bl_value(X0)
         J[row, :D] = model.bl_gradient(X0)
         row += 1
-    for g in _phase_rows(problem):
-        res[row] = float(np.dot(g, X0 - problem.X_ref))
-        J[row, :D] = g
-        row += 1
+    J[row:, :D] = _phase_rows(problem)
     return res, J
 
 
@@ -265,10 +288,9 @@ def _strong_sweep(problem, u, max_steps=8):
     1/2, at most 20 halvings) guards each step.  Returns the improved
     unknowns together with the last residual and SVD factors.
     """
-    res = residual(problem, u)
     for _ in range(max_steps):
-        rnorm = float(np.linalg.norm(res))
         res, J = residual_and_jacobian(problem, u)
+        rnorm = float(np.linalg.norm(res))
         U, sv, Vt = np.linalg.svd(J, full_matrices=False)
         keep = sv > WEAK_CUTOFF * sv[0]
         step = -(Vt[keep].T @ ((U[:, keep].T @ res) / sv[keep]))
@@ -278,14 +300,13 @@ def _strong_sweep(problem, u, max_steps=8):
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             trial = u + alpha * step
-            trial_res = residual(problem, trial)
-            if np.linalg.norm(trial_res) < rnorm:
+            if np.linalg.norm(residual(problem, trial)) < rnorm:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             return u, res, (U, sv, Vt)
-        u, res = trial, trial_res
+        u = trial
     res, J = residual_and_jacobian(problem, u)
     U, sv, Vt = np.linalg.svd(J, full_matrices=False)
     return u, res, (U, sv, Vt)
@@ -327,11 +348,9 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
         Vw = Vt[weak]
         Uw = U[:, weak]
         g = Uw.T @ res
-        Jg = np.empty((q, q))
-        for j in range(q):
-            rp = residual(problem, u + fd_step * Vw[j])
-            rm = residual(problem, u - fd_step * Vw[j])
-            Jg[:, j] = (Uw.T @ (rp - rm)) / (2.0 * fd_step)
+        # all 2q central-difference probes in one batched residual
+        r = residual(problem, u + fd_step * np.vstack([Vw, -Vw]))
+        Jg = (Uw.T @ (r[:q] - r[q:]).T) / (2.0 * fd_step)
         try:
             xi = np.linalg.solve(Jg, -g)
         except np.linalg.LinAlgError as exc:

@@ -154,6 +154,28 @@ def test_singular_perturbation_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error", [cli.flow.FlowError,
+                                   cli.shooting.ShootingError])
+@pytest.mark.parametrize("command,text", [
+    ("flow", BASE),
+    ("reconstruct", BASE.replace("eps = 1e-3", "eps = 0")),
+    ("remove-collisions", "[run]\n[remove]\nmu_list = 0.1\nk = 1\n"),
+])
+def test_computation_failure_exits_partial(tmp_path, capsys, monkeypatch,
+                                           command, text, error):
+    def fail(*args, **kwargs):
+        raise error("integration failed: synthetic")
+
+    monkeypatch.setattr(cli.flow, "_solve", fail)
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", cfg, "--out", str(out)])
+    assert code == cli.EXIT_PARTIAL
+    assert "integration failed: synthetic" in capsys.readouterr().err
+    diags = json.loads((out / f"{command}_diagnostics.json").read_text())
+    assert diags["diagnostics"] == [{"error": "integration failed: synthetic"}]
+
+
 class TestReconstructCommand:
     def test_collision_orbit_csv(self, tmp_path):
         text = BASE.replace("eps = 1e-3", "eps = 0")

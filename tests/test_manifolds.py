@@ -128,7 +128,7 @@ class TestClosedForms:
                  - manifolds.closed_form_variation(spec, X0, s - h)) / (2 * h)
             X = manifolds.closed_form_flow(spec, X0, s)
             Y = manifolds.closed_form_variation(spec, X0, s)
-            f = model.variational_field_unperturbed(X, Y)
+            f = model.reg_field_jacobian(X, 0.0) @ Y
             assert np.allclose(d, f, atol=1e-6)
 
     def test_variation_initial_value(self):

@@ -348,14 +348,6 @@ class TestRegularizedField:
             assert np.allclose(model.position(Z), single, rtol=1e-14,
                                atol=1e-15)
 
-    def test_variational_field_unperturbed_matches_generic(self):
-        for dim in (2, 3):
-            X = random_state(dim)
-            Y = rng.normal(size=len(X))
-            a = model.variational_field_unperturbed(X, Y)
-            b = model.variational_field(X, Y, 0.0, None)
-            assert np.allclose(a, b, atol=1e-10)
-
 
 class TestSpatialIntegral:
     def test_bl_matches_definition(self):
@@ -393,6 +385,13 @@ class TestSpatialIntegral:
         dR = (model.group_rotation_matrix(h)
               - model.group_rotation_matrix(-h)) / (2 * h)
         assert np.allclose(dR @ X, model.group_direction(X), atol=1e-7)
+        # an array of angles gives the stack of the single-angle matrices
+        ths = np.array([[0.0, th], [-th, 2.5]])
+        stack = model.group_rotation_matrix(ths)
+        assert stack.shape == (2, 2, 10, 10)
+        for idx in np.ndindex(ths.shape):
+            assert np.array_equal(stack[idx],
+                                  model.group_rotation_matrix(ths[idx]))
 
     def test_rotation_preserves_energy_and_position_fiber(self):
         pert = sample_pert(3)

@@ -172,6 +172,38 @@ class TestStackedSegments:
                         rows[:, (j + 1) * D:(j + 2) * D], -np.eye(D))
 
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batched_residual_matches_rows(self, dim):
+        """A heterogeneous batch (rows with different S, and the probes
+        along the weak directions that solve takes) gives each row's own
+        residual within 1e-10, though all rows share one normalized-time
+        step sequence."""
+        rng = np.random.default_rng(4)
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(
+            spec, manifolds.random_seed_params(spec, rng))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
+        u = shooting.seed_unknowns(problem, X0, c.S, 0.05)
+        iS = problem.m * problem.D
+        rows = [u]
+        for dS in (-0.3, 0.2):
+            v = u.copy()
+            v[iS] += dS
+            rows.append(v)
+        _, J = shooting.residual_and_jacobian(problem, u)
+        _, sv, Vt = np.linalg.svd(J, full_matrices=False)
+        weak = Vt[sv <= shooting.WEAK_CUTOFF * sv[0]]
+        assert len(weak) > 0
+        rows.extend(np.vstack([u + 1e-2 * weak, u - 1e-2 * weak]))
+        batch = np.array(rows)
+        got = shooting.residual(problem, batch)
+        assert got.shape == (len(batch), J.shape[0])
+        for row, r in zip(batch, got):
+            assert np.max(np.abs(r - shooting.residual(problem, row))) < 1e-10
+
+
 class TestTypedFailures:
     def test_winding_failure_becomes_shooting_error(self, monkeypatch):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
