@@ -12,8 +12,8 @@ back.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import flow, shooting
 from .model import ForcingSpec
 
 __all__ = [
@@ -84,59 +84,57 @@ def averaged_jacobian_det(x):
 # ---------------------------------------------------------------------------
 # shooting for the rescaled problem
 
-def _scaled_field(spec, lam):
-    """x'' = lam (-x/|x|^3 + p(t)) as a first-order field, lam = eps^{3/2}."""
-
-    def fun(t, y):
-        n = y.size // 2
-        x, xd = y[:n], y[n:]
-        r = np.linalg.norm(x)
-        return np.concatenate([xd, lam * (-x / r ** 3 + spec(t))])
-
-    return fun
+# Newton stops at a period-map defect of 1e-10, above what the 1e-12 relative
+# integration resolves; with the exact Jacobian it needs a few steps, not 30.
+RESIDUAL_TOL = 1e-10
+MAX_ITER = 30
+N_SAMPLES = 400             # times per period at which an orbit is read
 
 
-def solve_scaled_periodic(spec, eps, y0=None, rtol=1e-12, atol=1e-14,
-                          max_iter=30, res_tol=1e-10):
+def _scaled_system(spec, lam):
+    """Field and Jacobian [[0, Id, 0], [lam S(x), 0, lam p'(t)], [0, 0, 0]] of
+    x'' = lam (-x/|x|^3 + p(t)), lam = eps^{3/2}, on Y = (x, x', t)."""
+    n = spec.dim
+
+    def field(Y):
+        x, r = Y[:n], np.linalg.norm(Y[:n])
+        return np.concatenate([Y[n:2 * n], lam * (-x / r ** 3 + spec(Y[-1])),
+                               [1.0]])
+
+    def jacobian(Y):
+        J = np.zeros((2 * n + 1, 2 * n + 1))
+        J[:n, n:2 * n] = np.eye(n)
+        J[n:2 * n, :n] = lam * _kepler_hessian(Y[:n])
+        J[n:2 * n, -1] = lam * spec.jet(Y[-1])[1]
+        return J
+
+    return field, jacobian
+
+
+def solve_scaled_periodic(spec, eps, y0):
     """T-periodic solution of x'' = eps^{3/2}(-x/|x|^3 + p(t)) by shooting.
 
-    Newton on the period map with a finite-difference Jacobian, seeded
-    at the averaged equilibrium at rest.  Returns (y0, dense solution).
+    Newton on the period map from y0 = (x, x'), one variational integration
+    of (x, x', t) from t = 0 per step.  Returns (y0, dense trajectory over
+    one period); raises ``FlowError`` or ``ShootingError`` (best iterate).
     """
-    T = spec.period
-    n = spec.dim
-    lam = eps ** 1.5
-    fun = _scaled_field(spec, lam)
-    if y0 is None:
-        x_star = averaged_equilibrium(spec.mean())
-        if x_star is None:
-            raise ValueError("zero-mean forcing: no averaged equilibrium "
-                             "to seed the shooting")
-        y0 = np.concatenate([x_star, np.zeros(n)])
-    y0 = np.asarray(y0, float).copy()
-
-    def flow_map(y):
-        res = solve_ivp(fun, (0.0, T), y, method="DOP853", rtol=rtol,
-                        atol=atol, dense_output=True)
-        if not res.success:
-            raise RuntimeError(f"integration failed: {res.message}")
-        return res.y[:, -1], res
-
-    for _ in range(max_iter):
-        yT, sol = flow_map(y0)
-        defect = yT - y0
-        if np.linalg.norm(defect) < res_tol:
-            return y0, sol
-        J = np.empty((2 * n, 2 * n))
-        for j in range(2 * n):
-            h = 1e-7 * max(1.0, abs(y0[j]))
-            yp = y0.copy()
-            yp[j] += h
-            J[:, j] = (flow_map(yp)[0] - yT) / h
-        step = np.linalg.solve(J - np.eye(2 * n), -defect)
-        y0 = y0 + step
-    raise RuntimeError(f"shooting did not converge (defect "
-                       f"{np.linalg.norm(defect):.3e})")
+    field, jacobian = _scaled_system(spec, eps ** 1.5)
+    y0 = np.asarray(y0, float)
+    d = y0.size
+    best_y, best_r = y0, np.inf
+    for _ in range(MAX_ITER):
+        traj, M = flow.integrate_with_variational(
+            field, jacobian, np.append(y0, 0.0), spec.period)
+        defect = traj.states[-1, :d] - y0
+        dnorm = float(np.linalg.norm(defect))
+        if dnorm < RESIDUAL_TOL:
+            return y0, traj
+        if dnorm < best_r:
+            best_y, best_r = y0, dnorm
+        y0 = y0 + np.linalg.solve(M[:d, :d] - np.eye(d), -defect)
+    raise shooting.ShootingError(
+        f"shooting did not converge in {MAX_ITER} Newton steps (defect "
+        f"{dnorm:.3e})", best_unknowns=best_y, best_residual=best_r)
 
 
 @dataclass
@@ -148,7 +146,7 @@ class FamilyEntry:
     defect: float
 
 
-def bifurcation_from_infinity(spec, eps_list, n_samples=400):
+def bifurcation_from_infinity(spec, eps_list):
     """Family of large T-periodic solutions for decreasing eps.
 
     For each eps the rescaled problem is solved and mapped back via
@@ -160,24 +158,21 @@ def bifurcation_from_infinity(spec, eps_list, n_samples=400):
         raise ValueError("zero-mean forcing has no bifurcation from infinity")
     entries = []
     diags = []
-    y_prev = None
+    y0 = np.concatenate([x_star, np.zeros(spec.dim)])     # at rest at x*
     for eps in eps_list:
         try:
-            y0, sol = solve_scaled_periodic(spec, eps, y0=y_prev)
-        except RuntimeError as exc:
+            y0, traj = solve_scaled_periodic(spec, eps, y0)
+        except (flow.FlowError, shooting.ShootingError) as exc:
             diags.append({"eps": eps, "error": str(exc)})
             return entries, diags
-        ts = np.linspace(0.0, spec.period, n_samples)
-        xs = sol.sol(ts)[: spec.dim, :]
+        xs = traj.eval(np.linspace(0.0, spec.period, N_SAMPLES))[: spec.dim]
         radii = np.linalg.norm(xs, axis=0)
         dev = np.max(np.linalg.norm(xs - x_star[:, None], axis=0))
-        yT = sol.y[:, -1]
         entries.append(FamilyEntry(
             eps=float(eps), y0=y0,
             min_u=float(np.min(radii) / np.sqrt(eps)),
             sup_dev=float(dev),
-            defect=float(np.linalg.norm(yT - y0))))
-        y_prev = y0
+            defect=float(np.linalg.norm(traj.states[-1, :y0.size] - y0))))
     return entries, diags
 
 

@@ -150,6 +150,15 @@ def _write_json(path, payload, config):
         json.dump(payload, fh, indent=2)
 
 
+def _diagnosed(out, command, diags, config):
+    """EXIT_OK, or EXIT_PARTIAL with diags in <command>_diagnostics.json."""
+    if not diags:
+        return EXIT_OK
+    _write_json(out / f"{command}_diagnostics.json", {"diagnostics": diags},
+                config)
+    return EXIT_PARTIAL
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -212,9 +221,8 @@ def _continue_branch(config, pert, k):
     schedule = config.eps_schedule or [config.eps / 4.0, config.eps / 2.0,
                                        config.eps]
     schedule = [e for e in schedule if e > 0.0]
-    family, diags = shooting.continue_in_epsilon(
+    return shooting.continue_in_epsilon(
         spec, pert, X_seed, c.S, schedule, m=config.segments, cfg=config.cfg)
-    return family, diags
 
 
 def cmd_shoot(config, out):
@@ -291,40 +299,37 @@ def cmd_certify(config, out):
                  "n_seeds": len(reports),
                  "certificates": reports}, config)
     if diags:
-        _write_json(out / "certify_diagnostics.json",
-                    {"diagnostics": diags}, config)
-        return EXIT_PARTIAL
+        return _diagnosed(out, "certify", diags, config)
     return EXIT_OK if min(angles) > 1e-3 else EXIT_PARTIAL
 
 
 def cmd_reconstruct(config, out):
     pert = config.perturbation()
-    code = EXIT_OK
+    failures = []
     for k in config.k_list:
         spec = manifolds.ManifoldSpec(k=k, T=config.period,
                                       dim=config.dimension)
         c = manifolds.constants(spec)
         if config.eps == 0.0:
-            params = manifolds.rectilinear_seed_params(spec)
-            X0 = manifolds.seed_state(spec, params)
-            fld = lambda X: model.reg_field(X, 0.0, pert)
-            traj = flow.integrate(fld, X0, c.S, config.cfg)
+            X0 = manifolds.seed_state(spec,
+                                      manifolds.rectilinear_seed_params(spec))
             orbit = shooting.PeriodicOrbit(
                 X0=X0, S=c.S, eps=0.0, eta=1, residual_norm=0.0,
                 energy_band=(-c.tau, -c.tau),
                 monodromy=None, k=k, dim=config.dimension)
         else:
             family, diags = _continue_branch(config, pert, k)
-            if not family:
-                code = EXIT_PARTIAL
+            target = [o for o in family if abs(o.eps - config.eps) < 1e-15]
+            if not target:
+                failures.append({"k": k, "diagnostics": diags})
                 continue
-            orbit = family[-1]
+            orbit = target[-1]
         gensol = reconstruct.to_generalized(orbit, pert, config.cfg,
                                             provenance=f"k={k}")
         reconstruct.generalized_to_csv(
             gensol, out / f"generalized_k{k}.csv",
             header_lines=config.header_lines())
-    return code
+    return _diagnosed(out, "reconstruct", failures, config)
 
 
 def cmd_average(config, out):
@@ -333,11 +338,7 @@ def cmd_average(config, out):
         spec, config.avg_eps_list)
     averaging.family_to_csv(entries, out / "family.csv",
                             config.header_lines())
-    if diags:
-        _write_json(out / "average_diagnostics.json",
-                    {"diagnostics": diags}, config)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _diagnosed(out, "average", diags, config)
 
 
 def cmd_remove_collisions(config, out):
@@ -348,13 +349,12 @@ def cmd_remove_collisions(config, out):
     X0 = manifolds.seed_state(spec, manifolds.rectilinear_seed_params(spec))
     fld = lambda X: model.reg_field(X, 0.0, None)
     traj = flow.integrate(fld, X0, c.S, config.cfg)
-    T_src = config.period
     with open(out / "removal.csv", "w") as fh:
         for line in config.header_lines():
             fh.write(f"# {line}\n")
         fh.write("mu,T_mu,min_u_mu,forcing_l1\n")
         for mu in config.mu_list:
-            res = reconstruct.remove_collisions(traj, c.S, mu, cfg=config.cfg)
+            res = reconstruct.remove_collisions(traj, c.S, mu)
             l1 = res.forcing_l1()
             fh.write(f"{mu:.6e},{res.T_mu:.16e},{res.min_u:.16e},"
                      f"{l1:.16e}\n")
@@ -402,9 +402,7 @@ def main(argv=None):
         return EXIT_CONFIG
     except (flow.FlowError, shooting.ShootingError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
-        _write_json(out / f"{args.command}_diagnostics.json",
-                    {"diagnostics": [{"error": str(exc)}]}, config)
-        return EXIT_PARTIAL
+        return _diagnosed(out, args.command, [{"error": str(exc)}], config)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ solutions of a nearby forced problem.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import legendre
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
@@ -307,16 +307,27 @@ class LiftResult:
     kind: str                   # "periodic" or "anti-periodic"
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_GL_NODES, _GL_WEIGHTS = legendre.leggauss(10)
+# node values -> Legendre coefficients of the interpolant's antiderivative
+_GL_ANTI = legendre.legint(np.linalg.inv(legendre.legvander(_GL_NODES, 9))).T
 
 
-def _cumulative_gauss(f, nodes):
-    """Cumulative integral of f at the given nodes (10-point Gauss per
-    gap); f maps an array of points to an array of values."""
-    a, b = nodes[:-1, None], nodes[1:, None]
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    gaps = 0.5 * (b - a)[:, 0] * (f(x) @ _GL_WEIGHTS)
-    return np.concatenate([[0.0], np.cumsum(gaps)])
+def _gauss_panels(f, breaks):
+    """F(s) = int_{breaks[0]}^s f on 10-point Gauss-Legendre panels; f maps
+    the (P, 10) array of nodes to values.  Returns F at the breaks and F of
+    a scalar or array s, from each panel's 10-node Legendre interpolant."""
+    half, mid = 0.5 * np.diff(breaks), 0.5 * (breaks[:-1] + breaks[1:])
+    vals = f(half[:, None] * _GL_NODES + mid[:, None])
+    cum = np.concatenate([[0.0], np.cumsum(half * (vals @ _GL_WEIGHTS))])
+    anti = half * (vals @ _GL_ANTI).T
+    start = legendre.legval(-1.0, anti)     # subtracted: F(breaks[0]) = 0
+
+    def F(s):
+        i = np.searchsorted(breaks[1:-1], s, side="right")
+        G = legendre.legval((s - mid[i]) / half[i], anti[:, i], tensor=False)
+        return (cum[i] + (G - start[i]))[()]
+
+    return cum, F
 
 
 def sundman_lift(gensol, n_per_arc=200):
@@ -366,7 +377,7 @@ def sundman_lift(gensol, n_per_arc=200):
         mid = 0.5 * (a + b)
         # left half, substitution t = a + sigma^3 removes a left singularity
         sig = np.linspace(0.0, (mid - a) ** (1.0 / 3.0), n_per_arc)
-        cums = _cumulative_gauss(half_integrand(a, 1.0, sing_a), sig)
+        cums, _ = _gauss_panels(half_integrand(a, 1.0, sing_a), sig)
         tl = a + sig ** 3
         keep = slice(1, None) if sing_a else slice(0, None)
         t_nodes.extend(tl[keep])
@@ -374,7 +385,7 @@ def sundman_lift(gensol, n_per_arc=200):
         s_off += cums[-1]
         # right half, t = b - sigma^3, walked in increasing t
         sig = np.linspace(0.0, (b - mid) ** (1.0 / 3.0), n_per_arc)
-        cums = _cumulative_gauss(half_integrand(b, -1.0, sing_b), sig)
+        cums, _ = _gauss_panels(half_integrand(b, -1.0, sing_b), sig)
         total = cums[-1]
         tr = b - sig[::-1] ** 3                     # ascending in t
         cums_t = total - cums[::-1]                 # cumulative from mid
@@ -472,9 +483,9 @@ class RemovalResult:
 
     mu: float
     S: float
-    T_mu: float
-    t_of_s: object              # callable, dense
-    s_of_t: object
+    T_mu: float                 # t_of_s(S)
+    t_of_s: object              # int_0^s |z_mu|^2 on Gauss-Legendre panels
+    s_of_t: object              # inverse of t_of_s, by brentq
     z_mu: object                # callable s -> complex
     u_mu: object                # callable t -> (2,) array
     p_mu: object                # callable t -> (2,) array
@@ -523,7 +534,7 @@ class RemovalResult:
         return float(np.max(np.abs(udd - rhs)))
 
 
-def remove_collisions(traj, S, mu, eps=0.0, pert=None, cfg=None):
+def remove_collisions(traj, S, mu, eps=0.0, pert=None):
     """Deform a closed planar collision orbit into a collisionless one.
 
     Adds mu^3 bump((s - s_c)/mu) v_c to z(s) in a window of half-width
@@ -562,7 +573,8 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None, cfg=None):
         jet = _bump_jet((np.asarray(s, float)[..., None] - centres) / mu)
         scale = np.array([mu ** 3, mu ** 2, mu])
         jet *= scale.reshape((3,) + (1,) * (jet.ndim - 1))
-        return jet @ normals
+        # real products: a real-by-complex matmul is a slow threaded zgemv
+        return jet @ normals.real + 1j * (jet @ normals.imag)
 
     def z_mu(s):
         X = _states(traj, s)
@@ -581,17 +593,11 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None, cfg=None):
         return (2.0 * z * zpp / r2 ** 2
                 + z ** 2 * (1.0 - 2.0 * np.abs(zp) ** 2) / r2 ** 3)
 
-    cfg = cfg or flow.IntegratorConfig()
-    res = solve_ivp(lambda s, y: [abs(z_mu(s)) ** 2], (0.0, S), [0.0],
-                    method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    dense_output=True)
-    if not res.success:
-        raise flow.FlowError(f"time quadrature failed: {res.message}")
-    T_mu = float(res.y[0, -1])
-    t_sol = res.sol
-
-    def t_of_s(s):
-        return t_sol(s)[0]
+    # panels: trajectory steps, 32 per window (breaks at |s - s_c| = mu)
+    cuts = (centres[:, None] + mu * np.linspace(-2.0, 2.0, 33)).ravel()
+    breaks = np.unique(np.clip(np.concatenate([traj.s, cuts]), 0.0, S))
+    _, t_of_s = _gauss_panels(lambda s: np.abs(z_mu(s)) ** 2, breaks)
+    T_mu = float(t_of_s(S))     # so that brentq brackets every t in [0, T_mu)
 
     def s_of_t(t):
         t = float(t) % T_mu

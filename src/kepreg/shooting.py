@@ -325,7 +325,7 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
     when the residual norm drops below 1e-9.
     """
     u = np.asarray(unknowns0, float).copy()
-    best_u, best_r = u.copy(), float(np.linalg.norm(residual(problem, u)))
+    best_u, best_r = u.copy(), np.inf       # set by the first sweep
     for _ in range(max_outer):
         try:
             u, res, (U, sv, Vt) = _strong_sweep(problem, u)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from kepreg import averaging
+from kepreg import averaging, flow, shooting
 
 T = 2.0 * np.pi
 
@@ -78,6 +79,105 @@ class TestAveragedEquation:
     def test_determinant_at_origin(self):
         with pytest.raises(ValueError):
             averaging.averaged_jacobian_det([0.0, 0.0])
+
+
+def spatial_forcing():
+    return averaging.ForcingSpec(period=T, const=(0.3, -0.5, 0.2),
+                                 cos=[(0.2, 0.1, 0.0)], sin=[(0.0, 0.1, 0.3)])
+
+
+def forward_difference_jacobian(spec, lam, y0, t0):
+    """The period map's Jacobian in (x, x') by forward differences of
+    solve_ivp runs from t0, with steps 1e-7 max(1, |y_j|)."""
+    n = spec.dim
+
+    def fun(t, y):
+        x, xd = y[:n], y[n:]
+        return np.concatenate([xd, lam * (-x / np.linalg.norm(x) ** 3
+                                          + spec(t))])
+
+    def flow_map(y):
+        return solve_ivp(fun, (t0, t0 + T), y, method="DOP853", rtol=1e-12,
+                         atol=1e-14).y[:, -1]
+
+    yT = flow_map(y0)
+    J = np.empty((2 * n, 2 * n))
+    for j in range(2 * n):
+        h = 1e-7 * max(1.0, abs(y0[j]))
+        yp = y0.copy()
+        yp[j] += h
+        J[:, j] = (flow_map(yp) - yT) / h
+    return J
+
+
+class TestScaledSystem:
+    @pytest.mark.parametrize("spec", [acceptance_forcing(),
+                                      spatial_forcing()])
+    def test_monodromy_matches_period_map(self, spec):
+        """Every column of the variational monodromy on (x, x', t),
+        the t column included, against central differences of the
+        period map, and its (x, x') block against the forward-difference
+        loop the shooting used before it had the exact Jacobian."""
+        n, lam = spec.dim, 0.1 ** 1.5
+        field, jacobian = averaging._scaled_system(spec, lam)
+        rng = np.random.default_rng(1)
+        Y0 = np.concatenate([
+            averaging.averaged_equilibrium(spec.mean())
+            + 0.1 * rng.normal(size=n), 0.05 * rng.normal(size=n), [0.7]])
+        _, M = flow.integrate_with_variational(field, jacobian, Y0, T)
+
+        def period_map(Y):
+            return flow.integrate(field, Y, T).states[-1]
+
+        h = 1e-6
+        central = np.column_stack([
+            (period_map(Y0 + h * e) - period_map(Y0 - h * e)) / (2.0 * h)
+            for e in np.eye(2 * n + 1)])
+        assert np.max(np.abs(M - central)) < 1e-8
+        assert np.max(np.abs(M[n:2 * n, 2 * n])) > 1e-3
+        forward = forward_difference_jacobian(spec, lam, Y0[:2 * n], Y0[-1])
+        assert np.max(np.abs(M[:2 * n, :2 * n] - forward)) < 1e-5
+
+
+class TestTypedFailures:
+    def test_no_convergence_is_shooting_error(self, monkeypatch):
+        monkeypatch.setattr(averaging, "MAX_ITER", 1)
+        spec = acceptance_forcing()
+        with pytest.raises(shooting.ShootingError,
+                           match="did not converge") as info:
+            averaging.solve_scaled_periodic(spec, 1e-2, [1.0, 0.0, 0.0, 0.0])
+        # the one iterate tried is the seed: x* at rest
+        assert np.array_equal(info.value.best_unknowns, [1.0, 0.0, 0.0, 0.0])
+        assert info.value.best_residual > averaging.RESIDUAL_TOL
+        entries, diags = averaging.bifurcation_from_infinity(spec, [1e-2])
+        assert entries == []
+        assert "did not converge" in diags[0]["error"]
+
+    def test_flow_error_leaves_partial_family(self, monkeypatch):
+        real = flow.integrate_with_variational
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "integrate_with_variational", counted)
+        averaging.bifurcation_from_infinity(acceptance_forcing(), [1e-2])
+        first = len(calls)
+
+        def fail_after_first(*args, **kwargs):
+            if len(calls) >= first:
+                raise flow.FlowError("integration failed: synthetic")
+            return counted(*args, **kwargs)
+
+        calls.clear()
+        monkeypatch.setattr(flow, "integrate_with_variational",
+                            fail_after_first)
+        entries, diags = averaging.bifurcation_from_infinity(
+            acceptance_forcing(), [1e-2, 1e-3])
+        assert [e.eps for e in entries] == [1e-2]
+        assert diags == [{"eps": 1e-3,
+                          "error": "integration failed: synthetic"}]
 
 
 @pytest.fixture(scope="module")

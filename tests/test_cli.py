@@ -186,6 +186,34 @@ class TestReconstructCommand:
         lines = (out / "generalized_k1.csv").read_text().splitlines()
         assert any(ln.startswith("# collision") for ln in lines)
 
+    def test_short_continuation_is_partial(self, tmp_path, monkeypatch):
+        """A continuation that stops short of the target eps reconstructs
+        nothing for that k: the command exits 2 with the diagnostics."""
+        real = cli.shooting.continue_in_epsilon
+
+        def stop_short(spec, pert, X_seed, S_seed, eps_targets, **kwargs):
+            if spec.k == 1:
+                family, _ = real(spec, pert, X_seed, S_seed,
+                                 eps_targets[:1], **kwargs)
+                return family, [{"eps": eps_targets[1],
+                                 "error": "synthetic"}]
+            return real(spec, pert, X_seed, S_seed, eps_targets, **kwargs)
+
+        monkeypatch.setattr(cli.shooting, "continue_in_epsilon", stop_short)
+        text = (BASE.replace("k_list = 1", "k_list = 1,2")
+                .replace("eps = 1e-3", "eps = 2e-4")
+                + "\n[shoot]\neps_schedule = 1e-4,2e-4\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        code = cli.main(["reconstruct", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_PARTIAL
+        assert not (out / "generalized_k1.csv").exists()
+        assert (out / "generalized_k2.csv").exists()
+        diags = json.loads(
+            (out / "reconstruct_diagnostics.json").read_text())
+        assert diags["diagnostics"] == [
+            {"k": 1, "diagnostics": [{"eps": 2e-4, "error": "synthetic"}]}]
+
 
 class TestAverageCommand:
     def test_family(self, tmp_path):
@@ -229,7 +257,7 @@ eps_list = 1e-2,1e-3
                     "mean") in err
 
     def test_partial_exit(self, tmp_path, monkeypatch):
-        def fake(spec, eps_list, n_samples=400):
+        def fake(spec, eps_list):
             return [], [{"eps": eps_list[0], "error": "synthetic"}]
 
         monkeypatch.setattr(cli.averaging, "bifurcation_from_infinity", fake)
@@ -239,6 +267,24 @@ eps_list = 1e-2,1e-3
         code = cli.main(["average", "--config", cfg,
                          "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_PARTIAL
+
+    def test_integration_failure_is_partial(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise cli.flow.FlowError("integration failed: synthetic")
+
+        monkeypatch.setattr(cli.flow, "integrate_with_variational", fail)
+        text = ("[run]\n[perturbation]\nname = forced_kepler\n"
+                "const = 1.0,0.0\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["average", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_PARTIAL
+        diags = json.loads((out / "average_diagnostics.json").read_text())
+        assert diags["diagnostics"] == [
+            {"eps": 1e-2, "error": "integration failed: synthetic"}]
+        rows = [ln for ln in (out / "family.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows == ["eps,min_u,sup_dev,defect"]
 
 
 class TestRemoveCommand:

@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 
+import kepreg
 from kepreg import flow, manifolds, model
 
 rng = np.random.default_rng(11)
@@ -292,3 +296,13 @@ class TestInvariantsAndExport:
         # K column stays at 0 on the zero level set
         for line in lines[2:]:
             assert abs(float(line.split(",")[-1])) < 1e-10
+
+
+def test_no_module_binds_solve_ivp():
+    """``flow`` is the one integrator: no kepreg module binds
+    ``solve_ivp``, under its name or another."""
+    for info in pkgutil.iter_modules(kepreg.__path__):
+        module = importlib.import_module(f"kepreg.{info.name}")
+        assert "solve_ivp" not in vars(module), info.name
+        assert all(v is not solve_ivp for v in vars(module).values()), \
+            info.name

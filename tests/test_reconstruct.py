@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from kepreg import flow, manifolds, model, reconstruct, shooting
 
@@ -318,6 +319,51 @@ class TestRemoveCollisions:
             z = out.z_mu(out.s_of_t(t))
             assert np.allclose(out.u_mu(t),
                                [(z * z).real, (z * z).imag], atol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_time_map_matches_quad(self, k):
+        """t_of_s and T_mu against adaptive quadrature of |z_mu|^2 split
+        at the panel breaks: the trajectory's steps and 32 equal panels
+        across each window [s_c - 2 mu, s_c + 2 mu]."""
+        _, c, orbit = collision_orbit(k)
+        traj = flow.integrate(lambda X: model.reg_field(X, 0.0, None),
+                              orbit.X0, c.S)
+        rng = np.random.default_rng(k)
+        for mu in (0.2, 0.1, 0.0125):
+            out = reconstruct.remove_collisions(traj, c.S, mu)
+            centres = np.add.outer(out.collisions_s, [-c.S, 0.0, c.S])
+            cuts = np.add.outer(centres.ravel(),
+                                mu * np.linspace(-2.0, 2.0, 33))
+            br = np.unique(np.concatenate([traj.s, cuts.ravel(),
+                                           [0.0, c.S]]))
+            br = br[(br >= 0.0) & (br <= c.S)]
+
+            def f(s):
+                return abs(out.z_mu(s)) ** 2
+
+            cum = np.cumsum([0.0] + [quad(f, a, b, epsabs=1e-14)[0]
+                                     for a, b in zip(br[:-1], br[1:])])
+            assert abs(out.T_mu - cum[-1]) < 1e-10
+            assert np.max(np.abs(out.t_of_s(br) - cum)) < 1e-10
+            i = rng.integers(0, len(br) - 1, 40)
+            ss = br[i] + rng.random(40) * (br[i + 1] - br[i])
+            ref = cum[i] + [quad(f, br[j], s, epsabs=1e-14)[0]
+                            for j, s in zip(i, ss)]
+            assert np.max(np.abs(out.t_of_s(ss) - ref)) < 1e-10
+
+    def test_t_of_s_array_matches_scalar_calls(self, source):
+        c, traj, pert = source
+        out = reconstruct.remove_collisions(traj, c.S, 0.1, 0.0, pert)
+        ss = np.concatenate([[0.0, c.S], out.collisions_s,
+                             np.random.default_rng(0).random(50) * c.S])
+        scalar = np.array([out.t_of_s(s) for s in ss])
+        # exact at the ends, so s_of_t brackets every t in [0, T_mu)
+        assert out.t_of_s(0.0) == 0.0 and out.t_of_s(c.S) == out.T_mu
+        assert out.s_of_t(out.T_mu) == 0.0
+        assert all(np.ndim(out.t_of_s(s)) == 0 for s in ss)
+        assert np.array_equal(out.t_of_s(ss), scalar)
+        assert np.array_equal(out.t_of_s(ss.reshape(6, -1)),
+                              scalar.reshape(6, -1))
 
     def test_mu_too_large(self, source):
         c, traj, pert = source
