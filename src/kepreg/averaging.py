@@ -93,22 +93,21 @@ N_SAMPLES = 400             # times per period at which an orbit is read
 
 def _scaled_system(spec, lam):
     """Field and Jacobian [[0, Id, 0], [lam S(x), 0, lam p'(t)], [0, 0, 0]] of
-    x'' = lam (-x/|x|^3 + p(t)), lam = eps^{3/2}, on Y = (x, x', t)."""
+    x'' = lam (-x/|x|^3 + p(t)), lam = eps^{3/2}, on Y = (x, x', t), as
+    one callable Y -> (field, Jacobian)."""
     n = spec.dim
 
-    def field(Y):
+    def field_jacobian(Y):
         x, r = Y[:n], np.linalg.norm(Y[:n])
-        return np.concatenate([Y[n:2 * n], lam * (-x / r ** 3 + spec(Y[-1])),
-                               [1.0]])
-
-    def jacobian(Y):
+        F = np.concatenate([Y[n:2 * n], lam * (-x / r ** 3 + spec(Y[-1])),
+                            [1.0]])
         J = np.zeros((2 * n + 1, 2 * n + 1))
         J[:n, n:2 * n] = np.eye(n)
-        J[n:2 * n, :n] = lam * _kepler_hessian(Y[:n])
+        J[n:2 * n, :n] = lam * _kepler_hessian(x)
         J[n:2 * n, -1] = lam * spec.jet(Y[-1])[1]
-        return J
+        return F, J
 
-    return field, jacobian
+    return field_jacobian
 
 
 def solve_scaled_periodic(spec, eps, y0):
@@ -118,13 +117,13 @@ def solve_scaled_periodic(spec, eps, y0):
     of (x, x', t) from t = 0 per step.  Returns (y0, dense trajectory over
     one period); raises ``FlowError`` or ``ShootingError`` (best iterate).
     """
-    field, jacobian = _scaled_system(spec, eps ** 1.5)
+    field_jacobian = _scaled_system(spec, eps ** 1.5)
     y0 = np.asarray(y0, float)
     d = y0.size
     best_y, best_r = y0, np.inf
     for _ in range(MAX_ITER):
         traj, M = flow.integrate_with_variational(
-            field, jacobian, np.append(y0, 0.0), spec.period)
+            field_jacobian, np.append(y0, 0.0), spec.period)
         defect = traj.states[-1, :d] - y0
         dnorm = float(np.linalg.norm(defect))
         if dnorm < RESIDUAL_TOL:

@@ -178,16 +178,18 @@ def integrate(field, X0, s_end, cfg=None):
     return _solve(field, X0, s_end, cfg, X0.shape[-1])
 
 
-def integrate_with_variational(field, jacobian, X0, s_end, cfg=None):
+def integrate_with_variational(field_jacobian, X0, s_end, cfg=None):
     """Integrate the state together with the fundamental matrix.
 
-    Returns (trajectory, M) with M the fundamental solution at s_end,
-    M(0) = Id.  Step control reads the state columns only: the matrix
-    columns are integrated on the state's accepted steps and do not
-    shorten them, so the state takes the steps of a plain ``integrate``
-    give or take one (the first step size is still chosen from every
-    column).  For a stack X0 (m, D), ``jacobian`` maps
-    (m, D) states to (m, D, D) and M is the (m, D, D) stack.
+    ``field_jacobian`` maps a state to the pair (field, Jacobian), so
+    each stage evaluates both from one call.  Returns (trajectory, M)
+    with M the fundamental solution at s_end, M(0) = Id.  Step control
+    reads the state columns only: the matrix columns are integrated on
+    the state's accepted steps and do not shorten them, so the state
+    takes the steps of a plain ``integrate`` give or take one (the first
+    step size is still chosen from every column).  For a stack X0 (m, D),
+    ``field_jacobian`` maps (m, D) states to (m, D) and (m, D, D), and M
+    is the (m, D, D) stack.
     """
     cfg = cfg or IntegratorConfig()
     X0 = np.asarray(X0, float)
@@ -197,10 +199,9 @@ def integrate_with_variational(field, jacobian, X0, s_end, cfg=None):
     state[..., :D] = True
 
     def fun(Y):
-        X = Y[..., :D]
+        F, J = field_jacobian(Y[..., :D])
         M = Y[..., D:].reshape(X0.shape + (D,))
-        return np.concatenate([field(X), (jacobian(X) @ M).reshape(flat)],
-                              axis=-1)
+        return np.concatenate([F, (J @ M).reshape(flat)], axis=-1)
 
     eye = np.broadcast_to(np.eye(D).ravel(), flat)
     traj = _solve(fun, np.concatenate([X0, eye], axis=-1), s_end, cfg, D,
@@ -224,19 +225,21 @@ class MonodromyData:
         return np.linalg.eigvals(self.M)
 
 
-def monodromy(field, jacobian, X0, S, cfg=None):
+def monodromy(field_jacobian, X0, S, cfg=None):
     """Fundamental matrix over one period of a closed orbit.
 
-    X0 is one state (D,), giving one ``MonodromyData``, or a stack
-    (m, D) of states sharing the period S, integrated as one system and
-    giving a list with one ``MonodromyData`` per row.
+    ``field_jacobian`` is as for ``integrate_with_variational``.  X0 is
+    one state (D,), giving one ``MonodromyData``, or a stack (m, D) of
+    states sharing the period S, integrated as one system and giving a
+    list with one ``MonodromyData`` per row.
     """
     X0 = np.asarray(X0, float)
-    traj, M = integrate_with_variational(field, jacobian, X0, S, cfg)
+    traj, M = integrate_with_variational(field_jacobian, X0, S, cfg)
+    F0 = field_jacobian(X0)[0]
     if X0.ndim == 1:
-        return traj, MonodromyData(M=M, X0=X0, field_dir=field(X0))
+        return traj, MonodromyData(M=M, X0=X0, field_dir=F0)
     return traj, [MonodromyData(M=Mi, X0=Xi, field_dir=fi)
-                  for Mi, Xi, fi in zip(M, X0, field(X0))]
+                  for Mi, Xi, fi in zip(M, X0, F0)]
 
 
 # ---------------------------------------------------------------------------

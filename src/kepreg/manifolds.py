@@ -233,9 +233,8 @@ def nondegeneracy_certificate(spec, X0, cfg=None):
             raise ValueError("3D certificate needs a BL = 0 state")
     # nothing reads the interpolant
     cfg = replace(cfg or flow.IntegratorConfig(), dense=False)
-    field = lambda X: model.reg_field(X, 0.0)
-    jac = lambda X: model.reg_field_jacobian(X, 0.0)
-    _, monos = flow.monodromy(field, jac, stack, constants(spec).S, cfg)
+    _, monos = flow.monodromy(lambda X: model.reg_field_jacobian(X, 0.0),
+                              stack, constants(spec).S, cfg)
     reports = [_certificate(spec, mono) for mono in monos]
     return reports if X0.ndim == 2 else reports[0]
 

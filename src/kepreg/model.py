@@ -353,8 +353,9 @@ def check_regularizable(pert):
 # regularized Hamiltonian and field
 #
 # reg_field, reg_energy_gradient and reg_field_jacobian take one state
-# (D,) or a stack of states (m, D) and return (..., D) or (..., D, D).
-# Each call evaluates the perturbation once, for the whole stack.
+# (D,) or a stack of states (m, D) and return (..., D), or (..., D) and
+# (..., D, D).  Each call evaluates the perturbation once, for the whole
+# stack.
 
 def _split(X):
     """(z, w, t, tau) views of a state (D,) or a stack of states (..., D)."""
@@ -391,21 +392,27 @@ def reg_energy(X, eps, pert):
     return K
 
 
-def reg_field(X, eps, pert=None):
-    """Right-hand side of the regularized Hamiltonian system."""
-    X = np.asarray(X, float)
-    z, w, t, tau = _split(X)
+def _field(z, w, tau, eps=0.0, ev=None, A=None):
+    """The field from the split state; the eps terms are added when
+    ``ev`` and ``A`` (from ``_perturbation_at``) are given."""
     zd = z.shape[-1]
-    F = np.empty(X.shape)
+    F = np.empty(z.shape[:-1] + (2 * zd + 2,))
     F[..., :zd] = w / 4.0
     F[..., zd:2 * zd] = (-2.0 * tau)[..., None] * z
     F[..., 2 * zd] = np.vecdot(z, z)
     F[..., 2 * zd + 1] = 0.0
-    if eps != 0.0 and pert is not None:
-        ev, A = _perturbation_at(z, t, eps, pert)
+    if ev is not None:
         F[..., zd:2 * zd] += eps * _grad_z_P(z, A, ev)
         F[..., 2 * zd + 1] = eps * F[..., 2 * zd] * ev.dt
     return F
+
+
+def reg_field(X, eps, pert=None):
+    """Right-hand side of the regularized Hamiltonian system."""
+    z, w, t, tau = _split(np.asarray(X, float))
+    if eps == 0.0 or pert is None:
+        return _field(z, w, tau)
+    return _field(z, w, tau, eps, *_perturbation_at(z, t, eps, pert))
 
 
 def reg_energy_gradient(X, eps, pert=None):
@@ -429,11 +436,12 @@ _EYE = {2: np.eye(2), 4: np.eye(4)}
 
 
 def reg_field_jacobian(X, eps, pert=None):
-    """Exact Jacobian DF(X) of the regularized field.
+    """The regularized field F(X) together with its exact Jacobian DF(X).
 
-    The second derivatives of U come from ``pert.evaluate(...,
-    second=True)``; its ``hess`` is None when U is affine in u.
-    Everything else is assembled analytically.
+    Returns (F, J), F equal to ``reg_field(X, eps, pert)``, from one
+    evaluation of the perturbation: the second derivatives of U come
+    from ``pert.evaluate(..., second=True)``, whose ``hess`` is None
+    when U is affine in u.  Everything else is assembled analytically.
     """
     X = np.asarray(X, float)
     z, w, t, tau = _split(X)
@@ -445,7 +453,7 @@ def reg_field_jacobian(X, eps, pert=None):
     J[..., zd:2 * zd, 2 * zd + 1] = -2.0 * z
     J[..., 2 * zd, :zd] = 2.0 * z
     if eps == 0.0 or pert is None:
-        return J
+        return _field(z, w, tau), J
 
     ev, A = _perturbation_at(z, t, eps, pert, second=True)
     r2 = np.vecdot(z, z)[..., None]
@@ -464,7 +472,7 @@ def reg_field_jacobian(X, eps, pert=None):
     J[..., zd:2 * zd, 2 * zd] = eps * dgradP_dt
     J[..., 2 * zd + 1, :zd] = eps * dgradP_dt
     J[..., 2 * zd + 1, 2 * zd] = eps * r2[..., 0] * ev.dt2
-    return J
+    return _field(z, w, tau, eps, ev, A), J
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ class ShootingProblem:
     def field(self, X):
         return model.reg_field(X, self.eps, self.pert)
 
-    def jacobian(self, X):
+    def field_jacobian(self, X):
         return model.reg_field_jacobian(X, self.eps, self.pert)
 
     def time_shift(self):
@@ -158,12 +158,15 @@ def _integrate_segments(problem, states, S, variational=False):
     # max_step bounds s; a sigma-step advances row j by h_j times it
     cfg = replace(_segment_cfg(problem),
                   max_step=problem.cfg.max_step / np.max(h))
-    scaled = lambda Y: h * problem.field(Y)
     if not variational:
-        return flow.integrate(scaled, X, 1.0, cfg).states[-1].reshape(
-            states.shape)
-    traj, M = flow.integrate_with_variational(
-        scaled, lambda Y: h[..., None] * problem.jacobian(Y), X, 1.0, cfg)
+        return flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
+                              cfg).states[-1].reshape(states.shape)
+
+    def scaled_pair(Y):
+        F, J = problem.field_jacobian(Y)
+        return h * F, h[..., None] * J
+
+    traj, M = flow.integrate_with_variational(scaled_pair, X, 1.0, cfg)
     return (traj.states[-1, :, :D].reshape(states.shape),
             M.reshape(states.shape + (D,)))
 
@@ -260,8 +263,7 @@ def energy_band(traj, eps, pert, n_samples=400):
 def _finish(problem, unknowns, res_norm):
     states, S, theta = unpack_unknowns(problem, unknowns)
     X0 = states[0]
-    traj, mono = flow.monodromy(problem.field, problem.jacobian, X0, S,
-                                problem.cfg)
+    traj, mono = flow.monodromy(problem.field_jacobian, X0, S, problem.cfg)
     X_end = traj.states[-1, : problem.D]
     try:
         eta = index_of_winding(X0, X_end, problem.pert.period)
@@ -280,34 +282,58 @@ def _finish(problem, unknowns, res_norm):
 WEAK_CUTOFF = 1e-3          # singular values below this (relative) are weak
 
 
-def _strong_sweep(problem, u, max_steps=8):
+def _line_search(problem, u, step, better, trials):
+    """First of u + alpha step, alpha = 1, 1/2, 1/4, ... (``trials`` in
+    all) whose residual satisfies ``better``.
+
+    The full step is evaluated with ``residual_and_jacobian``, so when
+    it is accepted, as it mostly is, the next Newton iteration needs no
+    integration of its own; the halved steps use plain ``residual``.
+    Returns (trial, residual, Jacobian), the Jacobian None after a
+    halved step, or None when every trial is rejected.
+    """
+    trial = u + step
+    res, J = residual_and_jacobian(problem, trial)
+    if better(res):
+        return trial, res, J
+    alpha = 0.5
+    for _ in range(trials - 1):
+        trial = u + alpha * step
+        res = residual(problem, trial)
+        if better(res):
+            return trial, res, None
+        alpha *= 0.5
+    return None
+
+
+def _strong_sweep(problem, u, first=None, max_steps=8):
     """Gauss-Newton restricted to the well-conditioned directions.
 
     Singular directions of the Jacobian below WEAK_CUTOFF (relative to
     the largest singular value) are frozen; Armijo backtracking (factor
-    1/2, at most 20 halvings) guards each step.  Returns the improved
-    unknowns together with the last residual and SVD factors.
+    1/2, at most MAX_BACKTRACKS trials) guards each step.  A full step
+    is tried with ``residual_and_jacobian`` and, when accepted, supplies
+    the next iteration's residual and Jacobian; after a halved step the
+    pair is taken once at the accepted point.  ``first`` is the pair at
+    u when the caller already holds it.  Returns the improved unknowns
+    together with the last residual and SVD factors.
     """
+    res, J = first or residual_and_jacobian(problem, u)
     for _ in range(max_steps):
-        res, J = residual_and_jacobian(problem, u)
         rnorm = float(np.linalg.norm(res))
         U, sv, Vt = np.linalg.svd(J, full_matrices=False)
         keep = sv > WEAK_CUTOFF * sv[0]
         step = -(Vt[keep].T @ ((U[:, keep].T @ res) / sv[keep]))
         if np.linalg.norm(step) < STEP_TOL or rnorm < RESIDUAL_TOL:
             return u, res, (U, sv, Vt)
-        alpha = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            trial = u + alpha * step
-            if np.linalg.norm(residual(problem, trial)) < rnorm:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
+        found = _line_search(problem, u, step,
+                             lambda rt: np.linalg.norm(rt) < rnorm,
+                             MAX_BACKTRACKS)
+        if found is None:
             return u, res, (U, sv, Vt)
-        u = trial
-    res, J = residual_and_jacobian(problem, u)
+        u, res, J = found
+        if J is None:
+            res, J = residual_and_jacobian(problem, u)
     U, sv, Vt = np.linalg.svd(J, full_matrices=False)
     return u, res, (U, sv, Vt)
 
@@ -321,14 +347,20 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
     Gauss-Newton stalls.  The solve alternates (i) Gauss-Newton sweeps
     restricted to the well-conditioned directions with (ii) a reduced
     Newton step on the weak subspace, with the reduced Jacobian taken
-    by central differences of the weak residual components.  Converges
+    by central differences of the weak residual components.  The
+    reduced step's full trial is evaluated with ``residual_and_jacobian``
+    and, when accepted, opens the next sweep; a halved trial opens it
+    with one ``residual_and_jacobian`` at the accepted point.  Converges
     when the residual norm drops below 1e-9.
     """
+    if max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
     u = np.asarray(unknowns0, float).copy()
     best_u, best_r = u.copy(), np.inf       # set by the first sweep
+    first = None                            # (res, J) at u, when known
     for _ in range(max_outer):
         try:
-            u, res, (U, sv, Vt) = _strong_sweep(problem, u)
+            u, res, (U, sv, Vt) = _strong_sweep(problem, u, first)
         except np.linalg.LinAlgError as exc:
             raise ShootingError(
                 f"SVD of the shooting Jacobian failed ({exc}); it is not "
@@ -358,21 +390,16 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
                 f"singular reduced Jacobian at residual {rnorm:.3e}: {exc}",
                 best_unknowns=best_u, best_residual=best_r)
         gnorm = float(np.linalg.norm(g))
-        alpha = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS + 5):
-            trial = u + alpha * (Vw.T @ xi)
-            gt = float(np.linalg.norm(Uw.T @ residual(problem, trial)))
-            if gt < gnorm:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
+        found = _line_search(problem, u, Vw.T @ xi,
+                             lambda rt: np.linalg.norm(Uw.T @ rt) < gnorm,
+                             MAX_BACKTRACKS + 5)
+        if found is None:
             raise ShootingError(
                 f"reduced Newton step collapsed at residual {rnorm:.3e}",
                 best_unknowns=best_u, best_residual=best_r)
-        u = trial
-    rnorm = float(np.linalg.norm(residual(problem, u)))
+        u, res, J = found
+        first = None if J is None else (res, J)
+    rnorm = float(np.linalg.norm(res))
     if rnorm < RESIDUAL_TOL:
         return _finish(problem, u, rnorm)
     raise ShootingError(

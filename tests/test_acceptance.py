@@ -118,9 +118,8 @@ def test_monodromy_closed_form():
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec,
                                   manifolds.random_seed_params(spec, rng))
-        field = lambda X: model.reg_field(X, 0.0)
-        jac = lambda X: model.reg_field_jacobian(X, 0.0)
-        _, M = flow.integrate_with_variational(field, jac, X0, c.S)
+        _, M = flow.integrate_with_variational(
+            lambda X: model.reg_field_jacobian(X, 0.0), X0, c.S)
         got = M @ manifolds.variation_start(spec, X0)
         z0, w0, _, tau = model.unpack_state(X0)
         om, kpi = c.omega, k * np.pi

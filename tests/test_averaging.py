@@ -119,15 +119,16 @@ class TestScaledSystem:
         period map, and its (x, x') block against the forward-difference
         loop the shooting used before it had the exact Jacobian."""
         n, lam = spec.dim, 0.1 ** 1.5
-        field, jacobian = averaging._scaled_system(spec, lam)
+        field_jacobian = averaging._scaled_system(spec, lam)
         rng = np.random.default_rng(1)
         Y0 = np.concatenate([
             averaging.averaged_equilibrium(spec.mean())
             + 0.1 * rng.normal(size=n), 0.05 * rng.normal(size=n), [0.7]])
-        _, M = flow.integrate_with_variational(field, jacobian, Y0, T)
+        _, M = flow.integrate_with_variational(field_jacobian, Y0, T)
 
         def period_map(Y):
-            return flow.integrate(field, Y, T).states[-1]
+            return flow.integrate(lambda Y: field_jacobian(Y)[0], Y,
+                                  T).states[-1]
 
         h = 1e-6
         central = np.column_stack([

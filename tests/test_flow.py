@@ -17,7 +17,7 @@ def kepler_field(eps=0.0, pert=None):
     return lambda X: model.reg_field(X, eps, pert)
 
 
-def kepler_jacobian(eps=0.0, pert=None):
+def kepler_field_jacobian(eps=0.0, pert=None):
     return lambda X: model.reg_field_jacobian(X, eps, pert)
 
 
@@ -32,15 +32,38 @@ class TestIntegrate:
             assert got[1] == pytest.approx(-np.sin(s), abs=1e-10)
 
     def test_unperturbed_kepler_matches_closed_form(self):
+        """A manifold seed in 2D, k = 1, then random states in 2D and 3D
+        for k = 1..3: z and w drawn at random, w projected to BL = 0 in
+        3D, both scaled onto tau_k |z|^2 + |w|^2 / 8 = 1."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(
             spec, manifolds.random_seed_params(spec, rng))
-        traj = flow.integrate(kepler_field(), X0, c.S)
-        for s in np.linspace(0.0, c.S, 25):
-            assert np.allclose(traj.eval(s),
-                               manifolds.closed_form_flow(spec, X0, s),
-                               atol=1e-9)
+        cases = [(spec, X0)]
+        local = np.random.default_rng(12)
+        for dim in (2, 3):
+            for k in (1, 2, 3):
+                spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
+                tau = manifolds.constants(spec).tau
+                z, w = local.normal(size=(2, 2 * dim - 2))
+                if dim == 3:
+                    X = model.pack_state(z, w, 0.0, tau)
+                    g = model.bl_gradient(X)[4:8]   # BL is linear in w
+                    w = w - (g @ w) / (g @ g) * g
+                scale = np.sqrt(tau * (z @ z) + (w @ w) / 8.0)
+                X0 = model.pack_state(z / scale, w / scale,
+                                      local.uniform(0.0, T), tau)
+                assert abs(model.reg_energy(X0, 0.0, None)) < 1e-14
+                if dim == 3:
+                    assert abs(model.bl_value(X0)) < 1e-14
+                cases.append((spec, X0))
+        for spec, X0 in cases:
+            S = manifolds.constants(spec).S
+            traj = flow.integrate(kepler_field(), X0, S)
+            for s in np.linspace(0.0, S, 25):
+                assert np.allclose(traj.eval(s),
+                                   manifolds.closed_form_flow(spec, X0, s),
+                                   atol=1e-9), (spec, s)
 
     def test_tolerance_halving_converges(self):
         X0 = manifolds.seed_state(
@@ -112,7 +135,7 @@ class TestVariational:
         X0 = manifolds.seed_state(
             spec, manifolds.random_seed_params(spec, rng))
         _, M = flow.integrate_with_variational(
-            kepler_field(), kepler_jacobian(), X0, c.S)
+            kepler_field_jacobian(), X0, c.S)
         Y0 = manifolds.variation_start(spec, X0)
         got = M @ Y0
         expected = manifolds.closed_form_variation(spec, X0, c.S)
@@ -128,7 +151,7 @@ class TestVariational:
                     spec, manifolds.random_seed_params(spec, local))
                     for _ in range(4)])
                 _, M = flow.integrate_with_variational(
-                    kepler_field(), kepler_jacobian(), X0, c.S)
+                    kepler_field_jacobian(), X0, c.S)
                 for Mi, Xi in zip(M, X0):
                     expected = manifolds.closed_form_variation(spec, Xi, c.S)
                     got = Mi @ manifolds.variation_start(spec, Xi)
@@ -140,13 +163,23 @@ class TestVariational:
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(
             spec, manifolds.random_seed_params(spec, rng))
-        traj, data = flow.monodromy(kepler_field(), kepler_jacobian(),
-                                    X0, c.S)
+        traj, data = flow.monodromy(kepler_field_jacobian(), X0, c.S)
         # the flow is volume preserving
         assert data.det == pytest.approx(1.0, abs=1e-6)
         # M maps the field at the start to the field at the end
         f_end = model.reg_field(traj.eval(c.S), 0.0, None)
         assert np.allclose(data.M @ data.field_dir, f_end, atol=1e-7)
+        assert np.array_equal(data.field_dir, model.reg_field(X0, 0.0))
+        # field_dir is reg_field's at X0, perturbed and stacked too
+        pert = TestStateStepControl.forced(2)
+        X0s = np.array([X0, manifolds.seed_state(
+            spec, manifolds.random_seed_params(
+                spec, np.random.default_rng(3)))])
+        _, monos = flow.monodromy(kepler_field_jacobian(1e-3, pert), X0s,
+                                  c.S)
+        for Xi, mono in zip(X0s, monos):
+            assert np.array_equal(mono.field_dir,
+                                  model.reg_field(Xi, 1e-3, pert))
 
     def test_fd_cross_check(self):
         """Variational columns match directional differences of the flow."""
@@ -155,7 +188,7 @@ class TestVariational:
             spec, manifolds.random_seed_params(spec, rng))
         S = 2.0
         _, M = flow.integrate_with_variational(
-            kepler_field(), kepler_jacobian(), X0, S)
+            kepler_field_jacobian(), X0, S)
         h = 1e-6
         for i in range(6):
             Xp, Xm = X0.copy(), X0.copy()
@@ -191,7 +224,7 @@ class TestStateStepControl:
         pert = self.forced(dim)
         plain = flow.integrate(kepler_field(1e-3, pert), X0, c.S)
         traj, _ = flow.integrate_with_variational(
-            kepler_field(1e-3, pert), kepler_jacobian(1e-3, pert), X0, c.S)
+            kepler_field_jacobian(1e-3, pert), X0, c.S)
         assert np.max(np.abs(traj.states[-1, ..., : traj.dim]
                              - plain.states[-1])) < 1e-12
         assert abs(traj.n_steps - plain.n_steps) <= 1
@@ -205,7 +238,8 @@ class TestStateStepControl:
         fld = lambda y: np.array([y[1], -y[0]])
         jac = lambda y: np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(RuntimeError, match="_estimate_error_norm"):
-            flow.integrate_with_variational(fld, jac, X0, 1.0)
+            flow.integrate_with_variational(lambda y: (fld(y), jac(y)), X0,
+                                            1.0)
         assert flow.integrate(fld, X0, 1.0).eval(1.0)[0] == \
             pytest.approx(np.cos(1.0), abs=1e-10)
 

@@ -128,7 +128,7 @@ class TestClosedForms:
                  - manifolds.closed_form_variation(spec, X0, s - h)) / (2 * h)
             X = manifolds.closed_form_flow(spec, X0, s)
             Y = manifolds.closed_form_variation(spec, X0, s)
-            f = model.reg_field_jacobian(X, 0.0) @ Y
+            f = model.reg_field_jacobian(X, 0.0)[1] @ Y
             assert np.allclose(d, f, atol=1e-6)
 
     def test_variation_initial_value(self):
@@ -164,9 +164,8 @@ class TestCertificates:
             c = manifolds.constants(spec)
             X0 = manifolds.seed_state(
                 spec, manifolds.random_seed_params(spec, rng))
-            field = lambda X: model.reg_field(X, 0.0)
-            jac = lambda X: model.reg_field_jacobian(X, 0.0)
-            _, mono = flow.monodromy(field, jac, X0, c.S)
+            _, mono = flow.monodromy(
+                lambda X: model.reg_field_jacobian(X, 0.0), X0, c.S)
             got = mono.M @ manifolds.variation_start(spec, X0)
             expected = manifolds.closed_form_variation(spec, X0, c.S)
             scale = max(1.0, np.linalg.norm(expected))
@@ -197,9 +196,8 @@ class TestCertificates:
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec,
                                   manifolds.random_seed_params(spec, rng))
-        field = lambda X: model.reg_field(X, 0.0)
-        jac = lambda X: model.reg_field_jacobian(X, 0.0)
-        _, mono = flow.monodromy(field, jac, X0, c.S)
+        _, mono = flow.monodromy(
+            lambda X: model.reg_field_jacobian(X, 0.0), X0, c.S)
         dim_e, info = manifolds.degeneracy_index(
             mono, model.reg_energy_gradient(X0, 0.0))
         assert info["identity_check"]

@@ -266,13 +266,16 @@ class TestRegularizedField:
             np.dot([1.0, 2.0], [1.0, 2.0]) / 8.0 - 1.0, rel=1e-13)
 
     def test_field_jacobian_fd(self):
-        """For forced_kepler (affine in u) and Quadratic, whose Hessian
-        reaches the A^T H A term."""
+        """For forced_kepler (affine in u), Quadratic, whose Hessian
+        reaches the A^T H A term, and the zero perturbation; the field
+        returned beside the Jacobian is reg_field's, bit for bit."""
         for dim in (2, 3):
-            for pert in (sample_pert(dim), Quadratic()):
-                for eps in (0.0, 1e-2):
+            for pert in (sample_pert(dim), Quadratic(),
+                         model.zero_perturbation(T, dim)):
+                for eps in (0.0, 1e-3, 1e-2):
                     X = random_state(dim)
-                    J = model.reg_field_jacobian(X, eps, pert)
+                    F, J = model.reg_field_jacobian(X, eps, pert)
+                    assert np.array_equal(F, model.reg_field(X, eps, pert))
                     for i in range(len(X)):
                         h = 1e-6
                         Xp, Xm = X.copy(), X.copy()
@@ -321,19 +324,31 @@ class TestRegularizedField:
 
     def test_stacked_kernels_match_rows(self):
         """A stack of states gives the row-by-row results, for a
-        perturbation affine in u and one with a Hessian, and the same for
-        BL and the position map."""
+        perturbation affine in u, one with a Hessian and the zero one,
+        and the same for BL and the position map.  The field that
+        reg_field_jacobian returns is reg_field's, bit for bit, for one
+        state and for a stack."""
         for dim in (2, 3):
             Xs = np.array([random_state(dim) for _ in range(5)])
-            for pert in (sample_pert(dim), Quadratic()):
-                for eps in (0.0, 1e-2):
+            for pert in (sample_pert(dim), Quadratic(),
+                         model.zero_perturbation(T, dim)):
+                for eps in (0.0, 1e-3, 1e-2):
                     for fn in (model.reg_energy, model.reg_field,
-                               model.reg_energy_gradient,
-                               model.reg_field_jacobian):
+                               model.reg_energy_gradient):
                         rows = np.array([fn(X, eps, pert) for X in Xs])
                         assert np.allclose(fn(Xs, eps, pert), rows,
                                            rtol=1e-14, atol=1e-15), \
                             f"dim={dim} eps={eps} {fn.__name__}"
+                    F, J = model.reg_field_jacobian(Xs, eps, pert)
+                    assert np.array_equal(F, model.reg_field(Xs, eps, pert))
+                    pairs = [model.reg_field_jacobian(X, eps, pert)
+                             for X in Xs]
+                    for X, (F_row, _) in zip(Xs, pairs):
+                        assert np.array_equal(F_row,
+                                              model.reg_field(X, eps, pert))
+                    assert np.allclose(J, [J_row for _, J_row in pairs],
+                                       rtol=1e-14, atol=1e-15), \
+                        f"dim={dim} eps={eps} reg_field_jacobian"
             if dim == 3:
                 assert np.array_equal(model.bl_value(Xs),
                                       [model.bl_value(X) for X in Xs])

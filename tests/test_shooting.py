@@ -126,7 +126,7 @@ def per_segment_reference(problem, u):
     ends, Ms = [], []
     for X in states:
         traj, M = flow.integrate_with_variational(
-            problem.field, problem.jacobian, X, S / problem.m, problem.cfg)
+            problem.field_jacobian, X, S / problem.m, problem.cfg)
         ends.append(traj.states[-1, : problem.D])
         Ms.append(M)
     targets = list(states[1:]) + [shooting._rotation(problem, theta)
@@ -321,6 +321,127 @@ class TestSolve:
             problem, np.tile(X_bad, (problem.m, 1)), 5.0)
         with pytest.raises((shooting.ShootingError, flow.FlowError)):
             shooting.solve(problem, u, max_outer=2)
+
+
+def full_strong_step(u, res, J):
+    """The undamped step of a strong sweep from (res, J) at u."""
+    U, sv, Vt = np.linalg.svd(J, full_matrices=False)
+    keep = sv > shooting.WEAK_CUTOFF * sv[0]
+    return u - Vt[keep].T @ ((U[:, keep].T @ res) / sv[keep])
+
+
+class TestLookAhead:
+    """A full Gauss-Newton trial is evaluated with its Jacobian, which
+    the next iteration reuses; halved trials use plain residuals."""
+
+    @staticmethod
+    def spied_solve(monkeypatch, worse_call=None):
+        """One 2D k = 1 solve at EPS, logging every residual and
+        residual_and_jacobian call as (name, unknowns, residual, J), J
+        None for a plain residual.  The residual_and_jacobian call
+        numbered ``worse_call`` (from 0) reports a residual made larger
+        by 1 in every row."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(2)))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
+        u = shooting.seed_unknowns(problem, X0, c.S)
+        real_r, real_rj = shooting.residual, shooting.residual_and_jacobian
+        log = []
+
+        def spy_r(problem, unknowns):
+            res = real_r(problem, unknowns)
+            log.append(("residual", np.array(unknowns), res, None))
+            return res
+
+        def spy_rj(problem, unknowns):
+            res, J = real_rj(problem, unknowns)
+            if sum(entry[0] == "rj" for entry in log) == worse_call:
+                res = res + 1.0
+            log.append(("rj", np.array(unknowns), res, J))
+            return res, J
+
+        monkeypatch.setattr(shooting, "residual", spy_r)
+        monkeypatch.setattr(shooting, "residual_and_jacobian", spy_rj)
+        return shooting.solve(problem, u), log
+
+    def test_accepted_full_step_needs_no_residual(self, monkeypatch):
+        orbit, log = self.spied_solve(monkeypatch)
+        assert orbit.residual_norm < shooting.RESIDUAL_TOL
+        rj = [entry[1:] for entry in log if entry[0] == "rj"]
+        full = [full_strong_step(*entry) for entry in rj]
+        single = [u for name, u, _, _ in log
+                  if name == "residual" and u.ndim == 1]
+        for point in full:
+            assert not any(np.array_equal(point, u) for u in single)
+        # some full strong steps were accepted with their Jacobian: the
+        # residual_and_jacobian call after one is at its full step
+        looked_ahead = sum(np.array_equal(f, u)
+                           for f, (u, _, _) in zip(full, rj[1:]))
+        assert looked_ahead >= 2
+        assert len(single) < len(rj)
+        # and no Jacobian is taken twice at one point, also where an
+        # accepted reduced Newton step opens the next sweep
+        assert not any(np.array_equal(a[0], b[0])
+                       for a, b in zip(rj, rj[1:]))
+
+    def test_rejected_full_step_backtracks_with_residual(self,
+                                                         monkeypatch):
+        """The last call of the unpatched solve is the full trial that
+        converges; worsening it makes that sweep backtrack, and the
+        solve, identical up to there, ends on the same orbit."""
+        reference, ref_log = self.spied_solve(monkeypatch)
+        worse = sum(entry[0] == "rj" for entry in ref_log) - 1
+        orbit, log = self.spied_solve(monkeypatch, worse_call=worse)
+        names = [entry[0] for entry in log]
+        second = [i for i, n in enumerate(names) if n == "rj"][worse]
+        _, u0, res0, J0 = log[second - 1]
+        full = full_strong_step(u0, res0, J0)
+        # the worsened call is the sweep's full trial, and is rejected
+        assert names[second - 1] == "rj"
+        assert np.array_equal(log[second][1], full)
+        third = names.index("rj", second + 1)
+        trials = log[second + 1:third]
+        assert 1 <= len(trials) <= shooting.MAX_BACKTRACKS - 1
+        assert all(name == "residual" for name, _, _, _ in trials)
+        for j, (_, u, _, _) in enumerate(trials):
+            assert np.allclose(u, u0 + 0.5 ** (j + 1) * (full - u0),
+                               rtol=0.0, atol=1e-14)
+        # the last trial is the first one accepted, and the Jacobian is
+        # taken once, there
+        rnorm = np.linalg.norm(res0)
+        assert np.linalg.norm(trials[-1][2]) < rnorm
+        assert all(np.linalg.norm(r) >= rnorm for _, _, r, _ in trials[:-1])
+        assert np.array_equal(log[third][1], trials[-1][1])
+        assert orbit.residual_norm < shooting.RESIDUAL_TOL
+        assert abs(orbit.S - reference.S) < 1e-10
+
+    def test_rejected_search_makes_exactly_its_trials(self, monkeypatch):
+        """When every trial is rejected the search gives up after
+        ``trials`` evaluations: the full step with its Jacobian, then
+        the halved steps with plain residuals."""
+        calls = []
+
+        def fake_rj(problem, u):
+            calls.append(("rj", u))
+            return np.zeros(1), np.zeros((1, 2))
+
+        def fake_r(problem, u):
+            calls.append(("residual", u))
+            return np.zeros(1)
+
+        monkeypatch.setattr(shooting, "residual_and_jacobian", fake_rj)
+        monkeypatch.setattr(shooting, "residual", fake_r)
+        step = np.array([1.0, -2.0])
+        assert shooting._line_search(None, np.zeros(2), step,
+                                     lambda res: False,
+                                     shooting.MAX_BACKTRACKS) is None
+        assert [name for name, _ in calls] == (
+            ["rj"] + ["residual"] * (shooting.MAX_BACKTRACKS - 1))
+        for j, (_, u) in enumerate(calls):
+            assert np.array_equal(u, 0.5 ** j * step)
 
 
 class TestSpatial:
