@@ -7,13 +7,17 @@ generalized solutions, averaging for bifurcation from infinity, and
 collision removal.
 """
 
-from . import algebra, averaging, flow, manifolds, model, reconstruct, shooting
+from . import (algebra, averaging, errors, flow, manifolds, model,
+               reconstruct, shooting)
+from .errors import KepregError
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "KepregError",
     "algebra",
     "averaging",
+    "errors",
     "flow",
     "manifolds",
     "model",

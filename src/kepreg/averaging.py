@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, shooting
+from .errors import KepregError
 from .model import ForcingSpec
 
 __all__ = [
+    "AveragingError",
     "ForcingSpec",
     "averaged_equilibrium",
     "averaged_jacobian_matrix",
@@ -28,11 +30,24 @@ __all__ = [
 ]
 
 
+# Self-check tolerances.  x* = p_bar/|p_bar|^{3/2} satisfies its defining
+# relation up to a few ulps of |p_bar|; the closed-form determinant and
+# the assembled 2N x 2N one agree up to LAPACK's rounding.
+EQUILIBRIUM_TOL = 1e-12
+DET_TOL = 1e-10
+
+
+class AveragingError(KepregError):
+    """An averaging self-check failed."""
+
+
 def averaged_equilibrium(p_bar):
     """Equilibrium x* = p_bar/|p_bar|^{3/2} of the averaged equation.
 
     Returns None when the mean vanishes (no bifurcation from infinity).
-    The defining relation x*/|x*|^3 = p_bar is verified to 1e-12.
+    The defining relation x*/|x*|^3 = p_bar is verified to
+    ``EQUILIBRIUM_TOL`` relative to max(1, |p_bar|); a failure raises
+    ``AveragingError``.
     """
     p_bar = np.asarray(p_bar, float)
     norm = float(np.linalg.norm(p_bar))
@@ -40,8 +55,9 @@ def averaged_equilibrium(p_bar):
         return None
     x = p_bar / norm ** 1.5
     check = x / np.linalg.norm(x) ** 3
-    if np.linalg.norm(check - p_bar) > 1e-12 * max(1.0, norm):
-        raise AssertionError("averaged equilibrium fails its defining relation")
+    if np.linalg.norm(check - p_bar) > EQUILIBRIUM_TOL * max(1.0, norm):
+        raise AveragingError(
+            "averaged equilibrium fails its defining relation")
     return x
 
 
@@ -65,8 +81,9 @@ def averaged_jacobian_matrix(x):
 def averaged_jacobian_det(x):
     """Determinant magnitude 2 |x|^{-3N} of the averaged-map Jacobian.
 
-    Cross-checked against the numerically assembled block matrix; the
-    block antidiagonal contributes a dimension-dependent sign, so the
+    Cross-checked against the numerically assembled block matrix to
+    ``DET_TOL`` relative (``AveragingError`` otherwise); the block
+    antidiagonal contributes a dimension-dependent sign, so the
     comparison (and the return value) is in absolute value.
     """
     x = np.asarray(x, float)
@@ -74,8 +91,8 @@ def averaged_jacobian_det(x):
         raise ValueError("Jacobian undefined at x = 0")
     closed = 2.0 * float(np.linalg.norm(x)) ** (-3 * x.size)
     assembled = abs(float(np.linalg.det(averaged_jacobian_matrix(x))))
-    if abs(assembled - closed) > 1e-10 * closed:
-        raise AssertionError(
+    if abs(assembled - closed) > DET_TOL * closed:
+        raise AveragingError(
             f"assembled determinant {assembled} disagrees with the closed "
             f"form {closed}")
     return closed

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, flow, manifolds, model, reconstruct, shooting
+from .errors import KepregError
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -400,7 +401,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (flow.FlowError, shooting.ShootingError) as exc:
+    except KepregError as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return _diagnosed(out, args.command, [{"error": str(exc)}], config)
 

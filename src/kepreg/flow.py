@@ -2,7 +2,11 @@
 
 Wraps an explicit high-order embedded Runge-Kutta pair (DOP853) with
 dense output, and adds event localization on the dense interpolant plus
-fundamental-matrix (variational) propagation.  A variational
+fundamental-matrix (variational) propagation.  The dense output is the
+DOP853 continuous extension (Hairer, Norsett and Wanner, Solving ODEs I,
+II.6): every accepted step's interpolation coefficients are kept in one
+array and evaluated for all query points at once, bit for bit as scipy's
+``OdeSolution`` evaluates them step by step.  A variational
 integration controls its step size on the state components alone; the
 fundamental-matrix columns follow the state's accepted steps (internal
 numerical differentiation, Hairer, Norsett and Wanner, Solving ODEs I).
@@ -12,10 +16,11 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from . import model
+from .errors import KepregError
 
 __all__ = [
     "IntegratorConfig",
@@ -37,7 +42,7 @@ __all__ = [
 COLLISION_R2_THRESHOLD = 1e-16
 
 
-class FlowError(RuntimeError):
+class FlowError(KepregError):
     """Integration failure; carries the last good state when available."""
 
     def __init__(self, message, last_s=None, last_state=None):
@@ -74,25 +79,53 @@ class Trajectory:
     (n_steps + 1, m, D_aug) for a stack of m; D_aug exceeds ``dim`` by
     the fundamental-matrix columns of a variational integration.  No
     dense output => end points only: ``s`` and ``states`` then hold the
-    start and the end of the integration, and ``n_steps`` is 1.
+    start and the end of the integration, ``n_steps`` is 1 and ``sol``
+    is None.
+
+    ``sol`` holds the DOP853 interpolation coefficients F_0..F_6 of
+    every step, shape (7,) + states.shape[1:] + (n_steps,): the step
+    axis comes last, so the points read at once lie along the fastest
+    axis.  On step i, with x = (s - s_i) / (s_{i+1} - s_i), the dense
+    output is states[i] + x (F_0 + (1 - x) (F_1 + x (F_2 + ... + x F_6))).
     """
 
     s: np.ndarray
     states: np.ndarray
-    sol: object                 # scipy OdeSolution or None
+    sol: object                 # DOP853 coefficients (see above) or None
     nfev: int
     dim: int                    # state dimension (augmented columns excluded)
 
     def eval(self, s):
-        """Dense-output state at s (augmented columns stripped)."""
+        """Dense-output state at s (augmented columns stripped).
+
+        A scalar s gives states.shape[1:] cut to ``dim`` columns, a 1-D
+        array of n points appends an axis of n.  Each point is read on
+        the step scipy's ``OdeSolution`` picks: a node belongs to the
+        step that ends there, and points beyond either end extrapolate
+        the first or last step.  The values equal scipy's bit for bit.
+        """
         if self.sol is None:
             raise ValueError("trajectory was integrated without dense output")
-        out = self.sol(s)
-        if self.states.ndim == 3:
-            # a stack: split the flat components by segment
-            out = out.reshape(self.states.shape[1:] + out.shape[1:])
-        return out[..., : self.dim] if out.ndim == self.states.ndim - 1 \
-            else out[..., : self.dim, :]
+        if np.isscalar(s) or np.ndim(s) == 0:
+            # the scalar path of brentq loops: no array bookkeeping
+            i = min(max(self._step(s), 0), self.n_steps - 1)
+            x = (s - self.s[i]) / (self.s[i + 1] - self.s[i])
+            return _horner(self.sol[..., : self.dim, i], x,
+                           self.states[i, ..., : self.dim])
+        s = np.asarray(s)
+        if s.ndim != 1:
+            raise ValueError("s must be a scalar or a 1-D array")
+        i = np.clip(self._step(s), 0, self.n_steps - 1)
+        x = (s - self.s[i]) / (self.s[i + 1] - self.s[i])
+        y_old = np.take(self.states[..., : self.dim], i, axis=0)
+        return _horner(self.sol[..., : self.dim, :][..., i], x,
+                       np.moveaxis(y_old, 0, -1))
+
+    def _step(self, s):
+        """searchsorted(nodes, s) - 1, on -s for a backward integration."""
+        if self.s[-1] >= self.s[0]:
+            return np.searchsorted(self.s, s) - 1
+        return np.searchsorted(-self.s, -s) - 1
 
     @property
     def s0(self):
@@ -105,6 +138,21 @@ class Trajectory:
     @property
     def n_steps(self):
         return len(self.s) - 1
+
+
+def _horner(F, x, y_old):
+    """scipy's ``Dop853DenseOutput`` evaluation on gathered steps.
+
+    F is (7,) + y_old.shape and x broadcasts against y_old; the
+    operations and their order are scipy's, so the result is too.
+    """
+    y = np.zeros(y_old.shape)
+    factors = (x, 1 - x)
+    for i in range(7):
+        y += F[6 - i]
+        y *= factors[i % 2]
+    y += y_old
+    return y
 
 
 class _StateErrorDOP853(DOP853):
@@ -135,18 +183,20 @@ def _solve(fun, Y0, s_end, cfg, dim, state=None):
     """Integrate dY/ds = fun(Y) for Y0 of shape (D_aug,) or (m, D_aug).
 
     Steps scipy's DOP853 as ``solve_ivp`` does, but collects the
-    accepted steps and the dense-output pieces only when ``cfg.dense``
-    is set; otherwise it keeps the start and end points alone.  A
-    boolean ``state`` mask over the flattened Y0 limits step control to
-    those components.
+    accepted steps and their interpolation coefficients only when
+    ``cfg.dense`` is set; otherwise it keeps the start and end points
+    alone.  A boolean ``state`` mask over the flattened Y0 limits step
+    control to those components.
     """
+    if cfg.dense and s_end == 0.0:
+        raise ValueError("dense output needs an interval of nonzero length")
     shape = Y0.shape
     method = DOP853 if state is None else partial(_StateErrorDOP853,
                                                   state=state)
     solver = method(lambda s, y: fun(y.reshape(shape)).ravel(), 0.0,
                     Y0.ravel(), float(s_end), rtol=cfg.rel_tol,
                     atol=cfg.abs_tol, max_step=cfg.max_step)
-    ts, ys, pieces = [0.0], [Y0.ravel()], []
+    ts, ys, coeffs = [0.0], [Y0.ravel()], []
     while solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
@@ -156,14 +206,14 @@ def _solve(fun, Y0, s_end, cfg, dim, state=None):
         if cfg.dense:
             ts.append(solver.t)
             ys.append(solver.y)
-            pieces.append(solver.dense_output())
+            coeffs.append(solver.dense_output().F)
     if not cfg.dense:
         ts.append(solver.t)
         ys.append(solver.y)
-    ts = np.array(ts)
-    return Trajectory(s=ts, states=np.reshape(ys, (-1,) + shape),
-                      sol=OdeSolution(ts, pieces) if cfg.dense else None,
-                      nfev=solver.nfev, dim=dim)
+    sol = (np.stack(coeffs, axis=-1).reshape((7,) + shape + (-1,))
+           if cfg.dense else None)
+    return Trajectory(s=np.array(ts), states=np.reshape(ys, (-1,) + shape),
+                      sol=sol, nfev=solver.nfev, dim=dim)
 
 
 def integrate(field, X0, s_end, cfg=None):

@@ -112,7 +112,7 @@ class TimeMap:
 
 def _states(traj, s):
     """Dense-output states at s, of shape s.shape + (D,)."""
-    return traj.eval(np.ravel(s)).T.reshape(np.shape(s) + (-1,))
+    return traj.eval(np.ravel(s)).T.reshape(np.shape(s) + (traj.dim,))
 
 
 def find_collisions(traj):
@@ -564,7 +564,8 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None):
 
     # window centres: each collision and its images one period away,
     # each with the unit normal to z'(s_c) = w(s_c) / 4
-    w = np.array([complex(*traj.eval(sc)[2:4]) for sc in s_cols])
+    # (w_0, w_1) as complex, exactly, signed zeros included
+    w = _states(traj, s_cols)[:, 2:4].copy().view(complex)[:, 0]
     normals = np.repeat(1j * w / np.abs(w), 3)
     centres = (np.reshape(s_cols, (-1, 1)) + [-S, 0.0, S]).ravel()
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import flow, manifolds, model
+from .errors import KepregError
 
 __all__ = [
     "ShootingProblem",
@@ -34,7 +35,7 @@ MAX_ITER = 50
 MAX_BACKTRACKS = 20
 
 
-class ShootingError(RuntimeError):
+class ShootingError(KepregError):
     """Solver failure; carries the best iterate seen."""
 
     def __init__(self, message, best_unknowns=None, best_residual=None):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import kepreg
 from kepreg import averaging, flow, shooting
 
 T = 2.0 * np.pi
@@ -79,6 +80,20 @@ class TestAveragedEquation:
     def test_determinant_at_origin(self):
         with pytest.raises(ValueError):
             averaging.averaged_jacobian_det([0.0, 0.0])
+
+    @pytest.mark.parametrize("tol,check", [
+        ("EQUILIBRIUM_TOL", averaging.averaged_equilibrium),
+        ("DET_TOL", averaging.averaged_jacobian_det)])
+    def test_failed_self_check_is_typed(self, monkeypatch, tol, check):
+        """A failing self-check (a negative tolerance) raises
+        ``AveragingError``, a ``KepregError`` like ``FlowError`` and
+        ``ShootingError``."""
+        monkeypatch.setattr(averaging, tol, -1.0)
+        with pytest.raises(averaging.AveragingError):
+            check([1.0, 0.0])
+        for error in (averaging.AveragingError, flow.FlowError,
+                      shooting.ShootingError):
+            assert issubclass(error, kepreg.KepregError)
 
 
 def spatial_forcing():

@@ -268,6 +268,23 @@ eps_list = 1e-2,1e-3
                          "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_PARTIAL
 
+    def test_failed_self_check_is_partial(self, tmp_path, capsys,
+                                          monkeypatch):
+        """A failing self-check of x* (forced by a negative tolerance)
+        raises ``AveragingError``; the command exits 2 with the
+        diagnostics, not with a traceback."""
+        monkeypatch.setattr(cli.averaging, "EQUILIBRIUM_TOL", -1.0)
+        text = ("[run]\n[perturbation]\nname = forced_kepler\n"
+                "const = 1.0,0.0\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["average", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_PARTIAL
+        message = "averaged equilibrium fails its defining relation"
+        assert capsys.readouterr().err == f"average failed: {message}\n"
+        diags = json.loads((out / "average_diagnostics.json").read_text())
+        assert diags["diagnostics"] == [{"error": message}]
+
     def test_integration_failure_is_partial(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise cli.flow.FlowError("integration failed: synthetic")

@@ -3,7 +3,8 @@ import pkgutil
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 import kepreg
 from kepreg import flow, manifolds, model
@@ -126,6 +127,119 @@ class TestIntegrate:
         assert traj.s_end == 2.0
         assert traj.n_steps >= 1
         assert traj.eval(1.0)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDenseOutput:
+    """``Trajectory.eval`` against scipy's ``OdeSolution`` rebuilt from
+    the trajectory's own steps, states and coefficients: equal bit for
+    bit, shapes included."""
+
+    @staticmethod
+    def reference(traj):
+        """scipy's per-step evaluation of the same steps, cut to
+        ``eval``'s shapes."""
+        flat = traj.states.reshape(traj.n_steps + 1, -1)
+        F = traj.sol.reshape(7, -1, traj.n_steps)
+        sol = OdeSolution(traj.s, [
+            Dop853DenseOutput(traj.s[i], traj.s[i + 1], flat[i], F[..., i])
+            for i in range(traj.n_steps)])
+
+        def evaluate(s):
+            out = sol(s)
+            out = out.reshape(traj.states.shape[1:] + out.shape[1:])
+            return out[..., : traj.dim] if np.ndim(s) == 0 \
+                else out[..., : traj.dim, :]
+
+        return evaluate
+
+    @staticmethod
+    def points(traj):
+        """Unsorted and repeated points, every node, the ends and points
+        just outside them."""
+        lo, hi = sorted((traj.s0, traj.s_end))
+        inside = np.random.default_rng(5).uniform(lo, hi, 40)
+        outside = [np.nextafter(lo, -np.inf), lo - 1e-3,
+                   np.nextafter(hi, np.inf), hi + 1e-3]
+        return np.concatenate([inside, inside[:7], traj.s[::-1], outside])
+
+    @staticmethod
+    def trajectories(dim):
+        spec = manifolds.ManifoldSpec(k=2, T=T, dim=dim)
+        c = manifolds.constants(spec)
+        local = np.random.default_rng(4)
+        X0 = np.array([manifolds.seed_state(
+            spec, manifolds.random_seed_params(spec, local))
+            for _ in range(3)])
+        pert = TestStateStepControl.forced(dim)
+        fld = kepler_field(1e-3, pert)
+        fj = kepler_field_jacobian(1e-3, pert)
+        trajs = {
+            "plain": flow.integrate(fld, X0[0], c.S),
+            "stack": flow.integrate(fld, X0, c.S),
+            "variational": flow.integrate_with_variational(
+                fj, X0[0], c.S)[0],
+            "variational stack": flow.integrate_with_variational(
+                fj, X0, c.S)[0],
+            "backward": flow.integrate(fld, X0[0], -0.5 * c.S),
+        }
+        # random states and coefficients on the same steps: the
+        # interpolant jumps at every node, so a node read on the wrong
+        # step shows
+        for name in ("variational stack", "backward"):
+            traj = trajs[name]
+            trajs[name + ", random"] = flow.Trajectory(
+                s=traj.s, states=local.normal(size=traj.states.shape),
+                sol=local.normal(size=traj.sol.shape), nfev=0, dim=traj.dim)
+        return trajs
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_scipy_bit_for_bit(self, dim):
+        for name, traj in self.trajectories(dim).items():
+            ref = self.reference(traj)
+            pts = self.points(traj)
+            got, want = traj.eval(pts), ref(pts)
+            assert got.shape == want.shape == \
+                traj.states.shape[1:-1] + (traj.dim, pts.size), name
+            assert np.array_equal(got, want), name
+            assert np.array_equal(traj.eval(list(pts[:5])), want[..., :5])
+            for s in (pts[0], float(pts[1]), np.array(pts[2]), traj.s0,
+                      traj.s_end, traj.s[len(traj.s) // 2], pts[-1], 0):
+                assert np.array_equal(traj.eval(s), ref(s)), (name, s)
+                assert traj.eval(s).shape == traj.states.shape[1:-1] + \
+                    (traj.dim,), (name, s)
+            assert traj.eval(pts[:0]).shape == got.shape[:-1] + (0,)
+
+    def test_coefficient_layout(self):
+        """Pins scipy's DOP853 continuous extension as ``_solve`` reads
+        it: ``dense_output()`` of a step is a ``Dop853DenseOutput`` whose
+        ``F`` has 7 rows of the flat state, with F_0 the step's increment,
+        and ``Trajectory.sol`` stacks them along a last step axis."""
+        X0 = np.array([[1.0, 0.0], [0.0, 2.0]])
+        fld = lambda y: np.stack([y[..., 1], -y[..., 0]], axis=-1)
+        solver = DOP853(lambda s, y: fld(y.reshape(2, 2)).ravel(), 0.0,
+                        X0.ravel(), 1.0)
+        solver.step()
+        out = solver.dense_output()
+        assert type(out) is Dop853DenseOutput
+        assert out.F.shape == (7, 4)
+        assert np.array_equal(out.F[0], solver.y - solver.y_old)
+        traj = flow.integrate(fld, X0, 1.0)
+        assert traj.sol.shape == (7, 2, 2, traj.n_steps)
+        assert np.array_equal(traj.sol[0],
+                              np.moveaxis(np.diff(traj.states, axis=0), 0, -1))
+
+    def test_zero_length_interval_has_no_dense_output(self):
+        fld = lambda y: np.array([y[1], -y[0]])
+        with pytest.raises(ValueError, match="nonzero length"):
+            flow.integrate(fld, np.array([1.0, 0.0]), 0.0)
+        ends = flow.integrate(fld, np.array([1.0, 0.0]), 0.0,
+                              flow.IntegratorConfig(dense=False))
+        assert np.array_equal(ends.states[-1], [1.0, 0.0])
+
+    def test_rejects_multidimensional_points(self):
+        traj = flow.integrate(lambda y: -y, np.array([1.0]), 1.0)
+        with pytest.raises(ValueError, match="1-D"):
+            traj.eval(np.zeros((2, 2)))
 
 
 class TestVariational:
@@ -333,10 +447,13 @@ class TestInvariantsAndExport:
 
 
 def test_no_module_binds_solve_ivp():
-    """``flow`` is the one integrator: no kepreg module binds
-    ``solve_ivp``, under its name or another."""
+    """``flow`` is the one integrator and evaluates its own dense
+    output: no kepreg module binds ``solve_ivp`` or ``OdeSolution``,
+    under its name or another."""
     for info in pkgutil.iter_modules(kepreg.__path__):
         module = importlib.import_module(f"kepreg.{info.name}")
-        assert "solve_ivp" not in vars(module), info.name
-        assert all(v is not solve_ivp for v in vars(module).values()), \
-            info.name
+        for name, forbidden in (("solve_ivp", solve_ivp),
+                                ("OdeSolution", OdeSolution)):
+            assert name not in vars(module), (info.name, name)
+            assert all(v is not forbidden for v in vars(module).values()), \
+                (info.name, name)
