@@ -4,7 +4,9 @@ Every subcommand reads a validated config file, writes CSV/JSON outputs
 into the chosen directory with the full config echoed as a header, and
 exits with 0 (success), 2 (partial results) or 3 (configuration error).
 An integration or shooting failure that reaches ``main`` ends with exit
-2 and ``<command>_diagnostics.json`` holding its message.
+2 and ``<command>_diagnostics.json`` holding its message; a command that
+reports failures per k (a continuation that stops short, a certificate
+that fails) writes them to the same file and exits 2.
 """
 
 import argparse
@@ -230,14 +232,17 @@ def cmd_shoot(config, out):
     pert = config.perturbation()
     orbits = []
     all_diags = []
+    failures = []
     for k in config.k_list:
         family, diags = _continue_branch(config, pert, k)
         orbits.extend(family)
         all_diags.extend(diags)
+        if diags:
+            failures.append({"k": k, "diagnostics": diags})
     shooting.save_orbits(orbits, out / "orbits.json",
                          meta={"config": config.header_lines(),
                                "diagnostics": all_diags})
-    return EXIT_PARTIAL if all_diags else EXIT_OK
+    return _diagnosed(out, "shoot", failures, config)
 
 
 def cmd_theorem_demo(config, out):
@@ -274,9 +279,7 @@ def cmd_theorem_demo(config, out):
                          meta={"config": config.header_lines(),
                                "distinctness": report,
                                "failures": failures})
-    if failures:
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _diagnosed(out, "theorem-demo", failures, config)
 
 
 def cmd_certify(config, out):

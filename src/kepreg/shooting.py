@@ -144,6 +144,17 @@ def _segment_cfg(problem):
     return replace(problem.cfg, dense=False)
 
 
+def _normalized_stack(problem, states, S):
+    """Row lengths h (n * m, 1), stacked starts (n * m, D) and the
+    segment integrator config of a batch in normalized time."""
+    n, m, D = states.shape
+    h = np.repeat(np.asarray(S, float) / m, m)[:, None]
+    # max_step bounds s; a sigma-step advances row j by h_j times it
+    cfg = replace(_segment_cfg(problem),
+                  max_step=problem.cfg.max_step / np.max(h))
+    return h, states.reshape(n * m, D), cfg
+
+
 def _integrate_segments(problem, states, S, variational=False):
     """End states (n, m, D) of every segment of a batch, and with
     ``variational`` their fundamental matrices (n, m, D, D).
@@ -153,12 +164,8 @@ def _integrate_segments(problem, states, S, variational=False):
     length h_j = S_j / m (and its Jacobian scaled by h_j), so rows of
     different S share one step sequence.
     """
-    n, m, D = states.shape
-    h = np.repeat(np.asarray(S, float) / m, m)[:, None]
-    X = states.reshape(n * m, D)
-    # max_step bounds s; a sigma-step advances row j by h_j times it
-    cfg = replace(_segment_cfg(problem),
-                  max_step=problem.cfg.max_step / np.max(h))
+    D = states.shape[-1]
+    h, X, cfg = _normalized_stack(problem, states, S)
     if not variational:
         return flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
                               cfg).states[-1].reshape(states.shape)
@@ -238,6 +245,13 @@ def residual_and_jacobian(problem, unknowns):
 
 @dataclass
 class PeriodicOrbit:
+    """A converged closed orbit of the perturbed regularized system.
+
+    ``monodromy`` is the fundamental matrix over one period S at X0,
+    composed from the segment matrices of the converged shooting
+    Jacobian; ``energy_band`` is read off the converged segment stack.
+    """
+
     X0: np.ndarray
     S: float
     eps: float
@@ -255,19 +269,51 @@ class PeriodicOrbit:
 
 
 def energy_band(traj, eps, pert, n_samples=400):
-    """Range of the physical energy E = -tau + eps U along a trajectory."""
-    ss = np.linspace(traj.s0, traj.s_end, n_samples)
-    E = model.state_energy(traj.eval(ss).T, eps, pert)
+    """Range of the physical energy E = -tau + eps U along an orbit.
+
+    ``traj`` is one trajectory, or a stack of m segments integrated over
+    one common interval (as in normalized time) that trace the orbit in
+    row order.  E is sampled at n_samples evenly spaced points of the
+    whole orbit, each read on the segment it falls on; a single
+    trajectory is the case m = 1.
+    """
+    m = traj.states.shape[1] if traj.states.ndim == 3 else 1
+    x = np.linspace(0.0, m, n_samples)      # orbit position in segments
+    seg = np.minimum(np.floor(x).astype(int), m - 1)
+    sigma = traj.s0 + (x - seg) * (traj.s_end - traj.s0)
+    Y = traj.eval(sigma).reshape(m, traj.dim, n_samples)
+    E = model.state_energy(Y[seg, :, np.arange(n_samples)], eps, pert)
     return float(np.min(E)), float(np.max(E))
 
 
-def _finish(problem, unknowns, res_norm):
+def _finish(problem, unknowns, res_norm, J=None):
+    """The orbit at converged unknowns, given the shooting Jacobian J
+    there (taken once here when the solve holds none).
+
+    The monodromy is the product M_{m-1} ... M_0 of the segment
+    fundamental matrices on J's block diagonal; R(theta) is added back
+    to the closure block first, which for m = 1 is that diagonal block.
+    The energy band and the winding come from one plain integration of
+    the segment stack with dense output.
+    """
+    if J is None:
+        _, J = residual_and_jacobian(problem, unknowns)
     states, S, theta = unpack_unknowns(problem, unknowns)
-    X0 = states[0]
-    traj, mono = flow.monodromy(problem.field_jacobian, X0, S, problem.cfg)
-    X_end = traj.states[-1, : problem.D]
+    X0, D, m = states[0], problem.D, problem.m
+    iS = m * D
+    blocks = J[:iS, :iS].copy()
+    blocks[iS - D:, :D] += _rotation(problem, theta)
+    seg = np.arange(m)
+    M = np.eye(D)
+    for Mj in blocks.reshape(m, D, m, D)[seg, :, seg, :]:
+        M = Mj @ M
+    mono = flow.MonodromyData(M=M, X0=X0, field_dir=problem.field(X0))
+    h, X, cfg = _normalized_stack(problem, states[None], S)
+    traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
+                          replace(cfg, dense=True))
     try:
-        eta = index_of_winding(X0, X_end, problem.pert.period)
+        eta = index_of_winding(X0, traj.states[-1, -1],
+                               problem.pert.period)
     except ValueError as exc:
         raise ShootingError(f"converged orbit rejected: {exc}",
                             best_unknowns=unknowns,
@@ -317,7 +363,7 @@ def _strong_sweep(problem, u, first=None, max_steps=8):
     the next iteration's residual and Jacobian; after a halved step the
     pair is taken once at the accepted point.  ``first`` is the pair at
     u when the caller already holds it.  Returns the improved unknowns
-    together with the last residual and SVD factors.
+    together with the residual, the Jacobian and its SVD factors there.
     """
     res, J = first or residual_and_jacobian(problem, u)
     for _ in range(max_steps):
@@ -326,17 +372,17 @@ def _strong_sweep(problem, u, first=None, max_steps=8):
         keep = sv > WEAK_CUTOFF * sv[0]
         step = -(Vt[keep].T @ ((U[:, keep].T @ res) / sv[keep]))
         if np.linalg.norm(step) < STEP_TOL or rnorm < RESIDUAL_TOL:
-            return u, res, (U, sv, Vt)
+            return u, res, J, (U, sv, Vt)
         found = _line_search(problem, u, step,
                              lambda rt: np.linalg.norm(rt) < rnorm,
                              MAX_BACKTRACKS)
         if found is None:
-            return u, res, (U, sv, Vt)
+            return u, res, J, (U, sv, Vt)
         u, res, J = found
         if J is None:
             res, J = residual_and_jacobian(problem, u)
     U, sv, Vt = np.linalg.svd(J, full_matrices=False)
-    return u, res, (U, sv, Vt)
+    return u, res, J, (U, sv, Vt)
 
 
 def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
@@ -352,7 +398,10 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
     reduced step's full trial is evaluated with ``residual_and_jacobian``
     and, when accepted, opens the next sweep; a halved trial opens it
     with one ``residual_and_jacobian`` at the accepted point.  Converges
-    when the residual norm drops below 1e-9.
+    when the residual norm drops below 1e-9; the orbit's monodromy is
+    then composed from the Jacobian the solve holds at the converged
+    point, taken once more only when the last accepted trial was a
+    halved one.
     """
     if max_outer < 1:
         raise ValueError("max_outer must be at least 1")
@@ -361,7 +410,7 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
     first = None                            # (res, J) at u, when known
     for _ in range(max_outer):
         try:
-            u, res, (U, sv, Vt) = _strong_sweep(problem, u, first)
+            u, res, J, (U, sv, Vt) = _strong_sweep(problem, u, first)
         except np.linalg.LinAlgError as exc:
             raise ShootingError(
                 f"SVD of the shooting Jacobian failed ({exc}); it is not "
@@ -370,7 +419,7 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
         if rnorm < best_r:
             best_u, best_r = u.copy(), rnorm
         if rnorm < RESIDUAL_TOL:
-            return _finish(problem, u, rnorm)
+            return _finish(problem, u, rnorm, J)
         weak = sv <= WEAK_CUTOFF * sv[0]
         q = int(np.sum(weak))
         if q == 0:
@@ -402,7 +451,7 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
         first = None if J is None else (res, J)
     rnorm = float(np.linalg.norm(res))
     if rnorm < RESIDUAL_TOL:
-        return _finish(problem, u, rnorm)
+        return _finish(problem, u, rnorm, J)
     raise ShootingError(
         f"no convergence in {max_outer} outer iterations "
         f"(residual {rnorm:.3e})",

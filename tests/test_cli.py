@@ -154,26 +154,56 @@ def test_singular_perturbation_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+SYNTHETIC = "integration failed: synthetic"
+# continuation halves the first eps target, 1e-3 / 4, down to the step
+# floor 1e-8 and reports the last try
+HALVED = [{"k": 1, "diagnostics": [{"eps": 1e-3 / 4 / 2 ** 15,
+                                    "error": SYNTHETIC}]}]
+
+
+def fail_integration(monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error(SYNTHETIC)
+
+    monkeypatch.setattr(cli.flow, "_solve", fail)
+
+
 @pytest.mark.parametrize("error", [cli.flow.FlowError,
                                    cli.shooting.ShootingError])
 @pytest.mark.parametrize("command,text", [
     ("flow", BASE),
     ("reconstruct", BASE.replace("eps = 1e-3", "eps = 0")),
     ("remove-collisions", "[run]\n[remove]\nmu_list = 0.1\nk = 1\n"),
+    ("shoot", BASE),
+    ("theorem-demo", BASE),
 ])
 def test_computation_failure_exits_partial(tmp_path, capsys, monkeypatch,
                                            command, text, error):
-    def fail(*args, **kwargs):
-        raise error("integration failed: synthetic")
-
-    monkeypatch.setattr(cli.flow, "_solve", fail)
+    fail_integration(monkeypatch, error)
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     code = cli.main([command, "--config", cfg, "--out", str(out)])
     assert code == cli.EXIT_PARTIAL
-    assert "integration failed: synthetic" in capsys.readouterr().err
+    if command in ("shoot", "theorem-demo"):
+        # continuation caught the failure; the orbit archive keeps it too
+        expected = HALVED
+        meta = json.loads((out / "orbits.json").read_text())["meta"]
+        assert SYNTHETIC in json.dumps(meta)
+    else:
+        # the failure reached cli.main, which reports it
+        expected = [{"error": SYNTHETIC}]
+        assert SYNTHETIC in capsys.readouterr().err
     diags = json.loads((out / f"{command}_diagnostics.json").read_text())
-    assert diags["diagnostics"] == [{"error": "integration failed: synthetic"}]
+    assert diags["diagnostics"] == expected
+
+
+def test_seed_needs_no_integration(tmp_path, monkeypatch):
+    fail_integration(monkeypatch, cli.flow.FlowError)
+    out = tmp_path / "out"
+    code = cli.main(["seed", "--config", write_config(tmp_path, BASE),
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert not list(out.glob("*_diagnostics.json"))
 
 
 class TestReconstructCommand:

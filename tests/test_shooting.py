@@ -42,6 +42,31 @@ def orbit3d():
     return spec, family[-1]
 
 
+@pytest.fixture(scope="module")
+def orbit3d_eps():
+    """The orbit3d seed continued to eps = EPS."""
+    spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
+    c = manifolds.constants(spec)
+    params = manifolds.SeedParams(psi=0.9, phi1=0.4, phi2=1.3, t0=0.2)
+    family, diags = shooting.continue_in_epsilon(
+        spec, forcing_pert(3), manifolds.seed_state(spec, params), c.S,
+        [EPS / 4, EPS])
+    assert diags == []
+    return family[-1]
+
+
+def lookahead_problem():
+    """The 2D k = 1 problem at EPS of the look-ahead tests, with its
+    seed unknowns; its solve takes ten outer iterations."""
+    spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+    c = manifolds.constants(spec)
+    X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+        spec, np.random.default_rng(2)))
+    problem = shooting.ShootingProblem(
+        spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
+    return problem, shooting.seed_unknowns(problem, X0, c.S)
+
+
 class TestResidual:
     def test_zero_at_unperturbed_seed(self):
         for dim in (2, 3):
@@ -341,13 +366,7 @@ class TestLookAhead:
         None for a plain residual.  The residual_and_jacobian call
         numbered ``worse_call`` (from 0) reports a residual made larger
         by 1 in every row."""
-        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
-        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
-            spec, np.random.default_rng(2)))
-        problem = shooting.ShootingProblem(
-            spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
-        u = shooting.seed_unknowns(problem, X0, c.S)
+        problem, u = lookahead_problem()
         real_r, real_rj = shooting.residual, shooting.residual_and_jacobian
         log = []
 
@@ -444,6 +463,123 @@ class TestLookAhead:
             assert np.array_equal(u, 0.5 ** j * step)
 
 
+class TestComposedMonodromy:
+    """A solved orbit's monodromy is M_{m-1} ... M_0, the segment
+    matrices of its converged shooting Jacobian."""
+
+    @pytest.mark.parametrize("m", [1, 0], ids=["m1", "m4k"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unperturbed_matches_closed_variation(self, dim, k, m):
+        spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(10 * dim + k)))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=0.0, pert=model.zero_perturbation(T, dim),
+            X_ref=X0, m=m)
+        orbit = shooting.solve(problem,
+                               shooting.seed_unknowns(problem, X0, c.S))
+        got = orbit.monodromy.M @ manifolds.variation_start(spec, orbit.X0)
+        expected = manifolds.closed_form_variation(spec, orbit.X0, orbit.S)
+        scale = max(1.0, np.linalg.norm(expected))
+        assert np.linalg.norm(got - expected) < 1e-6 * scale
+
+    def test_perturbed_matches_integrated_monodromy(self, family2d,
+                                                    orbit3d_eps):
+        for orbit in (family2d[1][-1], orbit3d_eps):
+            assert orbit.eps == EPS
+            pert = forcing_pert(orbit.dim)
+            _, mono = flow.monodromy(
+                lambda X: model.reg_field_jacobian(X, orbit.eps, pert),
+                orbit.X0, orbit.S)
+            M = orbit.monodromy.M
+            # the gap is the converged residual carried through the product
+            assert np.max(np.abs(M - mono.M)) < 1e-7
+            F = orbit.monodromy.field_dir
+            assert np.array_equal(F, model.reg_field(orbit.X0, orbit.eps,
+                                                     pert))
+            R = (np.eye(F.size) if orbit.dim == 2
+                 else model.group_rotation_matrix(orbit.theta))
+            assert np.max(np.abs(M @ F - R @ F)) < 1e-8
+
+
+class TestWorkCounts:
+    """``solve`` integrates no monodromy: every variational integration
+    is a ``residual_and_jacobian`` call."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Logs "rj" unknowns and variational integrations; a call of
+        flow.monodromy fails the test."""
+        log = []
+        real_rj = shooting.residual_and_jacobian
+        real_var = flow.integrate_with_variational
+
+        def rj(problem, unknowns):
+            log.append(("rj", np.array(unknowns)))
+            return real_rj(problem, unknowns)
+
+        def variational(*args, **kwargs):
+            log.append(("variational", None))
+            return real_var(*args, **kwargs)
+
+        def no_monodromy(*args, **kwargs):
+            raise AssertionError("flow.monodromy called by solve")
+
+        monkeypatch.setattr(shooting, "residual_and_jacobian", rj)
+        monkeypatch.setattr(flow, "integrate_with_variational", variational)
+        monkeypatch.setattr(flow, "monodromy", no_monodromy)
+        return log
+
+    @staticmethod
+    def count(log, name):
+        return sum(entry[0] == name for entry in log)
+
+    def test_one_variational_integration_per_jacobian(self, monkeypatch):
+        problem, u = lookahead_problem()
+        log = self.spy(monkeypatch)
+        orbit = shooting.solve(problem, u)
+        assert orbit.residual_norm < shooting.RESIDUAL_TOL
+        assert self.count(log, "rj") >= 1
+        assert self.count(log, "variational") == self.count(log, "rj")
+
+    @pytest.mark.parametrize("held", [True, False],
+                             ids=["full_trial", "halved_trial"])
+    def test_max_outer_exit(self, monkeypatch, held):
+        """The loop ends on an accepted reduced step at the converged
+        point: with its Jacobian (a full trial) the orbit needs no
+        more, without it (a halved trial) exactly one
+        residual_and_jacobian call there."""
+        problem, u0 = lookahead_problem()
+        log = self.spy(monkeypatch)
+        reference = shooting.solve(problem, u0)
+        u_star = [u for name, u in log if name == "rj"][-1]
+        assert np.array_equal(u_star[:problem.D], reference.X0)
+        res_star, J_star = shooting.residual_and_jacobian(problem, u_star)
+        real_ls = shooting._line_search
+
+        def reduced_converges(problem, u, step, better, trials):
+            if trials == shooting.MAX_BACKTRACKS:        # strong sweep
+                return real_ls(problem, u, step, better, trials)
+            log.append(("reduced", None))
+            return u_star, res_star, J_star if held else None
+
+        monkeypatch.setattr(shooting, "_line_search", reduced_converges)
+        log.clear()
+        orbit = shooting.solve(problem, u0, max_outer=1)
+        names = [name for name, _ in log]
+        assert names.count("reduced") == 1
+        after = [u for name, u in log[names.index("reduced"):]
+                 if name == "rj"]
+        assert len(after) == (0 if held else 1)
+        assert all(np.array_equal(u, u_star) for u in after)
+        assert self.count(log, "variational") == self.count(log, "rj")
+        assert np.array_equal(orbit.X0, reference.X0)
+        assert orbit.S == reference.S
+        assert np.array_equal(orbit.monodromy.M, reference.monodromy.M)
+
+
 class TestSpatial:
     def test_3d_orbit(self, orbit3d):
         spec, orbit = orbit3d
@@ -495,6 +631,20 @@ class TestEnergyBand:
             band = shooting.energy_band(traj, EPS, pert)
             assert np.allclose(band, (min(energies), max(energies)),
                                rtol=1e-14, atol=1e-15)
+
+
+    def test_segment_stack_matches_single_trajectory(self, family2d,
+                                                     orbit3d_eps):
+        """A solved orbit's band, read off its segment stack, against
+        one trajectory over the whole period at the same 400 points."""
+        for orbit in (*family2d[1], orbit3d_eps):
+            pert = forcing_pert(orbit.dim)
+            traj = flow.integrate(
+                lambda X: model.reg_field(X, orbit.eps, pert), orbit.X0,
+                orbit.S)
+            band = shooting.energy_band(traj, orbit.eps, pert)
+            assert np.max(np.abs(np.subtract(orbit.energy_band,
+                                             band))) < 1e-9
 
 
 class TestWinding:
