@@ -18,7 +18,6 @@ __all__ = [
     "quat_norm",
     "i_mul",
     "pure",
-    "imag_part",
     "lc_map",
     "lc_position",
     "ks_map",
@@ -66,11 +65,6 @@ def pure(u):
     return np.array([0.0, u[0], u[1], u[2]])
 
 
-def imag_part(p):
-    """Imaginary components (i, j, k) of a quaternion."""
-    return np.asarray(p)[1:].copy()
-
-
 def lc_map(z, w):
     """Levi-Civita change of variables (z, w) -> (u, v) = (z^2, w / (2 conj z)).
 
@@ -108,10 +102,10 @@ def ks_gradient_transport(z, grad_u):
     return -2.0 * i_mul(quat_mul(np.asarray(z, dtype=float), pure(grad_u)))
 
 
-def lc_plane_check(v1, v2, tol=PLANE_TOL):
+def lc_plane_check(v1, v2):
     """Whether two independent quaternions span a Levi-Civita plane.
 
-    The criterion is Re(conj(v1) * i * v2) = 0 within ``tol``.  Raises
+    The criterion is Re(conj(v1) * i * v2) = 0 within PLANE_TOL.  Raises
     ValueError for (numerically) dependent inputs.
     """
     v1 = np.asarray(v1, dtype=float)
@@ -123,15 +117,14 @@ def lc_plane_check(v1, v2, tol=PLANE_TOL):
     cross = np.dot(v1, v2) / (n1 * n2)
     if abs(abs(cross) - 1.0) < 1e-12:
         raise ValueError("plane check needs two independent quaternions")
-    return abs(quat_mul(quat_conj(v1), i_mul(v2))[0]) <= tol
+    return abs(quat_mul(quat_conj(v1), i_mul(v2))[0]) <= PLANE_TOL
 
 
-def lc_plane_basis(v1, rng=None, angle=0.0):
+def lc_plane_basis(v1, rng):
     """Orthonormal basis (v1^, v2) of a Levi-Civita plane through v1.
 
     Any unit vector orthogonal to both v1 and i*v1 completes v1 to such
-    a plane; ``angle`` rotates the choice inside that 2-plane and ``rng``
-    picks the angle at random when given.
+    a plane; ``rng`` picks the choice inside that 2-plane at random.
     """
     v1 = np.asarray(v1, dtype=float)
     n1 = quat_norm(v1)
@@ -140,7 +133,6 @@ def lc_plane_basis(v1, rng=None, angle=0.0):
     v1 = v1 / n1
     q, _ = np.linalg.qr(np.column_stack([v1, i_mul(v1), np.eye(4)]))
     # columns 2, 3 of q span the orthogonal complement of {v1, i v1}
-    if rng is not None:
-        angle = rng.uniform(0.0, 2.0 * np.pi)
+    angle = rng.uniform(0.0, 2.0 * np.pi)
     v2 = np.cos(angle) * q[:, 2] + np.sin(angle) * q[:, 3]
     return v1, v2

@@ -69,7 +69,12 @@ def _kepler_hessian(x):
 
 
 def averaged_jacobian_matrix(x):
-    """First-order Jacobian [[0, Id], [S, 0]] of the averaged system at x."""
+    """First-order Jacobian [[0, Id], [S, 0]] of the averaged system at x.
+
+    Its determinant at x* is the paper's non-degeneracy of the averaged
+    equilibrium, checked by ``averaged_jacobian_det`` (acceptance
+    criterion 10).
+    """
     x = np.asarray(x, float)
     n = x.size
     M = np.zeros((2 * n, 2 * n))
@@ -81,10 +86,12 @@ def averaged_jacobian_matrix(x):
 def averaged_jacobian_det(x):
     """Determinant magnitude 2 |x|^{-3N} of the averaged-map Jacobian.
 
-    Cross-checked against the numerically assembled block matrix to
-    ``DET_TOL`` relative (``AveragingError`` otherwise); the block
-    antidiagonal contributes a dimension-dependent sign, so the
-    comparison (and the return value) is in absolute value.
+    At x* it is nonzero: the paper's non-degenerate averaged equilibrium,
+    from which the large periodic solutions bifurcate (acceptance
+    criterion 10).  Cross-checked against the numerically assembled
+    block matrix to ``DET_TOL`` relative (``AveragingError`` otherwise);
+    the block antidiagonal contributes a dimension-dependent sign, so
+    the comparison (and the return value) is in absolute value.
     """
     x = np.asarray(x, float)
     if np.linalg.norm(x) == 0.0:

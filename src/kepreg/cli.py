@@ -76,6 +76,8 @@ class RunConfig:
         if not self.k_list or any(k < 1 for k in self.k_list):
             raise ConfigError("k_list must hold manifold indices >= 1")
         self.seed = int(run.get("seed", 0))
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.eps = float(run.get("eps", 0.0))
         self.l = int(run.get("l", len(self.k_list)))
         integ = parser["integrator"] if parser.has_section("integrator") else {}
@@ -94,6 +96,13 @@ class RunConfig:
         self.mu_list = _parse_floats(
             rem.get("mu_list", "0.1,0.05,0.025,0.0125,0.00625"))
         self.remove_k = int(rem.get("k", 1))
+        if self.remove_k < 1:
+            raise ConfigError("[remove] k must be >= 1")
+        quarter = manifolds.constants(manifolds.ManifoldSpec(
+            k=self.remove_k, T=self.period)).S / 4.0
+        if not all(0.0 < mu < quarter for mu in self.mu_list):
+            raise ConfigError(f"mu_list must lie in (0, S_k/4) = "
+                              f"(0, {quarter})")
         cert = parser["certify"] if parser.has_section("certify") else {}
         self.certify_seeds = int(cert.get("n_seeds", 100))
         if self.certify_seeds < 1:
@@ -258,8 +267,7 @@ def cmd_theorem_demo(config, out):
             continue
         orbit = target[-1]
         final.append(orbit)
-        gensol = reconstruct.to_generalized(orbit, pert, config.cfg,
-                                            provenance=f"k={k}")
+        gensol = reconstruct.to_generalized(orbit, pert, config.cfg)
         reconstruct.generalized_to_csv(
             gensol, out / f"generalized_k{k}.csv",
             header_lines=config.header_lines())
@@ -328,8 +336,7 @@ def cmd_reconstruct(config, out):
                 failures.append({"k": k, "diagnostics": diags})
                 continue
             orbit = target[-1]
-        gensol = reconstruct.to_generalized(orbit, pert, config.cfg,
-                                            provenance=f"k={k}")
+        gensol = reconstruct.to_generalized(orbit, pert, config.cfg)
         reconstruct.generalized_to_csv(
             gensol, out / f"generalized_k{k}.csv",
             header_lines=config.header_lines())

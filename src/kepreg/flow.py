@@ -1,8 +1,8 @@
 """Numerical integration of the regularized and physical fields.
 
 Wraps an explicit high-order embedded Runge-Kutta pair (DOP853) with
-dense output, and adds event localization on the dense interpolant plus
-fundamental-matrix (variational) propagation.  The dense output is the
+dense output, and adds collision localization on the dense interpolant
+plus fundamental-matrix (variational) propagation.  The dense output is the
 DOP853 continuous extension (Hairer, Norsett and Wanner, Solving ODEs I,
 II.6): every accepted step's interpolation coefficients are kept in one
 array and evaluated for all query points at once, bit for bit as scipy's
@@ -26,20 +26,19 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "FlowError",
-    "EventSpec",
     "Event",
     "MonodromyData",
     "integrate",
     "integrate_with_variational",
     "monodromy",
     "detect_events",
-    "collision_event_spec",
-    "time_section_spec",
     "invariant_report",
     "trajectory_to_csv",
 ]
 
 COLLISION_R2_THRESHOLD = 1e-16
+EVENT_GRID = 8              # points per accepted step bracketing collisions
+EVENT_XTOL = 1e-13          # brentq tolerance in s of a located collision
 
 
 class FlowError(KepregError):
@@ -69,6 +68,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_step <= 0:
+            raise ValueError("max_step must be positive")
 
 
 @dataclass
@@ -293,84 +294,47 @@ def monodromy(field_jacobian, X0, S, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# event detection
-
-@dataclass
-class EventSpec:
-    """Scalar event function with a crossing direction.
-
-    direction +1 detects -/+ crossings, -1 detects +/-, 0 both.
-    ``fn`` maps one state (D,) to a scalar and a stack (..., D) to
-    (...,).  ``accept`` optionally filters localized events by state.
-    """
-
-    name: str
-    fn: object                     # state (..., D) -> (...,)
-    direction: int = 0
-    accept: object = None          # state -> bool
-
+# collision detection
 
 @dataclass
 class Event:
-    name: str
+    """A collision: its s and the state there."""
+
     s: float
     state: np.ndarray
-    value: float
 
 
-def collision_event_spec(threshold=COLLISION_R2_THRESHOLD):
-    """Collision events z = 0, localized on the radial momentum.
+def _radial_momentum(X):
+    """<z, w> of a state (D,) or a stack (..., D)."""
+    zd = (X.shape[-1] - 2) // 2
+    return np.vecdot(X[..., :zd], X[..., zd:2 * zd])
+
+
+def detect_events(traj):
+    """Collisions z = 0 of a trajectory, localized on its dense output.
 
     |z|^2 has a quadratic zero at a collision, so the smooth quantity
-    <z, w> (proportional to d|z|^2/ds) is used: a -/+ crossing whose
-    localized state has |z|^2 below ``threshold`` is a collision.
-    """
-
-    def radial_momentum(X):
-        zd = (X.shape[-1] - 2) // 2
-        return np.vecdot(X[..., :zd], X[..., zd:2 * zd])
-
-    def near_origin(X):
-        z, _, _, _ = model.unpack_state(X)
-        return float(np.dot(z, z)) < threshold
-
-    return EventSpec(name="collision", fn=radial_momentum, direction=+1,
-                     accept=near_origin)
-
-
-def time_section_spec(t_target):
-    """Crossing of the section t(s) = t_target (t is monotone in s)."""
-
-    def gap(X):
-        return X[..., -2] - t_target
-
-    return EventSpec(name=f"t={t_target}", fn=gap, direction=+1)
-
-
-def detect_events(traj, specs, subdiv=8, s_tol=1e-13):
-    """Localize events of a trajectory on its dense output.
-
-    Each accepted step is subdivided, sign changes of the event function
-    are bracketed and refined by brentq on the dense interpolant.
+    <z, w> (proportional to d|z|^2/ds) is used instead.  Each accepted
+    step is subdivided into EVENT_GRID points; a -/+ sign change of
+    <z, w> is refined by brentq on the dense interpolant, and the
+    localized state is a collision when its |z|^2 is below
+    COLLISION_R2_THRESHOLD.
     """
     if traj.sol is None:
-        raise ValueError("event detection needs dense output")
-    grid = np.append(np.linspace(traj.s[:-1], traj.s[1:], subdiv,
+        raise ValueError("collision detection needs dense output")
+    grid = np.append(np.linspace(traj.s[:-1], traj.s[1:], EVENT_GRID,
                                  endpoint=False, axis=1).ravel(), traj.s[-1])
+    vals = _radial_momentum(traj.eval(grid).T)
+    v0, v1 = vals[:-1], vals[1:]
     events = []
-    for spec in specs:
-        vals = spec.fn(traj.eval(grid).T)
-        v0, v1 = vals[:-1], vals[1:]
-        rising = v0 < 0.0
-        wanted = {+1: rising, -1: ~rising}.get(spec.direction, True)
-        for i in np.flatnonzero((v0 == 0.0) | ((v0 * v1 < 0.0) & wanted)):
-            s_star = grid[i] if v0[i] == 0.0 else brentq(
-                lambda s: spec.fn(traj.eval(s)), grid[i], grid[i + 1],
-                xtol=s_tol)
-            state = traj.eval(s_star)
-            if spec.accept is None or spec.accept(state):
-                events.append(Event(name=spec.name, s=float(s_star),
-                                    state=state, value=float(spec.fn(state))))
+    for i in np.flatnonzero((v0 == 0.0) | ((v0 * v1 < 0.0) & (v0 < 0.0))):
+        s_star = grid[i] if v0[i] == 0.0 else brentq(
+            lambda s: _radial_momentum(traj.eval(s)), grid[i], grid[i + 1],
+            xtol=EVENT_XTOL)
+        state = traj.eval(s_star)
+        z, _, _, _ = model.unpack_state(state)
+        if float(np.dot(z, z)) < COLLISION_R2_THRESHOLD:
+            events.append(Event(s=float(s_star), state=state))
     events.sort(key=lambda e: e.s)
     return events
 

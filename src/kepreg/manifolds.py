@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 ON_MANIFOLD_TOL = 1e-10
+RANK_TOL = 1e-8             # relative singular-value threshold of a rank
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,13 @@ def random_seed_params(spec, rng):
                       plane=plane)
 
 
-def circular_seed_params(spec, t0=0.0, plane=None):
+def circular_seed_params(spec):
     """Seed whose physical orbit is circular with radius 1/(2 tau_k)."""
     c = constants(spec)
     # |w0| = 4 omega |z0| and <z0, w0> = 0 make |z(s)| constant; on the
     # sphere parametrization this pins tan(psi) = 4 omega / sqrt(8 tau)
     psi = np.arctan2(4.0 * c.omega, np.sqrt(8.0 * c.tau))
-    return SeedParams(psi=psi, phi1=0.0, phi2=np.pi / 2.0, t0=t0, plane=plane)
+    return SeedParams(psi=psi, phi1=0.0, phi2=np.pi / 2.0)
 
 
 def rectilinear_seed_params(spec, t0=0.0, plane=None):
@@ -135,11 +136,11 @@ def rectilinear_seed_params(spec, t0=0.0, plane=None):
     return SeedParams(psi=0.0, phi1=0.0, phi2=0.0, t0=t0, plane=plane)
 
 
-def _check_on_manifold(spec, X0, tol=ON_MANIFOLD_TOL):
+def _check_on_manifold(spec, X0):
     c = constants(spec)
     _, _, _, tau = model.unpack_state(X0)
     K0 = model.reg_energy(X0, 0.0, None)
-    if abs(tau - c.tau) > tol or abs(K0) > tol:
+    if abs(tau - c.tau) > ON_MANIFOLD_TOL or abs(K0) > ON_MANIFOLD_TOL:
         raise ValueError(
             f"state is off the manifold: |tau - tau_k| = {abs(tau - c.tau):.2e}, "
             f"K_0 = {K0:.2e}")
@@ -247,7 +248,7 @@ def _certificate(spec, mono):
     if spec.dim == 3:
         forbidden.append(model.group_direction(X0))
     angle = _principal_angle(residual, forbidden)
-    dim_e, index_info = degeneracy_index(mono, model.reg_energy_gradient(X0, 0.0))
+    dim_e, rank = degeneracy_index(mono, model.reg_energy_gradient(X0, 0.0))
     return {
         "k": spec.k,
         "T": spec.T,
@@ -258,19 +259,18 @@ def _certificate(spec, mono):
         "principal_angle": angle,
         "dim_E": dim_e,
         "degeneracy_index": dim_e - 1,
-        "rank_Id_minus_Gamma": index_info["rank"],
+        "rank_Id_minus_Gamma": rank,
         "det_monodromy": mono.det,
     }
 
 
-def degeneracy_index(mono, grad_H, rank_tol=1e-8):
+def degeneracy_index(mono, grad_H):
     """Degeneracy index dim(E) = 1 + dim ker(Id - Gamma) of a closed orbit.
 
     Builds the adapted basis (v1 not in W, v2 = field direction, rest
-    spanning W), extracts the (2N-2) x (2N-2) block Gamma of the
-    monodromy and decides ranks by SVD with a relative threshold.
-    Returns (dim_E, info) with the isomorphism-identity cross-check
-    dim_E - 1 = 2N - 2 - rank(Id - Gamma) re-derived from the same SVD.
+    spanning W), extracts the (D-2) x (D-2) block Gamma of the monodromy
+    and decides the rank of Id - Gamma by SVD, counting singular values
+    above RANK_TOL times its norm.  Returns (dim_E, rank(Id - Gamma)).
     """
     w = np.asarray(mono.field_dir, float)
     nw = np.linalg.norm(w)
@@ -288,10 +288,6 @@ def degeneracy_index(mono, grad_H, rank_tol=1e-8):
     Gamma = Mp[2:, 2:]
     A = np.eye(D - 2) - Gamma
     svals = np.linalg.svd(A, compute_uv=False)
-    thresh = rank_tol * max(np.linalg.norm(A), 1e-30)
+    thresh = RANK_TOL * max(np.linalg.norm(A), 1e-30)
     rank = int(np.sum(svals > thresh))
-    nullity = (D - 2) - rank
-    dim_e = 1 + nullity
-    return dim_e, {"rank": rank,
-                   "singular_values": list(map(float, svals)),
-                   "identity_check": dim_e - 1 == (D - 2) - rank}
+    return 1 + (D - 2) - rank, rank

@@ -34,7 +34,6 @@ __all__ = [
     "pack_state",
     "unpack_state",
     "state_dim",
-    "space_dim",
     "position",
     "position_jacobian",
     "reg_energy",
@@ -55,6 +54,12 @@ __all__ = [
 
 class PerturbationError(ValueError):
     """Raised when a perturbation fails its derivative self-check."""
+
+
+# Perturbation.self_check evaluates U at this eps and accepts a relative
+# error up to SELF_CHECK_REL_TOL against central differences.
+SELF_CHECK_EPS = 1e-3
+SELF_CHECK_REL_TOL = 1e-5
 
 
 class PerturbationValues(NamedTuple):
@@ -90,14 +95,12 @@ class Perturbation(ABC):
         singularities at the origin cannot be used in regularized runs.
     """
 
-    def __init__(self, period, smooth_at_origin=True, name="custom",
-                 params=None):
+    def __init__(self, period, smooth_at_origin=True, name="custom"):
         if period <= 0:
             raise ValueError("period must be positive")
         self.period = float(period)
         self.smooth_at_origin = bool(smooth_at_origin)
         self.name = name
-        self.params = dict(params or {})
 
     def _reduce(self, t):
         T = self.period
@@ -112,13 +115,15 @@ class Perturbation(ABC):
         modulo the period with ``_reduce``.
         """
 
-    def self_check(self, points, eps=1e-3, rel_tol=1e-5):
+    def self_check(self, points):
         """Compare analytic derivatives with central differences.
 
         ``points`` is an iterable of (t, u) samples.  Raises
         PerturbationError when either grad or dt disagrees with the
-        finite-difference value of U beyond ``rel_tol`` relative error.
+        finite-difference value of U beyond SELF_CHECK_REL_TOL relative
+        error.
         """
+        eps, rel_tol = SELF_CHECK_EPS, SELF_CHECK_REL_TOL
         for t, u in points:
             u = np.asarray(u, float)
             ev = self.evaluate(t, u, eps)
@@ -201,8 +206,7 @@ class _LinearForcing(Perturbation):
     """
 
     def __init__(self, forcing, name="forced_kepler"):
-        super().__init__(forcing.period, name=name,
-                         params={"dim": forcing.dim})
+        super().__init__(forcing.period, name=name)
         self.forcing = forcing
 
     def evaluate(self, t, u, eps, second=False):
@@ -237,16 +241,17 @@ class _Fatou(Perturbation):
     """
 
     def __init__(self, k_prime, h_prime, n_prime, gamma):
-        super().__init__(
-            np.pi / n_prime, smooth_at_origin=False, name="fatou",
-            params={"k_prime": k_prime, "h_prime": h_prime,
-                    "n_prime": n_prime, "gamma": gamma})
+        super().__init__(np.pi / n_prime, smooth_at_origin=False,
+                         name="fatou")
+        self.k_prime = k_prime
+        self.h_prime = h_prime
+        self.n_prime = n_prime
+        self.gamma = gamma
 
     def evaluate(self, t, u, eps, second=False):
         if second:
             raise ValueError("fatou gives no second derivatives")
-        k, h, n, gamma = (self.params[key] for key in
-                          ("k_prime", "h_prime", "n_prime", "gamma"))
+        k, h, n, gamma = self.k_prime, self.h_prime, self.n_prime, self.gamma
         phase = 2.0 * (n * self._reduce(np.asarray(t, float)) + gamma)
         c, s = np.cos(phase), np.sin(phase)
         u = np.asarray(u, float)
@@ -277,16 +282,6 @@ def fatou(k_prime, h_prime, n_prime, gamma=0.0):
 
 # ---------------------------------------------------------------------------
 # state layout helpers
-
-def space_dim(X):
-    """Physical dimension N (2 or 3) of a regularized state vector."""
-    if len(X) == 6:
-        return 2
-    if len(X) == 10:
-        return 3
-    raise ValueError(f"regularized state must have 6 or 10 components, "
-                     f"got {len(X)}")
-
 
 def state_dim(dim):
     """Length of the regularized state vector for physical dimension N."""

@@ -23,21 +23,21 @@ __all__ = [
     "TimeMap",
     "GeneralizedSolution",
     "RemovalResult",
-    "find_collisions",
     "collision_limits",
     "to_generalized",
     "collision_side_limits",
     "ode_residual",
     "sundman_lift",
     "LiftResult",
-    "bump",
-    "bump_d1",
-    "bump_d2",
     "remove_collisions",
     "generalized_to_csv",
 ]
 
 ZPRIME_SQ_TOL = 1e-6        # zero-energy relation forces |z'|^2 = 1/2 at z = 0
+TIME_TABLE_POINTS = 4000    # interpolation table seeding TimeMap.s_of
+EXCISION = 1e-2             # velocity excision half-width, per period
+SIDE_DELTA = 1e-2           # largest regularized offset of the side limits
+CSV_SAMPLES = 1000          # rows of a generalized-solution CSV
 
 
 @dataclass
@@ -59,9 +59,9 @@ class TimeMap:
     steps on t(s) - t (derivative |z(s)|^2) away from collisions.
     """
 
-    def __init__(self, traj, n_table=4000):
+    def __init__(self, traj):
         self.traj = traj
-        ss = np.linspace(traj.s0, traj.s_end, n_table)
+        ss = np.linspace(traj.s0, traj.s_end, TIME_TABLE_POINTS)
         ts = self.t_of(ss)
         dt = np.diff(ts)
         if np.any(dt < -1e-12):
@@ -115,11 +115,6 @@ def _states(traj, s):
     return traj.eval(np.ravel(s)).T.reshape(np.shape(s) + (traj.dim,))
 
 
-def find_collisions(traj):
-    """Collision events (z = 0 crossings) of a regularized trajectory."""
-    return flow.detect_events(traj, [flow.collision_event_spec()])
-
-
 def collision_limits(traj, s0, eps=0.0, pert=None):
     """Direction and energy limits at a collision, from the closed formulas.
 
@@ -154,7 +149,6 @@ class GeneralizedSolution:
     eps: float
     pert: object
     dim: int
-    provenance: str = ""
 
     @property
     def t_start(self):
@@ -177,15 +171,14 @@ class GeneralizedSolution:
         as -tau + eps U."""
         return model.state_energy(self.state_at_t(t), self.eps, self.pert)
 
-    def sample(self, n, excision=None):
-        """Arrays (t, u, v) over one period; v is NaN inside excision
-        windows of half-width ``excision`` around each collision."""
-        if excision is None:
-            excision = 1e-2 * self.period
+    def sample(self, n):
+        """Arrays (t, u, v) at n times over one period; v is NaN inside
+        excision windows of half-width EXCISION * period around each
+        collision."""
         ts = np.linspace(self.t_start, self.t_start + self.period, n)
         X = self.state_at_t(ts)
         vs = np.full((n, self.dim), np.nan)
-        far = self._farther_than(ts, excision)
+        far = self._farther_than(ts, EXCISION * self.period)
         vs[far] = model.state_velocity(X[far])
         return ts, model.state_position(X), vs
 
@@ -199,7 +192,7 @@ class GeneralizedSolution:
         return far
 
 
-def to_generalized(orbit, pert, cfg=None, provenance=""):
+def to_generalized(orbit, pert, cfg=None):
     """Generalized solution of a converged periodic orbit.
 
     Re-integrates the orbit densely over [0, S], locates collisions and
@@ -216,14 +209,13 @@ def to_generalized(orbit, pert, cfg=None, provenance=""):
             raise ValueError(f"BL drifts to {bl:.2e} along the orbit; its "
                              "KS projection is not a physical solution")
     tmap = TimeMap(traj)
-    events = find_collisions(traj)
+    events = flow.detect_events(traj)
     collisions = [collision_limits(traj, e.s, orbit.eps, pert)
                   for e in events]
     period = orbit.eta * pert.period
     return GeneralizedSolution(period=period, traj=traj, tmap=tmap,
                                collisions=collisions, eps=orbit.eps,
-                               pert=pert, dim=orbit.dim,
-                               provenance=provenance)
+                               pert=pert, dim=orbit.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +234,14 @@ def _unit(x):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def collision_side_limits(gensol, event, delta=1e-2):
+def collision_side_limits(gensol, event):
     """Two-sided extrapolated direction, energy and velocity direction.
 
     Samples u/|u|, the energy and v/|v| at regularized offsets
-    s0 -+ delta (halved twice) and Richardson-extrapolates; this is the
-    independent cross-check of ``collision_limits``.
+    s0 -+ SIDE_DELTA (halved twice) and Richardson-extrapolates; this is
+    the independent cross-check of ``collision_limits``.
     """
-    h = delta / np.array([1.0, 2.0, 4.0])
+    h = SIDE_DELTA / np.array([1.0, 2.0, 4.0])
     out = {}
     for label, sign in (("minus", -1.0), ("plus", +1.0)):
         X = gensol.traj.eval(event.s0 + sign * h).T
@@ -262,24 +254,31 @@ def collision_side_limits(gensol, event, delta=1e-2):
     return out
 
 
-def ode_residual(gensol, n_samples=200, h=None, r_min=0.05):
+# The stencil error of ode_residual grows like dist^{-16/3} approaching a
+# collision, so its sample points within 120 h of one, or inside radius
+# ODE_R_MIN, are skipped.
+ODE_SAMPLES = 200
+ODE_STEP = 2e-4             # stencil step h, per period
+ODE_R_MIN = 0.05
+
+
+def ode_residual(gensol):
     """Residual of the physical equation along a generalized solution.
 
     y = (u(t), v(t)) is differentiated by a fourth-order central stencil
-    and compared with ``model.physical_field``.  The stencil error grows like
-    dist^{-16/3} approaching a collision, so sample points within 120 h
-    of one (or inside radius ``r_min``) are skipped.
+    of step h = ODE_STEP * period at ODE_SAMPLES times and compared with
+    ``model.physical_field``.
     """
     Tp = gensol.period
-    h = h or 2e-4 * Tp
+    h = ODE_STEP * Tp
     eps, pert = gensol.eps, gensol.pert
     ts = np.linspace(gensol.t_start + 3 * h, gensol.t_start + Tp - 3 * h,
-                     n_samples)
+                     ODE_SAMPLES)
     ts = ts[gensol._farther_than(ts, 120 * h)]
     # states at t - 2h .. t + 2h, one row per sample point
     X = gensol.state_at_t(ts[:, None] + h * np.arange(-2.0, 3.0))
     u = model.state_position(X)
-    keep = np.linalg.norm(u[:, 2], axis=-1) >= r_min
+    keep = np.linalg.norm(u[:, 2], axis=-1) >= ODE_R_MIN
     ts, X, u = ts[keep], X[keep], u[keep]
     if ts.size == 0:
         raise ValueError("no usable sample points away from collisions")
@@ -330,7 +329,10 @@ def _gauss_panels(f, breaks):
     return cum, F
 
 
-def sundman_lift(gensol, n_per_arc=200):
+LIFT_NODES = 200            # quadrature breaks per half arc of sundman_lift
+
+
+def sundman_lift(gensol):
     """Regularized coordinates rebuilt from a planar generalized solution.
 
     Computes the Sundman integral s(t) = int dt/|u| (the integrable
@@ -376,7 +378,7 @@ def sundman_lift(gensol, n_per_arc=200):
         sing_b = b in t_cols
         mid = 0.5 * (a + b)
         # left half, substitution t = a + sigma^3 removes a left singularity
-        sig = np.linspace(0.0, (mid - a) ** (1.0 / 3.0), n_per_arc)
+        sig = np.linspace(0.0, (mid - a) ** (1.0 / 3.0), LIFT_NODES)
         cums, _ = _gauss_panels(half_integrand(a, 1.0, sing_a), sig)
         tl = a + sig ** 3
         keep = slice(1, None) if sing_a else slice(0, None)
@@ -384,7 +386,7 @@ def sundman_lift(gensol, n_per_arc=200):
         s_nodes.extend(s_off + cums[keep])
         s_off += cums[-1]
         # right half, t = b - sigma^3, walked in increasing t
-        sig = np.linspace(0.0, (b - mid) ** (1.0 / 3.0), n_per_arc)
+        sig = np.linspace(0.0, (b - mid) ** (1.0 / 3.0), LIFT_NODES)
         cums, _ = _gauss_panels(half_integrand(b, -1.0, sing_b), sig)
         total = cums[-1]
         tr = b - sig[::-1] ** 3                     # ascending in t
@@ -445,7 +447,8 @@ def _smooth_step_parts(x):
 
 
 def _bump_jet(s):
-    """(bump, bump', bump'') at s, each of the shape of s.
+    """(bump, bump', bump'') at s, each of the shape of s, for the smooth
+    plateau bump: 1 on [-1, 1], 0 off [-2, 2].
 
     The e^{-1/x} step is evaluated on the transitions 1 < |s| < 2 only,
     where it is finite.
@@ -460,17 +463,13 @@ def _bump_jet(s):
     return jet
 
 
-def bump(s):
-    """Smooth plateau: 1 on [-1, 1], 0 off [-2, 2]."""
-    return _bump_jet(s)[0][()]
-
-
-def bump_d1(s):
-    return _bump_jet(s)[1][()]
-
-
-def bump_d2(s):
-    return _bump_jet(s)[2][()]
+L1_SAMPLES = 2000           # trapezoidal points of RemovalResult.forcing_l1
+REMOVAL_SAMPLES = 200
+REMOVAL_STEP = 1e-2
+# points with |u| < REMOVAL_R_MIN are skipped by RemovalResult.residual,
+# since the 1/|u|^2 amplification there pushes stencil noise past any
+# useful tolerance
+REMOVAL_R_MIN = 0.3
 
 
 @dataclass
@@ -493,35 +492,33 @@ class RemovalResult:
     min_u: float
     collisions_s: list
 
-    def forcing_l1(self, p_ref=None, n=2000):
-        """L1 distance of p_mu to a reference forcing over one period.
+    def forcing_l1(self):
+        """L1 norm of p_mu over one period.
 
-        Integrated in regularized time: int |p_mu - p_ref| |z_mu|^2 ds.
-        ``p_ref`` maps an array of times (n,) to forcings (n, 2).
+        Integrated in regularized time, int |p_mu| |z_mu|^2 ds, by the
+        trapezoidal rule on L1_SAMPLES points.
         """
-        ss = np.linspace(0.0, self.S, n)
+        ss = np.linspace(0.0, self.S, L1_SAMPLES)
         pc = self.p_of_s(ss)
         d = np.column_stack([pc.real, pc.imag])
-        if p_ref is not None:
-            d = d - np.asarray(p_ref(self.t_of_s(ss)), float)
         vals = np.linalg.norm(d, axis=-1) * np.abs(self.z_mu(ss)) ** 2
         return float(np.trapezoid(vals, ss))
 
-    def residual(self, n=200, h=1e-2, r_min=0.3):
+    def residual(self):
         """Max defect of u_mu in the p_mu-forced equation, by differencing.
 
         u is differenced in the regularized variable s (where it is
-        smooth) and d^2u/dt^2 recovered through dt = |u| ds; points with
-        |u| < r_min are skipped since the 1/|u|^2 amplification there
-        pushes stencil noise past any useful tolerance.
+        smooth) with step REMOVAL_STEP at REMOVAL_SAMPLES points, and
+        d^2u/dt^2 recovered through dt = |u| ds.
         """
-        ss = np.linspace(0.0, self.S, n, endpoint=False)
+        h = REMOVAL_STEP
+        ss = np.linspace(0.0, self.S, REMOVAL_SAMPLES, endpoint=False)
         # z_mu at s - 2h .. s + 2h, one row per sample point
         zs = self.z_mu(ss[:, None] + h * np.arange(-2.0, 3.0))
         qs = np.abs(zs) ** 2
-        keep = qs[:, 2] >= r_min
+        keep = qs[:, 2] >= REMOVAL_R_MIN
         if not np.any(keep):
-            raise ValueError("no sample points with |u| >= r_min")
+            raise ValueError("no sample points with |u| >= REMOVAL_R_MIN")
         us, qs = zs[keep] ** 2, qs[keep]
         q0 = qs[:, 2]
         u_s = (-us[:, 4] + 8 * us[:, 3] - 8 * us[:, 1] + us[:, 0]) / (12 * h)
@@ -555,7 +552,7 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None):
     if np.linalg.norm(diff) > 1e-6:
         raise ValueError("the source orbit does not close over [0, S]; the "
                          "anti-periodic case is unsupported")
-    events = find_collisions(traj)
+    events = flow.detect_events(traj)
     s_cols = sorted(e.s for e in events if 0.0 < e.s < S)
     if len(s_cols) >= 2:
         gaps = list(np.diff(s_cols)) + [s_cols[0] + S - s_cols[-1]]
@@ -622,9 +619,10 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None):
 # ---------------------------------------------------------------------------
 # export
 
-def generalized_to_csv(gensol, path, n=1000, header_lines=()):
-    """Sampled u(t) with energy and collision flags, events as a footer."""
-    ts, us, vs = gensol.sample(n)
+def generalized_to_csv(gensol, path, header_lines=()):
+    """u(t) at CSV_SAMPLES times with energy and collision flags, events
+    as a footer."""
+    ts, us, vs = gensol.sample(CSV_SAMPLES)
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")

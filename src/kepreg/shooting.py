@@ -26,13 +26,16 @@ __all__ = [
     "energy_band",
     "distinctness",
     "save_orbits",
-    "load_orbits",
 ]
 
 RESIDUAL_TOL = 1e-9
 STEP_TOL = 1e-11
-MAX_ITER = 50
 MAX_BACKTRACKS = 20
+MAX_SWEEP_STEPS = 8         # Gauss-Newton steps per strong sweep
+MAX_OUTER = 12              # sweep and reduced-step rounds per solve
+FD_STEP = 1e-2              # central-difference step of the reduced Jacobian
+EPS_STEP_FLOOR = 1e-8       # smallest eps step continuation halves down to
+BAND_SAMPLES = 400          # points of an orbit at which E is sampled
 
 
 class ShootingError(KepregError):
@@ -51,7 +54,6 @@ class ShootingProblem:
     pert: object
     X_ref: np.ndarray               # anchor state for the phase conditions
     m: int = 0                      # shooting segments; 0 = default 4k
-    eta: int = 1                    # time winding sought: t(S) = t(0) + eta T
     cfg: flow.IntegratorConfig = field(default_factory=flow.IntegratorConfig)
 
     def __post_init__(self):
@@ -77,9 +79,10 @@ class ShootingProblem:
         return model.reg_field_jacobian(X, self.eps, self.pert)
 
     def time_shift(self):
-        """Lifted-time advance over one closed orbit, in the t slot."""
+        """Lifted-time advance over one closed orbit, one forcing period,
+        in the t slot."""
         shift = np.zeros(self.D)
-        shift[-2] = self.eta * self.pert.period
+        shift[-2] = self.pert.period
         return shift
 
 
@@ -268,21 +271,21 @@ class PeriodicOrbit:
         return self.monodromy.multipliers()
 
 
-def energy_band(traj, eps, pert, n_samples=400):
+def energy_band(traj, eps, pert):
     """Range of the physical energy E = -tau + eps U along an orbit.
 
     ``traj`` is one trajectory, or a stack of m segments integrated over
     one common interval (as in normalized time) that trace the orbit in
-    row order.  E is sampled at n_samples evenly spaced points of the
+    row order.  E is sampled at BAND_SAMPLES evenly spaced points of the
     whole orbit, each read on the segment it falls on; a single
     trajectory is the case m = 1.
     """
     m = traj.states.shape[1] if traj.states.ndim == 3 else 1
-    x = np.linspace(0.0, m, n_samples)      # orbit position in segments
+    x = np.linspace(0.0, m, BAND_SAMPLES)   # orbit position in segments
     seg = np.minimum(np.floor(x).astype(int), m - 1)
     sigma = traj.s0 + (x - seg) * (traj.s_end - traj.s0)
-    Y = traj.eval(sigma).reshape(m, traj.dim, n_samples)
-    E = model.state_energy(Y[seg, :, np.arange(n_samples)], eps, pert)
+    Y = traj.eval(sigma).reshape(m, traj.dim, BAND_SAMPLES)
+    E = model.state_energy(Y[seg, :, np.arange(BAND_SAMPLES)], eps, pert)
     return float(np.min(E)), float(np.max(E))
 
 
@@ -353,8 +356,9 @@ def _line_search(problem, u, step, better, trials):
     return None
 
 
-def _strong_sweep(problem, u, first=None, max_steps=8):
-    """Gauss-Newton restricted to the well-conditioned directions.
+def _strong_sweep(problem, u, first=None):
+    """Gauss-Newton restricted to the well-conditioned directions, at
+    most MAX_SWEEP_STEPS steps.
 
     Singular directions of the Jacobian below WEAK_CUTOFF (relative to
     the largest singular value) are frozen; Armijo backtracking (factor
@@ -366,7 +370,7 @@ def _strong_sweep(problem, u, first=None, max_steps=8):
     together with the residual, the Jacobian and its SVD factors there.
     """
     res, J = first or residual_and_jacobian(problem, u)
-    for _ in range(max_steps):
+    for _ in range(MAX_SWEEP_STEPS):
         rnorm = float(np.linalg.norm(res))
         U, sv, Vt = np.linalg.svd(J, full_matrices=False)
         keep = sv > WEAK_CUTOFF * sv[0]
@@ -385,7 +389,7 @@ def _strong_sweep(problem, u, first=None, max_steps=8):
     return u, res, J, (U, sv, Vt)
 
 
-def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
+def solve(problem, unknowns0):
     """Solve the multiple-shooting system by a two-level Newton iteration.
 
     The Jacobian is near-singular along the unperturbed symmetry
@@ -394,7 +398,8 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
     Gauss-Newton stalls.  The solve alternates (i) Gauss-Newton sweeps
     restricted to the well-conditioned directions with (ii) a reduced
     Newton step on the weak subspace, with the reduced Jacobian taken
-    by central differences of the weak residual components.  The
+    by central differences (step FD_STEP) of the weak residual
+    components; at most MAX_OUTER such rounds are taken.  The
     reduced step's full trial is evaluated with ``residual_and_jacobian``
     and, when accepted, opens the next sweep; a halved trial opens it
     with one ``residual_and_jacobian`` at the accepted point.  Converges
@@ -403,12 +408,10 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
     point, taken once more only when the last accepted trial was a
     halved one.
     """
-    if max_outer < 1:
-        raise ValueError("max_outer must be at least 1")
     u = np.asarray(unknowns0, float).copy()
     best_u, best_r = u.copy(), np.inf       # set by the first sweep
     first = None                            # (res, J) at u, when known
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         try:
             u, res, J, (U, sv, Vt) = _strong_sweep(problem, u, first)
         except np.linalg.LinAlgError as exc:
@@ -431,8 +434,8 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
         Uw = U[:, weak]
         g = Uw.T @ res
         # all 2q central-difference probes in one batched residual
-        r = residual(problem, u + fd_step * np.vstack([Vw, -Vw]))
-        Jg = (Uw.T @ (r[:q] - r[q:]).T) / (2.0 * fd_step)
+        r = residual(problem, u + FD_STEP * np.vstack([Vw, -Vw]))
+        Jg = (Uw.T @ (r[:q] - r[q:]).T) / (2.0 * FD_STEP)
         try:
             xi = np.linalg.solve(Jg, -g)
         except np.linalg.LinAlgError as exc:
@@ -453,19 +456,20 @@ def solve(problem, unknowns0, max_outer=12, fd_step=1e-2):
     if rnorm < RESIDUAL_TOL:
         return _finish(problem, u, rnorm, J)
     raise ShootingError(
-        f"no convergence in {max_outer} outer iterations "
+        f"no convergence in {MAX_OUTER} outer iterations "
         f"(residual {rnorm:.3e})",
         best_unknowns=best_u, best_residual=best_r)
 
 
 def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
-                        cfg=None, step_floor=1e-8):
+                        cfg=None):
     """Natural-parameter continuation from an unperturbed seed.
 
-    Solves at each target eps using the previous converged orbit as
-    seed, halving the eps-step on failure down to ``step_floor``.
-    Returns (family, diagnostics); the family is partial when the floor
-    is hit, with the failure recorded in the diagnostics.
+    Solves at each target eps, seeded with the last converged orbit.  A
+    target above the current eps halves its eps-step on failure down to
+    EPS_STEP_FLOOR; a target at or below it gets one solve.  Returns
+    (family, diagnostics); the family is partial when a target fails,
+    with the failure recorded in the diagnostics.
     """
     cfg = cfg or flow.IntegratorConfig()
     family = []
@@ -473,34 +477,25 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
     X_cur, S_cur, th_cur = np.asarray(X_seed, float), float(S_seed), 0.0
     eps_cur = 0.0
     for eps_target in eps_targets:
-        while eps_cur < eps_target - 1e-15:
-            eps_try = eps_target
-            while True:
-                problem = ShootingProblem(spec=spec, eps=eps_try, pert=pert,
-                                          X_ref=X_cur, m=m, cfg=cfg)
-                try:
-                    orbit = solve(problem, seed_unknowns(problem, X_cur,
-                                                         S_cur, th_cur))
-                except (ShootingError, flow.FlowError) as exc:
-                    if eps_try - eps_cur <= step_floor:
-                        diags.append({"eps": eps_try, "error": str(exc)})
-                        return family, diags
-                    eps_try = eps_cur + (eps_try - eps_cur) / 2.0
-                    continue
-                X_cur, S_cur, th_cur = orbit.X0, orbit.S, orbit.theta
-                eps_cur = eps_try
-                if abs(eps_cur - eps_target) < 1e-15:
-                    family.append(orbit)
-                break
-        if eps_target == 0.0:
-            problem = ShootingProblem(spec=spec, eps=0.0, pert=pert,
+        eps_try = eps_target
+        while True:
+            problem = ShootingProblem(spec=spec, eps=eps_try, pert=pert,
                                       X_ref=X_cur, m=m, cfg=cfg)
             try:
-                family.append(solve(problem, seed_unknowns(problem, X_cur,
-                                                           S_cur, th_cur)))
+                orbit = solve(problem, seed_unknowns(problem, X_cur, S_cur,
+                                                     th_cur))
             except (ShootingError, flow.FlowError) as exc:
-                diags.append({"eps": 0.0, "error": str(exc)})
-                return family, diags
+                if eps_try - eps_cur <= EPS_STEP_FLOOR:
+                    diags.append({"eps": eps_try, "error": str(exc)})
+                    return family, diags
+                eps_try = eps_cur + (eps_try - eps_cur) / 2.0
+                continue
+            X_cur, S_cur, th_cur = orbit.X0, orbit.S, orbit.theta
+            eps_cur = eps_try
+            if eps_try == eps_target:
+                family.append(orbit)
+                break
+            eps_try = eps_target
     return family, diags
 
 
@@ -565,8 +560,3 @@ def save_orbits(orbits, path, meta=None):
                "orbits": [orbit_record(o) for o in orbits]}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
-
-
-def load_orbits(path):
-    with open(path) as fh:
-        return json.load(fh)

@@ -27,6 +27,16 @@ sin1 = 0.0,0.3
 """
 
 
+# [remove] k below 1, mu outside (0, S_k/4) (S_1/4 is about 2.49 for
+# T = 2 pi) and a negative [run] seed
+BAD_CONFIGS = [
+    "[run]\n[remove]\nk = 0\n",
+    "[run]\n[remove]\nmu_list = 10\n",
+    "[run]\n[remove]\nmu_list = -0.1\n",
+    BASE.replace("seed = 3", "seed = -3"),
+]
+
+
 class TestConfig:
     def test_defaults(self, tmp_path):
         cfg = cli.RunConfig(write_config(tmp_path, "[run]\n"))
@@ -58,6 +68,29 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.RunConfig(write_config(tmp_path,
                                        "[run]\n[certify]\nn_seeds = 0\n"))
+        for text in BAD_CONFIGS:
+            with pytest.raises(cli.ConfigError):
+                cli.RunConfig(write_config(tmp_path, text))
+        # IntegratorConfig rejects it as ValueError, which main also
+        # reports as a configuration error
+        with pytest.raises(ValueError, match="max_step"):
+            cli.RunConfig(write_config(tmp_path,
+                                       "[integrator]\nmax_step = -1\n"))
+
+    @pytest.mark.parametrize("command,text", [
+        ("remove-collisions", BAD_CONFIGS[0]),
+        ("remove-collisions", BAD_CONFIGS[1]),
+        ("remove-collisions", BAD_CONFIGS[2]),
+        ("flow", BAD_CONFIGS[3]),
+        ("flow", BASE + "\n[integrator]\nmax_step = -1\n"),
+    ])
+    def test_bad_value_exits_config(self, tmp_path, capsys, command, text):
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", write_config(tmp_path, text),
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_perturbation_construction(self, tmp_path):
         cfg = cli.RunConfig(write_config(tmp_path, BASE))

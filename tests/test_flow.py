@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +86,8 @@ class TestIntegrate:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             flow.IntegratorConfig(rel_tol=0.0)
+        with pytest.raises(ValueError, match="max_step"):
+            flow.IntegratorConfig(max_step=-1.0)
 
     @pytest.mark.parametrize("stack", [False, True])
     def test_endpoint_only_without_dense_output(self, stack):
@@ -359,8 +363,8 @@ class TestStateStepControl:
 
 
 class TestEvents:
-    def _rectilinear(self, k=1):
-        spec = manifolds.ManifoldSpec(k=k, T=T, dim=2)
+    def _rectilinear(self, k=1, dim=2):
+        spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec,
                                   manifolds.rectilinear_seed_params(spec))
@@ -368,10 +372,11 @@ class TestEvents:
 
     def test_rectilinear_collisions(self):
         """Starting at rest, z ~ cos(omega s): zeros at odd multiples of
-        pi / (2 omega)."""
-        for k in (1, 2):
-            spec, c, traj = self._rectilinear(k)
-            events = flow.detect_events(traj, [flow.collision_event_spec()])
+        pi / (2 omega), in 2D and, on the default Levi-Civita plane, in
+        3D."""
+        for dim, k in ((2, 1), (2, 2), (3, 1), (3, 2)):
+            spec, c, traj = self._rectilinear(k, dim)
+            events = flow.detect_events(traj)
             expected = [(np.pi / 2 + j * np.pi) / c.omega for j in range(2 * k)]
             got = [e.s for e in events]
             assert len(got) == len(expected)
@@ -386,26 +391,16 @@ class TestEvents:
         X0 = manifolds.seed_state(spec,
                                   manifolds.circular_seed_params(spec))
         traj = flow.integrate(kepler_field(), X0, c.S)
-        events = flow.detect_events(traj, [flow.collision_event_spec()])
-        assert events == []
+        assert flow.detect_events(traj) == []
 
     def test_events_stable_under_step_halving(self):
         spec, c, traj = self._rectilinear()
-        ref = [e.s for e in flow.detect_events(traj,
-                                               [flow.collision_event_spec()])]
+        ref = [e.s for e in flow.detect_events(traj)]
         cfg = flow.IntegratorConfig(max_step=0.05)
         X0 = traj.eval(0.0)
         traj2 = flow.integrate(kepler_field(), X0, c.S, cfg)
-        got = [e.s for e in flow.detect_events(traj2,
-                                               [flow.collision_event_spec()])]
+        got = [e.s for e in flow.detect_events(traj2)]
         assert np.allclose(ref, got, atol=1e-9)
-
-    def test_time_section(self):
-        spec, c, traj = self._rectilinear()
-        t_half = 0.5 * (traj.eval(0.0)[4] + traj.eval(c.S)[4])
-        events = flow.detect_events(traj, [flow.time_section_spec(t_half)])
-        assert len(events) == 1
-        assert events[0].state[4] == pytest.approx(t_half, abs=1e-9)
 
 
 class TestInvariantsAndExport:
@@ -457,3 +452,53 @@ def test_no_module_binds_solve_ivp():
             assert name not in vars(module), (info.name, name)
             assert all(v is not forbidden for v in vars(module).values()), \
                 (info.name, name)
+
+
+# Public names that nothing in src/kepreg or bench calls, each kept for
+# the oracle or acceptance criterion it serves.
+UNCALLED_PUBLIC = {
+    "algebra.lc_map": "Levi-Civita identities: the planar change of "
+                      "variables u = z^2, v = w / (2 conj z)",
+    "algebra.lc_position": "Levi-Civita identities: |u| = |z|^2",
+    "algebra.ks_map": "criterion 7, KS identities: |KS(z)| = |z|^2",
+    "algebra.ks_gradient_transport": "criterion 7, KS identities: "
+                                     "gradient transport",
+    "algebra.lc_plane_check": "Levi-Civita identities: Re(conj(v1) i v2) "
+                              "= 0 on the planes of lc_plane_basis",
+    "averaging.averaged_jacobian_det": "criterion 10: the non-degenerate "
+                                       "averaged equilibrium",
+    "manifolds.closed_form_flow": "closed-form oracle of flow.integrate "
+                                  "(criterion 1)",
+    "manifolds.closed_form_variation": "closed-form oracle of "
+                                       "flow.monodromy and of the composed "
+                                       "shooting monodromy",
+    "manifolds.circular_seed_params": "collisionless oracle orbit of the "
+                                      "flow, shooting and reconstruct tests",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """Every public top-level function and class of kepreg is referenced
+    from src/kepreg or bench outside its own definition, or is listed in
+    UNCALLED_PUBLIC with the oracle it serves."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "kepreg").glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in paths + sorted((root / "bench").glob("*.py"))}
+    references = {}                 # name -> ids of the nodes naming it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name is not None:
+                references.setdefault(name, set()).add(id(node))
+    uncalled = set()
+    for path in paths:
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                inside = {id(n) for n in ast.walk(node)}
+                if not references.get(node.name, set()) - inside:
+                    uncalled.add(f"{path.stem}.{node.name}")
+    assert uncalled == set(UNCALLED_PUBLIC)

@@ -192,16 +192,19 @@ class TestCertificates:
         json.dumps(rep)
 
     def test_degeneracy_index_identity(self):
-        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
-        X0 = manifolds.seed_state(spec,
-                                  manifolds.random_seed_params(spec, rng))
-        _, mono = flow.monodromy(
-            lambda X: model.reg_field_jacobian(X, 0.0), X0, c.S)
-        dim_e, info = manifolds.degeneracy_index(
-            mono, model.reg_energy_gradient(X0, 0.0))
-        assert info["identity_check"]
-        assert dim_e >= 1
+        """Every state with tau = tau_k and K_0 = 0 lies on a closed
+        orbit of period S_k, and those states fill a set of dimension
+        D - 2: so dim E = D - 2 and rank(Id - Gamma) = 1 on M_k."""
+        for dim in (2, 3):
+            for k in (1, 2, 3):
+                spec, X0 = _seed_stack(dim, k, n=3)
+                _, monos = flow.monodromy(
+                    lambda X: model.reg_field_jacobian(X, 0.0), X0,
+                    manifolds.constants(spec).S)
+                for X, mono in zip(X0, monos):
+                    got = manifolds.degeneracy_index(
+                        mono, model.reg_energy_gradient(X, 0.0))
+                    assert got == (X.size - 2, 1), (dim, k)
 
 
 def _seed_stack(dim, k, n=6):

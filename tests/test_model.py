@@ -154,12 +154,9 @@ class TestStateLayout:
             X = random_state(dim)
             z, w, t, tau = model.unpack_state(X)
             assert np.allclose(model.pack_state(z, w, t, tau), X)
-            assert model.space_dim(X) == dim
             assert model.state_dim(dim) == len(X)
 
     def test_bad_sizes(self):
-        with pytest.raises(ValueError):
-            model.space_dim(np.zeros(7))
         with pytest.raises(ValueError):
             model.state_dim(4)
 

@@ -184,7 +184,7 @@ class TestGeneralizedSolution:
 
     def test_csv_export(self, rect_gensol, tmp_path):
         path = tmp_path / "gen.csv"
-        reconstruct.generalized_to_csv(rect_gensol, path, n=100,
+        reconstruct.generalized_to_csv(rect_gensol, path,
                                        header_lines=["demo = 1"])
         lines = path.read_text().splitlines()
         assert lines[0] == "# demo = 1"
@@ -233,35 +233,39 @@ class TestSundmanLift:
 
 
 class TestBump:
+    """The window profile of collision removal: bump, bump' and bump''
+    from ``reconstruct._bump_jet``."""
+
+    @staticmethod
+    def jet(x):
+        return reconstruct._bump_jet(x)
+
     def test_plateau_and_support(self):
         for x in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            assert reconstruct.bump(x) == pytest.approx(1.0, abs=1e-12)
+            assert self.jet(x)[0] == pytest.approx(1.0, abs=1e-12)
         for x in (-2.5, -2.0, 2.0, 3.0):
-            assert reconstruct.bump(x) == 0.0
-        assert 0.0 < reconstruct.bump(1.5) < 1.0
+            assert self.jet(x)[0] == 0.0
+        assert 0.0 < self.jet(1.5)[0] < 1.0
 
     def test_derivatives_fd(self):
         h = 1e-6
         for x in (-1.7, -1.3, 1.2, 1.8):
-            d1 = (reconstruct.bump(x + h) - reconstruct.bump(x - h)) / (2 * h)
-            assert reconstruct.bump_d1(x) == pytest.approx(d1, abs=1e-7)
-            d2 = (reconstruct.bump_d1(x + h)
-                  - reconstruct.bump_d1(x - h)) / (2 * h)
-            assert reconstruct.bump_d2(x) == pytest.approx(d2, abs=1e-6)
+            fd = (self.jet(x + h) - self.jet(x - h)) / (2 * h)
+            _, d1, d2 = self.jet(x)
+            assert d1 == pytest.approx(fd[0], abs=1e-7)
+            assert d2 == pytest.approx(fd[1], abs=1e-6)
 
     def test_arrays_match_scalars(self):
         xs = np.linspace(-2.5, 2.5, 41)
-        for f in (reconstruct.bump, reconstruct.bump_d1,
-                  reconstruct.bump_d2):
-            assert isinstance(f(0.3), float)
-            assert np.array_equal(f(xs), [f(x) for x in xs])
-            assert f(xs.reshape(-1, 1)).shape == (41, 1)
+        jet = self.jet(xs)
+        assert jet.shape == (3, 41)
+        assert np.array_equal(jet, np.transpose([self.jet(x) for x in xs]))
+        assert self.jet(xs.reshape(-1, 1)).shape == (3, 41, 1)
 
     def test_smoothness_at_junctions(self):
         for x0 in (-2.0, -1.0, 1.0, 2.0):
-            for f in (reconstruct.bump, reconstruct.bump_d1,
-                      reconstruct.bump_d2):
-                assert f(x0 - 1e-9) == pytest.approx(f(x0 + 1e-9), abs=1e-6)
+            assert np.allclose(self.jet(x0 - 1e-9), self.jet(x0 + 1e-9),
+                               rtol=0.0, atol=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +305,7 @@ class TestRemoveCollisions:
         """Evaluated at s, forcing_l1 matches the reference that maps each
         s to t and solves back for s before evaluating p_mu."""
         c, traj, pert = source
-        ss = np.linspace(0.0, c.S, 2000)            # forcing_l1's default
+        ss = np.linspace(0.0, c.S, reconstruct.L1_SAMPLES)
         for m in range(5):
             out = reconstruct.remove_collisions(traj, c.S, 0.1 * 2.0 ** (-m),
                                                 0.0, pert)

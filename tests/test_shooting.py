@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -123,25 +125,30 @@ class TestResidual:
         assert th2 == 0.3
 
     def test_jacobian_matches_directional_differences(self):
-        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
-        rng = np.random.default_rng(2)
-        X0 = manifolds.seed_state(spec,
-                                  manifolds.random_seed_params(spec, rng))
-        problem = shooting.ShootingProblem(
-            spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
-        u = shooting.seed_unknowns(problem, X0, c.S)
-        res, J = shooting.residual_and_jacobian(problem, u)
-        assert np.allclose(res, shooting.residual(problem, u), atol=1e-12)
-        h = 1e-6
-        for i in range(problem.n_unknowns):
-            up, um = u.copy(), u.copy()
-            up[i] += h
-            um[i] -= h
-            col = (shooting.residual(problem, up)
-                   - shooting.residual(problem, um)) / (2 * h)
-            scale = max(1.0, np.linalg.norm(J[:, i]))
-            assert np.linalg.norm(J[:, i] - col) < 1e-5 * scale, f"column {i}"
+        """Every column, in 3D the theta column and the BL row too,
+        against central differences of the residual."""
+        for dim in (2, 3):
+            spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+            c = manifolds.constants(spec)
+            rng = np.random.default_rng(2)
+            X0 = manifolds.seed_state(
+                spec, manifolds.random_seed_params(spec, rng))
+            problem = shooting.ShootingProblem(
+                spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
+            u = shooting.seed_unknowns(problem, X0, c.S, 0.2)
+            res, J = shooting.residual_and_jacobian(problem, u)
+            assert np.allclose(res, shooting.residual(problem, u),
+                               atol=1e-12)
+            h = 1e-6
+            for i in range(problem.n_unknowns):
+                up, um = u.copy(), u.copy()
+                up[i] += h
+                um[i] -= h
+                col = (shooting.residual(problem, up)
+                       - shooting.residual(problem, um)) / (2 * h)
+                scale = max(1.0, np.linalg.norm(J[:, i]))
+                assert np.linalg.norm(J[:, i] - col) < 1e-5 * scale, \
+                    f"dim {dim} column {i}"
 
 
 def per_segment_reference(problem, u):
@@ -267,8 +274,9 @@ class TestTypedFailures:
         assert info.value.best_unknowns is not None
         # continuation halves eps, then reports the failure instead of
         # raising it
+        monkeypatch.setattr(shooting, "EPS_STEP_FLOOR", EPS / 2)
         family, diags = shooting.continue_in_epsilon(
-            spec, forcing_pert(2), X0, c.S, [EPS], step_floor=EPS / 2)
+            spec, forcing_pert(2), X0, c.S, [EPS])
         assert family == []
         assert [d["eps"] for d in diags] == [EPS / 2]
         assert "SVD" in diags[0]["error"]
@@ -295,6 +303,34 @@ class TestTypedFailures:
         assert [o.eps for o in family] == [EPS / 4]
         assert diags == [{"eps": 0.0,
                           "error": "synthetic failure at eps = 0"}]
+
+    def test_lower_target_is_solved_once(self, monkeypatch):
+        """A target below the current eps gets one solve from the current
+        orbit: it joins the family, or its failure ends the continuation
+        with a diagnostic, with no halving."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        family, diags = shooting.continue_in_epsilon(
+            spec, forcing_pert(2), X0, c.S, [EPS / 2, EPS / 4])
+        assert [o.eps for o in family] == [EPS / 2, EPS / 4]
+        assert diags == []
+        assert all(o.residual_norm < shooting.RESIDUAL_TOL for o in family)
+
+        real, tried = shooting.solve, []
+
+        def fail_lower(problem, unknowns0):
+            tried.append(problem.eps)
+            if problem.eps < EPS / 2:
+                raise shooting.ShootingError("synthetic lower failure")
+            return real(problem, unknowns0)
+
+        monkeypatch.setattr(shooting, "solve", fail_lower)
+        family, diags = shooting.continue_in_epsilon(
+            spec, forcing_pert(2), X0, c.S, [EPS / 2, EPS / 4, EPS])
+        assert tried == [EPS / 2, EPS / 4]
+        assert [o.eps for o in family] == [EPS / 2]
+        assert diags == [{"eps": EPS / 4, "error": "synthetic lower failure"}]
 
 
 class TestSolve:
@@ -337,15 +373,16 @@ class TestSolve:
         assert orbit.monodromy.det == pytest.approx(1.0, abs=1e-6)
         assert len(orbit.multipliers()) == 6
 
-    def test_solver_reports_failure(self):
+    def test_solver_reports_failure(self, monkeypatch):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
         X_bad = model.pack_state([0.9, 0.1], [0.3, -0.4], 0.0, 0.9)
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.3, pert=forcing_pert(2), X_ref=X_bad)
         u = shooting.pack_unknowns(
             problem, np.tile(X_bad, (problem.m, 1)), 5.0)
+        monkeypatch.setattr(shooting, "MAX_OUTER", 2)
         with pytest.raises((shooting.ShootingError, flow.FlowError)):
-            shooting.solve(problem, u, max_outer=2)
+            shooting.solve(problem, u)
 
 
 def full_strong_step(u, res, J):
@@ -566,8 +603,9 @@ class TestWorkCounts:
             return u_star, res_star, J_star if held else None
 
         monkeypatch.setattr(shooting, "_line_search", reduced_converges)
+        monkeypatch.setattr(shooting, "MAX_OUTER", 1)
         log.clear()
-        orbit = shooting.solve(problem, u0, max_outer=1)
+        orbit = shooting.solve(problem, u0)
         names = [name for name, _ in log]
         assert names.count("reduced") == 1
         after = [u for name, u in log[names.index("reduced"):]
@@ -689,7 +727,7 @@ class TestArchive:
         _, family = family2d
         path = tmp_path / "orbits.json"
         shooting.save_orbits(family, path, meta={"note": "test"})
-        data = shooting.load_orbits(path)
+        data = json.loads(path.read_text())
         assert data["meta"]["note"] == "test"
         assert len(data["orbits"]) == len(family)
         rec = data["orbits"][-1]
