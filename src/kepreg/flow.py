@@ -88,6 +88,12 @@ class Trajectory:
     axis comes last, so the points read at once lie along the fastest
     axis.  On step i, with x = (s - s_i) / (s_{i+1} - s_i), the dense
     output is states[i] + x (F_0 + (1 - x) (F_1 + x (F_2 + ... + x F_6))).
+
+    ``settled_step`` is the largest step the integration accepted, the
+    size the step controller settled on after its start-up ramp (the
+    last step, cut short at the end, never exceeds it).  A later
+    integration of a like system can start near it through
+    ``first_step`` instead of ramping up again.
     """
 
     s: np.ndarray
@@ -95,6 +101,7 @@ class Trajectory:
     sol: object                 # DOP853 coefficients (see above) or None
     nfev: int
     dim: int                    # state dimension (augmented columns excluded)
+    settled_step: float         # largest accepted step (see above)
 
     def eval(self, s):
         """Dense-output state at s (augmented columns stripped).
@@ -180,14 +187,16 @@ class _StateErrorDOP853(DOP853):
                                             scale[self._state])
 
 
-def _solve(fun, Y0, s_end, cfg, dim, state=None):
+def _solve(fun, Y0, s_end, cfg, dim, state, first_step):
     """Integrate dY/ds = fun(Y) for Y0 of shape (D_aug,) or (m, D_aug).
 
     Steps scipy's DOP853 as ``solve_ivp`` does, but collects the
     accepted steps and their interpolation coefficients only when
     ``cfg.dense`` is set; otherwise it keeps the start and end points
     alone.  A boolean ``state`` mask over the flattened Y0 limits step
-    control to those components.
+    control to those components (None: all of them).  ``first_step``
+    replaces scipy's starting-step estimate; left None (a cold start)
+    the integration is ``solve_ivp``'s bit for bit.
     """
     if cfg.dense and s_end == 0.0:
         raise ValueError("dense output needs an interval of nonzero length")
@@ -196,14 +205,18 @@ def _solve(fun, Y0, s_end, cfg, dim, state=None):
                                                   state=state)
     solver = method(lambda s, y: fun(y.reshape(shape)).ravel(), 0.0,
                     Y0.ravel(), float(s_end), rtol=cfg.rel_tol,
-                    atol=cfg.abs_tol, max_step=cfg.max_step)
+                    atol=cfg.abs_tol, max_step=cfg.max_step,
+                    first_step=first_step)
     ts, ys, coeffs = [0.0], [Y0.ravel()], []
+    settled = 0.0
     while solver.status == "running":
+        s_old = solver.t
         message = solver.step()
         if solver.status == "failed":
             raise FlowError(f"integration failed: {message}",
                             last_s=solver.t,
                             last_state=solver.y.reshape(shape))
+        settled = max(settled, abs(solver.t - s_old))
         if cfg.dense:
             ts.append(solver.t)
             ys.append(solver.y)
@@ -214,22 +227,26 @@ def _solve(fun, Y0, s_end, cfg, dim, state=None):
     sol = (np.stack(coeffs, axis=-1).reshape((7,) + shape + (-1,))
            if cfg.dense else None)
     return Trajectory(s=np.array(ts), states=np.reshape(ys, (-1,) + shape),
-                      sol=sol, nfev=solver.nfev, dim=dim)
+                      sol=sol, nfev=solver.nfev, dim=dim,
+                      settled_step=settled)
 
 
-def integrate(field, X0, s_end, cfg=None):
+def integrate(field, X0, s_end, cfg=None, first_step=None):
     """Integrate dX/ds = field(X) over [0, s_end].
 
     ``field`` maps a state to its derivative (autonomous form).  X0 is
     one state (D,) or a stack (m, D) of initial states, integrated as
     one system on one step sequence; ``field`` then maps (m, D) arrays.
+    ``first_step`` is the size of the first trial step; None (a cold
+    start) leaves it to scipy's estimate, as ``solve_ivp`` does.
     """
     cfg = cfg or IntegratorConfig()
     X0 = np.asarray(X0, float)
-    return _solve(field, X0, s_end, cfg, X0.shape[-1])
+    return _solve(field, X0, s_end, cfg, X0.shape[-1], None, first_step)
 
 
-def integrate_with_variational(field_jacobian, X0, s_end, cfg=None):
+def integrate_with_variational(field_jacobian, X0, s_end, cfg=None,
+                               first_step=None):
     """Integrate the state together with the fundamental matrix.
 
     ``field_jacobian`` maps a state to the pair (field, Jacobian), so
@@ -237,8 +254,9 @@ def integrate_with_variational(field_jacobian, X0, s_end, cfg=None):
     with M the fundamental solution at s_end, M(0) = Id.  Step control
     reads the state columns only: the matrix columns are integrated on
     the state's accepted steps and do not shorten them, so the state
-    takes the steps of a plain ``integrate`` give or take one (the first
-    step size is still chosen from every column).  For a stack X0 (m, D),
+    takes the steps of a plain ``integrate`` give or take one (on a cold
+    start the first step size is still chosen from every column; a given
+    ``first_step`` is taken as it is).  For a stack X0 (m, D),
     ``field_jacobian`` maps (m, D) states to (m, D) and (m, D, D), and M
     is the (m, D, D) stack.
     """
@@ -256,7 +274,7 @@ def integrate_with_variational(field_jacobian, X0, s_end, cfg=None):
 
     eye = np.broadcast_to(np.eye(D).ravel(), flat)
     traj = _solve(fun, np.concatenate([X0, eye], axis=-1), s_end, cfg, D,
-                  state.ravel())
+                  state.ravel(), first_step)
     return traj, traj.states[-1, ..., D:].reshape(X0.shape + (D,))
 
 

@@ -175,12 +175,18 @@ class GeneralizedSolution:
         """Arrays (t, u, v) at n times over one period; v is NaN inside
         excision windows of half-width EXCISION * period around each
         collision."""
+        ts, X, vs = self._sample(n)
+        return ts, model.state_position(X), vs
+
+    def _sample(self, n):
+        """``sample`` with the regularized states (n, D) in place of u,
+        read with one inversion of the time map."""
         ts = np.linspace(self.t_start, self.t_start + self.period, n)
         X = self.state_at_t(ts)
         vs = np.full((n, self.dim), np.nan)
         far = self._farther_than(ts, EXCISION * self.period)
         vs[far] = model.state_velocity(X[far])
-        return ts, model.state_position(X), vs
+        return ts, X, vs
 
     def _farther_than(self, ts, dist):
         """Mask of the times ts farther than dist from every collision,
@@ -622,14 +628,16 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None):
 def generalized_to_csv(gensol, path, header_lines=()):
     """u(t) at CSV_SAMPLES times with energy and collision flags, events
     as a footer."""
-    ts, us, vs = gensol.sample(CSV_SAMPLES)
+    ts, X, vs = gensol._sample(CSV_SAMPLES)
+    us = model.state_position(X)
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         ucols = ",".join(f"u{i}" for i in range(gensol.dim))
         fh.write(f"t,{ucols},r,E,near_collision\n")
         rows = np.column_stack([ts, us, np.linalg.norm(us, axis=-1),
-                                gensol.energy(ts)])
+                                model.state_energy(X, gensol.eps,
+                                                   gensol.pert)])
         for row, near in zip(rows, np.isnan(vs).any(axis=-1)):
             fh.write(",".join(f"{x:.16e}" for x in row) + f",{near:d}\n")
         for c in gensol.collisions:

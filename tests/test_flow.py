@@ -193,7 +193,8 @@ class TestDenseOutput:
             traj = trajs[name]
             trajs[name + ", random"] = flow.Trajectory(
                 s=traj.s, states=local.normal(size=traj.states.shape),
-                sol=local.normal(size=traj.sol.shape), nfev=0, dim=traj.dim)
+                sol=local.normal(size=traj.sol.shape), nfev=0, dim=traj.dim,
+                settled_step=traj.settled_step)
         return trajs
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -360,6 +361,54 @@ class TestStateStepControl:
                                             1.0)
         assert flow.integrate(fld, X0, 1.0).eval(1.0)[0] == \
             pytest.approx(np.cos(1.0), abs=1e-10)
+
+
+class TestFirstStep:
+    """An integration started at an earlier one's settled step passes
+    the same error test on every step, from a first step that needs no
+    ramp."""
+
+    @pytest.mark.parametrize("variational", [False, True],
+                             ids=["plain", "variational"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_warm_start_matches_cold(self, dim, variational):
+        """A stack of four segment starts of a perturbed orbit over
+        S/4: started at the cold run's settled step, it ends within
+        1e-12 of the cold run and takes no more steps."""
+        local = np.random.default_rng(30 + dim)
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        c = manifolds.constants(spec)
+        X0 = np.array([manifolds.seed_state(
+            spec, manifolds.random_seed_params(spec, local))
+            for _ in range(4)])
+        pert = TestStateStepControl.forced(dim)
+
+        def run(first_step):
+            if variational:
+                return flow.integrate_with_variational(
+                    kepler_field_jacobian(1e-3, pert), X0, c.S / 4,
+                    first_step=first_step)[0]
+            return flow.integrate(kepler_field(1e-3, pert), X0, c.S / 4,
+                                  first_step=first_step)
+
+        cold = run(None)
+        # the settled step is the largest accepted one, past the ramp
+        assert cold.settled_step == np.max(np.diff(cold.s))
+        assert cold.settled_step > 10 * cold.s[1]
+        warm = run(cold.settled_step)
+        assert warm.s[1] == cold.settled_step
+        assert np.max(np.abs(warm.states[-1, ..., : warm.dim]
+                             - cold.states[-1, ..., : cold.dim])) < 1e-12
+        assert warm.n_steps <= cold.n_steps
+        assert warm.nfev < cold.nfev
+
+    def test_single_step_settles_on_the_interval(self):
+        """A run taken in one step settles on its whole length, backward
+        runs included."""
+        fld = lambda y: np.zeros(1)
+        traj = flow.integrate(fld, np.zeros(1), -0.5, first_step=0.5)
+        assert traj.n_steps == 1
+        assert traj.settled_step == 0.5
 
 
 class TestEvents:

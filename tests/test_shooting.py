@@ -96,9 +96,9 @@ class TestResidual:
         assert problem.cfg.dense
         real, cfgs = flow.integrate, []
 
-        def spy(fun, X0, S, cfg=None):
+        def spy(fun, X0, S, cfg=None, **kwargs):
             cfgs.append(cfg)
-            return real(fun, X0, S, cfg)
+            return real(fun, X0, S, cfg, **kwargs)
 
         monkeypatch.setattr(flow, "integrate", spy)
         shooting.seed_unknowns(problem, X0, c.S)
@@ -237,23 +237,6 @@ class TestStackedSegments:
 
 
 class TestTypedFailures:
-    def test_winding_failure_becomes_shooting_error(self, monkeypatch):
-        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
-        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
-        problem = shooting.ShootingProblem(
-            spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2), X_ref=X0)
-        u = shooting.seed_unknowns(problem, X0, c.S)
-
-        def no_winding(X0, X_end, T):
-            raise ValueError("time winding 0.5 is not close to an integer")
-
-        monkeypatch.setattr(shooting, "index_of_winding", no_winding)
-        with pytest.raises(shooting.ShootingError, match="winding") as info:
-            shooting.solve(problem, u)
-        assert np.array_equal(info.value.best_unknowns, u)
-        assert info.value.best_residual < 1e-9
-
     def test_nonfinite_jacobian_becomes_shooting_error(self, monkeypatch):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
         c = manifolds.constants(spec)
@@ -618,6 +601,87 @@ class TestWorkCounts:
         assert np.array_equal(orbit.monodromy.M, reference.monodromy.M)
 
 
+class TestCarriedStep:
+    """A continuation starts its first integration cold and every later
+    one at the first step that one fixed; a direct solve starts each
+    integration cold."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Logs (stacked, s_end, first_step) of every plain and
+        variational integration."""
+        log = []
+        real_plain, real_var = flow.integrate, flow.integrate_with_variational
+
+        def plain(fun, X0, s_end, cfg=None, first_step=None):
+            log.append((np.ndim(X0) == 2, s_end, first_step))
+            return real_plain(fun, X0, s_end, cfg, first_step)
+
+        def variational(fun, X0, s_end, cfg=None, first_step=None):
+            log.append((np.ndim(X0) == 2, s_end, first_step))
+            return real_var(fun, X0, s_end, cfg, first_step)
+
+        monkeypatch.setattr(flow, "integrate", plain)
+        monkeypatch.setattr(flow, "integrate_with_variational", variational)
+        return log
+
+    @staticmethod
+    def continuation(seed=5, targets=(EPS / 4, EPS / 2)):
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X_seed = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(seed)))
+        family, diags = shooting.continue_in_epsilon(
+            spec, forcing_pert(2), X_seed, c.S, list(targets))
+        assert diags == []
+        return family
+
+    def test_one_cold_start_per_continuation(self, monkeypatch):
+        """Per call: the first integration (a seed segment) starts cold,
+        every stacked segment integration at one sigma-step, and every
+        later seed segment at that step times its length."""
+        log = self.spy(monkeypatch)
+        for _ in range(2):
+            log.clear()
+            self.continuation()
+            assert log[0][2] is None
+            assert all(first is not None for _, _, first in log[1:])
+            stacked = [(s_end, first) for is_stack, s_end, first in log
+                       if is_stack]
+            assert len(stacked) > 10
+            sigma = stacked[0][1]
+            assert all(s_end == 1.0 and first == sigma
+                       for s_end, first in stacked)
+            seeds = [(s_end, first) for is_stack, s_end, first in log[1:]
+                     if not is_stack]
+            assert seeds
+            assert all(first == sigma * s_end for s_end, first in seeds)
+
+    def test_direct_solve_starts_cold(self, monkeypatch):
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2), X_ref=X0)
+        log = self.spy(monkeypatch)
+        shooting.solve(problem, shooting.seed_unknowns(problem, X0, c.S))
+        assert len(log) == problem.m - 1 + 2
+        assert all(first is None for _, _, first in log)
+
+    def test_continuation_is_repeatable(self):
+        """No step outlives a call: two calls give the same orbits bit
+        for bit, also with a continuation from another seed between
+        them."""
+        first = self.continuation()
+        self.continuation(seed=6, targets=(EPS / 4,))
+        second = self.continuation()
+        for a, b in zip(first, second, strict=True):
+            assert np.array_equal(a.X0, b.X0)
+            assert a.S == b.S
+            assert a.energy_band == b.energy_band
+            assert np.array_equal(a.monodromy.M, b.monodromy.M)
+
+
 class TestSpatial:
     def test_3d_orbit(self, orbit3d):
         spec, orbit = orbit3d
@@ -683,25 +747,6 @@ class TestEnergyBand:
             band = shooting.energy_band(traj, orbit.eps, pert)
             assert np.max(np.abs(np.subtract(orbit.energy_band,
                                              band))) < 1e-9
-
-
-class TestWinding:
-    def test_index_of_winding(self):
-        X0 = np.zeros(6)
-        X_end = np.zeros(6)
-        X_end[-2] = 2.0 * T
-        assert shooting.index_of_winding(X0, X_end, T) == 2
-
-    def test_non_integer_rejected(self):
-        X0 = np.zeros(6)
-        X_end = np.zeros(6)
-        X_end[-2] = 1.5 * T
-        with pytest.raises(ValueError):
-            shooting.index_of_winding(X0, X_end, T)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            shooting.index_of_winding(np.zeros(6), np.zeros(6), T)
 
 
 class TestDistinctness:
