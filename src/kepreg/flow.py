@@ -258,22 +258,30 @@ def integrate_with_variational(field_jacobian, X0, s_end, cfg=None,
     start the first step size is still chosen from every column; a given
     ``first_step`` is taken as it is).  For a stack X0 (m, D),
     ``field_jacobian`` maps (m, D) states to (m, D) and (m, D, D), and M
-    is the (m, D, D) stack.
+    is the (m, D, D) stack.  The right-hand side is assembled here, in
+    ``fun``: each row (D + D*D,) is viewed as (D + 1, D), the state and
+    then M, and each stage writes F and J M into one new array of that
+    shape.
     """
     cfg = cfg or IntegratorConfig()
     X0 = np.asarray(X0, float)
     D = X0.shape[-1]
-    flat = X0.shape[:-1] + (D * D,)
-    state = np.zeros(X0.shape[:-1] + (D + D * D,), bool)
-    state[..., :D] = True
+    rows = X0.shape[:-1] + (D + 1, D)
+    state = np.zeros(rows, bool)
+    state[..., 0, :] = True
 
     def fun(Y):
-        F, J = field_jacobian(Y[..., :D])
-        M = Y[..., D:].reshape(X0.shape + (D,))
-        return np.concatenate([F, (J @ M).reshape(flat)], axis=-1)
+        Y = Y.reshape(rows)
+        F, J = field_jacobian(Y[..., 0, :])
+        out = np.empty(rows)
+        out[..., 0, :] = F
+        np.matmul(J, Y[..., 1:, :], out=out[..., 1:, :])
+        return out
 
-    eye = np.broadcast_to(np.eye(D).ravel(), flat)
-    traj = _solve(fun, np.concatenate([X0, eye], axis=-1), s_end, cfg, D,
+    Y0 = np.empty(rows)
+    Y0[..., 0, :] = X0
+    Y0[..., 1:, :] = np.eye(D)
+    traj = _solve(fun, Y0.reshape(X0.shape[:-1] + (-1,)), s_end, cfg, D,
                   state.ravel(), first_step)
     return traj, traj.states[-1, ..., D:].reshape(X0.shape + (D,))
 

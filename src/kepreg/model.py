@@ -349,8 +349,14 @@ def check_regularizable(pert):
 #
 # reg_field, reg_energy_gradient and reg_field_jacobian take one state
 # (D,) or a stack of states (m, D) and return (..., D), or (..., D) and
-# (..., D, D).  Each call evaluates the perturbation once, for the whole
-# stack.
+# (..., D, D).  All three go through one kernel, ``_kernel``, which
+# evaluates the perturbation once for the whole stack and computes each
+# piece of the field once: |z|^2, the position Jacobian A and u(z), A^T
+# grad U, and the coefficient 2 (eps U - tau) of z in w'.  F is
+# assembled from those pieces.  The Jacobian reuses them and adds
+# A^T d/dt grad U and the curvature sum_k g_k B_k (+ A^T H A) of
+# U(t, u(z)) in z, starting from a constant template that holds its
+# I/4 block.
 
 def _split(X):
     """(z, w, t, tau) views of a state (D,) or a stack of states (..., D)."""
@@ -358,22 +364,10 @@ def _split(X):
     return X[..., :zd], X[..., zd:2 * zd], X[..., 2 * zd], X[..., 2 * zd + 1]
 
 
-def _perturbation_at(z, t, eps, pert, second=False):
-    """U at (t, u(z)) and the position Jacobian A at z."""
+def _perturbation_value(z, t, eps, pert):
+    """U at (t, u(z))."""
     check_regularizable(pert)
-    A = position_jacobian(z)
-    u = 0.5 * np.matvec(A, z)           # position(z), reusing A
-    return pert.evaluate(t, u, eps, second), A
-
-
-def _grad_z_P(z, A, ev):
-    """Gradient of P(t, z) = |z|^2 U(t, u(z)) with respect to z.
-
-    ``A`` is position_jacobian(z) and ``ev`` the evaluation of U at
-    (t, position(z)).
-    """
-    return (2.0 * ev.value[..., None] * z
-            + np.vecdot(z, z)[..., None] * np.vecmat(ev.grad, A))
+    return pert.evaluate(t, position(z), eps).value
 
 
 def reg_energy(X, eps, pert):
@@ -382,52 +376,106 @@ def reg_energy(X, eps, pert):
     r2 = np.vecdot(z, z)
     K = tau * r2 + np.vecdot(w, w) / 8.0 - 1.0
     if eps != 0.0:
-        ev, _ = _perturbation_at(z, t, eps, pert)
-        K = K - eps * r2 * ev.value
+        K = K - eps * r2 * _perturbation_value(z, t, eps, pert)
     return K
 
 
-def _field(z, w, tau, eps=0.0, ev=None, A=None):
-    """The field from the split state; the eps terms are added when
-    ``ev`` and ``A`` (from ``_perturbation_at``) are given."""
-    zd = z.shape[-1]
-    F = np.empty(z.shape[:-1] + (2 * zd + 2,))
-    F[..., :zd] = w / 4.0
-    F[..., zd:2 * zd] = (-2.0 * tau)[..., None] * z
-    F[..., 2 * zd] = np.vecdot(z, z)
-    F[..., 2 * zd + 1] = 0.0
-    if ev is not None:
-        F[..., zd:2 * zd] += eps * _grad_z_P(z, A, ev)
-        F[..., 2 * zd + 1] = eps * F[..., 2 * zd] * ev.dt
-    return F
+def _jacobian_template(zd):
+    """DF's constant part: the I/4 block dz'/dw, zeros elsewhere."""
+    D = 2 * zd + 2
+    J = np.zeros((D, D))
+    J[:zd, zd:2 * zd] = np.eye(zd) / 4.0
+    return J
+
+
+_J_TEMPLATE = {zd: _jacobian_template(zd) for zd in (2, 4)}
+# B reshaped so that g @ _B_FLAT[zd] is sum_k g_k B[k], flattened
+_B_FLAT = {len(B[0]): B.reshape(len(B), -1) for B in (_B2, _B3)}
+
+
+def _kernel(X, eps, pert, jacobian):
+    """F(X), and with ``jacobian`` the pair (F, DF(X)).
+
+    F is w' = (2 eps U - 2 tau) z + eps |z|^2 A^T grad U and
+    tau' = eps |z|^2 dU/dt beside z' = w/4 and t' = |z|^2.  DF's (w, z)
+    block is (2 eps U - 2 tau) I + eps (2 (z Ag^T + Ag z^T) + |z|^2 curv)
+    with Ag = A^T grad U and curv = sum_k g_k B[k] + A^T H A (H = None
+    when U is affine in u), and its t column and tau row both hold
+    eps (2 dU/dt z + |z|^2 A^T d/dt grad U).
+    """
+    X = np.asarray(X, float)
+    zd = (X.shape[-1] - 2) // 2
+    z = X[..., :zd]
+    w, t, tau = X[..., zd:2 * zd], X[..., 2 * zd], X[..., 2 * zd + 1]
+    r2 = np.vecdot(z, z)
+    F = np.empty(X.shape)
+    np.multiply(w, 0.25, out=F[..., :zd])
+    F[..., 2 * zd] = r2
+    Fw = F[..., zd:2 * zd]
+    perturbed = eps != 0.0 and pert is not None
+    if perturbed:
+        check_regularizable(pert)
+        z = np.ascontiguousarray(z)
+        A = position_jacobian(z)
+        ev = pert.evaluate(t, 0.5 * np.matvec(A, z), eps, jacobian)
+        Ag = np.vecmat(ev.grad, A)
+        er2 = eps * r2
+        c = 2.0 * (eps * ev.value - tau)
+        np.multiply(c[..., None], z, out=Fw)
+        Fw += er2[..., None] * Ag
+        np.multiply(er2, ev.dt, out=F[..., 2 * zd + 1])
+    else:
+        c = -2.0 * tau
+        np.multiply(c[..., None], z, out=Fw)
+        F[..., 2 * zd + 1] = 0.0
+    if not jacobian:
+        return F
+
+    D = X.shape[-1]
+    J = np.empty(X.shape + (D,))
+    J[...] = _J_TEMPLATE[zd]
+    np.multiply(z, -2.0, out=J[..., zd:2 * zd, 2 * zd + 1])
+    np.multiply(z, 2.0, out=J[..., 2 * zd, :zd])
+    if perturbed:
+        curv = (ev.grad @ _B_FLAT[zd]).reshape(X.shape[:-1] + (zd, zd))
+        if ev.hess is not None:
+            curv = curv + np.swapaxes(A, -1, -2) @ ev.hess @ A
+        zAg = z[..., :, None] * Ag[..., None, :]
+        Jwz = J[..., zd:2 * zd, :zd]
+        np.multiply(er2[..., None, None], curv, out=Jwz)
+        Jwz += (2.0 * eps) * (zAg + np.swapaxes(zAg, -1, -2))
+        col = J[..., zd:2 * zd, 2 * zd]
+        np.multiply((2.0 * eps * ev.dt)[..., None], z, out=col)
+        col += er2[..., None] * np.vecmat(ev.grad_dt, A)
+        J[..., 2 * zd + 1, :zd] = col
+        np.multiply(er2, ev.dt2, out=J[..., 2 * zd + 1, 2 * zd])
+    # the diagonal of the (w, z) block, a strided view of flat J
+    diag = J.reshape(X.shape[:-1] + (D * D,))[
+        ..., zd * D: zd * D + zd * (D + 1): D + 1]
+    diag += c[..., None]
+    return F, J
 
 
 def reg_field(X, eps, pert=None):
     """Right-hand side of the regularized Hamiltonian system."""
-    z, w, t, tau = _split(np.asarray(X, float))
-    if eps == 0.0 or pert is None:
-        return _field(z, w, tau)
-    return _field(z, w, tau, eps, *_perturbation_at(z, t, eps, pert))
+    return _kernel(X, eps, pert, False)
 
 
 def reg_energy_gradient(X, eps, pert=None):
-    """Gradient of K_eps with respect to the state."""
-    X = np.asarray(X, float)
-    z, w, t, tau = _split(X)
-    zd = z.shape[-1]
-    G = np.empty(X.shape)
-    G[..., :zd] = (2.0 * tau)[..., None] * z
-    G[..., zd:2 * zd] = w / 4.0
-    G[..., 2 * zd] = 0.0
-    G[..., 2 * zd + 1] = np.vecdot(z, z)
-    if eps != 0.0 and pert is not None:
-        ev, A = _perturbation_at(z, t, eps, pert)
-        G[..., :zd] -= eps * _grad_z_P(z, A, ev)
-        G[..., 2 * zd] = -eps * G[..., 2 * zd + 1] * ev.dt
+    """Gradient of K_eps with respect to the state.
+
+    The field is the Hamiltonian vector field of K_eps in (z, w) with
+    the (t, tau) extension, so the gradient is the field rotated back:
+    (-w', z', -tau', t').
+    """
+    F = _kernel(X, eps, pert, False)
+    zd = (F.shape[-1] - 2) // 2
+    G = np.empty(F.shape)
+    np.negative(F[..., zd:2 * zd], out=G[..., :zd])
+    G[..., zd:2 * zd] = F[..., :zd]
+    G[..., 2 * zd] = -F[..., 2 * zd + 1]
+    G[..., 2 * zd + 1] = F[..., 2 * zd]
     return G
-
-
-_EYE = {2: np.eye(2), 4: np.eye(4)}
 
 
 def reg_field_jacobian(X, eps, pert=None):
@@ -438,36 +486,7 @@ def reg_field_jacobian(X, eps, pert=None):
     from ``pert.evaluate(..., second=True)``, whose ``hess`` is None
     when U is affine in u.  Everything else is assembled analytically.
     """
-    X = np.asarray(X, float)
-    z, w, t, tau = _split(X)
-    zd = z.shape[-1]
-    eye = _EYE[zd]
-    J = np.zeros(X.shape + X.shape[-1:])
-    J[..., :zd, zd:2 * zd] = eye / 4.0
-    J[..., zd:2 * zd, :zd] = (-2.0 * tau)[..., None, None] * eye
-    J[..., zd:2 * zd, 2 * zd + 1] = -2.0 * z
-    J[..., 2 * zd, :zd] = 2.0 * z
-    if eps == 0.0 or pert is None:
-        return _field(z, w, tau), J
-
-    ev, A = _perturbation_at(z, t, eps, pert, second=True)
-    r2 = np.vecdot(z, z)[..., None]
-    Ag = np.vecmat(ev.grad, A)
-    zAg = z[..., :, None] * Ag[..., None, :]
-    # curvature of U(t, u(z)) in z: sum_k g_k B[k] + A^T H A
-    B = _position_hessians(zd)
-    curv = (ev.grad @ B.reshape(len(B), -1)).reshape(J.shape[:-2] + (zd, zd))
-    if ev.hess is not None:
-        curv = curv + np.swapaxes(A, -1, -2) @ ev.hess @ A
-    Hp = (2.0 * (zAg + np.swapaxes(zAg, -1, -2))
-          + (2.0 * ev.value)[..., None, None] * eye + r2[..., None] * curv)
-    dgradP_dt = 2.0 * ev.dt[..., None] * z + r2 * np.vecmat(ev.grad_dt, A)
-
-    J[..., zd:2 * zd, :zd] += eps * Hp
-    J[..., zd:2 * zd, 2 * zd] = eps * dgradP_dt
-    J[..., 2 * zd + 1, :zd] = eps * dgradP_dt
-    J[..., 2 * zd + 1, 2 * zd] = eps * r2[..., 0] * ev.dt2
-    return _field(z, w, tau, eps, ev, A), J
+    return _kernel(X, eps, pert, True)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +562,7 @@ def state_energy(X, eps, pert):
     z, _, t, tau = _split(np.asarray(X, float))
     E = -tau
     if eps != 0.0 and pert is not None:
-        ev, _ = _perturbation_at(z, t, eps, pert)
-        E = E + eps * ev.value
+        E = E + eps * _perturbation_value(z, t, eps, pert)
     return E
 
 

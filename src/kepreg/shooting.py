@@ -494,8 +494,10 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
     """Natural-parameter continuation from an unperturbed seed.
 
     Solves at each target eps, seeded with the last converged orbit.  A
-    target above the current eps halves its eps-step on failure down to
-    EPS_STEP_FLOOR; a target at or below it gets one solve.  Returns
+    target above the current eps halves its eps-step on a failed solve
+    down to EPS_STEP_FLOOR; a target at or below it gets one solve.  A
+    failed seed integration ends the continuation at once: a smaller
+    eps would integrate from the same converged state.  Returns
     (family, diagnostics); the family is partial when a target fails,
     with the failure recorded in the diagnostics.  Only the first
     integration starts cold: every later one, in every problem, starts
@@ -515,8 +517,12 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
                                       X_ref=X_cur, m=m, cfg=cfg)
             problem._first_step, problem._settles = step, True
             try:
-                orbit = solve(problem, seed_unknowns(problem, X_cur, S_cur,
-                                                     th_cur))
+                unknowns = seed_unknowns(problem, X_cur, S_cur, th_cur)
+            except (ShootingError, flow.FlowError) as exc:
+                diags.append({"eps": eps_try, "error": str(exc)})
+                return family, diags
+            try:
+                orbit = solve(problem, unknowns)
             except (ShootingError, flow.FlowError) as exc:
                 if eps_try - eps_cur <= EPS_STEP_FLOOR:
                     diags.append({"eps": eps_try, "error": str(exc)})

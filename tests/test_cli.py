@@ -188,10 +188,10 @@ def test_singular_perturbation_is_config_error(tmp_path, capsys, command):
 
 
 SYNTHETIC = "integration failed: synthetic"
-# continuation halves the first eps target, 1e-3 / 4, down to the step
-# floor 1e-8 and reports the last try
-HALVED = [{"k": 1, "diagnostics": [{"eps": 1e-3 / 4 / 2 ** 15,
-                                    "error": SYNTHETIC}]}]
+# the seed integration of the first eps target, 1e-3 / 4, fails, which
+# ends the continuation at that eps without halving it
+SEED_FAILED = [{"k": 1, "diagnostics": [{"eps": 1e-3 / 4,
+                                         "error": SYNTHETIC}]}]
 
 
 def fail_integration(monkeypatch, error):
@@ -219,7 +219,7 @@ def test_computation_failure_exits_partial(tmp_path, capsys, monkeypatch,
     assert code == cli.EXIT_PARTIAL
     if command in ("shoot", "theorem-demo"):
         # continuation caught the failure; the orbit archive keeps it too
-        expected = HALVED
+        expected = SEED_FAILED
         meta = json.loads((out / "orbits.json").read_text())["meta"]
         assert SYNTHETIC in json.dumps(meta)
     else:

@@ -18,8 +18,11 @@ def random_state(dim, rng=rng):
 
 
 def grad_z_P(z, t, eps, pert):
-    ev, A = model._perturbation_at(np.asarray(z, float), t, eps, pert)
-    return model._grad_z_P(z, A, ev)
+    """grad_z P(t, z, eps) read off the field kernel: at tau = 0, w' is
+    eps grad_z P (eps nonzero)."""
+    zd = len(z)
+    X = model.pack_state(z, np.zeros(zd), t, 0.0)
+    return model.reg_field(X, eps, pert)[zd:2 * zd] / eps
 
 
 def sample_pert(dim):
@@ -49,6 +52,52 @@ class Quadratic(model.Perturbation):
         eye = np.eye(u.shape[-1])
         return out._replace(hess=a[..., None, None] * eye,
                             grad_dt=da[..., None] * u, dt2=dda * q)
+
+
+def reference_field_jacobian(X, eps, pert):
+    """The field and its Jacobian assembled term by term from grad_z P,
+    its z-Hessian and its t-derivative, each term computed on its own:
+    the reference that ``model.reg_field`` and
+    ``model.reg_field_jacobian`` must match."""
+    X = np.asarray(X, float)
+    zd = (X.shape[-1] - 2) // 2
+    z, w = X[..., :zd], X[..., zd:2 * zd]
+    t, tau = X[..., 2 * zd], X[..., 2 * zd + 1]
+    eye = np.eye(zd)
+    r2 = np.vecdot(z, z)
+    F = np.empty(X.shape)
+    F[..., :zd] = w / 4.0
+    F[..., zd:2 * zd] = (-2.0 * tau)[..., None] * z
+    F[..., 2 * zd] = r2
+    F[..., 2 * zd + 1] = 0.0
+    J = np.zeros(X.shape + X.shape[-1:])
+    J[..., :zd, zd:2 * zd] = eye / 4.0
+    J[..., zd:2 * zd, :zd] = (-2.0 * tau)[..., None, None] * eye
+    J[..., zd:2 * zd, 2 * zd + 1] = -2.0 * z
+    J[..., 2 * zd, :zd] = 2.0 * z
+    if eps == 0.0:
+        return F, J
+    A = model.position_jacobian(z)
+    ev = pert.evaluate(t, model.position(z), eps, second=True)
+    Ag = np.vecmat(ev.grad, A)
+    grad_P = 2.0 * ev.value[..., None] * z + r2[..., None] * Ag
+    F[..., zd:2 * zd] += eps * grad_P
+    F[..., 2 * zd + 1] = eps * r2 * ev.dt
+    B = model._position_hessians(zd)
+    curv = np.einsum("...k,kij->...ij", ev.grad, B)
+    if ev.hess is not None:
+        curv = curv + np.swapaxes(A, -1, -2) @ ev.hess @ A
+    zAg = z[..., :, None] * Ag[..., None, :]
+    Hp = (2.0 * (zAg + np.swapaxes(zAg, -1, -2))
+          + (2.0 * ev.value)[..., None, None] * eye
+          + r2[..., None, None] * curv)
+    dgradP_dt = (2.0 * ev.dt[..., None] * z
+                 + r2[..., None] * np.vecmat(ev.grad_dt, A))
+    J[..., zd:2 * zd, :zd] += eps * Hp
+    J[..., zd:2 * zd, 2 * zd] = eps * dgradP_dt
+    J[..., 2 * zd + 1, :zd] = eps * dgradP_dt
+    J[..., 2 * zd + 1, 2 * zd] = eps * r2 * ev.dt2
+    return F, J
 
 
 class TestPerturbations:
@@ -244,10 +293,10 @@ class TestRegularizedField:
         pert = sample_pert(2)
         z = rng.normal(size=2)
         t = 1.9
-        g = grad_z_P(z, t, 0.0, pert)
+        g = grad_z_P(z, t, 1e-3, pert)
         zc = complex(z[0], z[1])
         u = model.position(z)
-        ev = pert.evaluate(t, u, 0.0)
+        ev = pert.evaluate(t, u, 1e-3)
         gu = ev.grad
         expected = (2.0 * ev.value * zc
                     + 2.0 * abs(zc) ** 2
@@ -318,6 +367,29 @@ class TestRegularizedField:
                                / (2 * ht), atol=5e-7), f"dim={dim} grad_dt"
             assert np.allclose(exact.dt2, (plus.dt - minus.dt) / (2 * ht),
                                atol=5e-7), f"dim={dim} dt2"
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m", [1, 4, 40])
+    def test_kernel_matches_reference(self, dim, m):
+        """F and J agree with the term-by-term reference assembly to
+        rtol 1e-13 (atol 1e-16 for entries that vanish in the
+        reference), for one state and stacks of 4 and 40."""
+        Xs = np.array([random_state(dim) for _ in range(m)])
+        if m == 1:
+            Xs = Xs[0]
+        for pert in (sample_pert(dim), Quadratic(),
+                     model.zero_perturbation(T, dim)):
+            for eps in (0.0, 1e-3, 1e-2):
+                F_ref, J_ref = reference_field_jacobian(Xs, eps, pert)
+                F, J = model.reg_field_jacobian(Xs, eps, pert)
+                for name, got, ref in (("F", F, F_ref), ("J", J, J_ref),
+                                       ("reg_field",
+                                        model.reg_field(Xs, eps, pert),
+                                        F_ref)):
+                    np.testing.assert_allclose(
+                        got, ref, rtol=1e-13, atol=1e-16,
+                        err_msg=f"dim={dim} m={m} {pert.name} eps={eps} "
+                                f"{name}")
 
     def test_stacked_kernels_match_rows(self):
         """A stack of states gives the row-by-row results, for a

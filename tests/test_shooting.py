@@ -264,6 +264,35 @@ class TestTypedFailures:
         assert [d["eps"] for d in diags] == [EPS / 2]
         assert "SVD" in diags[0]["error"]
 
+    @pytest.mark.parametrize("error", [shooting.ShootingError,
+                                       flow.FlowError])
+    def test_seed_failure_ends_continuation(self, monkeypatch, error):
+        """A failed seed integration ends the continuation at the eps it
+        was tried at: one seed attempt, no solve and no halving."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        seeds, solves = [], []
+        real_seed = shooting.seed_unknowns
+
+        def fail(*args, **kwargs):
+            raise error("synthetic seed failure")
+
+        def seed(problem, *args):
+            seeds.append(problem.eps)
+            return real_seed(problem, *args)
+
+        monkeypatch.setattr(flow, "integrate", fail)
+        monkeypatch.setattr(shooting, "seed_unknowns", seed)
+        monkeypatch.setattr(shooting, "solve",
+                            lambda *args: solves.append(args))
+        family, diags = shooting.continue_in_epsilon(
+            spec, forcing_pert(2), X0, c.S, [EPS / 4, EPS])
+        assert seeds == [EPS / 4]
+        assert solves == []
+        assert family == []
+        assert diags == [{"eps": EPS / 4, "error": "synthetic seed failure"}]
+
 
     @pytest.mark.parametrize("error", [shooting.ShootingError,
                                        flow.FlowError])
@@ -555,6 +584,74 @@ class TestWorkCounts:
     @staticmethod
     def count(log, name):
         return sum(entry[0] == name for entry in log)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_field_kernel_work(self, monkeypatch, dim):
+        """Per residual_and_jacobian call, reg_field_jacobian runs once
+        per variational field evaluation, and reg_field only for the
+        field at the segment ends and the phase row (twice); per
+        residual call, reg_field runs once per field evaluation and once
+        for the phase row.  Every call of a field or energy function
+        evaluates the perturbation exactly once."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(2)))
+        pert = forcing_pert(dim)
+        problem = shooting.ShootingProblem(spec=spec, eps=EPS, pert=pert,
+                                           X_ref=X0)
+        u = shooting.seed_unknowns(problem, X0, c.S)
+
+        evaluations, calls, nfev = [], {}, []
+        real_evaluate = pert.evaluate
+
+        def evaluate(*args):
+            evaluations.append(None)
+            return real_evaluate(*args)
+
+        def spy(name):
+            real = getattr(model, name)
+
+            def wrapper(*args):
+                before = len(evaluations)
+                out = real(*args)
+                calls.setdefault(name, []).append(len(evaluations) - before)
+                return out
+
+            monkeypatch.setattr(model, name, wrapper)
+
+        real_plain, real_var = flow.integrate, flow.integrate_with_variational
+
+        def plain(*args, **kwargs):
+            traj = real_plain(*args, **kwargs)
+            nfev.append(traj.nfev)
+            return traj
+
+        def variational(*args, **kwargs):
+            traj, M = real_var(*args, **kwargs)
+            nfev.append(traj.nfev)
+            return traj, M
+
+        monkeypatch.setattr(pert, "evaluate", evaluate)
+        for name in ("reg_field", "reg_field_jacobian", "reg_energy",
+                     "reg_energy_gradient"):
+            spy(name)
+        monkeypatch.setattr(flow, "integrate", plain)
+        monkeypatch.setattr(flow, "integrate_with_variational", variational)
+
+        def check(call, field_calls, jacobian_calls):
+            for log in (evaluations, calls, nfev):
+                log.clear()
+            call(problem, u)
+            assert len(nfev) == 1
+            assert len(calls.get("reg_field", [])) == field_calls(nfev[0])
+            assert len(calls.get("reg_field_jacobian", [])) == \
+                jacobian_calls(nfev[0])
+            assert all(n == 1 for runs in calls.values() for n in runs)
+            assert len(evaluations) == sum(map(len, calls.values()))
+
+        check(shooting.residual_and_jacobian, lambda n: 3, lambda n: n)
+        check(shooting.residual, lambda n: n + 1, lambda n: 0)
 
     def test_one_variational_integration_per_jacobian(self, monkeypatch):
         problem, u = lookahead_problem()
