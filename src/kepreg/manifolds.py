@@ -151,20 +151,27 @@ def closed_form_flow(spec, X0, s):
     """Exact unperturbed solution through X0 on the manifold.
 
     z(s) = z0 cos(w s) + (w0 / 4w) sin(w s), w(s) = 4 z'(s), tau frozen
-    and t(s) by the analytic quadrature of |z|^2.
+    and t(s) by the analytic quadrature of |z|^2.  ``s`` is one value,
+    giving the state (D,), or a 1-D array of n values, giving the states
+    (n, D); X0 is checked on the manifold once either way.
     """
     c = _check_on_manifold(spec, X0)
-    z0, w0, t0, tau = model.unpack_state(X0)
+    z0, w0, _, tau = model.unpack_state(X0)
     om = c.omega
-    cs, sn = np.cos(om * s), np.sin(om * s)
+    s = np.asarray(s, float)
+    cs, sn = np.cos(om * s)[..., None], np.sin(om * s)[..., None]
     z = z0 * cs + (w0 / (4.0 * om)) * sn
     w = -4.0 * om * z0 * sn + w0 * cs
-    return model.pack_state(z, w, closed_form_time(spec, X0, s), tau)
+    t = _closed_form_time(c, X0, s)[..., None]
+    return np.concatenate([z, w, t, np.full_like(t, tau)], axis=-1)
 
 
 def closed_form_time(spec, X0, s):
     """Analytic t(s) = t0 + integral of |z|^2 along the closed form."""
-    c = _check_on_manifold(spec, X0)
+    return _closed_form_time(_check_on_manifold(spec, X0), X0, s)
+
+
+def _closed_form_time(c, X0, s):
     z0, w0, t0, _ = model.unpack_state(X0)
     om = c.omega
     a2 = float(np.dot(z0, z0))

@@ -41,8 +41,9 @@ BAND_SAMPLES = 400          # points of an orbit at which E is sampled
 # fixed for the whole continuation).  Accepted sigma-steps vary by up to
 # 16% along the bench segment stacks (0.098 to 0.117 in 3D), and a
 # rejected first step costs 12 field evaluations where a short one costs
-# a fraction of a step.  On the bench continuation this start took 5,205
-# variational evaluations; a start at 1 / ceil(1 / last full step), 5,433.
+# a fraction of a step.  On the bench continuation at 4k segments this
+# start took 5,205 variational evaluations; a start at
+# 1 / ceil(1 / last full step), 5,433.
 FIRST_STEP_FACTOR = 0.8
 
 
@@ -61,15 +62,30 @@ class ShootingProblem:
     eps: float
     pert: object
     X_ref: np.ndarray               # anchor state for the phase conditions
-    m: int = 0                      # shooting segments; 0 = default 4k
+    # Shooting segments; 0 = the default 8k.  A stage of the one stacked
+    # segment integration costs numpy dispatch more than arithmetic, so it
+    # costs about the same at 4k rows as at 8k, and halving the segment
+    # length halves the sequential stages of every residual and Jacobian.
+    # Measured on 3D k = 1 at eps = 1e-3 (one process, one BLAS thread),
+    # a Jacobian takes 170, 86 and 74 variational evaluations at 4k, 8k
+    # and 12k (13.3, 8.0 and 7.9 ms), and its SVD 0.46, 1.29 and 2.82 ms:
+    # past 8k the SVD grows and the integration no longer shrinks.
+    m: int = 0
     cfg: flow.IntegratorConfig = field(default_factory=flow.IntegratorConfig)
 
     def __post_init__(self):
         if self.m <= 0:
-            self.m = 4 * self.spec.k
+            self.m = 8 * self.spec.k
         self.X_ref = np.asarray(self.X_ref, float)
         if self.X_ref.size != model.state_dim(self.spec.dim):
             raise ValueError("anchor state has the wrong dimension")
+        # Gradients (w.r.t. X0) of the scalar phase conditions, rows
+        # (n_phase, D): X_ref, eps and the perturbation fix them for the
+        # problem.
+        rows = [self.field(self.X_ref)]
+        if self.spec.dim == 3:
+            rows.append(model.group_direction(self.X_ref))
+        self._phase_rows = np.array(rows)
         # First step, in normalized sigma, of every segment integration;
         # None starts each one cold, as a direct solve does.  A problem of
         # continue_in_epsilon inherits it, or (``_settles``) sets it once
@@ -123,28 +139,21 @@ def _unpack_batch(problem, U):
 
 
 def seed_unknowns(problem, X0, S, theta=0.0):
-    """Segment initial states by integrating the seed over one period."""
-    h = S / problem.m
-    states = [np.asarray(X0, float)]
-    for _ in range(problem.m - 1):
-        traj = flow.integrate(problem.field, states[-1], h,
-                              _segment_cfg(problem),
-                              first_step=_first_step(problem, h))
-        states.append(_settle(problem, traj, h).states[-1, : problem.D])
-    return pack_unknowns(problem, np.array(states), S, theta)
+    """Unknowns on the unperturbed orbit through X0 on M_k: the segment
+    starts are its closed form at s = jS/m, j = 0 .. m-1, read in one
+    call with no integration.  X0 must lie on the manifold."""
+    s = np.arange(problem.m) * S / problem.m
+    return pack_unknowns(problem, manifolds.closed_form_flow(problem.spec,
+                                                             X0, s),
+                         S, theta)
 
 
-def _first_step(problem, h):
-    """First step of a segment integration of length h (in s; 1 in
-    sigma): the problem's sigma-step times h, or None to start cold."""
-    return None if problem._first_step is None else problem._first_step * h
-
-
-def _settle(problem, traj, h):
-    """Fix the problem's first step from ``traj``, an integration of
-    length h, when the problem may and has none yet; returns ``traj``."""
+def _settle(problem, traj):
+    """Fix the problem's sigma-step from ``traj``, a segment-stack
+    integration over sigma in [0, 1], when the problem may and has none
+    yet; returns ``traj``."""
     if problem._settles and problem._first_step is None:
-        problem._first_step = FIRST_STEP_FACTOR * traj.settled_step / h
+        problem._first_step = FIRST_STEP_FACTOR * traj.settled_step
     return traj
 
 
@@ -163,26 +172,14 @@ def _rotation_deriv(problem, theta):
     return dR
 
 
-def _phase_rows(problem):
-    """Gradients (w.r.t. X0) of the scalar phase conditions."""
-    rows = [problem.field(problem.X_ref)]
-    if problem.spec.dim == 3:
-        rows.append(model.group_direction(problem.X_ref))
-    return rows
-
-
-def _segment_cfg(problem):
-    # no segment's dense output is ever read
-    return replace(problem.cfg, dense=False)
-
-
 def _normalized_stack(problem, states, S):
     """Row lengths h (n * m, 1), stacked starts (n * m, D) and the
     segment integrator config of a batch in normalized time."""
     n, m, D = states.shape
     h = np.repeat(np.asarray(S, float) / m, m)[:, None]
-    # max_step bounds s; a sigma-step advances row j by h_j times it
-    cfg = replace(_segment_cfg(problem),
+    # max_step bounds s; a sigma-step advances row j by h_j times it.
+    # Dense output is off: only the energy band reads it, and asks for it.
+    cfg = replace(problem.cfg, dense=False,
                   max_step=problem.cfg.max_step / np.max(h))
     return h, states.reshape(n * m, D), cfg
 
@@ -200,16 +197,16 @@ def _integrate_segments(problem, states, S, variational=False):
     h, X, cfg = _normalized_stack(problem, states, S)
     if not variational:
         traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0, cfg,
-                              first_step=_first_step(problem, 1.0))
-        return _settle(problem, traj, 1.0).states[-1].reshape(states.shape)
+                              first_step=problem._first_step)
+        return _settle(problem, traj).states[-1].reshape(states.shape)
 
     def scaled_pair(Y):
         F, J = problem.field_jacobian(Y)
         return h * F, h[..., None] * J
 
     traj, M = flow.integrate_with_variational(
-        scaled_pair, X, 1.0, cfg, first_step=_first_step(problem, 1.0))
-    _settle(problem, traj, 1.0)
+        scaled_pair, X, 1.0, cfg, first_step=problem._first_step)
+    _settle(problem, traj)
     return (traj.states[-1, :, :D].reshape(states.shape),
             M.reshape(states.shape + (D,)))
 
@@ -223,7 +220,7 @@ def _residual_rows(problem, states, theta, ends):
              model.reg_energy(X0, problem.eps, problem.pert)[:, None]]
     if problem.spec.dim == 3:
         parts.append(model.bl_value(X0)[:, None])
-    parts.append((X0 - problem.X_ref) @ np.transpose(_phase_rows(problem)))
+    parts.append((X0 - problem.X_ref) @ problem._phase_rows.T)
     return np.concatenate(parts, axis=1)
 
 
@@ -274,7 +271,7 @@ def residual_and_jacobian(problem, unknowns):
     if problem.spec.dim == 3:
         J[row, :D] = model.bl_gradient(X0)
         row += 1
-    J[row:, :D] = _phase_rows(problem)
+    J[row:, :D] = problem._phase_rows
     return res, J
 
 
@@ -285,6 +282,9 @@ class PeriodicOrbit:
     ``monodromy`` is the fundamental matrix over one period S at X0,
     composed from the segment matrices of the converged shooting
     Jacobian; ``energy_band`` is read off the converged segment stack.
+    ``unknowns`` are the converged shooting unknowns, from which
+    ``continue_in_epsilon`` seeds its next solve; None on an orbit not
+    built by ``solve``.
     """
 
     X0: np.ndarray
@@ -298,6 +298,7 @@ class PeriodicOrbit:
     pert_name: str = "zero"
     k: int = 0
     dim: int = 2
+    unknowns: np.ndarray = None
 
     def multipliers(self):
         return self.monodromy.multipliers()
@@ -345,7 +346,7 @@ def _finish(problem, unknowns, res_norm, J=None):
     h, X, cfg = _normalized_stack(problem, states[None], S)
     traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
                           replace(cfg, dense=True),
-                          first_step=_first_step(problem, 1.0))
+                          first_step=problem._first_step)
     band = energy_band(traj, problem.eps, problem.pert)
     # The closure rows add time_shift(), one forcing period, to t, so a
     # residual below RESIDUAL_TOL leaves (t(S) - t(0)) / T within
@@ -354,7 +355,7 @@ def _finish(problem, unknowns, res_norm, J=None):
                          residual_norm=res_norm, energy_band=band,
                          monodromy=mono, theta=theta,
                          pert_name=problem.pert.name, k=problem.spec.k,
-                         dim=problem.spec.dim)
+                         dim=problem.spec.dim, unknowns=unknowns)
 
 
 WEAK_CUTOFF = 1e-3          # singular values below this (relative) are weak
@@ -493,22 +494,24 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
                         cfg=None):
     """Natural-parameter continuation from an unperturbed seed.
 
-    Solves at each target eps, seeded with the last converged orbit.  A
-    target above the current eps halves its eps-step on a failed solve
+    The first solve is seeded with ``seed_unknowns`` at (X_seed, S_seed),
+    the closed-form orbit on M_k; every later eps step, and every halved
+    retry, starts at the last converged orbit's ``unknowns`` (a
+    zero-order predictor), so no integration runs outside ``solve``.  A
+    target above the current eps halves its eps-step on a ShootingError
     down to EPS_STEP_FLOOR; a target at or below it gets one solve.  A
-    failed seed integration ends the continuation at once: a smaller
-    eps would integrate from the same converged state.  Returns
-    (family, diagnostics); the family is partial when a target fails,
-    with the failure recorded in the diagnostics.  Only the first
+    FlowError ends the continuation at once: an integrator failure is
+    not cured by a smaller eps step.  Returns (family, diagnostics); the
+    family is partial when a target fails, with the failure recorded in
+    the diagnostics at the eps that was tried.  Only the first
     integration starts cold: every later one, in every problem, starts
     at the sigma-step that first one fixed (FIRST_STEP_FACTOR times its
-    largest step), times h = S/m for a seed segment.
+    largest step).
     """
     cfg = cfg or flow.IntegratorConfig()
     family = []
     diags = []
-    X_cur, S_cur, th_cur = np.asarray(X_seed, float), float(S_seed), 0.0
-    eps_cur = 0.0
+    X_cur, eps_cur, u_cur = np.asarray(X_seed, float), 0.0, None
     step = None                 # the first step every problem inherits
     for eps_target in eps_targets:
         eps_try = eps_target
@@ -516,14 +519,14 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
             problem = ShootingProblem(spec=spec, eps=eps_try, pert=pert,
                                       X_ref=X_cur, m=m, cfg=cfg)
             problem._first_step, problem._settles = step, True
+            if u_cur is None:
+                u_cur = seed_unknowns(problem, X_cur, S_seed)
             try:
-                unknowns = seed_unknowns(problem, X_cur, S_cur, th_cur)
-            except (ShootingError, flow.FlowError) as exc:
+                orbit = solve(problem, u_cur)
+            except flow.FlowError as exc:
                 diags.append({"eps": eps_try, "error": str(exc)})
                 return family, diags
-            try:
-                orbit = solve(problem, unknowns)
-            except (ShootingError, flow.FlowError) as exc:
+            except ShootingError as exc:
                 if eps_try - eps_cur <= EPS_STEP_FLOOR:
                     diags.append({"eps": eps_try, "error": str(exc)})
                     return family, diags
@@ -531,8 +534,7 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
                 continue
             finally:
                 step = problem._first_step
-            X_cur, S_cur, th_cur = orbit.X0, orbit.S, orbit.theta
-            eps_cur = eps_try
+            X_cur, eps_cur, u_cur = orbit.X0, eps_try, orbit.unknowns
             if eps_try == eps_target:
                 family.append(orbit)
                 break

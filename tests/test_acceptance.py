@@ -186,6 +186,14 @@ def test_first_integrals(families2d, families3d):
                 assert rep["k_drift"] < 1e-9, (dim, k, orbit.eps, rep)
                 if dim == 3:
                     assert rep["bl_drift"] < 1e-9, (k, orbit.eps, rep)
+                # one-shot closure: t advances by T, and in 3D the end is
+                # the start rotated by theta
+                X_end = traj.states[-1].copy()
+                X_end[-2] -= T
+                if dim == 3:
+                    X_end = model.group_rotation_matrix(-orbit.theta) @ X_end
+                defect = np.linalg.norm(X_end - orbit.X0)
+                assert defect < 1e-8, (dim, k, orbit.eps, defect)
 
 
 @criterion(7, "KS identities")

@@ -188,10 +188,15 @@ def test_singular_perturbation_is_config_error(tmp_path, capsys, command):
 
 
 SYNTHETIC = "integration failed: synthetic"
-# the seed integration of the first eps target, 1e-3 / 4, fails, which
-# ends the continuation at that eps without halving it
-SEED_FAILED = [{"k": 1, "diagnostics": [{"eps": 1e-3 / 4,
-                                         "error": SYNTHETIC}]}]
+# every integration fails, so the first solve, at eps = 1e-3 / 4, does.
+# A FlowError ends the continuation at that eps; a ShootingError halves
+# the eps step down to EPS_STEP_FLOOR, ending at 2.5e-4 / 2^15.
+SOLVE_FAILED = {
+    cli.flow.FlowError: [{"k": 1, "diagnostics": [{"eps": 1e-3 / 4,
+                                                   "error": SYNTHETIC}]}],
+    cli.shooting.ShootingError: [{"k": 1, "diagnostics": [
+        {"eps": 1e-3 / 4 / 2 ** 15, "error": SYNTHETIC}]}],
+}
 
 
 def fail_integration(monkeypatch, error):
@@ -219,7 +224,7 @@ def test_computation_failure_exits_partial(tmp_path, capsys, monkeypatch,
     assert code == cli.EXIT_PARTIAL
     if command in ("shoot", "theorem-demo"):
         # continuation caught the failure; the orbit archive keeps it too
-        expected = SEED_FAILED
+        expected = SOLVE_FAILED[error]
         meta = json.loads((out / "orbits.json").read_text())["meta"]
         assert SYNTHETIC in json.dumps(meta)
     else:

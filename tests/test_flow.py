@@ -516,8 +516,6 @@ UNCALLED_PUBLIC = {
                               "= 0 on the planes of lc_plane_basis",
     "averaging.averaged_jacobian_det": "criterion 10: the non-degenerate "
                                        "averaged equilibrium",
-    "manifolds.closed_form_flow": "closed-form oracle of flow.integrate "
-                                  "(criterion 1)",
     "manifolds.closed_form_variation": "closed-form oracle of "
                                        "flow.monodromy and of the composed "
                                        "shooting monodromy",

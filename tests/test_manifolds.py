@@ -106,6 +106,26 @@ class TestClosedForms:
                 diff[-2] = 0.0
                 assert np.linalg.norm(diff) < 1e-10
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_array_flow_equals_scalar_calls(self, dim, monkeypatch):
+        """A 1-D array of s gives the stacked scalar calls bit for bit,
+        (n, D), and checks X0 on the manifold once."""
+        spec, c, X0 = self._setup(dim, 2)
+        s = np.concatenate([np.linspace(0.0, c.S, 17), [-0.4, 2.5 * c.S]])
+        expected = np.array([manifolds.closed_form_flow(spec, X0, x)
+                             for x in s])
+        real, checks = manifolds._check_on_manifold, []
+
+        def check(*args):
+            checks.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(manifolds, "_check_on_manifold", check)
+        got = manifolds.closed_form_flow(spec, X0, s)
+        assert got.shape == (s.size, X0.size)
+        assert np.array_equal(got, expected)
+        assert len(checks) == 1
+
     def test_time_matches_quadrature(self):
         from scipy.integrate import quad
         spec, c, X0 = self._setup()

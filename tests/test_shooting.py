@@ -59,7 +59,7 @@ def orbit3d_eps():
 
 def lookahead_problem():
     """The 2D k = 1 problem at EPS of the look-ahead tests, with its
-    seed unknowns; its solve takes ten outer iterations."""
+    seed unknowns; its solve takes eleven outer iterations."""
     spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
     c = manifolds.constants(spec)
     X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
@@ -71,6 +71,8 @@ def lookahead_problem():
 
 class TestResidual:
     def test_zero_at_unperturbed_seed(self):
+        """The closed-form seed zeroes the eps = 0 residual: the stacked
+        segment integration agrees with the closed form."""
         for dim in (2, 3):
             spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
             c = manifolds.constants(spec)
@@ -84,33 +86,40 @@ class TestResidual:
             res = shooting.residual(problem, u)
             assert np.linalg.norm(res) < 1e-10
 
-    def test_seed_unknowns_skips_dense_output(self, monkeypatch):
-        """seed_unknowns reads only each segment's end state, so it
-        integrates without dense output even when the problem's cfg has
-        it."""
-        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_seed_unknowns_is_closed_form(self, monkeypatch, dim):
+        """seed_unknowns makes no integration: its segment starts equal
+        closed_form_flow at jS/m bit for bit, S and theta packed after
+        them."""
+        spec = manifolds.ManifoldSpec(k=2, T=T, dim=dim)
         c = manifolds.constants(spec)
-        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(7)))
         problem = shooting.ShootingProblem(
-            spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
-        assert problem.cfg.dense
-        real, cfgs = flow.integrate, []
+            spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
 
-        def spy(fun, X0, S, cfg=None, **kwargs):
-            cfgs.append(cfg)
-            return real(fun, X0, S, cfg, **kwargs)
+        def no_integration(*args, **kwargs):
+            raise AssertionError("seed_unknowns integrated")
 
-        monkeypatch.setattr(flow, "integrate", spy)
-        shooting.seed_unknowns(problem, X0, c.S)
-        assert len(cfgs) == problem.m - 1
-        assert all(cfg.dense is False for cfg in cfgs)
+        monkeypatch.setattr(flow, "integrate", no_integration)
+        monkeypatch.setattr(flow, "integrate_with_variational",
+                            no_integration)
+        u = shooting.seed_unknowns(problem, X0, c.S, 0.3)
+        states, S, theta = shooting.unpack_unknowns(problem, u)
+        m = problem.m
+        expected = [manifolds.closed_form_flow(spec, X0, j * c.S / m)
+                    for j in range(m)]
+        assert np.array_equal(states, expected)
+        assert np.array_equal(states[0], X0)
+        assert S == c.S
+        assert theta == (0.3 if dim == 3 else 0.0)
 
     def test_default_segments(self):
         spec = manifolds.ManifoldSpec(k=3, T=T, dim=2)
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2),
             X_ref=np.zeros(6))
-        assert problem.m == 12
+        assert problem.m == 24
 
     def test_pack_unpack_roundtrip(self):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
@@ -264,35 +273,26 @@ class TestTypedFailures:
         assert [d["eps"] for d in diags] == [EPS / 2]
         assert "SVD" in diags[0]["error"]
 
-    @pytest.mark.parametrize("error", [shooting.ShootingError,
-                                       flow.FlowError])
-    def test_seed_failure_ends_continuation(self, monkeypatch, error):
-        """A failed seed integration ends the continuation at the eps it
-        was tried at: one seed attempt, no solve and no halving."""
+    def test_flow_error_ends_continuation(self, monkeypatch):
+        """A FlowError from solve ends the continuation at the eps it was
+        tried at: one solve attempt and no halving, since a smaller eps
+        step does not cure an integrator failure."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
-        seeds, solves = [], []
-        real_seed = shooting.seed_unknowns
+        tried = []
 
-        def fail(*args, **kwargs):
-            raise error("synthetic seed failure")
+        def fail(problem, unknowns0):
+            tried.append(problem.eps)
+            raise flow.FlowError("synthetic integrator failure")
 
-        def seed(problem, *args):
-            seeds.append(problem.eps)
-            return real_seed(problem, *args)
-
-        monkeypatch.setattr(flow, "integrate", fail)
-        monkeypatch.setattr(shooting, "seed_unknowns", seed)
-        monkeypatch.setattr(shooting, "solve",
-                            lambda *args: solves.append(args))
+        monkeypatch.setattr(shooting, "solve", fail)
         family, diags = shooting.continue_in_epsilon(
             spec, forcing_pert(2), X0, c.S, [EPS / 4, EPS])
-        assert seeds == [EPS / 4]
-        assert solves == []
+        assert tried == [EPS / 4]
         assert family == []
-        assert diags == [{"eps": EPS / 4, "error": "synthetic seed failure"}]
-
+        assert diags == [{"eps": EPS / 4,
+                          "error": "synthetic integrator failure"}]
 
     @pytest.mark.parametrize("error", [shooting.ShootingError,
                                        flow.FlowError])
@@ -516,7 +516,7 @@ class TestComposedMonodromy:
     """A solved orbit's monodromy is M_{m-1} ... M_0, the segment
     matrices of its converged shooting Jacobian."""
 
-    @pytest.mark.parametrize("m", [1, 0], ids=["m1", "m4k"])
+    @pytest.mark.parametrize("m", [1, 0], ids=["m1", "m8k"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_unperturbed_matches_closed_variation(self, dim, k, m):
@@ -588,11 +588,11 @@ class TestWorkCounts:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_field_kernel_work(self, monkeypatch, dim):
         """Per residual_and_jacobian call, reg_field_jacobian runs once
-        per variational field evaluation, and reg_field only for the
-        field at the segment ends and the phase row (twice); per
-        residual call, reg_field runs once per field evaluation and once
-        for the phase row.  Every call of a field or energy function
-        evaluates the perturbation exactly once."""
+        per variational field evaluation, and reg_field once, for the
+        field at the segment ends; per residual call, reg_field runs
+        once per field evaluation.  The phase rows are the problem's,
+        evaluated when it is built.  Every call of a field or energy
+        function evaluates the perturbation exactly once."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
@@ -650,8 +650,8 @@ class TestWorkCounts:
             assert all(n == 1 for runs in calls.values() for n in runs)
             assert len(evaluations) == sum(map(len, calls.values()))
 
-        check(shooting.residual_and_jacobian, lambda n: 3, lambda n: n)
-        check(shooting.residual, lambda n: n + 1, lambda n: 0)
+        check(shooting.residual_and_jacobian, lambda n: 1, lambda n: n)
+        check(shooting.residual, lambda n: n, lambda n: 0)
 
     def test_one_variational_integration_per_jacobian(self, monkeypatch):
         problem, u = lookahead_problem()
@@ -734,25 +734,20 @@ class TestCarriedStep:
         return family
 
     def test_one_cold_start_per_continuation(self, monkeypatch):
-        """Per call: the first integration (a seed segment) starts cold,
-        every stacked segment integration at one sigma-step, and every
-        later seed segment at that step times its length."""
+        """Per call: the first integration, a stacked variational one,
+        starts cold, and every later one at the sigma-step it fixed; a
+        continuation makes no unstacked integration."""
         log = self.spy(monkeypatch)
         for _ in range(2):
             log.clear()
             self.continuation()
-            assert log[0][2] is None
-            assert all(first is not None for _, _, first in log[1:])
-            stacked = [(s_end, first) for is_stack, s_end, first in log
-                       if is_stack]
-            assert len(stacked) > 10
-            sigma = stacked[0][1]
-            assert all(s_end == 1.0 and first == sigma
-                       for s_end, first in stacked)
-            seeds = [(s_end, first) for is_stack, s_end, first in log[1:]
-                     if not is_stack]
-            assert seeds
-            assert all(first == sigma * s_end for s_end, first in seeds)
+            assert len(log) > 10
+            assert log[0] == (True, 1.0, None)
+            assert all(is_stack and s_end == 1.0
+                       for is_stack, s_end, _ in log)
+            sigma = log[1][2]
+            assert sigma is not None
+            assert all(first == sigma for _, _, first in log[1:])
 
     def test_direct_solve_starts_cold(self, monkeypatch):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
@@ -762,8 +757,32 @@ class TestCarriedStep:
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2), X_ref=X0)
         log = self.spy(monkeypatch)
         shooting.solve(problem, shooting.seed_unknowns(problem, X0, c.S))
-        assert len(log) == problem.m - 1 + 2
+        assert len(log) == 2
         assert all(first is None for _, _, first in log)
+
+    def test_later_step_starts_at_converged_unknowns(self, monkeypatch):
+        """The first solve starts at the closed-form seed, and each later
+        eps step's solve exactly at the previous orbit's unknowns."""
+        real, starts = shooting.solve, []
+
+        def spy(problem, unknowns0):
+            starts.append(np.array(unknowns0))
+            return real(problem, unknowns0)
+
+        monkeypatch.setattr(shooting, "solve", spy)
+        family = self.continuation(targets=(EPS / 4, EPS / 2, EPS))
+        assert len(starts) == len(family) == 3
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        X_seed = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(5)))
+        problem = shooting.ShootingProblem(spec=spec, eps=0.0,
+                                           pert=forcing_pert(2),
+                                           X_ref=X_seed)
+        assert np.array_equal(starts[0], shooting.seed_unknowns(
+            problem, X_seed, manifolds.constants(spec).S))
+        for orbit, start in zip(family, starts[1:]):
+            assert np.array_equal(start, orbit.unknowns)
+            assert np.array_equal(orbit.unknowns[:orbit.X0.size], orbit.X0)
 
     def test_continuation_is_repeatable(self):
         """No step outlives a call: two calls give the same orbits bit
@@ -796,18 +815,23 @@ class TestSpatial:
         assert rep["k_drift"] < 1e-9
 
     def test_embedded_2d_solution_is_3d_fixed_point(self, family2d):
-        """A converged planar orbit, embedded in the default Levi-Civita
-        plane, zeroes the spatial residual with theta = 0."""
+        """A converged planar orbit, embedded segment by segment in the
+        default Levi-Civita plane, zeroes the spatial residual with
+        theta = 0."""
         _, family = family2d
         orbit = family[-1]
-        z, w, t0, tau = model.unpack_state(orbit.X0)
         plane = np.column_stack([[1.0, 0.0, 0.0, 0.0],
                                  [0.0, 0.0, 1.0, 0.0]])
-        X3 = model.pack_state(plane @ z, plane @ w, t0, tau)
+        spec2 = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        planar = shooting.ShootingProblem(
+            spec=spec2, eps=orbit.eps, pert=forcing_pert(2), X_ref=orbit.X0)
+        states, S, _ = shooting.unpack_unknowns(planar, orbit.unknowns)
+        X3 = [model.pack_state(plane @ z, plane @ w, t, tau)
+              for z, w, t, tau in map(model.unpack_state, states)]
         spec3 = manifolds.ManifoldSpec(k=1, T=T, dim=3)
         problem = shooting.ShootingProblem(
-            spec=spec3, eps=orbit.eps, pert=forcing_pert(3), X_ref=X3)
-        u = shooting.seed_unknowns(problem, X3, orbit.S)
+            spec=spec3, eps=orbit.eps, pert=forcing_pert(3), X_ref=X3[0])
+        u = shooting.pack_unknowns(problem, X3, S, 0.0)
         res = shooting.residual(problem, u)
         assert np.linalg.norm(res) < 1e-7
 
