@@ -38,12 +38,13 @@ EPS_STEP_FLOOR = 1e-8       # smallest eps step continuation halves down to
 BAND_SAMPLES = 400          # points of an orbit at which E is sampled
 # A continuation starts every integration after its first at this
 # fraction of the largest step that first one accepted (a sigma-step,
-# fixed for the whole continuation).  Accepted sigma-steps vary by up to
-# 16% along the bench segment stacks (0.098 to 0.117 in 3D), and a
-# rejected first step costs 12 field evaluations where a short one costs
-# a fraction of a step.  On the bench continuation at 4k segments this
-# start took 5,205 variational evaluations; a start at
-# 1 / ceil(1 / last full step), 5,433.
+# fixed for the whole continuation).  Accepted sigma-steps vary along a
+# segment stack, and a rejected first step costs 12 field evaluations
+# where a short one costs a fraction of a step.  At the default segment
+# counts the bench continuation takes 2,905 variational evaluations with
+# this start, as with a start at 1 / ceil(1 / largest step), against
+# 2,989 at the largest step and 3,169 at 0.6 of it; the six acceptance
+# families take 17,483, 17,483, 17,615 and 17,543.
 FIRST_STEP_FACTOR = 0.8
 
 
@@ -62,14 +63,13 @@ class ShootingProblem:
     eps: float
     pert: object
     X_ref: np.ndarray               # anchor state for the phase conditions
-    # Shooting segments; 0 = the default 8k.  A stage of the one stacked
-    # segment integration costs numpy dispatch more than arithmetic, so it
-    # costs about the same at 4k rows as at 8k, and halving the segment
-    # length halves the sequential stages of every residual and Jacobian.
-    # Measured on 3D k = 1 at eps = 1e-3 (one process, one BLAS thread),
-    # a Jacobian takes 170, 86 and 74 variational evaluations at 4k, 8k
-    # and 12k (13.3, 8.0 and 7.9 ms), and its SVD 0.46, 1.29 and 2.82 ms:
-    # past 8k the SVD grows and the integration no longer shrinks.
+    # Shooting segments; 0 = the default 8k.  Halving the segment length
+    # halves the sequential stages of every stacked integration, while the
+    # Jacobian's SVD grows with its m * D columns.  Continuing 5 families
+    # per case (2 BLAS threads), 8k took 9-42% less wall time than 4k in
+    # 2D at k = 1..3 and in 3D at k = 1, 2, but 19% more in 3D at k = 3,
+    # where one SVD of 242 columns takes 15 ms against 4 ms at 4k.  No
+    # bench workload runs k > 1, so none would guard a choice by size.
     m: int = 0
     cfg: flow.IntegratorConfig = field(default_factory=flow.IntegratorConfig)
 
@@ -500,10 +500,14 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
     zero-order predictor), so no integration runs outside ``solve``.  A
     target above the current eps halves its eps-step on a ShootingError
     down to EPS_STEP_FLOOR; a target at or below it gets one solve.  A
-    FlowError ends the continuation at once: an integrator failure is
-    not cured by a smaller eps step.  Returns (family, diagnostics); the
-    family is partial when a target fails, with the failure recorded in
-    the diagnostics at the eps that was tried.  Only the first
+    FlowError from any integration of a solve, a Newton trial's as much
+    as the starting point's, ends the continuation at once.  A smaller
+    eps step might avoid a wild trial, but each of up to
+    log2(step / EPS_STEP_FLOOR) retries could run the failing
+    integration again; no bench or acceptance family raises one.
+    Returns (family, diagnostics); the family is partial when a target
+    fails, with the failure recorded in the diagnostics at the eps that
+    was tried.  Only the first
     integration starts cold: every later one, in every problem, starts
     at the sigma-step that first one fixed (FIRST_STEP_FACTOR times its
     largest step).

@@ -275,8 +275,7 @@ class TestTypedFailures:
 
     def test_flow_error_ends_continuation(self, monkeypatch):
         """A FlowError from solve ends the continuation at the eps it was
-        tried at: one solve attempt and no halving, since a smaller eps
-        step does not cure an integrator failure."""
+        tried at: one solve attempt and no halving."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
@@ -293,6 +292,34 @@ class TestTypedFailures:
         assert family == []
         assert diags == [{"eps": EPS / 4,
                           "error": "synthetic integrator failure"}]
+
+    def test_flow_error_in_newton_trial_ends_continuation(self, monkeypatch):
+        """A FlowError from a Newton trial, after the seed's integration
+        succeeded, ends the continuation as one from the seed does."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        c = manifolds.constants(spec)
+        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        real_rj, real_solve = shooting.residual_and_jacobian, shooting.solve
+        calls, tried = [], []
+
+        def fail_second(problem, unknowns):
+            calls.append(problem.eps)
+            if len(calls) == 2:         # the first sweep's full-step trial
+                raise flow.FlowError("synthetic trial failure")
+            return real_rj(problem, unknowns)
+
+        def spy_solve(problem, unknowns0):
+            tried.append(problem.eps)
+            return real_solve(problem, unknowns0)
+
+        monkeypatch.setattr(shooting, "residual_and_jacobian", fail_second)
+        monkeypatch.setattr(shooting, "solve", spy_solve)
+        family, diags = shooting.continue_in_epsilon(
+            spec, forcing_pert(2), X0, c.S, [EPS / 4, EPS])
+        assert calls == [EPS / 4, EPS / 4]
+        assert tried == [EPS / 4]
+        assert family == []
+        assert diags == [{"eps": EPS / 4, "error": "synthetic trial failure"}]
 
     @pytest.mark.parametrize("error", [shooting.ShootingError,
                                        flow.FlowError])
