@@ -1,25 +1,26 @@
 """Numerical integration of the regularized and physical fields.
 
-Wraps an explicit high-order embedded Runge-Kutta pair (DOP853) with
+Steps an explicit high-order embedded Runge-Kutta pair (DOP853) with
 dense output, and adds collision localization on the dense interpolant
-plus fundamental-matrix (variational) propagation.  The dense output is the
+plus fundamental-matrix (variational) propagation.  The stepper and the
+Brent root finder of the collision search live in the package
+(``_solvers``, ports of scipy's, which the tests check them against bit
+for bit), so the package imports numpy alone.  The dense output is the
 DOP853 continuous extension (Hairer, Norsett and Wanner, Solving ODEs I,
 II.6): every accepted step's interpolation coefficients are kept in one
 array and evaluated for all query points at once, bit for bit as scipy's
 ``OdeSolution`` evaluates them step by step.  A variational
-integration controls its step size on the state components alone; the
-fundamental-matrix columns follow the state's accepted steps (internal
-numerical differentiation, Hairer, Norsett and Wanner, Solving ODEs I).
+integration controls its step size on the state components alone (a
+mask on the stepper's error norm); the fundamental-matrix columns follow
+the state's accepted steps (internal numerical differentiation, Hairer,
+Norsett and Wanner, Solving ODEs I).
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
-from . import model
+from . import _solvers, model
 from .errors import KepregError
 
 __all__ = [
@@ -103,7 +104,7 @@ class Trajectory:
     dim: int                    # state dimension (augmented columns excluded)
     settled_step: float         # largest accepted step (see above)
 
-    def eval(self, s):
+    def eval(self, s, rows=None):
         """Dense-output state at s (augmented columns stripped).
 
         A scalar s gives states.shape[1:] cut to ``dim`` columns, a 1-D
@@ -111,6 +112,9 @@ class Trajectory:
         the step scipy's ``OdeSolution`` picks: a node belongs to the
         step that ends there, and points beyond either end extrapolate
         the first or last step.  The values equal scipy's bit for bit.
+        ``rows``, for a stack and a 1-D s, reads point j on row rows[j]
+        of the stack alone, giving (dim, n): the same values as the full
+        evaluation's [rows[j], :, j], without the other rows.
         """
         if self.sol is None:
             raise ValueError("trajectory was integrated without dense output")
@@ -125,6 +129,10 @@ class Trajectory:
             raise ValueError("s must be a scalar or a 1-D array")
         i = np.clip(self._step(s), 0, self.n_steps - 1)
         x = (s - self.s[i]) / (self.s[i + 1] - self.s[i])
+        if rows is not None:
+            # sol[:, rows, :dim, i] puts the point axis first
+            F = np.moveaxis(self.sol[:, rows, : self.dim, i], 0, -1)
+            return _horner(F, x, self.states[i, rows, : self.dim].T)
         y_old = np.take(self.states[..., : self.dim], i, axis=0)
         return _horner(self.sol[..., : self.dim, :][..., i], x,
                        np.moveaxis(y_old, 0, -1))
@@ -163,71 +171,43 @@ def _horner(F, x, y_old):
     return y
 
 
-class _StateErrorDOP853(DOP853):
-    """DOP853 whose local error norm reads only the ``state`` components.
-
-    The RMS is taken over those components alone, so their tolerance is
-    the one a plain integration of the state would meet; every other
-    component is carried along the accepted steps.  This overrides
-    scipy's private ``DOP853._estimate_error_norm``, so the constructor
-    checks that it is still there.
-    """
-
-    def __init__(self, *args, state, **kwargs):
-        if "_estimate_error_norm" not in vars(DOP853):
-            raise RuntimeError(
-                "scipy's DOP853 no longer defines _estimate_error_norm; "
-                "state-only step control of variational integrations "
-                "needs it")
-        self._state = state
-        super().__init__(*args, **kwargs)
-
-    def _estimate_error_norm(self, K, h, scale):
-        return super()._estimate_error_norm(K[:, self._state], h,
-                                            scale[self._state])
-
-
 def _solve(fun, Y0, s_end, cfg, dim, state, first_step):
     """Integrate dY/ds = fun(Y) for Y0 of shape (D_aug,) or (m, D_aug).
 
-    Steps scipy's DOP853 as ``solve_ivp`` does, but collects the
-    accepted steps and their interpolation coefficients only when
-    ``cfg.dense`` is set; otherwise it keeps the start and end points
-    alone.  A boolean ``state`` mask over the flattened Y0 limits step
-    control to those components (None: all of them).  ``first_step``
-    replaces scipy's starting-step estimate; left None (a cold start)
-    the integration is ``solve_ivp``'s bit for bit.
+    Steps the DOP853 stepper of ``_solvers`` as scipy's ``solve_ivp``
+    steps its DOP853, but collects the accepted steps and their
+    interpolation coefficients only when ``cfg.dense`` is set; otherwise
+    it keeps the start and end points alone.  A boolean ``state`` mask
+    over the flattened Y0 limits step control to those components (None:
+    all of them).  ``first_step`` replaces the starting-step estimate;
+    left None (a cold start) the integration is ``solve_ivp``'s bit for
+    bit.
     """
     if cfg.dense and s_end == 0.0:
         raise ValueError("dense output needs an interval of nonzero length")
     shape = Y0.shape
-    method = DOP853 if state is None else partial(_StateErrorDOP853,
-                                                  state=state)
-    solver = method(lambda s, y: fun(y.reshape(shape)).ravel(), 0.0,
-                    Y0.ravel(), float(s_end), rtol=cfg.rel_tol,
-                    atol=cfg.abs_tol, max_step=cfg.max_step,
-                    first_step=first_step)
-    ts, ys, coeffs = [0.0], [Y0.ravel()], []
+    stepper = _solvers.DOP853(fun, Y0, float(s_end), cfg.rel_tol,
+                              cfg.abs_tol, cfg.max_step, first_step, state)
+    ts, ys, coeffs = [0.0], [stepper.y], []
     settled = 0.0
-    while solver.status == "running":
-        s_old = solver.t
-        message = solver.step()
-        if solver.status == "failed":
-            raise FlowError(f"integration failed: {message}",
-                            last_s=solver.t,
-                            last_state=solver.y.reshape(shape))
-        settled = max(settled, abs(solver.t - s_old))
+    while not stepper.finished:
+        s_old = stepper.t
+        if not stepper.step():
+            raise FlowError(
+                f"integration failed: {_solvers.TOO_SMALL_STEP}",
+                last_s=stepper.t, last_state=stepper.y.reshape(shape))
+        settled = max(settled, abs(stepper.t - s_old))
         if cfg.dense:
-            ts.append(solver.t)
-            ys.append(solver.y)
-            coeffs.append(solver.dense_output().F)
+            ts.append(stepper.t)
+            ys.append(stepper.y)
+            coeffs.append(stepper.dense())
     if not cfg.dense:
-        ts.append(solver.t)
-        ys.append(solver.y)
+        ts.append(stepper.t)
+        ys.append(stepper.y)
     sol = (np.stack(coeffs, axis=-1).reshape((7,) + shape + (-1,))
            if cfg.dense else None)
     return Trajectory(s=np.array(ts), states=np.reshape(ys, (-1,) + shape),
-                      sol=sol, nfev=solver.nfev, dim=dim,
+                      sol=sol, nfev=stepper.nfev, dim=dim,
                       settled_step=settled)
 
 
@@ -238,7 +218,8 @@ def integrate(field, X0, s_end, cfg=None, first_step=None):
     one state (D,) or a stack (m, D) of initial states, integrated as
     one system on one step sequence; ``field`` then maps (m, D) arrays.
     ``first_step`` is the size of the first trial step; None (a cold
-    start) leaves it to scipy's estimate, as ``solve_ivp`` does.
+    start) leaves it to the stepper's estimate, scipy's as in
+    ``solve_ivp``.
     """
     cfg = cfg or IntegratorConfig()
     X0 = np.asarray(X0, float)
@@ -354,7 +335,7 @@ def detect_events(traj):
     v0, v1 = vals[:-1], vals[1:]
     events = []
     for i in np.flatnonzero((v0 == 0.0) | ((v0 * v1 < 0.0) & (v0 < 0.0))):
-        s_star = grid[i] if v0[i] == 0.0 else brentq(
+        s_star = grid[i] if v0[i] == 0.0 else _solvers.brentq(
             lambda s: _radial_momentum(traj.eval(s)), grid[i], grid[i + 1],
             xtol=EVENT_XTOL)
         state = traj.eval(s_star)
@@ -390,9 +371,11 @@ def trajectory_to_csv(traj, path, eps, pert, header_lines=()):
     if traj.dim == 10:
         cols.append("BL")
         values.append(model.bl_value(states))
+    rows = np.column_stack(values)
+    fmt = ",".join(["%.16e"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("s," + ",".join(cols) + "\n")
-        for row in np.column_stack(values):
-            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
+        for row in rows.tolist():
+            fh.write(fmt % tuple(row))

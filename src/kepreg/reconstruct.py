@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
-from . import flow, model
+from . import _solvers, flow, model
 
 __all__ = [
     "CollisionEvent",
@@ -55,8 +53,9 @@ class TimeMap:
     """Monotone physical time t(s) of a regularized trajectory, with inverse.
 
     ``t_of`` and ``s_of`` take a scalar or an array.  The inverse is
-    seeded from a monotone interpolation table and polished by Newton
-    steps on t(s) - t (derivative |z(s)|^2) away from collisions.
+    seeded by linear interpolation in a table of TIME_TABLE_POINTS
+    samples and polished by Newton steps on t(s) - t (derivative
+    |z(s)|^2) away from collisions.
     """
 
     def __init__(self, traj):
@@ -71,12 +70,15 @@ class TimeMap:
         keep = np.concatenate([[True], dt > 0.0])
         self._s_table = ss[keep]
         self._t_table = ts[keep]
-        self._inv = PchipInterpolator(self._t_table, self._s_table)
         self.t_start = float(ts[0])
         self.t_end = float(ts[-1])
 
     def t_of(self, s):
         return self.traj.eval(s)[-2]
+
+    def _inv(self, t):
+        """Table seed of the inverse: s(t) interpolated linearly."""
+        return np.interp(t, self._t_table, self._s_table)
 
     def s_of(self, t):
         t = np.clip(np.asarray(t, float), self.t_start, self.t_end)
@@ -106,7 +108,7 @@ class TimeMap:
             hi = self._s_table[min(j, len(self._s_table) - 1)]
             g = lambda sx: self.t_of(sx) - ts[i]
             if lo < hi and g(lo) <= 0.0 <= g(hi):
-                s[i] = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
+                s[i] = _solvers.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
         return s.reshape(t.shape)[()]
 
 
@@ -605,7 +607,8 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None):
 
     def s_of_t(t):
         t = float(t) % T_mu
-        return brentq(lambda s: t_of_s(s) - t, 0.0, S, xtol=1e-13)
+        return _solvers.brentq(lambda s: t_of_s(s) - t, 0.0, S,
+                               xtol=1e-13)
 
     def u_mu(t):
         z = z_mu(s_of_t(t))
@@ -638,8 +641,10 @@ def generalized_to_csv(gensol, path, header_lines=()):
         rows = np.column_stack([ts, us, np.linalg.norm(us, axis=-1),
                                 model.state_energy(X, gensol.eps,
                                                    gensol.pert)])
-        for row, near in zip(rows, np.isnan(vs).any(axis=-1)):
-            fh.write(",".join(f"{x:.16e}" for x in row) + f",{near:d}\n")
+        fmt = ",".join(["%.16e"] * rows.shape[1]) + ",%d\n"
+        near = np.isnan(vs).any(axis=-1)
+        for row, flag in zip(rows.tolist(), near.tolist()):
+            fh.write(fmt % (*row, flag))
         for c in gensol.collisions:
             d = ",".join(f"{x:.12e}" for x in c.direction)
             fh.write(f"# collision t0={c.t0:.12e} s0={c.s0:.12e} "

@@ -310,15 +310,16 @@ def energy_band(traj, eps, pert):
     ``traj`` is one trajectory, or a stack of m segments integrated over
     one common interval (as in normalized time) that trace the orbit in
     row order.  E is sampled at BAND_SAMPLES evenly spaced points of the
-    whole orbit, each read on the segment it falls on; a single
+    whole orbit, each read on the segment it falls on alone; a single
     trajectory is the case m = 1.
     """
-    m = traj.states.shape[1] if traj.states.ndim == 3 else 1
+    stack = traj.states.ndim == 3
+    m = traj.states.shape[1] if stack else 1
     x = np.linspace(0.0, m, BAND_SAMPLES)   # orbit position in segments
     seg = np.minimum(np.floor(x).astype(int), m - 1)
     sigma = traj.s0 + (x - seg) * (traj.s_end - traj.s0)
-    Y = traj.eval(sigma).reshape(m, traj.dim, BAND_SAMPLES)
-    E = model.state_energy(Y[seg, :, np.arange(BAND_SAMPLES)], eps, pert)
+    Y = traj.eval(sigma, rows=seg if stack else None)
+    E = model.state_energy(Y.T, eps, pert)
     return float(np.min(E)), float(np.max(E))
 
 

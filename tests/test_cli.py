@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,3 +411,28 @@ class TestShootCommand:
         rec = data["orbits"][0]
         assert rec["residual_norm"] < 1e-9
         assert rec["eta"] == 1
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """kepreg runs on numpy alone: a fresh interpreter imports kepreg,
+    runs theorem-demo and reconstruct through ``cli.main``, and has not
+    loaded any scipy module (nor, so, bound its ``solve_ivp``)."""
+    demo = write_config(tmp_path, BASE, "demo.ini")
+    recon = write_config(tmp_path, BASE.replace("eps = 1e-3", "eps = 0"),
+                         "recon.ini")
+    code = f"""
+import sys
+import kepreg
+from kepreg import cli
+for command, cfg in (("theorem-demo", {demo!r}), ("reconstruct", {recon!r})):
+    assert cli.main([command, "--config", cfg, "--out", {str(tmp_path)!r}
+                     + "/" + command]) == cli.EXIT_OK, command
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "reconstruct" / "generalized_k1.csv").exists()

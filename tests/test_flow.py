@@ -1,14 +1,11 @@
 import ast
-import importlib
-import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-import kepreg
 from kepreg import flow, manifolds, model
 
 rng = np.random.default_rng(11)
@@ -214,25 +211,6 @@ class TestDenseOutput:
                     (traj.dim,), (name, s)
             assert traj.eval(pts[:0]).shape == got.shape[:-1] + (0,)
 
-    def test_coefficient_layout(self):
-        """Pins scipy's DOP853 continuous extension as ``_solve`` reads
-        it: ``dense_output()`` of a step is a ``Dop853DenseOutput`` whose
-        ``F`` has 7 rows of the flat state, with F_0 the step's increment,
-        and ``Trajectory.sol`` stacks them along a last step axis."""
-        X0 = np.array([[1.0, 0.0], [0.0, 2.0]])
-        fld = lambda y: np.stack([y[..., 1], -y[..., 0]], axis=-1)
-        solver = DOP853(lambda s, y: fld(y.reshape(2, 2)).ravel(), 0.0,
-                        X0.ravel(), 1.0)
-        solver.step()
-        out = solver.dense_output()
-        assert type(out) is Dop853DenseOutput
-        assert out.F.shape == (7, 4)
-        assert np.array_equal(out.F[0], solver.y - solver.y_old)
-        traj = flow.integrate(fld, X0, 1.0)
-        assert traj.sol.shape == (7, 2, 2, traj.n_steps)
-        assert np.array_equal(traj.sol[0],
-                              np.moveaxis(np.diff(traj.states, axis=0), 0, -1))
-
     def test_zero_length_interval_has_no_dense_output(self):
         fld = lambda y: np.array([y[1], -y[0]])
         with pytest.raises(ValueError, match="nonzero length"):
@@ -347,20 +325,6 @@ class TestStateStepControl:
         assert np.max(np.abs(traj.states[-1, ..., : traj.dim]
                              - plain.states[-1])) < 1e-12
         assert abs(traj.n_steps - plain.n_steps) <= 1
-
-    def test_missing_scipy_hook_is_reported(self, monkeypatch):
-        """The step control overrides scipy's private
-        DOP853._estimate_error_norm; without it the integration stops
-        with a message that names it, and plain integrations still run."""
-        monkeypatch.delattr(DOP853, "_estimate_error_norm")
-        X0 = np.array([1.0, 0.0])
-        fld = lambda y: np.array([y[1], -y[0]])
-        jac = lambda y: np.array([[0.0, 1.0], [-1.0, 0.0]])
-        with pytest.raises(RuntimeError, match="_estimate_error_norm"):
-            flow.integrate_with_variational(lambda y: (fld(y), jac(y)), X0,
-                                            1.0)
-        assert flow.integrate(fld, X0, 1.0).eval(1.0)[0] == \
-            pytest.approx(np.cos(1.0), abs=1e-10)
 
 
 class TestFirstStep:
@@ -489,18 +453,30 @@ class TestInvariantsAndExport:
         for line in lines[2:]:
             assert abs(float(line.split(",")[-1])) < 1e-10
 
-
-def test_no_module_binds_solve_ivp():
-    """``flow`` is the one integrator and evaluates its own dense
-    output: no kepreg module binds ``solve_ivp`` or ``OdeSolution``,
-    under its name or another."""
-    for info in pkgutil.iter_modules(kepreg.__path__):
-        module = importlib.import_module(f"kepreg.{info.name}")
-        for name, forbidden in (("solve_ivp", solve_ivp),
-                                ("OdeSolution", OdeSolution)):
-            assert name not in vars(module), (info.name, name)
-            assert all(v is not forbidden for v in vars(module).values()), \
-                (info.name, name)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_csv_matches_row_writer(self, tmp_path, dim):
+        """The same bytes as the per-value writer it replaced, NaN,
+        infinities and signed zeros included."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        X0 = manifolds.seed_state(spec,
+                                  manifolds.random_seed_params(spec, rng))
+        traj = flow.integrate(kepler_field(), X0, 1.0)
+        traj.states = traj.states.copy()
+        traj.states[1, 0] = np.nan
+        traj.states[2, 1] = -np.inf
+        traj.states[3, :2] = -0.0
+        flow.trajectory_to_csv(traj, tmp_path / "got", 0.0, None,
+                               header_lines=["a = 1"])
+        states = traj.states[:, : traj.dim]
+        values = [traj.s, states, model.reg_energy(states, 0.0, None)]
+        if dim == 3:
+            values.append(model.bl_value(states))
+        want = (tmp_path / "got").read_text().splitlines()[:2]
+        want += [",".join(f"{x:.16e}" for x in row)
+                 for row in np.column_stack(values)]
+        got = (tmp_path / "got").read_bytes()
+        assert got == ("\n".join(want) + "\n").encode()
+        assert b",nan," in got and b",-inf," in got
 
 
 # Public names that nothing in src/kepreg or bench calls, each kept for

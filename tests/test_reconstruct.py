@@ -193,6 +193,46 @@ class TestGeneralizedSolution:
         assert len(footer) == len(rect_gensol.collisions)
 
 
+def row_writer_csv(gensol, path, header_lines=()):
+    """generalized_to_csv as it wrote its rows before, one f-string per
+    value: the reference for the byte-for-byte test."""
+    ts, X, vs = gensol._sample(reconstruct.CSV_SAMPLES)
+    us = model.state_position(X)
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        ucols = ",".join(f"u{i}" for i in range(gensol.dim))
+        fh.write(f"t,{ucols},r,E,near_collision\n")
+        rows = np.column_stack([ts, us, np.linalg.norm(us, axis=-1),
+                                model.state_energy(X, gensol.eps,
+                                                   gensol.pert)])
+        for row, near in zip(rows, np.isnan(vs).any(axis=-1)):
+            fh.write(",".join(f"{x:.16e}" for x in row) + f",{near:d}\n")
+        for c in gensol.collisions:
+            d = ",".join(f"{x:.12e}" for x in c.direction)
+            fh.write(f"# collision t0={c.t0:.12e} s0={c.s0:.12e} "
+                     f"direction={d} energy={c.energy:.12e}\n")
+
+
+class TestCsvBytes:
+    def test_matches_row_writer(self, rect_gensol, tmp_path, monkeypatch):
+        """The same bytes as the per-value writer, near-collision flags,
+        NaN, infinities and signed zeros included."""
+        ts, X, vs = rect_gensol._sample(reconstruct.CSV_SAMPLES)
+        assert 0 < np.isnan(vs).any(axis=-1).sum() < len(ts)
+        X = X.copy()
+        X[3, 0] = np.nan
+        X[5, -1] = np.inf
+        X[7, -1] = 0.0              # E = -tau = -0.0
+        monkeypatch.setattr(rect_gensol, "_sample", lambda n: (ts, X, vs))
+        for name, writer in (("got", reconstruct.generalized_to_csv),
+                             ("want", row_writer_csv)):
+            writer(rect_gensol, tmp_path / name, header_lines=["a = 1"])
+        got = (tmp_path / "got").read_bytes()
+        assert got == (tmp_path / "want").read_bytes()
+        assert b",nan," in got and b",-0.0000000000000000e+00," in got
+
+
 class TestSundmanLift:
     def test_round_trip_collision_orbit(self, rect_gensol):
         lift = reconstruct.sundman_lift(rect_gensol)

@@ -883,6 +883,33 @@ class TestEnergyBand:
                                rtol=1e-14, atol=1e-15)
 
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_stack_reads_each_point_on_its_segment(self, dim, m):
+        """The band of an m-segment stack equals, bit for bit, the
+        evaluation of every segment at every point keeping the one each
+        point falls on."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        c = manifolds.constants(spec)
+        pert = forcing_pert(dim)
+        X0 = manifolds.seed_state(spec, manifolds.SeedParams(
+            psi=0.9, phi1=0.4, phi2=1.3, t0=0.2))
+        starts = manifolds.closed_form_flow(spec, X0,
+                                            np.arange(m) * c.S / m)
+        h = c.S / m
+        traj = flow.integrate(lambda Y: h * model.reg_field(Y, EPS, pert),
+                              starts, 1.0)
+        n = shooting.BAND_SAMPLES
+        x = np.linspace(0.0, m, n)
+        seg = np.minimum(np.floor(x).astype(int), m - 1)
+        sigma = traj.s0 + (x - seg) * (traj.s_end - traj.s0)
+        Y = traj.eval(sigma).reshape(m, traj.dim, n)
+        E = model.state_energy(Y[seg, :, np.arange(n)], EPS, pert)
+        assert shooting.energy_band(traj, EPS, pert) == \
+            (float(np.min(E)), float(np.max(E)))
+        assert np.array_equal(traj.eval(sigma, rows=seg),
+                              Y[seg, :, np.arange(n)].T)
+
     def test_segment_stack_matches_single_trajectory(self, family2d,
                                                      orbit3d_eps):
         """A solved orbit's band, read off its segment stack, against
