@@ -123,12 +123,12 @@ def _scaled_system(spec, lam):
 
     def field_jacobian(Y):
         x, r = Y[:n], np.linalg.norm(Y[:n])
-        F = np.concatenate([Y[n:2 * n], lam * (-x / r ** 3 + spec(Y[-1])),
-                            [1.0]])
+        p, dp, _ = spec.jet(Y[-1])          # one Fourier evaluation
+        F = np.concatenate([Y[n:2 * n], lam * (-x / r ** 3 + p), [1.0]])
         J = np.zeros((2 * n + 1, 2 * n + 1))
         J[:n, n:2 * n] = np.eye(n)
         J[n:2 * n, :n] = lam * _kepler_hessian(x)
-        J[n:2 * n, -1] = lam * spec.jet(Y[-1])[1]
+        J[n:2 * n, -1] = lam * dp
         return F, J
 
     return field_jacobian

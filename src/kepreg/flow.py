@@ -16,7 +16,7 @@ the state's accepted steps (internal numerical differentiation, Hairer,
 Norsett and Wanner, Solving ODEs I).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -269,35 +269,50 @@ def integrate_with_variational(field_jacobian, X0, s_end, cfg=None,
 
 @dataclass
 class MonodromyData:
-    """Fundamental matrix at a period plus basic bookkeeping."""
+    """Fundamental matrix at a period plus basic bookkeeping.
+
+    For one state M is (D, D), X0 and field_dir (D,) and det a float; a
+    stack of m states holds the stacked arrays, det then (m,).
+    """
 
     M: np.ndarray
     X0: np.ndarray
     field_dir: np.ndarray
-    det: float = field(init=False)
+    det: object = field(init=False)
 
     def __post_init__(self):
-        self.det = float(np.linalg.det(self.M))
+        det = np.linalg.det(self.M)
+        self.det = float(det) if det.ndim == 0 else det
 
     def multipliers(self):
         return np.linalg.eigvals(self.M)
 
 
 def monodromy(field_jacobian, X0, S, cfg=None):
-    """Fundamental matrix over one period of a closed orbit.
+    """Fundamental matrix of dX/ds = f(X) over [0, S] from X0.
 
     ``field_jacobian`` is as for ``integrate_with_variational``.  X0 is
-    one state (D,), giving one ``MonodromyData``, or a stack (m, D) of
-    states sharing the period S, integrated as one system and giving a
-    list with one ``MonodromyData`` per row.
+    one state (D,), or a stack (m, D) integrated as one system, giving
+    one ``MonodromyData`` of stacked arrays.  S is one length, or for a
+    stack one length per row (m,).  The integration runs in normalized
+    time: row j solves dX/dsigma = S_j f(X) on sigma in [0, 1] (its
+    Jacobian scaled by S_j), so rows of different S share one step
+    sequence, and the returned trajectory runs over sigma.
+    ``cfg.max_step`` bounds s: a sigma-step advances row j by S_j times
+    it, so it is divided by the largest S_j.  ``field_dir`` is f at X0,
+    unscaled.
     """
     X0 = np.asarray(X0, float)
-    traj, M = integrate_with_variational(field_jacobian, X0, S, cfg)
-    F0 = field_jacobian(X0)[0]
-    if X0.ndim == 1:
-        return traj, MonodromyData(M=M, X0=X0, field_dir=F0)
-    return traj, [MonodromyData(M=Mi, X0=Xi, field_dir=fi)
-                  for Mi, Xi, fi in zip(M, X0, F0)]
+    h = np.asarray(S, float)[..., None]
+    cfg = cfg or IntegratorConfig()
+    cfg = replace(cfg, max_step=cfg.max_step / np.max(h))
+
+    def scaled(X):
+        F, J = field_jacobian(X)
+        return h * F, h[..., None] * J
+
+    traj, M = integrate_with_variational(scaled, X0, 1.0, cfg)
+    return traj, MonodromyData(M=M, X0=X0, field_dir=field_jacobian(X0)[0])
 
 
 # ---------------------------------------------------------------------------

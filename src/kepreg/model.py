@@ -511,10 +511,17 @@ def bl_gradient(X):
 
 
 def group_direction(X):
-    """Infinitesimal generator (i z, i w, 0, 0) of the circle action."""
-    from .algebra import i_mul
-    z, w, _, _ = unpack_state(X)
-    return pack_state(i_mul(z), i_mul(w), 0.0, 0.0)
+    """Infinitesimal generator (i z, i w, 0, 0) of the circle action, for
+    one 3D state (10,) or a stack (..., 10).
+
+    i q = (-q1, q0, -q3, q2) on each quaternion of z and w, which sit
+    side by side in X[..., :8].
+    """
+    X = np.asarray(X, float)
+    G = np.zeros(X.shape)
+    G[..., 0:8:2] = -X[..., 1:8:2]
+    G[..., 1:8:2] = X[..., 0:8:2]
+    return G
 
 
 # left multiplication q -> i q of a quaternion (1, i, j, k)

@@ -128,6 +128,24 @@ def forward_difference_jacobian(spec, lam, y0, t0):
 class TestScaledSystem:
     @pytest.mark.parametrize("spec", [acceptance_forcing(),
                                       spatial_forcing()])
+    def test_one_fourier_evaluation_per_call(self, spec, monkeypatch):
+        """p and p' of one field-Jacobian call come from one evaluation
+        of the Fourier basis, and match p(t) and the jet's p'."""
+        calls = []
+        basis = spec._basis
+        monkeypatch.setattr(spec, "_basis",
+                            lambda t: calls.append(t) or basis(t))
+        n, lam, t = spec.dim, 0.1 ** 1.5, 0.7
+        Y = np.concatenate([np.full(n, 0.9), np.full(n, 0.1), [t]])
+        F, J = averaging._scaled_system(spec, lam)(Y)
+        assert len(calls) == 1
+        x = Y[:n]
+        p = F[n:2 * n] / lam + x / np.linalg.norm(x) ** 3
+        assert np.allclose(p, spec(t), rtol=1e-14, atol=1e-15)
+        assert np.array_equal(J[n:2 * n, -1], lam * spec.jet(t)[1])
+
+    @pytest.mark.parametrize("spec", [acceptance_forcing(),
+                                      spatial_forcing()])
     def test_monodromy_matches_period_map(self, spec):
         """Every column of the variational monodromy on (x, x', t),
         the t column included, against central differences of the

@@ -152,18 +152,15 @@ class TestCertifyCommand:
         assert cli.main(["certify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "certificates.json").read_text())
         assert report["n_seeds"] == 3
-        assert report["min_principal_angle"] > 1e-3
+        assert report["min_principal_angle"] > cli.manifolds.ANGLE_MIN
 
     def test_failed_k_is_partial(self, tmp_path, monkeypatch):
-        real = cli.manifolds.nondegeneracy_certificate
+        """Every k and seed shares one integration, so its FlowError
+        leaves no certificate and a diagnostic for every k."""
+        def fail(*args, **kwargs):
+            raise cli.flow.FlowError("integration failed: synthetic")
 
-        def fail_k2(spec, X0, cfg=None):
-            if spec.k == 2:
-                raise cli.flow.FlowError("integration failed: synthetic")
-            return real(spec, X0, cfg)
-
-        monkeypatch.setattr(cli.manifolds, "nondegeneracy_certificate",
-                            fail_k2)
+        monkeypatch.setattr(cli.flow, "integrate_with_variational", fail)
         text = (BASE.replace("k_list = 1", "k_list = 1,2,3")
                 + "\n[certify]\nn_seeds = 2\n")
         cfg = write_config(tmp_path, text)
@@ -171,11 +168,46 @@ class TestCertifyCommand:
         code = cli.main(["certify", "--config", cfg, "--out", str(out)])
         assert code == cli.EXIT_PARTIAL
         report = json.loads((out / "certificates.json").read_text())
-        assert [r["k"] for r in report["certificates"]] == [1, 1, 3, 3]
-        assert report["n_seeds"] == 4
+        assert report["certificates"] == []
+        assert report["n_seeds"] == 0
         diags = json.loads((out / "certify_diagnostics.json").read_text())
         assert diags["diagnostics"] == [
-            {"k": 2, "error": "integration failed: synthetic"}]
+            {"k": k, "error": "integration failed: synthetic"}
+            for k in (1, 2, 3)]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_integration_for_every_k(self, tmp_path, monkeypatch, dim):
+        """k = 1, 2, 3 run one variational integration, and the reports
+        stay k-major, then seed, each on its own seed state."""
+        real = cli.flow.integrate_with_variational
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.flow, "integrate_with_variational", counted)
+        text = (BASE.replace("k_list = 1", "k_list = 1,2,3")
+                .replace("dimension = 2", f"dimension = {dim}")
+                .replace("0.3,0.0", "0.3,0.0" + ",0.0" * (dim - 2))
+                .replace("0.0,0.3", "0.0,0.3" + ",0.0" * (dim - 2))
+                + "\n[certify]\nn_seeds = 2\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["certify", "--config", cfg, "--out",
+                         str(out)]) == cli.EXIT_OK
+        D = 2 * (2 * dim - 2) + 2
+        assert calls == [(6, D)]
+        reports = json.loads((out / "certificates.json").read_text())[
+            "certificates"]
+        order = [(k, i) for k in (1, 2, 3) for i in range(2)]
+        assert [r["k"] for r in reports] == [k for k, _ in order]
+        for r, (k, i) in zip(reports, order):
+            spec = cli.manifolds.ManifoldSpec(k=k, T=2 * np.pi, dim=dim)
+            X0 = cli.manifolds.seed_state(
+                spec, cli.manifolds.random_seed_params(
+                    spec, np.random.default_rng(3 + 1000 * k + i)))
+            assert r["X0"] == X0.tolist()
 
 
 @pytest.mark.parametrize("command",

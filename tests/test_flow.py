@@ -263,8 +263,10 @@ class TestVariational:
         traj, data = flow.monodromy(kepler_field_jacobian(), X0, c.S)
         # the flow is volume preserving
         assert data.det == pytest.approx(1.0, abs=1e-6)
-        # M maps the field at the start to the field at the end
-        f_end = model.reg_field(traj.eval(c.S), 0.0, None)
+        # M maps the field at the start to the field at the end; the
+        # trajectory runs in normalized time, sigma = 1 at s = S
+        assert traj.s_end == 1.0
+        f_end = model.reg_field(traj.eval(1.0), 0.0, None)
         assert np.allclose(data.M @ data.field_dir, f_end, atol=1e-7)
         assert np.array_equal(data.field_dir, model.reg_field(X0, 0.0))
         # field_dir is reg_field's at X0, perturbed and stacked too
@@ -272,11 +274,10 @@ class TestVariational:
         X0s = np.array([X0, manifolds.seed_state(
             spec, manifolds.random_seed_params(
                 spec, np.random.default_rng(3)))])
-        _, monos = flow.monodromy(kepler_field_jacobian(1e-3, pert), X0s,
-                                  c.S)
-        for Xi, mono in zip(X0s, monos):
-            assert np.array_equal(mono.field_dir,
-                                  model.reg_field(Xi, 1e-3, pert))
+        _, mono = flow.monodromy(kepler_field_jacobian(1e-3, pert), X0s,
+                                 c.S)
+        for Xi, fi in zip(X0s, mono.field_dir):
+            assert np.array_equal(fi, model.reg_field(Xi, 1e-3, pert))
 
     def test_fd_cross_check(self):
         """Variational columns match directional differences of the flow."""

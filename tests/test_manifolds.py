@@ -199,7 +199,7 @@ class TestCertificates:
                     X0 = manifolds.seed_state(
                         spec, manifolds.random_seed_params(spec, rng))
                     rep = manifolds.nondegeneracy_certificate(spec, X0)
-                    assert rep["principal_angle"] > 1e-3
+                    assert rep["principal_angle"] > manifolds.ANGLE_MIN
                     assert rep["det_monodromy"] == pytest.approx(1.0,
                                                                  abs=1e-6)
 
@@ -218,12 +218,17 @@ class TestCertificates:
         for dim in (2, 3):
             for k in (1, 2, 3):
                 spec, X0 = _seed_stack(dim, k, n=3)
-                _, monos = flow.monodromy(
+                _, mono = flow.monodromy(
                     lambda X: model.reg_field_jacobian(X, 0.0), X0,
                     manifolds.constants(spec).S)
-                for X, mono in zip(X0, monos):
-                    got = manifolds.degeneracy_index(
-                        mono, model.reg_energy_gradient(X, 0.0))
+                grads = model.reg_energy_gradient(X0, 0.0)
+                dim_e, rank = manifolds.degeneracy_index(mono, grads)
+                assert dim_e.tolist() == [X0.shape[1] - 2] * len(X0)
+                assert rank.tolist() == [1] * len(X0)
+                # one orbit at a time gives the same
+                for X, M, F, g in zip(X0, mono.M, mono.field_dir, grads):
+                    one = flow.MonodromyData(M=M, X0=X, field_dir=F)
+                    got = manifolds.degeneracy_index(one, g)
                     assert got == (X.size - 2, 1), (dim, k)
 
 
@@ -232,6 +237,32 @@ def _seed_stack(dim, k, n=6):
     local = np.random.default_rng(100 * dim + k)
     return spec, np.array([manifolds.seed_state(
         spec, manifolds.random_seed_params(spec, local)) for _ in range(n)])
+
+
+def _mixed_stack(dim, n=9):
+    """n seeds cycling through k = 1, 2, 3, with one spec per row."""
+    local = np.random.default_rng(300 + dim)
+    specs = [manifolds.ManifoldSpec(k=1 + i % 3, T=T, dim=dim)
+             for i in range(n)]
+    return specs, np.array([manifolds.seed_state(
+        s, manifolds.random_seed_params(s, local)) for s in specs])
+
+
+class TestSigmaPeriodPower:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_power_matches_full_period(self, dim, k):
+        """At eps = 0 the Jacobian along an orbit depends on z and tau
+        alone and z is sigma_k-periodic, so M(S_k) = M(sigma_k)^k."""
+        spec, X0 = _seed_stack(dim, k, n=3)
+        c = manifolds.constants(spec)
+        fj = lambda X: model.reg_field_jacobian(X, 0.0)
+        _, full = flow.monodromy(fj, X0, c.S)
+        _, part = flow.monodromy(fj, X0, c.sigma)
+        power = np.linalg.matrix_power(part.M, k)
+        scale = np.max(np.abs(full.M), axis=(1, 2))
+        assert np.all(np.max(np.abs(power - full.M), axis=(1, 2))
+                      < 1e-10 * scale)
 
 
 class TestStackedCertificates:
@@ -261,6 +292,50 @@ class TestStackedCertificates:
                         - manifolds.closed_form_variation(spec, X, S))
             assert np.max(np.abs(np.array(rep["Id_minus_P_Ystar"])
                                  - expected)) < 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mixed_k_rows_match_single_k_calls(self, dim):
+        """Rows of k = 1, 2, 3 interleaved in one stack certify as each
+        k's own stack does."""
+        specs, X0 = _mixed_stack(dim)
+        mixed = manifolds.nondegeneracy_certificate(specs, X0)
+        assert [r["k"] for r in mixed] == [s.k for s in specs]
+        for k in (1, 2, 3):
+            rows = [i for i, s in enumerate(specs) if s.k == k]
+            single = manifolds.nondegeneracy_certificate(specs[rows[0]],
+                                                         X0[rows])
+            for i, one in zip(rows, single):
+                rep = mixed[i]
+                assert rep["X0"] == one["X0"]
+                assert rep["forbidden_span"] == one["forbidden_span"]
+                assert rep["dim_E"] == one["dim_E"]
+                assert (rep["rank_Id_minus_Gamma"]
+                        == one["rank_Id_minus_Gamma"])
+                assert abs(rep["principal_angle"]
+                           - one["principal_angle"]) < 1e-10
+                assert abs(rep["det_monodromy"]
+                           - one["det_monodromy"]) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mixed_k_rows_match_closed_form(self, dim):
+        """(Id - P) Y* of every row of a mixed-k stack against the
+        closed-form variation over its own S_k."""
+        specs, X0 = _mixed_stack(dim)
+        reps = manifolds.nondegeneracy_certificate(specs, X0)
+        for spec, X, rep in zip(specs, X0, reps):
+            S = manifolds.constants(spec).S
+            expected = (manifolds.variation_start(spec, X)
+                        - manifolds.closed_form_variation(spec, X, S))
+            assert np.max(np.abs(np.array(rep["Id_minus_P_Ystar"])
+                                 - expected)) < 1e-9
+
+    def test_rejects_mismatched_specs(self):
+        specs, X0 = _mixed_stack(2)
+        with pytest.raises(ValueError, match="manifold specs for"):
+            manifolds.nondegeneracy_certificate(specs[:-1], X0)
+        specs[0] = manifolds.ManifoldSpec(k=1, T=T, dim=3)
+        with pytest.raises(ValueError, match="one dimension"):
+            manifolds.nondegeneracy_certificate(specs, X0)
 
     def test_stack_rejects_an_off_manifold_row(self):
         spec, X0 = _seed_stack(2, 1, n=3)

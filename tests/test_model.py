@@ -469,6 +469,15 @@ class TestSpatialIntegral:
         dR = (model.group_rotation_matrix(h)
               - model.group_rotation_matrix(-h)) / (2 * h)
         assert np.allclose(dR @ X, model.group_direction(X), atol=1e-7)
+        # (i z, i w, 0, 0), one state or a stack of them
+        from kepreg.algebra import i_mul
+        z, w, _, _ = model.unpack_state(X)
+        assert np.array_equal(model.group_direction(X),
+                              model.pack_state(i_mul(z), i_mul(w), 0.0, 0.0))
+        local = np.random.default_rng(7)
+        Xs = np.array([X, random_state(3, local), random_state(3, local)])
+        assert np.array_equal(model.group_direction(Xs),
+                              [model.group_direction(Y) for Y in Xs])
         # an array of angles gives the stack of the single-angle matrices
         ths = np.array([[0.0, th], [-th, 2.5]])
         stack = model.group_rotation_matrix(ths)
