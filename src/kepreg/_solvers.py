@@ -1,11 +1,9 @@
-"""DOP853 stepper and Brent root finder, ported from SciPy.
+"""DOP853 stepper, ported from SciPy.
 
-kepreg runs on numpy alone; these two ports repeat, operation for
-operation, what it used of ``scipy.integrate.DOP853`` (Hairer, Norsett
-and Wanner, Solving ODEs I, II.5-6: the 8(5,3) pair, its step
-controller and its 7th-degree continuous extension) and of
-``scipy.optimize.brentq`` (Brent 1973, Algorithms for Minimization
-without Derivatives, ch. 4).  Every result, step sequence and
+kepreg runs on numpy alone; this port repeats, operation for operation,
+what it used of ``scipy.integrate.DOP853`` (Hairer, Norsett and Wanner,
+Solving ODEs I, II.5-6: the 8(5,3) pair, its step controller and its
+7th-degree continuous extension).  Every result, step sequence and
 evaluation count equals scipy's bit for bit; the tests check them
 against scipy.
 
@@ -43,8 +41,6 @@ The ported code is covered by SciPy's license:
     OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 
-import math
-import operator
 import warnings
 
 import numpy as np
@@ -424,91 +420,3 @@ class DOP853:
         F[2] = 2 * delta_y - h * (self.f + f_old)
         F[3:] = h * np.dot(D, K)
         return F
-
-
-# ---------------------------------------------------------------------------
-# Brent's method
-
-BRENT_XTOL = 2e-12
-BRENT_RTOL = 4 * EPS
-BRENT_MAXITER = 100
-
-
-def brentq(f, a, b, xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER):
-    """A root of f in the bracket [a, b], as ``scipy.optimize.brentq``.
-
-    Stops when the bracket is narrower than xtol + rtol |x|; raises
-    ValueError on a bracket without a sign change, a NaN value of f or
-    tolerances scipy rejects, and RuntimeError after maxiter iterations.
-    """
-    root, iterations, converged = brent(f, a, b, xtol, rtol, maxiter)
-    if not converged:
-        raise RuntimeError(f"Failed to converge after {iterations} "
-                           "iterations.")
-    return root
-
-
-def brent(f, a, b, xtol, rtol, maxiter):
-    """(root, iterations, converged) of Brent's method on [a, b]: the
-    argument checks of scipy's brentq and the loop of its C routine."""
-    maxiter = operator.index(maxiter)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-
-    def value(x):
-        fx = f(x)
-        if np.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return float(fx)
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0:
-        return xpre, 0, True
-    if fcur == 0:
-        return xcur, 0, True
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for i in range(1, maxiter + 1):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, i, True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    return xcur, maxiter, False

@@ -157,9 +157,10 @@ class RunConfig:
 
 
 def _write_json(path, payload, config):
+    """payload under the config header, one line: json.dumps without an
+    indent runs the C encoder."""
     payload = {"config": config.header_lines(), **payload}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    path.write_text(json.dumps(payload))
 
 
 def _diagnosed(out, command, diags, config):

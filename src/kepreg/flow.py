@@ -2,14 +2,15 @@
 
 Steps an explicit high-order embedded Runge-Kutta pair (DOP853) with
 dense output, and adds collision localization on the dense interpolant
-plus fundamental-matrix (variational) propagation.  The stepper and the
-Brent root finder of the collision search live in the package
-(``_solvers``, ports of scipy's, which the tests check them against bit
-for bit), so the package imports numpy alone.  The dense output is the
-DOP853 continuous extension (Hairer, Norsett and Wanner, Solving ODEs I,
-II.6): every accepted step's interpolation coefficients are kept in one
-array and evaluated for all query points at once, bit for bit as scipy's
-``OdeSolution`` evaluates them step by step.  A variational
+plus fundamental-matrix (variational) propagation.  The stepper lives in
+the package (``_solvers``, a port of scipy's, which the tests check it
+against bit for bit), and so does the bracketed root finder of the
+collision search and the time maps, so the package imports numpy alone.
+The dense output is the DOP853 continuous extension (Hairer, Norsett and
+Wanner, Solving ODEs I, II.6): every accepted step's interpolation
+coefficients are kept in one array and evaluated for all query points at
+once, bit for bit as scipy's ``OdeSolution`` evaluates them step by
+step.  A variational
 integration controls its step size on the state components alone (a
 mask on the stepper's error norm); the fundamental-matrix columns follow
 the state's accepted steps (internal numerical differentiation, Hairer,
@@ -39,7 +40,16 @@ __all__ = [
 
 COLLISION_R2_THRESHOLD = 1e-16
 EVENT_GRID = 8              # points per accepted step bracketing collisions
-EVENT_XTOL = 1e-13          # brentq tolerance in s of a located collision
+EVENT_XTOL = 1e-13          # tolerance in s of a located collision
+# Relative tolerance of a bracketed root: 4 eps |x| spans two to four
+# float spacings of x, so a step tol/2 inside a bracket still moves.
+ROOT_RTOL = 4 * np.finfo(float).eps
+# The bisection safeguard of _bracketed_roots halves every bracket at
+# least once in three steps, and 2^64 exceeds the ratio of every bracket
+# here to its tolerance (the widest, [0, S] of a collision removal with
+# S < 33 for k <= 6, is below 2^49 times its 1e-13): a bracket still open
+# after these steps has a tolerance finer than the float spacing of x.
+ROOT_MAXITER = 3 * 64
 
 
 class FlowError(KepregError):
@@ -107,8 +117,9 @@ class Trajectory:
     def eval(self, s, rows=None):
         """Dense-output state at s (augmented columns stripped).
 
-        A scalar s gives states.shape[1:] cut to ``dim`` columns, a 1-D
-        array of n points appends an axis of n.  Each point is read on
+        A scalar s gives states.shape[1:] cut to ``dim`` columns (the
+        read of the one-point array, its axis dropped), a 1-D array of n
+        points appends an axis of n.  Each point is read on
         the step scipy's ``OdeSolution`` picks: a node belongs to the
         step that ends there, and points beyond either end extrapolate
         the first or last step.  The values equal scipy's bit for bit.
@@ -118,24 +129,20 @@ class Trajectory:
         """
         if self.sol is None:
             raise ValueError("trajectory was integrated without dense output")
-        if np.isscalar(s) or np.ndim(s) == 0:
-            # the scalar path of brentq loops: no array bookkeeping
-            i = min(max(self._step(s), 0), self.n_steps - 1)
-            x = (s - self.s[i]) / (self.s[i + 1] - self.s[i])
-            return _horner(self.sol[..., : self.dim, i], x,
-                           self.states[i, ..., : self.dim])
         s = np.asarray(s)
-        if s.ndim != 1:
+        if s.ndim > 1:
             raise ValueError("s must be a scalar or a 1-D array")
-        i = np.clip(self._step(s), 0, self.n_steps - 1)
-        x = (s - self.s[i]) / (self.s[i + 1] - self.s[i])
+        pts = s.reshape(-1)
+        i = np.clip(self._step(pts), 0, self.n_steps - 1)
+        x = (pts - self.s[i]) / (self.s[i + 1] - self.s[i])
         if rows is not None:
             # sol[:, rows, :dim, i] puts the point axis first
             F = np.moveaxis(self.sol[:, rows, : self.dim, i], 0, -1)
             return _horner(F, x, self.states[i, rows, : self.dim].T)
         y_old = np.take(self.states[..., : self.dim], i, axis=0)
-        return _horner(self.sol[..., : self.dim, :][..., i], x,
-                       np.moveaxis(y_old, 0, -1))
+        y = _horner(self.sol[..., : self.dim, :][..., i], x,
+                    np.moveaxis(y_old, 0, -1))
+        return y if s.ndim else y[..., 0]
 
     def _step(self, s):
         """searchsorted(nodes, s) - 1, on -s for a backward integration."""
@@ -332,15 +339,81 @@ def _radial_momentum(X):
     return np.vecdot(X[..., :zd], X[..., zd:2 * zd])
 
 
+def _bracketed_roots(f, lo, hi, xtol, rtol=ROOT_RTOL):
+    """Roots of f in the brackets [lo[j], hi[j]], all refined at once.
+
+    ``f(x, i)`` maps points x in the brackets i (an index array) to the
+    values of f there; it is called once on both ends of every bracket
+    and then once per iteration on one point of each bracket still open.
+    Each point is a secant (regula falsi) step with the Illinois rule: an
+    end kept twice in a row has its value halved.  A step lands at least
+    tol/2 inside its bracket, and a bracket that has not halved in two
+    steps takes a bisection step.  A bracket closes when it is no wider
+    than tol = xtol + rtol |x|, x being its end of smaller |f|, which is
+    returned; an end or a point where f is exactly 0 is returned exactly.
+    A bracket without a sign change or a NaN value of f raises
+    ValueError; a bracket still open after ROOT_MAXITER steps raises
+    FlowError with the best points in ``last_s``.
+    """
+    a, b = np.array(lo, float), np.array(hi, float)
+    n = a.size
+    fab = _finite_values(f, np.concatenate([a, b]), np.tile(np.arange(n), 2))
+    fa, fb = fab[:n], fab[n:]
+    if np.any(np.sign(fa) * np.sign(fb) > 0.0):
+        raise ValueError("f must have different signs at the ends of "
+                         "every bracket")
+    zero = (fa == 0.0) | (fb == 0.0)        # closed at once, on that end
+    a[zero] = b[zero] = np.where(fa == 0.0, a, b)[zero]
+    fa[zero] = fb[zero] = 0.0
+    ga, gb = fa.copy(), fb.copy()           # Illinois-weighted values
+    kept = np.zeros(n, np.int8)             # +1: a kept last step, -1: b
+    w1, w2 = np.full(n, np.inf), np.full(n, np.inf)  # widths 1, 2 steps ago
+    steps = 0
+    while True:
+        x = np.where(np.abs(fa) <= np.abs(fb), a, b)
+        tol = xtol + rtol * np.abs(x)
+        width = np.abs(b - a)
+        j = np.flatnonzero(width > tol)
+        if j.size == 0:
+            return x
+        if steps == ROOT_MAXITER:
+            raise FlowError(f"{j.size} bracketed roots still open after "
+                            f"{ROOT_MAXITER} steps", last_s=x)
+        steps += 1
+        wj = width[j]
+        frac = np.clip(ga[j] / (ga[j] - gb[j]), tol[j] / (2 * wj),
+                       1.0 - tol[j] / (2 * wj))
+        frac[wj > w2[j] / 2] = 0.5
+        w2[j], w1[j] = w1[j], wj
+        c = a[j] + frac * (b[j] - a[j])
+        fc = _finite_values(f, c, j)
+        on_a = (np.sign(fc) == np.sign(fa[j])) | (fc == 0.0)
+        on_b = ~on_a | (fc == 0.0)
+        ja, jb = j[on_a], j[on_b]
+        gb[ja[kept[ja] == -1]] *= 0.5       # b kept a second time
+        ga[jb[kept[jb] == 1]] *= 0.5        # a kept a second time
+        kept[ja], kept[jb] = -1, 1
+        a[ja], fa[ja], ga[ja] = c[on_a], fc[on_a], fc[on_a]
+        b[jb], fb[jb], gb[jb] = c[on_b], fc[on_b], fc[on_b]
+
+
+def _finite_values(f, x, i):
+    """f(x, i), or ValueError if a value is NaN."""
+    fx = np.asarray(f(x, i), float)
+    if np.any(np.isnan(fx)):
+        raise ValueError(f"f is NaN at x = {x[np.isnan(fx)]}")
+    return fx
+
+
 def detect_events(traj):
     """Collisions z = 0 of a trajectory, localized on its dense output.
 
     |z|^2 has a quadratic zero at a collision, so the smooth quantity
     <z, w> (proportional to d|z|^2/ds) is used instead.  Each accepted
-    step is subdivided into EVENT_GRID points; a -/+ sign change of
-    <z, w> is refined by brentq on the dense interpolant, and the
-    localized state is a collision when its |z|^2 is below
-    COLLISION_R2_THRESHOLD.
+    step is subdivided into EVENT_GRID points; the -/+ sign changes of
+    <z, w> are refined together by ``_bracketed_roots`` on the dense
+    interpolant, and a localized state is a collision when its |z|^2 is
+    below COLLISION_R2_THRESHOLD.
     """
     if traj.sol is None:
         raise ValueError("collision detection needs dense output")
@@ -348,17 +421,15 @@ def detect_events(traj):
                                  endpoint=False, axis=1).ravel(), traj.s[-1])
     vals = _radial_momentum(traj.eval(grid).T)
     v0, v1 = vals[:-1], vals[1:]
-    events = []
-    for i in np.flatnonzero((v0 == 0.0) | ((v0 * v1 < 0.0) & (v0 < 0.0))):
-        s_star = grid[i] if v0[i] == 0.0 else _solvers.brentq(
-            lambda s: _radial_momentum(traj.eval(s)), grid[i], grid[i + 1],
-            xtol=EVENT_XTOL)
-        state = traj.eval(s_star)
-        z, _, _, _ = model.unpack_state(state)
-        if float(np.dot(z, z)) < COLLISION_R2_THRESHOLD:
-            events.append(Event(s=float(s_star), state=state))
-    events.sort(key=lambda e: e.s)
-    return events
+    i = np.flatnonzero((v0 == 0.0) | ((v0 < 0.0) & (v1 > 0.0)))
+    s_star = _bracketed_roots(lambda s, _: _radial_momentum(traj.eval(s).T),
+                              grid[i], grid[i + 1], EVENT_XTOL)
+    states = traj.eval(s_star).T
+    zd = (traj.dim - 2) // 2
+    hit = np.vecdot(states[:, :zd], states[:, :zd]) < COLLISION_R2_THRESHOLD
+    return sorted((Event(s=float(s), state=X)
+                   for s, X in zip(s_star[hit], states[hit])),
+                  key=lambda e: e.s)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
-from . import _solvers, flow, model
+from . import flow, model
 
 __all__ = [
     "CollisionEvent",
@@ -55,7 +55,8 @@ class TimeMap:
     ``t_of`` and ``s_of`` take a scalar or an array.  The inverse is
     seeded by linear interpolation in a table of TIME_TABLE_POINTS
     samples and polished by Newton steps on t(s) - t (derivative
-    |z(s)|^2) away from collisions.
+    |z(s)|^2) away from collisions; the points Newton leaves are refined
+    together in their table cells by ``flow._bracketed_roots``.
     """
 
     def __init__(self, traj):
@@ -101,14 +102,14 @@ class TimeMap:
             s[todo] = np.clip(s[todo] - gap[step] / r2[step],
                               self.traj.s0, self.traj.s_end)
         # near a collision t(s) is cubically flat and Newton is useless;
-        # bisect on the dense trajectory instead
-        for i in np.flatnonzero(~converged):
-            j = int(np.searchsorted(self._t_table, ts[i]))
-            lo = self._s_table[max(j - 1, 0)]
-            hi = self._s_table[min(j, len(self._s_table) - 1)]
-            g = lambda sx: self.t_of(sx) - ts[i]
-            if lo < hi and g(lo) <= 0.0 <= g(hi):
-                s[i] = _solvers.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        # refine the table cell t_table[j-1] < t <= t_table[j] instead
+        left = np.flatnonzero(~converged)
+        if left.size:
+            j = np.clip(np.searchsorted(self._t_table, ts[left]), 1,
+                        len(self._t_table) - 1)
+            s[left] = flow._bracketed_roots(
+                lambda sx, i: self.t_of(sx) - ts[left[i]],
+                self._s_table[j - 1], self._s_table[j], xtol=1e-15)
         return s.reshape(t.shape)[()]
 
 
@@ -484,18 +485,18 @@ REMOVAL_R_MIN = 0.3
 class RemovalResult:
     """Collisionless deformation of a planar collision orbit.
 
-    The callables of s take a scalar or an array; those of t take a
-    scalar.
+    The callables take a scalar or an array; u_mu and p_mu give
+    t.shape + (2,).
     """
 
     mu: float
     S: float
     T_mu: float                 # t_of_s(S)
     t_of_s: object              # int_0^s |z_mu|^2 on Gauss-Legendre panels
-    s_of_t: object              # inverse of t_of_s, by brentq
+    s_of_t: object              # inverse of t_of_s, bracketed on [0, S]
     z_mu: object                # callable s -> complex
-    u_mu: object                # callable t -> (2,) array
-    p_mu: object                # callable t -> (2,) array
+    u_mu: object                # callable t -> t.shape + (2,) array
+    p_mu: object                # callable t -> t.shape + (2,) array
     p_of_s: object              # callable s -> complex, p_mu(t(s))
     min_u: float
     collisions_s: list
@@ -603,21 +604,24 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None):
     cuts = (centres[:, None] + mu * np.linspace(-2.0, 2.0, 33)).ravel()
     breaks = np.unique(np.clip(np.concatenate([traj.s, cuts]), 0.0, S))
     _, t_of_s = _gauss_panels(lambda s: np.abs(z_mu(s)) ** 2, breaks)
-    T_mu = float(t_of_s(S))     # so that brentq brackets every t in [0, T_mu)
+    T_mu = float(t_of_s(S))     # [0, S] brackets every t in [0, T_mu)
 
     def s_of_t(t):
-        t = float(t) % T_mu
-        return _solvers.brentq(lambda s: t_of_s(s) - t, 0.0, S,
-                               xtol=1e-13)
+        t = np.asarray(t, float) % T_mu
+        ts = t.reshape(-1)
+        s = flow._bracketed_roots(lambda s, i: t_of_s(s) - ts[i],
+                                  np.zeros(ts.size), np.full(ts.size, S),
+                                  xtol=1e-13)
+        return s.reshape(t.shape)[()]
 
     def u_mu(t):
         z = z_mu(s_of_t(t))
         uc = z * z
-        return np.array([uc.real, uc.imag])
+        return np.stack([uc.real, uc.imag], axis=-1)
 
     def p_mu(t):
         pc = p_of_s(s_of_t(t))
-        return np.array([pc.real, pc.imag])
+        return np.stack([pc.real, pc.imag], axis=-1)
 
     min_u = np.min(np.abs(z_mu(np.linspace(0.0, S, 4001))) ** 2)
     return RemovalResult(mu=mu, S=S, T_mu=T_mu, t_of_s=t_of_s, s_of_t=s_of_t,

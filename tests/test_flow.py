@@ -211,6 +211,15 @@ class TestDenseOutput:
                     (traj.dim,), (name, s)
             assert traj.eval(pts[:0]).shape == got.shape[:-1] + (0,)
 
+    def test_scalar_is_one_point_array(self):
+        """A scalar read is the one-point array read, bit for bit, with
+        the point axis dropped."""
+        for name, traj in self.trajectories(2).items():
+            for s in self.points(traj):
+                got = traj.eval(s)
+                assert np.array_equal(got, traj.eval(np.array([s]))[..., 0])
+                assert got.shape == traj.states.shape[1:-1] + (traj.dim,)
+
     def test_zero_length_interval_has_no_dense_output(self):
         fld = lambda y: np.array([y[1], -y[0]])
         with pytest.raises(ValueError, match="nonzero length"):
@@ -398,6 +407,21 @@ class TestEvents:
             for e in events:
                 z, _, _, _ = model.unpack_state(e.state)
                 assert np.dot(z, z) < 1e-16
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_collision_of_k3_at_shifted_origins(self, dim):
+        """All 2k collisions of k = 3, refined in one call, for several
+        time origins and at a bounded step."""
+        spec = manifolds.ManifoldSpec(k=3, T=T, dim=dim)
+        c = manifolds.constants(spec)
+        expected = [(np.pi / 2 + j * np.pi) / c.omega for j in range(6)]
+        for t0 in (0.0, 1.3, 4.1):
+            X0 = manifolds.seed_state(
+                spec, manifolds.rectilinear_seed_params(spec, t0=t0))
+            for cfg in (None, flow.IntegratorConfig(max_step=0.05)):
+                traj = flow.integrate(kepler_field(), X0, c.S, cfg)
+                got = [e.s for e in flow.detect_events(traj)]
+                assert np.allclose(got, expected, rtol=0.0, atol=1e-8)
 
     def test_circular_orbit_has_no_collisions(self):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)

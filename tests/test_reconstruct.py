@@ -73,9 +73,21 @@ class TestTimeMap:
                     t = c.t0 + sign * off
                     assert tm.t_of(tm.s_of(t)) == pytest.approx(t, abs=1e-11)
 
+    def test_accurate_near_collisions_in_one_call(self, rect_gensol):
+        """An array of times at and around every collision, a third of
+        them left by Newton to the bracketed root finder, inverts in one
+        call to t(s_of(t)) = t."""
+        tm = rect_gensol.tmap
+        ts = np.array([c.t0 + sign * off for c in rect_gensol.collisions
+                       for off in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
+                       for sign in (-1.0, 1.0)])
+        assert sum(not per_point_newton(tm, t)[1] for t in ts) >= ts.size / 4
+        assert np.allclose(tm.t_of(tm.s_of(ts)), ts, rtol=0.0, atol=1e-11)
+
     def test_array_matches_per_point_newton(self):
         """s_of on an array gives, point for point, what the per-point
-        Newton polish gives; points left to brentq agree in t(s)."""
+        Newton polish gives; points left to the bracketed root finder
+        agree in t(s)."""
         _, _, orbit = collision_orbit(k=2)
         tm = reconstruct.to_generalized(orbit,
                                         model.zero_perturbation(T, 2)).tmap
@@ -349,10 +361,32 @@ class TestRemoveCollisions:
         for m in range(5):
             out = reconstruct.remove_collisions(traj, c.S, 0.1 * 2.0 ** (-m),
                                                 0.0, pert)
-            vals = [np.linalg.norm(out.p_mu(out.t_of_s(s)))
-                    * abs(out.z_mu(s)) ** 2 for s in ss]
+            vals = (np.linalg.norm(out.p_mu(out.t_of_s(ss)), axis=-1)
+                    * np.abs(out.z_mu(ss)) ** 2)
             ref = np.trapezoid(vals, ss)
             assert out.forcing_l1() == pytest.approx(ref, rel=1e-8)
+
+    def test_time_callables_on_arrays_match_per_point_calls(self, source):
+        """s_of_t, u_mu and p_mu on an array of any shape equal their
+        per-point calls; u_mu and p_mu append an axis of 2.  numpy's
+        complex arithmetic in p_of_s rounds an array and a scalar
+        differently, so p_mu agrees to rounding (4 eps of its size, or
+        of 1 where it cancels to near 0)."""
+        c, traj, pert = source
+        out = reconstruct.remove_collisions(traj, c.S, 0.05, 0.0, pert)
+        ts = np.concatenate([[0.0, out.T_mu, -0.5, out.T_mu + 0.5],
+                             out.t_of_s(np.asarray(out.collisions_s)),
+                             np.random.default_rng(1).random(24) * out.T_mu])
+        for name, tol in (("s_of_t", 0.0), ("u_mu", 0.0), ("p_mu", 1e-15)):
+            fn = getattr(out, name)
+            per_point = np.array([fn(t) for t in ts])
+            grid = (5, 6) + per_point.shape[1:]
+            for got, want in ((fn(ts), per_point),
+                              (fn(ts.reshape(5, 6)), per_point.reshape(grid))):
+                assert got.shape == want.shape, name
+                assert np.allclose(got, want, rtol=tol, atol=tol), name
+        assert np.ndim(out.s_of_t(ts[5])) == 0
+        assert out.u_mu(ts[5]).shape == out.p_mu(ts[5]).shape == (2,)
 
     def test_u_mu_consistency(self, source):
         c, traj, pert = source

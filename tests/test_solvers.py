@@ -1,6 +1,7 @@
-"""The in-package DOP853 stepper and Brent root finder against scipy's,
-which the tests alone import: equal bit for bit, step for step and
-iteration for iteration, errors included."""
+"""The in-package numerical solvers against scipy's, which the tests
+alone import.  The DOP853 stepper equals scipy's bit for bit, step for
+step, errors included.  The bracketed root finder of ``flow`` finds
+``scipy.optimize.brentq``'s roots within each bracket's tolerance."""
 
 import numpy as np
 import pytest
@@ -197,8 +198,8 @@ class TestStepper:
 
 
 def collision_brackets():
-    """Every bracket detect_events hands to brentq on TestEvents'
-    rectilinear orbits, with the function it refines."""
+    """Every bracket detect_events refines on TestEvents' rectilinear
+    orbits, with the function it refines."""
     out = []
     for dim, k in ((2, 1), (2, 2), (3, 1), (3, 2)):
         spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
@@ -231,61 +232,126 @@ def smooth_brackets():
     return out
 
 
-class TestBrent:
-    TOLERANCES = [(flow.EVENT_XTOL, _solvers.BRENT_RTOL),
-                  (1e-15, 8.9e-16), (2e-12, _solvers.BRENT_RTOL),
-                  (1e-4, 1e-6)]
+def vectorized(fs):
+    """f(x, i) of _bracketed_roots from one scalar function per bracket,
+    counting its calls."""
+    def f(x, i):
+        f.calls += 1
+        return np.array([fs[j](xj) for j, xj in zip(i, x)])
+    f.calls = 0
+    return f
+
+
+def roots(brackets, xtol, rtol=flow.ROOT_RTOL):
+    f = vectorized([g for g, _, _ in brackets])
+    lo, hi = np.reshape([(a, b) for _, a, b in brackets], (-1, 2)).T
+    return flow._bracketed_roots(f, lo, hi, xtol, rtol), f.calls
+
+
+def sign_changes(f, a, b, n=201):
+    v = np.array([f(x) for x in np.linspace(a, b, n)])
+    return int(np.sum(np.sign(v[:-1]) != np.sign(v[1:])))
+
+
+class TestBracketedRoots:
+    TOLERANCES = [(flow.EVENT_XTOL, flow.ROOT_RTOL), (1e-15, 8.9e-16),
+                  (2e-12, flow.ROOT_RTOL), (1e-4, 1e-6)]
 
     @pytest.mark.parametrize("source", [collision_brackets, smooth_brackets])
-    def test_matches_scipy(self, source):
+    def test_matches_brentq(self, source):
+        """Every root is a sign change of f within its tolerance; on a
+        bracket with one sign change it is brentq's root within the
+        tolerance.  (With several, either may find any of them.)"""
         brackets = source()
         assert len(brackets) >= 12
-        for f, a, b in brackets:
-            for xtol, rtol in self.TOLERANCES:
-                want, info = brentq(f, a, b, xtol=xtol, rtol=rtol,
-                                    full_output=True)
-                root, iterations, converged = _solvers.brent(
-                    f, a, b, xtol, rtol, _solvers.BRENT_MAXITER)
-                assert converged and info.converged
-                assert root == want and iterations == info.iterations
-                assert _solvers.brentq(f, a, b, xtol, rtol) == want
+        single = [sign_changes(f, a, b) == 1 for f, a, b in brackets]
+        assert sum(single) >= 0.75 * len(brackets)
+        for xtol, rtol in self.TOLERANCES:
+            got, _ = roots(brackets, xtol, rtol)
+            for (f, a, b), x, one in zip(brackets, got, single):
+                tol = xtol + rtol * abs(x)
+                assert min(a, b) <= x <= max(a, b)
+                lo, hi = max(min(a, b), x - tol), min(max(a, b), x + tol)
+                assert f(x) == 0.0 or np.sign(f(lo)) != np.sign(f(hi))
+                if one:
+                    want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+                    assert abs(x - want) <= tol
 
-    @pytest.mark.parametrize("f,a,b", [
-        (lambda x: x - 0.5, 0.5, 1.0),
-        (lambda x: x - 0.5, 0.0, 0.5),
-        (lambda x: -0.0 if x == 0.0 else 1.0, 0.0, 1.0),
-        (lambda x: -1.0 if x == 0.0 else -0.0, 0.0, 1.0),
-        (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),
-        (lambda x: np.exp(x) - 5.0, 0.0, 10.0),
-        (lambda x: np.float64(x) ** 3, -1.0, 2.0),
-    ])
-    def test_edge_cases_match_scipy(self, f, a, b):
-        """Roots at an end, signed zeros and underflowing products.  A
-        root at an end is returned before the first iteration, where
-        scipy leaves its iteration count unset; there the count is 0."""
-        for maxiter in (0, 3, 100):
-            want, info = brentq(f, a, b, maxiter=maxiter, full_output=True,
-                                disp=False)
-            root, iterations, converged = _solvers.brent(
-                f, a, b, _solvers.BRENT_XTOL, _solvers.BRENT_RTOL, maxiter)
-            assert (root, converged) == (want, info.converged)
-            if f(a) == 0.0 or f(b) == 0.0:
-                assert iterations == 0
-            else:
-                assert iterations == info.iterations
+    def test_brackets_are_independent(self):
+        """A bracket's root does not depend on the others refined with
+        it."""
+        brackets = collision_brackets() + smooth_brackets()[:50]
+        together, _ = roots(brackets, 1e-13)
+        alone = [roots([b], 1e-13)[0][0] for b in brackets]
+        assert np.array_equal(together, alone)
 
-    @pytest.mark.parametrize("f,a,b,kwargs", [
-        (lambda x: x * x + 1.0, 0.0, 1.0, {}),
-        (lambda x: np.nan if x > 0.5 else x - 0.7, 0.0, 1.0, {}),
-        (lambda x: x - 0.3, 0.0, 1.0, {"xtol": 0.0}),
-        (lambda x: x - 0.3, 0.0, 1.0, {"rtol": 1e-17}),
-        (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": -1}),
-        (lambda x: np.exp(x) - 5.0, 0.0, 10.0, {"maxiter": 3}),
-        (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": 0}),
+    def test_collisions_take_few_iterations(self):
+        """One call on both ends, then a few steps for every collision
+        bracket at once."""
+        _, calls = roots(collision_brackets(), flow.EVENT_XTOL)
+        assert calls <= 6
+
+    def test_exact_zeros(self):
+        """An end or a step where f is exactly 0, of either sign, is
+        returned exactly; the ends are tried first."""
+        brackets = [
+            (lambda x: x - 0.5, 0.5, 1.0),
+            (lambda x: x - 0.5, 0.0, 0.5),
+            (lambda x: x - 0.5, 0.0, 1.0),     # the first secant step
+            (lambda x: -0.0 if x == 0.0 else 1.0, 0.0, 1.0),
+            (lambda x: -1.0 if x == 0.0 else -0.0, 0.0, 1.0),
+            (lambda x: 0.0, 0.25, 1.0),
+        ]
+        got, calls = roots(brackets, 2e-12)
+        assert got.tolist() == [0.5, 0.5, 0.5, 0.0, 1.0, 0.25]
+        assert calls == 2
+
+    def test_hard_brackets(self):
+        """Underflowing products, a reversed bracket, a steep root and
+        flat ones (where brentq runs out of its 100 iterations) against
+        the exact roots."""
+        brackets = [
+            (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),
+            (lambda x: np.exp(x) - 5.0, 10.0, 0.0),
+            (lambda x: np.tanh(1e3 * (x - 0.3)), 0.0, 1.0),
+            (lambda x: np.float64(x) ** 3, -1.0, 2.0),
+            (lambda x: (x - 0.7) ** 9, 0.0, 1.0),
+        ]
+        got, _ = roots(brackets, 2e-12)
+        exact = [0.3, np.log(5.0), 0.3, 0.0, 0.7]
+        assert np.all(np.abs(got - exact)
+                      <= 2e-12 + flow.ROOT_RTOL * np.abs(got))
+
+    def test_bisection_bounds_the_steps(self):
+        """The safeguard halves a bracket at least once in three steps,
+        where regula falsi alone creeps along a flat side."""
+        f = lambda x: np.tanh(1e3 * (x - 0.3))
+        for xtol in (1e-4, 1e-8, 1e-12):
+            _, calls = roots([(f, 0.0, 1.0)], xtol)
+            assert calls - 1 <= 3 * np.ceil(np.log2(1.0 / xtol))
+
+    def test_bracket_without_sign_change(self):
+        with pytest.raises(ValueError, match="different signs"):
+            roots([(lambda x: x - 0.5, 0.0, 1.0),
+                   (lambda x: x * x + 1.0, 0.0, 1.0)], 1e-12)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: np.nan if x > 0.5 else x - 0.7,          # at an end
+        lambda x: np.nan if 0.2 < x < 0.8 else x - 0.5,    # at a step
     ])
-    def test_errors_match_scipy(self, f, a, b, kwargs):
-        with pytest.raises((ValueError, RuntimeError)) as want:
-            brentq(f, a, b, **kwargs)
-        with pytest.raises(want.type) as got:
-            _solvers.brentq(f, a, b, **kwargs)
-        assert str(got.value) == str(want.value)
+    def test_nan_raises(self, f):
+        with pytest.raises(ValueError, match="NaN"):
+            roots([(f, 0.0, 1.0)], 1e-12)
+
+    def test_unreachable_tolerance_raises_flow_error(self):
+        """A jump is bracketed down to adjacent floats, which a tolerance
+        below their spacing never accepts; the error carries the best
+        points."""
+        with pytest.raises(flow.FlowError, match="still open") as err:
+            roots([(lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0),
+                   (lambda x: x - 0.25, 0.0, 1.0)], 1e-300, 0.0)
+        assert err.value.last_s[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert err.value.last_s[1] == 0.25
+
+    def test_no_brackets(self):
+        assert roots([], 1e-12)[0].shape == (0,)
