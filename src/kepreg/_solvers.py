@@ -261,7 +261,8 @@ def error_norm(K, h, scale):
 
 class DOP853:
     """Explicit Runge-Kutta 8(5,3) integration of dy/dt = fun(y) from
-    t = 0 toward ``t_bound``, one accepted step per ``step`` call.
+    t = 0 forward to ``t_bound`` >= 0, one accepted step per ``step``
+    call.
 
     ``fun`` maps an array of y0's shape to its derivative, of the same
     shape; the stepper works on the flattened state, as scipy's does.
@@ -269,8 +270,9 @@ class DOP853:
     estimate.  A boolean ``mask`` over the flattened state restricts
     the error norm to those components; the others ride along on the
     accepted steps.  ``nfev`` counts every evaluation of ``fun``.  The
-    tolerances and max_step are taken as given (``IntegratorConfig``
-    checks them), save scipy's floor of 100 eps on rtol.
+    tolerances, max_step and t_bound are taken as given
+    (``IntegratorConfig`` and ``flow`` check them), save scipy's floor
+    of 100 eps on rtol.
     """
 
     def __init__(self, fun, y0, t_bound, rtol, atol, max_step=np.inf,
@@ -288,7 +290,6 @@ class DOP853:
         self.y, self.y_old = y0.ravel(), None
         self.rtol, self.atol, self.max_step = rtol, atol, max_step
         self.mask = mask
-        self.direction = np.sign(t_bound) if t_bound != 0 else 1
         self.finished = False
         self.nfev = 0
         self.f = self.fun(self.y)
@@ -296,7 +297,7 @@ class DOP853:
             self.h_abs = self._initial_step()
         elif first_step <= 0:
             raise ValueError("`first_step` must be positive.")
-        elif first_step > np.abs(t_bound):
+        elif first_step > t_bound:
             raise ValueError("`first_step` exceeds bounds.")
         else:
             self.h_abs = first_step
@@ -323,7 +324,7 @@ class DOP853:
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        y1 = y0 + h0 * self.direction * f0
+        y1 = y0 + h0 * f0
         f1 = self.fun(y1)
         d2 = rms_norm((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
@@ -354,13 +355,13 @@ class DOP853:
             return True
         if not self._step_impl():
             return False
-        if self.direction * (self.t - self.t_bound) >= 0:
+        if self.t >= self.t_bound:
             self.finished = True
         return True
 
     def _step_impl(self):
         t, y = self.t, self.y
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if self.h_abs > self.max_step:
             h_abs = self.max_step
         elif self.h_abs < min_step:
@@ -372,9 +373,8 @@ class DOP853:
         while not step_accepted:
             if h_abs < min_step:
                 return False
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
+            t_new = t + h_abs
+            if t_new > self.t_bound:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = np.abs(h)

@@ -31,8 +31,7 @@ class ConfigError(ValueError):
 
 ALLOWED_KEYS = {
     "run": {"dimension", "period", "k_list", "seed", "eps", "l"},
-    "perturbation": {"name", "const", "cos1", "sin1", "cos2", "sin2",
-                     "k_prime", "h_prime", "n_prime", "gamma"},
+    "perturbation": {"name", "const", "cos1", "sin1", "cos2", "sin2"},
     "integrator": {"rel_tol", "abs_tol", "max_step"},
     "shoot": {"segments", "eps_schedule"},
     "average": {"eps_list"},
@@ -47,6 +46,33 @@ def _parse_floats(text):
 
 def _parse_ints(text):
     return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _parse_perturbation(parser, period, dim):
+    """The [perturbation] section as a perturbation: absent or ``zero``
+    is U = 0, ``forced_kepler`` the Fourier forcing of its coefficients.
+    The harmonics run up to the highest cos or sin row given, and a row
+    left out below it is zero, so ``sin2`` alone is the second one."""
+    sec = parser["perturbation"] if parser.has_section("perturbation") \
+        else {}
+    name = sec.get("name", "zero")
+    if name == "zero":
+        return model.zero_perturbation(period, dim)
+    if name != "forced_kepler":
+        raise ConfigError(f"unknown perturbation '{name}'")
+    n = max((m for m in (1, 2) for kind in ("cos", "sin")
+             if f"{kind}{m}" in sec), default=0)
+
+    def rows(kind):
+        return [_parse_floats(sec.get(f"{kind}{m}", "")) or [0.0] * dim
+                for m in range(1, n + 1)] or None
+
+    try:
+        const = _parse_floats(sec.get("const", "")) or [0.0] * dim
+        return model.forced_kepler(period, const, rows("cos"), rows("sin"),
+                                   dim=dim)
+    except ValueError as exc:
+        raise ConfigError(f"[perturbation]: {exc}") from None
 
 
 class RunConfig:
@@ -79,7 +105,13 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         self.eps = float(run.get("eps", 0.0))
+        if self.eps < 0:
+            raise ConfigError("eps must be >= 0")
         self.l = int(run.get("l", len(self.k_list)))
+        if self.l < 1:
+            raise ConfigError("l must be >= 1")
+        self.perturbation = _parse_perturbation(parser, self.period,
+                                                self.dimension)
         integ = parser["integrator"] if parser.has_section("integrator") else {}
         self.cfg = flow.IntegratorConfig(
             rel_tol=float(integ.get("rel_tol", 1e-12)),
@@ -87,6 +119,8 @@ class RunConfig:
             max_step=float(integ.get("max_step", np.inf)))
         shoot_sec = parser["shoot"] if parser.has_section("shoot") else {}
         self.segments = int(shoot_sec.get("segments", 0))
+        if self.segments < 0:
+            raise ConfigError("segments must be >= 0 (0: the default 8k)")
         self.eps_schedule = _parse_floats(
             shoot_sec.get("eps_schedule", "")) or None
         avg = parser["average"] if parser.has_section("average") else {}
@@ -115,41 +149,9 @@ class RunConfig:
                 lines.append(f"{section}.{key} = {val}")
         return lines
 
-    def perturbation(self):
-        if not self._parser.has_section("perturbation"):
-            return model.zero_perturbation(self.period, self.dimension)
-        sec = self._parser["perturbation"]
-        name = sec.get("name", "zero")
-        if name == "zero":
-            return model.zero_perturbation(self.period, self.dimension)
-        if name == "forced_kepler":
-            const = _parse_floats(sec.get("const", "")) or [0.0] * self.dimension
-            cos_rows = []
-            sin_rows = []
-            for m in (1, 2):
-                if f"cos{m}" in sec:
-                    cos_rows.append(_parse_floats(sec[f"cos{m}"]))
-                if f"sin{m}" in sec:
-                    sin_rows.append(_parse_floats(sec[f"sin{m}"]))
-            return model.forced_kepler(
-                self.period, const,
-                cos=np.array(cos_rows) if cos_rows else None,
-                sin=np.array(sin_rows) if sin_rows else None,
-                dim=self.dimension)
-        if name == "fatou":
-            return model.fatou(float(sec.get("k_prime", 1.0)),
-                               float(sec.get("h_prime", 0.0)),
-                               float(sec.get("n_prime", 1.0)),
-                               float(sec.get("gamma", 0.0)))
-        raise ConfigError(f"unknown perturbation '{name}'")
-
-    def perturbed(self):
-        """Whether a run leaves eps = 0, through eps or the eps schedule."""
-        return any(e != 0.0 for e in [self.eps, *(self.eps_schedule or [])])
-
     def forcing_spec(self):
         """Forcing series for the averaging command (physical forcing p)."""
-        pert = self.perturbation()
+        pert = self.perturbation
         if pert.name != "forced_kepler" or not np.any(pert.forcing.mean()):
             raise ConfigError("the average command needs a forced_kepler "
                               "perturbation with a nonzero mean (const)")
@@ -209,7 +211,7 @@ def cmd_seed(config, out):
 
 def cmd_flow(config, out):
     rng = np.random.default_rng(config.seed)
-    pert = config.perturbation()
+    pert = config.perturbation
     reports = {}
     for k in config.k_list:
         spec = manifolds.ManifoldSpec(k=k, T=config.period,
@@ -239,7 +241,7 @@ def _continue_branch(config, pert, k):
 
 
 def cmd_shoot(config, out):
-    pert = config.perturbation()
+    pert = config.perturbation
     orbits = []
     all_diags = []
     failures = []
@@ -256,7 +258,7 @@ def cmd_shoot(config, out):
 
 
 def cmd_theorem_demo(config, out):
-    pert = config.perturbation()
+    pert = config.perturbation
     ks = list(range(1, config.l + 1))
     final = []
     failures = []
@@ -320,7 +322,7 @@ def cmd_certify(config, out):
 
 
 def cmd_reconstruct(config, out):
-    pert = config.perturbation()
+    pert = config.perturbation
     failures = []
     for k in config.k_list:
         spec = manifolds.ManifoldSpec(k=k, T=config.period,
@@ -387,9 +389,6 @@ COMMANDS = {
     "remove-collisions": cmd_remove_collisions,
 }
 
-# the commands that evaluate the perturbation on the regularized field
-REGULARIZED = {"flow", "shoot", "theorem-demo", "reconstruct"}
-
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -404,8 +403,6 @@ def main(argv=None):
     out = Path(args.out)
     try:
         config = RunConfig(args.config)
-        if args.command in REGULARIZED and config.perturbed():
-            model.check_regularizable(config.perturbation())
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -133,7 +133,7 @@ class Trajectory:
         if s.ndim > 1:
             raise ValueError("s must be a scalar or a 1-D array")
         pts = s.reshape(-1)
-        i = np.clip(self._step(pts), 0, self.n_steps - 1)
+        i = np.clip(np.searchsorted(self.s, pts) - 1, 0, self.n_steps - 1)
         x = (pts - self.s[i]) / (self.s[i + 1] - self.s[i])
         if rows is not None:
             # sol[:, rows, :dim, i] puts the point axis first
@@ -143,12 +143,6 @@ class Trajectory:
         y = _horner(self.sol[..., : self.dim, :][..., i], x,
                     np.moveaxis(y_old, 0, -1))
         return y if s.ndim else y[..., 0]
-
-    def _step(self, s):
-        """searchsorted(nodes, s) - 1, on -s for a backward integration."""
-        if self.s[-1] >= self.s[0]:
-            return np.searchsorted(self.s, s) - 1
-        return np.searchsorted(-self.s, -s) - 1
 
     @property
     def s0(self):
@@ -190,6 +184,8 @@ def _solve(fun, Y0, s_end, cfg, dim, state, first_step):
     left None (a cold start) the integration is ``solve_ivp``'s bit for
     bit.
     """
+    if s_end < 0.0:
+        raise ValueError("s_end must be >= 0: integration runs forward")
     if cfg.dense and s_end == 0.0:
         raise ValueError("dense output needs an interval of nonzero length")
     shape = Y0.shape
@@ -203,7 +199,7 @@ def _solve(fun, Y0, s_end, cfg, dim, state, first_step):
             raise FlowError(
                 f"integration failed: {_solvers.TOO_SMALL_STEP}",
                 last_s=stepper.t, last_state=stepper.y.reshape(shape))
-        settled = max(settled, abs(stepper.t - s_old))
+        settled = max(settled, stepper.t - s_old)
         if cfg.dense:
             ts.append(stepper.t)
             ys.append(stepper.y)
@@ -219,7 +215,7 @@ def _solve(fun, Y0, s_end, cfg, dim, state, first_step):
 
 
 def integrate(field, X0, s_end, cfg=None, first_step=None):
-    """Integrate dX/ds = field(X) over [0, s_end].
+    """Integrate dX/ds = field(X) forward over [0, s_end], s_end >= 0.
 
     ``field`` maps a state to its derivative (autonomous form).  X0 is
     one state (D,) or a stack (m, D) of initial states, integrated as
@@ -239,7 +235,7 @@ def integrate_with_variational(field_jacobian, X0, s_end, cfg=None,
 
     ``field_jacobian`` maps a state to the pair (field, Jacobian), so
     each stage evaluates both from one call.  Returns (trajectory, M)
-    with M the fundamental solution at s_end, M(0) = Id.  Step control
+    with M the fundamental solution at s_end >= 0, M(0) = Id.  Step control
     reads the state columns only: the matrix columns are integrated on
     the state's accepted steps and do not shorten them, so the state
     takes the steps of a plain ``integrate`` give or take one (on a cold

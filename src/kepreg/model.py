@@ -28,9 +28,7 @@ __all__ = [
     "PerturbationValues",
     "zero_perturbation",
     "forced_kepler",
-    "fatou",
     "ForcingSpec",
-    "check_regularizable",
     "pack_state",
     "unpack_state",
     "state_dim",
@@ -84,22 +82,20 @@ class Perturbation(ABC):
     """A smooth T-periodic force function U(t, u), evaluated on arrays.
 
     A perturbation is a subclass that implements ``evaluate``; it is the
-    only way U is evaluated.
+    only way U is evaluated.  U must be smooth at u = 0 as well: the
+    regularized energy carries it as |z|^2 U(t, u(z), eps), and
+    regularized orbits evaluate it through their collisions, at u = 0.
 
     Parameters
     ----------
     period : float
         Forcing period T.
-    smooth_at_origin : bool
-        Whether U extends smoothly to u = 0; perturbations with
-        singularities at the origin cannot be used in regularized runs.
     """
 
-    def __init__(self, period, smooth_at_origin=True, name="custom"):
+    def __init__(self, period, name="custom"):
         if period <= 0:
             raise ValueError("period must be positive")
         self.period = float(period)
-        self.smooth_at_origin = bool(smooth_at_origin)
         self.name = name
 
     def _reduce(self, t):
@@ -232,54 +228,6 @@ def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
     return _LinearForcing(p)
 
 
-class _Fatou(Perturbation):
-    """U = k'/r^3 + h'/r^5 [ (u1^2-u2^2) cos(2(n't+gamma))
-                              + 2 u1 u2 sin(2(n't+gamma)) ].
-
-    Value, gradient and dU/dt are in closed form.  U is not affine in
-    u, so ``second=True`` raises rather than return ``hess=None``.
-    """
-
-    def __init__(self, k_prime, h_prime, n_prime, gamma):
-        super().__init__(np.pi / n_prime, smooth_at_origin=False,
-                         name="fatou")
-        self.k_prime = k_prime
-        self.h_prime = h_prime
-        self.n_prime = n_prime
-        self.gamma = gamma
-
-    def evaluate(self, t, u, eps, second=False):
-        if second:
-            raise ValueError("fatou gives no second derivatives")
-        k, h, n, gamma = self.k_prime, self.h_prime, self.n_prime, self.gamma
-        phase = 2.0 * (n * self._reduce(np.asarray(t, float)) + gamma)
-        c, s = np.cos(phase), np.sin(phase)
-        u = np.asarray(u, float)
-        u1, u2 = u[..., 0], u[..., 1]
-        r = np.sqrt(np.vecdot(u, u))
-        quad = (u1 ** 2 - u2 ** 2) * c + 2.0 * u1 * u2 * s
-        g = np.stack([2.0 * u1 * c + 2.0 * u2 * s,
-                      -2.0 * u2 * c + 2.0 * u1 * s], axis=-1)
-        grad = ((-3.0 * k / r ** 5)[..., None] * u
-                + h * g / (r ** 5)[..., None]
-                - (5.0 * h * quad)[..., None] * u / (r ** 7)[..., None])
-        dt = 2.0 * n * h * (-(u1 ** 2 - u2 ** 2) * s
-                            + 2.0 * u1 * u2 * c) / r ** 5
-        return PerturbationValues(value=k / r ** 3 + h * quad / r ** 5,
-                                  grad=grad, dt=dt)
-
-
-def fatou(k_prime, h_prime, n_prime, gamma=0.0):
-    """Fatou's rotating-body potential (planar, singular at the origin).
-
-    Periodic with period pi/n'.  Not smooth at u = 0, hence unusable
-    for regularized runs.
-    """
-    if n_prime <= 0:
-        raise ValueError("n_prime must be positive")
-    return _Fatou(k_prime, h_prime, n_prime, gamma)
-
-
 # ---------------------------------------------------------------------------
 # state layout helpers
 
@@ -337,13 +285,6 @@ def position(z):
     return 0.5 * np.matvec(position_jacobian(z), z)
 
 
-def check_regularizable(pert):
-    if not pert.smooth_at_origin:
-        raise ValueError(
-            f"perturbation '{pert.name}' is singular at the origin and "
-            "cannot be used in a regularized run")
-
-
 # ---------------------------------------------------------------------------
 # regularized Hamiltonian and field
 #
@@ -366,7 +307,6 @@ def _split(X):
 
 def _perturbation_value(z, t, eps, pert):
     """U at (t, u(z))."""
-    check_regularizable(pert)
     return pert.evaluate(t, position(z), eps).value
 
 
@@ -414,7 +354,6 @@ def _kernel(X, eps, pert, jacobian):
     Fw = F[..., zd:2 * zd]
     perturbed = eps != 0.0 and pert is not None
     if perturbed:
-        check_regularizable(pert)
         z = np.ascontiguousarray(z)
         A = position_jacobian(z)
         ev = pert.evaluate(t, 0.5 * np.matvec(A, z), eps, jacobian)

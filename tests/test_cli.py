@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,12 +33,16 @@ sin1 = 0.0,0.3
 
 
 # [remove] k below 1, mu outside (0, S_k/4) (S_1/4 is about 2.49 for
-# T = 2 pi) and a negative [run] seed
+# T = 2 pi), a negative [run] seed, [run] l below 1, a negative [run]
+# eps and a negative [shoot] segments
 BAD_CONFIGS = [
     "[run]\n[remove]\nk = 0\n",
     "[run]\n[remove]\nmu_list = 10\n",
     "[run]\n[remove]\nmu_list = -0.1\n",
     BASE.replace("seed = 3", "seed = -3"),
+    BASE.replace("eps = 1e-3", "eps = 1e-3\nl = 0"),
+    BASE.replace("eps = 1e-3", "eps = -1e-3"),
+    BASE + "\n[shoot]\nsegments = -1\n",
 ]
 
 
@@ -86,6 +91,9 @@ class TestConfig:
         ("remove-collisions", BAD_CONFIGS[1]),
         ("remove-collisions", BAD_CONFIGS[2]),
         ("flow", BAD_CONFIGS[3]),
+        ("theorem-demo", BAD_CONFIGS[4]),
+        ("theorem-demo", BAD_CONFIGS[5]),
+        ("shoot", BAD_CONFIGS[6]),
         ("flow", BASE + "\n[integrator]\nmax_step = -1\n"),
     ])
     def test_bad_value_exits_config(self, tmp_path, capsys, command, text):
@@ -98,15 +106,39 @@ class TestConfig:
 
     def test_perturbation_construction(self, tmp_path):
         cfg = cli.RunConfig(write_config(tmp_path, BASE))
-        pert = cfg.perturbation()
+        pert = cfg.perturbation
         assert pert.name == "forced_kepler"
         assert pert.period == pytest.approx(cfg.period)
 
     def test_unknown_perturbation(self, tmp_path):
         text = "[run]\n[perturbation]\nname = wat\n"
-        cfg = cli.RunConfig(write_config(tmp_path, text))
-        with pytest.raises(cli.ConfigError):
-            cfg.perturbation()
+        with pytest.raises(cli.ConfigError, match="unknown perturbation"):
+            cli.RunConfig(write_config(tmp_path, text))
+
+    def test_harmonics_keep_their_order(self, tmp_path):
+        """A harmonic given by sin2 alone is the second one: the first
+        gets zero rows."""
+        text = ("[run]\n[perturbation]\nname = forced_kepler\n"
+                "cos1 = 0.3,0.0\nsin2 = 0.0,0.2\n")
+        forcing = cli.RunConfig(write_config(tmp_path, text)) \
+            .perturbation.forcing
+        assert np.array_equal(forcing.cos, [[0.3, 0.0], [0.0, 0.0]])
+        assert np.array_equal(forcing.sin, [[0.0, 0.0], [0.0, 0.2]])
+        t = np.linspace(0.0, 2.0 * np.pi, 7)
+        want = np.stack([0.3 * np.cos(t), 0.2 * np.sin(2.0 * t)], axis=-1)
+        assert np.allclose(forcing(t), want, rtol=0.0, atol=1e-15)
+
+    def test_readme_example_parses(self, tmp_path):
+        """README's example config is a valid config, with every section
+        that RunConfig reads."""
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text()
+        example = readme.split("Example config:")[1]
+        example = example.split("```ini\n")[1].split("```")[0]
+        cfg = cli.RunConfig(write_config(tmp_path, example))
+        sections = {line.split(".")[0] for line in cfg.header_lines()}
+        assert sections == set(cli.ALLOWED_KEYS)
+        assert cfg.perturbation.name == "forced_kepler"
 
     def test_exit_code_on_bad_config(self, tmp_path, capsys):
         code = cli.main(["seed", "--config", str(tmp_path / "nope.ini")])
@@ -210,16 +242,33 @@ class TestCertifyCommand:
             assert r["X0"] == X0.tolist()
 
 
+# a wrong coefficient count, a non-number and unknown names, among them
+# Fatou's rotating-body potential, which is singular at u = 0
+MALFORMED_PERTURBATIONS = {
+    "const count": (BASE + "const = 1.0\n", r"\[perturbation\]"),
+    "non-number": (BASE.replace("0.0,0.3", "0.0,abc"), r"\[perturbation\]"),
+    "nosuch": (BASE.replace("forced_kepler", "nosuch"),
+               "unknown perturbation 'nosuch'"),
+    "fatou": (BASE.replace("forced_kepler", "fatou"),
+              "unknown perturbation 'fatou'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PERTURBATIONS))
 @pytest.mark.parametrize("command",
-                         ["flow", "shoot", "theorem-demo", "reconstruct"])
-def test_singular_perturbation_is_config_error(tmp_path, capsys, command):
-    text = BASE.replace("name = forced_kepler", "name = fatou") \
-        .replace("cos1 = 0.3,0.0\nsin1 = 0.0,0.3\n", "h_prime = 0.1\n")
-    cfg = write_config(tmp_path, text)
+                         ["average", "flow", "shoot", "seed", "certify"])
+def test_malformed_perturbation_is_config_error(tmp_path, capsys, command,
+                                                case):
+    """Every command, at eps = 0 too, rejects a malformed [perturbation]
+    before it writes anything."""
+    text, message = MALFORMED_PERTURBATIONS[case]
+    cfg = write_config(tmp_path, text.replace("eps = 1e-3", "eps = 0"))
     out = tmp_path / "out"
     code = cli.main([command, "--config", cfg, "--out", str(out)])
     assert code == cli.EXIT_CONFIG
-    assert "singular at the origin" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert re.search(message, err)
     assert not out.exists()
 
 
@@ -342,14 +391,13 @@ eps_list = 1e-2,1e-3
         assert -0.55 < slope < -0.45
 
     def test_needs_forcing(self, tmp_path, capsys):
-        """No forcing, a zero or fatou perturbation, and a forcing with
-        zero mean are configuration errors: none has a bifurcation from
+        """No forcing, a zero perturbation and a forcing with zero mean
+        are configuration errors: none has a bifurcation from
         infinity."""
         zero_mean = "[perturbation]\nname = forced_kepler\ncos1 = 1.0,0.0\n"
         for text in ("[run]\n",
                      "[run]\n\n[perturbation]\nname = zero\n"
                      "const = 1.0,0.0\n",
-                     "[run]\n\n[perturbation]\nname = fatou\n",
                      "[run]\n\n" + zero_mean):
             cfg = write_config(tmp_path, text)
             code = cli.main(["average", "--config", cfg,

@@ -157,7 +157,7 @@ class TestDenseOutput:
     def points(traj):
         """Unsorted and repeated points, every node, the ends and points
         just outside them."""
-        lo, hi = sorted((traj.s0, traj.s_end))
+        lo, hi = traj.s0, traj.s_end
         inside = np.random.default_rng(5).uniform(lo, hi, 40)
         outside = [np.nextafter(lo, -np.inf), lo - 1e-3,
                    np.nextafter(hi, np.inf), hi + 1e-3]
@@ -181,17 +181,15 @@ class TestDenseOutput:
                 fj, X0[0], c.S)[0],
             "variational stack": flow.integrate_with_variational(
                 fj, X0, c.S)[0],
-            "backward": flow.integrate(fld, X0[0], -0.5 * c.S),
         }
         # random states and coefficients on the same steps: the
         # interpolant jumps at every node, so a node read on the wrong
         # step shows
-        for name in ("variational stack", "backward"):
-            traj = trajs[name]
-            trajs[name + ", random"] = flow.Trajectory(
-                s=traj.s, states=local.normal(size=traj.states.shape),
-                sol=local.normal(size=traj.sol.shape), nfev=0, dim=traj.dim,
-                settled_step=traj.settled_step)
+        traj = trajs["variational stack"]
+        trajs["variational stack, random"] = flow.Trajectory(
+            s=traj.s, states=local.normal(size=traj.states.shape),
+            sol=local.normal(size=traj.sol.shape), nfev=0, dim=traj.dim,
+            settled_step=traj.settled_step)
         return trajs
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -227,6 +225,19 @@ class TestDenseOutput:
         ends = flow.integrate(fld, np.array([1.0, 0.0]), 0.0,
                               flow.IntegratorConfig(dense=False))
         assert np.array_equal(ends.states[-1], [1.0, 0.0])
+
+    def test_rejects_backward_interval(self):
+        """Integration runs forward only: s_end < 0 is an error, also
+        without dense output."""
+        fld = lambda y: -y
+        with pytest.raises(ValueError, match="forward"):
+            flow.integrate(fld, np.ones(1), -1.0)
+        with pytest.raises(ValueError, match="forward"):
+            flow.integrate(fld, np.ones(1), -1.0,
+                           flow.IntegratorConfig(dense=False))
+        with pytest.raises(ValueError, match="forward"):
+            flow.integrate_with_variational(
+                lambda X: (-X, -np.eye(1)), np.ones(1), -1.0)
 
     def test_rejects_multidimensional_points(self):
         traj = flow.integrate(lambda y: -y, np.array([1.0]), 1.0)
@@ -377,10 +388,9 @@ class TestFirstStep:
         assert warm.nfev < cold.nfev
 
     def test_single_step_settles_on_the_interval(self):
-        """A run taken in one step settles on its whole length, backward
-        runs included."""
+        """A run taken in one step settles on its whole length."""
         fld = lambda y: np.zeros(1)
-        traj = flow.integrate(fld, np.zeros(1), -0.5, first_step=0.5)
+        traj = flow.integrate(fld, np.zeros(1), 0.5, first_step=0.5)
         assert traj.n_steps == 1
         assert traj.settled_step == 0.5
 

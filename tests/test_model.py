@@ -157,45 +157,6 @@ class TestPerturbations:
         with pytest.raises(model.PerturbationError):
             WrongDt(T).self_check([(0.5, np.array([1.0, 2.0]))])
 
-    def test_fatou_value(self):
-        # at u = (1, 0), t = gamma = 0: U = k' + h'
-        p = model.fatou(k_prime=1.3, h_prime=0.4, n_prime=2.0)
-        assert p.evaluate(0.0, [1.0, 0.0], 0.0).value == pytest.approx(
-            1.7, rel=1e-12)
-        assert p.period == pytest.approx(np.pi / 2.0)
-
-    def test_fatou_on_arrays(self):
-        """A stack of points gives the point-by-point values, and the
-        missing second derivatives are an error, not a zero Hessian."""
-        p = model.fatou(k_prime=0.7, h_prime=0.2, n_prime=1.5, gamma=0.3)
-        t = rng.uniform(-p.period, 2 * p.period, size=(2, 3))
-        u = rng.normal(size=(2, 3, 2)) + 1.0
-        ev = p.evaluate(t, u, 0.0)
-        for i in np.ndindex(t.shape):
-            one = p.evaluate(t[i], u[i], 0.0)
-            for name in ("value", "grad", "dt"):
-                assert np.allclose(getattr(ev, name)[i], getattr(one, name),
-                                   rtol=1e-14, atol=0.0)
-        with pytest.raises(ValueError):
-            p.evaluate(t, u, 0.0, second=True)
-
-    def test_fatou_derivatives(self):
-        p = model.fatou(k_prime=0.7, h_prime=0.2, n_prime=1.5, gamma=0.3)
-        pts = []
-        while len(pts) < 8:
-            u = rng.normal(size=2)
-            if np.linalg.norm(u) > 0.5:
-                pts.append((rng.uniform(0, p.period), u))
-        assert p.self_check(pts)
-
-    def test_fatou_rejected_in_regularized_run(self):
-        p = model.fatou(1.0, 0.0, 1.0)
-        X = random_state(2)
-        with pytest.raises(ValueError):
-            model.reg_energy(X, 1e-3, p)
-        with pytest.raises(ValueError):
-            model.reg_field(X, 1e-3, p)
-
 
 class TestStateLayout:
     def test_pack_unpack_roundtrip(self):

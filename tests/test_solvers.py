@@ -100,15 +100,13 @@ def step_both(fun, Y0, t_bound, first_step=None, mask=None, **kwargs):
 class TestStepper:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
-    @pytest.mark.parametrize("direction", [1.0, -1.0],
-                             ids=["forward", "backward"])
-    def test_matches_scipy_step_by_step(self, dim, stack, direction):
+    def test_matches_scipy_step_by_step(self, dim, stack):
         """Cold and first_step starts of the perturbed Kepler field."""
         X0, S = seeds(dim, 3)
         X0 = X0 if stack else X0[0]
         pert = forced(dim)
         fun = lambda X: model.reg_field(X, 1e-3, pert)
-        t_bound = direction * 0.5 * S
+        t_bound = 0.5 * S
         n_cold = step_both(fun, X0, t_bound)
         assert n_cold > 10
         step_both(fun, X0, t_bound, first_step=0.05)
@@ -120,7 +118,7 @@ class TestStepper:
         X0, S = seeds(dim, 2, seed=22)
         fun, Y0, mask = variational(dim, X0 if stack else X0[0])
         step_both(fun, Y0, 0.25 * S, mask=mask)
-        step_both(fun, Y0, -0.25 * S, first_step=0.02, mask=mask)
+        step_both(fun, Y0, 0.25 * S, first_step=0.02, mask=mask)
 
     def test_max_step_and_loose_tolerances(self):
         X0, S = seeds(2, 1)
@@ -187,7 +185,7 @@ class TestStepper:
         with pytest.raises(ValueError, match="first_step. must be positive"):
             _solvers.DOP853(fun, y0, 1.0, 1e-6, 1e-8, first_step=0.0)
         with pytest.raises(ValueError, match="exceeds bounds"):
-            _solvers.DOP853(fun, y0, -1.0, 1e-6, 1e-8, first_step=2.0)
+            _solvers.DOP853(fun, y0, 1.0, 1e-6, 1e-8, first_step=2.0)
         with pytest.raises(ValueError, match="must be finite"):
             _solvers.DOP853(fun, np.array([np.nan]), 1.0, 1e-6, 1e-8)
         with pytest.warns(UserWarning, match="rtol"):
