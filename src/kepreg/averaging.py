@@ -4,9 +4,14 @@ For u'' = -u/|u|^3 + eps p(t) with T-periodic forcing p of nonzero mean
 p_bar, a family of large T-periodic solutions exists with
 u_eps ~ eps^{-1/2} x*, where x* = p_bar / |p_bar|^{3/2} is the unique
 equilibrium of the averaged equation.  The rescaled problem
-x'' = eps^{3/2} (-x/|x|^3 + p(t)) is solved directly by shooting in
+x'' = lam (-x/|x|^3 + p(t)), lam = eps^{3/2}, is solved by shooting in
 physical coordinates (the orbits stay far from the origin) and mapped
-back.
+back.  First-order averaging (Sanders, Verhulst and Murdock, Averaging
+Methods in Nonlinear Dynamical Systems) gives x = x* + lam xi(t) +
+O(lam^2), xi the zero-mean periodic solution of xi'' = p - p_bar, and
+every eps starts its Newton iteration there.  Every eps of a family is
+solved in one stack: each Newton step is one variational integration of
+the rows still open.
 """
 
 from dataclasses import dataclass
@@ -61,11 +66,17 @@ def averaged_equilibrium(p_bar):
     return x
 
 
-def _kepler_hessian(x):
-    """S = |x|^{-5} (-|x|^2 Id + 3 x (x)^T), the Jacobian of -x/|x|^3."""
+def _kepler_force(x, lam=1.0):
+    """lam (-x/|x|^3) and its Jacobian lam S(x), S = |x|^{-5} (3 x x^T -
+    |x|^2 Id), at x (N,) or at every row of a stack (..., N); lam is one
+    value, or one per row as (..., 1)."""
     x = np.asarray(x, float)
-    r = float(np.linalg.norm(x))
-    return (-r ** 2 * np.eye(x.size) + 3.0 * np.outer(x, x)) / r ** 5
+    n = x.shape[-1]
+    r2 = np.vecdot(x, x)[..., None]
+    c = lam / (r2 * np.sqrt(r2))            # lam / |x|^3
+    S = x[..., :, None] * ((3.0 / r2) * c * x)[..., None, :]
+    S.reshape(S.shape[:-2] + (n * n,))[..., :: n + 1] -= c
+    return -c * x, S
 
 
 def averaged_jacobian_matrix(x):
@@ -79,7 +90,7 @@ def averaged_jacobian_matrix(x):
     n = x.size
     M = np.zeros((2 * n, 2 * n))
     M[:n, n:] = np.eye(n)
-    M[n:, :n] = _kepler_hessian(x)
+    M[n:, :n] = _kepler_force(x)[1]
     return M
 
 
@@ -118,46 +129,99 @@ N_SAMPLES = 400             # times per period at which an orbit is read
 def _scaled_system(spec, lam):
     """Field and Jacobian [[0, Id, 0], [lam S(x), 0, lam p'(t)], [0, 0, 0]] of
     x'' = lam (-x/|x|^3 + p(t)), lam = eps^{3/2}, on Y = (x, x', t), as
-    one callable Y -> (field, Jacobian)."""
+    one callable Y -> (field, Jacobian).  lam is one value or one per row
+    (m,) of a stack Y (m, 2N + 1).  J starts from a template of its
+    constant entries, built here once."""
     n = spec.dim
+    lam = np.asarray(lam, float)[..., None]
+    template = np.zeros((2 * n + 1, 2 * n + 1))
+    template[:n, n:2 * n] = np.eye(n)
 
     def field_jacobian(Y):
-        x, r = Y[:n], np.linalg.norm(Y[:n])
-        p, dp, _ = spec.jet(Y[-1])          # one Fourier evaluation
-        F = np.concatenate([Y[n:2 * n], lam * (-x / r ** 3 + p), [1.0]])
-        J = np.zeros((2 * n + 1, 2 * n + 1))
-        J[:n, n:2 * n] = np.eye(n)
-        J[n:2 * n, :n] = lam * _kepler_hessian(x)
-        J[n:2 * n, -1] = lam * dp
+        jet = spec.jet(Y[..., -1])          # one Fourier evaluation
+        force, S = _kepler_force(Y[..., :n], lam)
+        F = np.empty(Y.shape)
+        F[..., :n] = Y[..., n:2 * n]
+        F[..., n:2 * n] = lam * jet[..., 0, :] + force
+        F[..., -1] = 1.0
+        J = np.empty(Y.shape + template.shape[-1:])
+        J[...] = template
+        J[..., n:2 * n, :n] = S
+        J[..., n:2 * n, -1] = lam * jet[..., 1, :]
         return F, J
 
     return field_jacobian
 
 
-def solve_scaled_periodic(spec, eps, y0):
-    """T-periodic solution of x'' = eps^{3/2}(-x/|x|^3 + p(t)) by shooting.
+def _first_order_seed(spec, x_star, lam):
+    """Starts (x* + lam xi(0), lam xi'(0)) of first-order averaging, one
+    row per lam (m,).
 
-    Newton on the period map from y0 = (x, x'), one variational integration
-    of (x, x', t) from t = 0 per step.  Returns (y0, dense trajectory over
-    one period); raises ``FlowError`` or ``ShootingError`` (best iterate).
+    x = x* + lam xi(t) + O(lam^2), where xi is the zero-mean periodic
+    solution of xi'' = p - p_bar: for p - p_bar = sum_h C_h cos f_h t +
+    S_h sin f_h t that is xi = -sum_h (C_h cos f_h t + S_h sin f_h t) /
+    f_h^2, so xi(0) = -sum_h C_h / f_h^2 and xi'(0) = -sum_h S_h / f_h.
+    A forcing without harmonics starts at rest at x*, which is periodic.
     """
-    field_jacobian = _scaled_system(spec, eps ** 1.5)
-    y0 = np.asarray(y0, float)
-    d = y0.size
-    best_y, best_r = y0, np.inf
+    omega = 2.0 * np.pi / spec.period
+    f_cos = omega * np.arange(1, len(spec.cos) + 1)[:, None]
+    f_sin = omega * np.arange(1, len(spec.sin) + 1)[:, None]
+    xi = -np.sum(spec.cos / f_cos ** 2, axis=0)
+    dxi = -np.sum(spec.sin / f_sin, axis=0)
+    lam = np.asarray(lam, float)[:, None]
+    return np.concatenate([x_star + lam * xi, lam * dxi], axis=1)
+
+
+def solve_scaled_periodic(spec, eps, y0):
+    """T-periodic solutions of x'' = eps^{3/2}(-x/|x|^3 + p(t)), one per
+    row of eps (m,) and of the starts y0 = (x, x') (m, 2N).
+
+    Newton on the period map, every row at once: each step is one
+    variational integration of (x, x', t) from t = 0 over the rows still
+    open, and a row leaves the stack once its defect |y(T) - y0| is below
+    ``RESIDUAL_TOL``.  Returns one outcome per row, in row order: for a
+    converged row (y0, trajectory, row), the trajectory of its last
+    integration and its row there, read with ``trajectory.eval(s,
+    rows=...)``; for any other row the error that ended it, a
+    ``ShootingError`` with its best iterate when it is still open after
+    ``MAX_ITER`` steps, or the ``FlowError`` of a failed integration,
+    which ends every row open in it.
+    """
+    lam = np.asarray(eps, float) ** 1.5
+    y = np.array(y0, float)
+    m, d = y.shape
+    outcomes = [None] * m
+    best_y, best_r, last_r = y.copy(), np.full(m, np.inf), np.full(m, np.inf)
+    open_rows = np.arange(m)
     for _ in range(MAX_ITER):
-        traj, M = flow.integrate_with_variational(
-            field_jacobian, np.append(y0, 0.0), spec.period)
-        defect = traj.states[-1, :d] - y0
-        dnorm = float(np.linalg.norm(defect))
-        if dnorm < RESIDUAL_TOL:
-            return y0, traj
-        if dnorm < best_r:
-            best_y, best_r = y0, dnorm
-        y0 = y0 + np.linalg.solve(M[:d, :d] - np.eye(d), -defect)
-    raise shooting.ShootingError(
-        f"shooting did not converge in {MAX_ITER} Newton steps (defect "
-        f"{dnorm:.3e})", best_unknowns=best_y, best_residual=best_r)
+        if open_rows.size == 0:
+            break
+        try:
+            traj, M = flow.integrate_with_variational(
+                _scaled_system(spec, lam[open_rows]),
+                np.column_stack([y[open_rows], np.zeros(open_rows.size)]),
+                spec.period)
+        except flow.FlowError as exc:
+            for i in open_rows:
+                outcomes[i] = exc
+            return outcomes
+        defect = traj.states[-1, :, :d] - y[open_rows]
+        last_r[open_rows] = np.linalg.norm(defect, axis=1)
+        better = open_rows[last_r[open_rows] < best_r[open_rows]]
+        best_y[better], best_r[better] = y[better], last_r[better]
+        done = last_r[open_rows] < RESIDUAL_TOL
+        for row in np.flatnonzero(done):
+            outcomes[open_rows[row]] = (y[open_rows[row]], traj, row)
+        step = np.linalg.solve(M[~done, :d, :d] - np.eye(d),
+                               -defect[~done, :, None])
+        open_rows = open_rows[~done]
+        y[open_rows] += step[..., 0]
+    for i in open_rows:
+        outcomes[i] = shooting.ShootingError(
+            f"shooting did not converge in {MAX_ITER} Newton steps (defect "
+            f"{last_r[i]:.3e})", best_unknowns=best_y[i],
+            best_residual=best_r[i])
+    return outcomes
 
 
 @dataclass
@@ -170,32 +234,37 @@ class FamilyEntry:
 
 
 def bifurcation_from_infinity(spec, eps_list):
-    """Family of large T-periodic solutions for decreasing eps.
+    """Family of large T-periodic solutions, every eps solved at once.
 
-    For each eps the rescaled problem is solved and mapped back via
-    u_eps = eps^{-1/2} x.  Returns (entries, diagnostics); a failed eps
-    leaves a partial family with the failure recorded.
+    Each eps starts from its first-order averaging seed, and
+    ``solve_scaled_periodic`` solves every rescaled problem in one
+    stack; an orbit maps back via u_eps = eps^{-1/2} x.  Returns
+    (entries, diagnostics): an entry for every eps that converged and a
+    diagnostic for every other, each in ``eps_list`` order.
     """
     x_star = averaged_equilibrium(spec.mean())
     if x_star is None:
         raise ValueError("zero-mean forcing has no bifurcation from infinity")
+    eps = np.asarray(eps_list, float)
+    outcomes = solve_scaled_periodic(
+        spec, eps, _first_order_seed(spec, x_star, eps ** 1.5))
+    ts = np.linspace(0.0, spec.period, N_SAMPLES)
     entries = []
     diags = []
-    y0 = np.concatenate([x_star, np.zeros(spec.dim)])     # at rest at x*
-    for eps in eps_list:
-        try:
-            y0, traj = solve_scaled_periodic(spec, eps, y0)
-        except (flow.FlowError, shooting.ShootingError) as exc:
-            diags.append({"eps": eps, "error": str(exc)})
-            return entries, diags
-        xs = traj.eval(np.linspace(0.0, spec.period, N_SAMPLES))[: spec.dim]
+    for e, outcome in zip(eps_list, outcomes):
+        if isinstance(outcome, KepregError):
+            diags.append({"eps": e, "error": str(outcome)})
+            continue
+        y0, traj, row = outcome
+        xs = traj.eval(ts, rows=np.full(N_SAMPLES, row))[: spec.dim]
         radii = np.linalg.norm(xs, axis=0)
         dev = np.max(np.linalg.norm(xs - x_star[:, None], axis=0))
         entries.append(FamilyEntry(
-            eps=float(eps), y0=y0,
-            min_u=float(np.min(radii) / np.sqrt(eps)),
+            eps=float(e), y0=y0,
+            min_u=float(np.min(radii) / np.sqrt(e)),
             sup_dev=float(dev),
-            defect=float(np.linalg.norm(traj.states[-1, :y0.size] - y0))))
+            defect=float(np.linalg.norm(traj.states[-1, row, :y0.size]
+                                        - y0))))
     return entries, diags
 
 

@@ -12,6 +12,7 @@ that fails) writes them to the same file and exits 2.
 import argparse
 import configparser
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -50,13 +51,18 @@ def _parse_ints(text):
 
 def _parse_perturbation(parser, period, dim):
     """The [perturbation] section as a perturbation: absent or ``zero``
-    is U = 0, ``forced_kepler`` the Fourier forcing of its coefficients.
-    The harmonics run up to the highest cos or sin row given, and a row
-    left out below it is zero, so ``sin2`` alone is the second one."""
+    is U = 0 and takes no coefficients, ``forced_kepler`` the Fourier
+    forcing of its coefficients.  The harmonics run up to the highest cos
+    or sin row given, and a row left out below it is zero, so ``sin2``
+    alone is the second one."""
     sec = parser["perturbation"] if parser.has_section("perturbation") \
         else {}
     name = sec.get("name", "zero")
     if name == "zero":
+        coefficients = sorted(set(sec) - {"name"})
+        if coefficients:
+            raise ConfigError(f"[perturbation]: name = zero takes no "
+                              f"coefficients, got {coefficients}")
         return model.zero_perturbation(period, dim)
     if name != "forced_kepler":
         raise ConfigError(f"unknown perturbation '{name}'")
@@ -123,9 +129,13 @@ class RunConfig:
             raise ConfigError("segments must be >= 0 (0: the default 8k)")
         self.eps_schedule = _parse_floats(
             shoot_sec.get("eps_schedule", "")) or None
+        if not all(e > 0.0 for e in self.eps_schedule or ()):
+            raise ConfigError("[shoot] eps_schedule values must be > 0")
         avg = parser["average"] if parser.has_section("average") else {}
         self.avg_eps_list = _parse_floats(
             avg.get("eps_list", "1e-2,1e-3,1e-4"))
+        if not all(e > 0.0 for e in self.avg_eps_list):
+            raise ConfigError("[average] eps_list values must be > 0")
         rem = parser["remove"] if parser.has_section("remove") else {}
         self.mu_list = _parse_floats(
             rem.get("mu_list", "0.1,0.05,0.025,0.0125,0.00625"))
@@ -233,9 +243,11 @@ def _continue_branch(config, pert, k):
     rng = np.random.default_rng(config.seed + k)
     params = manifolds.random_seed_params(spec, rng)
     X_seed = manifolds.seed_state(spec, params)
-    schedule = config.eps_schedule or [config.eps / 4.0, config.eps / 2.0,
-                                       config.eps]
-    schedule = [e for e in schedule if e > 0.0]
+    # a schedule given is positive (RunConfig checks it); the default one
+    # is empty at eps = 0
+    schedule = config.eps_schedule or [
+        e for e in (config.eps / 4.0, config.eps / 2.0, config.eps)
+        if e > 0.0]
     return shooting.continue_in_epsilon(
         spec, pert, X_seed, c.S, schedule, m=config.segments, cfg=config.cfg)
 
@@ -351,10 +363,13 @@ def cmd_reconstruct(config, out):
 
 def cmd_average(config, out):
     spec = config.forcing_spec()
+    det = averaging.averaged_jacobian_det(
+        averaging.averaged_equilibrium(spec.mean()))
     entries, diags = averaging.bifurcation_from_infinity(
         spec, config.avg_eps_list)
-    averaging.family_to_csv(entries, out / "family.csv",
-                            config.header_lines())
+    averaging.family_to_csv(
+        entries, out / "family.csv",
+        config.header_lines() + [f"averaged_jacobian_det = {det:.16e}"])
     return _diagnosed(out, "average", diags, config)
 
 
@@ -390,6 +405,17 @@ COMMANDS = {
 }
 
 
+def _outermost_missing(path):
+    """The outermost directory on the way to path that does not exist
+    yet, or None when path exists."""
+    missing = None
+    for parent in (path, *path.parents):
+        if parent.exists():
+            break
+        missing = parent
+    return missing
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="kepreg",
@@ -406,10 +432,14 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    created = _outermost_missing(out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](config, out)
     except ConfigError as exc:
+        # a configuration error writes nothing, so what main made goes
+        if created is not None:
+            shutil.rmtree(created)
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KepregError as exc:

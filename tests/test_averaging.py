@@ -60,7 +60,8 @@ class TestAveragedEquation:
     def test_jacobian_hessian_fd(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=3)
-        S = averaging._kepler_hessian(x)
+        force, S = averaging._kepler_force(x)
+        assert np.allclose(force, -x / np.linalg.norm(x) ** 3, rtol=1e-15)
         h = 1e-6
         for i in range(3):
             xp, xm = x.copy(), x.copy()
@@ -146,6 +147,24 @@ class TestScaledSystem:
 
     @pytest.mark.parametrize("spec", [acceptance_forcing(),
                                       spatial_forcing()])
+    def test_stack_matches_rows(self, spec):
+        """A stack with one lam per row gives each row's single-state
+        field and Jacobian."""
+        n, lam = spec.dim, np.array([1e-3, 3e-5, 1e-6])
+        rng = np.random.default_rng(4)
+        Y = np.column_stack([1.0 + 0.1 * rng.normal(size=(3, n)),
+                             0.01 * rng.normal(size=(3, n)),
+                             np.full(3, 0.7)])
+        F, J = averaging._scaled_system(spec, lam)(Y)
+        assert F.shape == (3, 2 * n + 1) and J.shape == (3, 2 * n + 1,
+                                                         2 * n + 1)
+        for i in range(3):
+            Fi, Ji = averaging._scaled_system(spec, lam[i])(Y[i])
+            assert np.allclose(F[i], Fi, rtol=1e-15, atol=0.0)
+            assert np.allclose(J[i], Ji, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [acceptance_forcing(),
+                                      spatial_forcing()])
     def test_monodromy_matches_period_map(self, spec):
         """Every column of the variational monodromy on (x, x', t),
         the t column included, against central differences of the
@@ -175,43 +194,153 @@ class TestScaledSystem:
 
 class TestTypedFailures:
     def test_no_convergence_is_shooting_error(self, monkeypatch):
+        """A row still open after MAX_ITER steps gets a ShootingError
+        with its best iterate; a row that converged in them keeps its
+        orbit, and the family keeps eps_list order."""
         monkeypatch.setattr(averaging, "MAX_ITER", 1)
         spec = acceptance_forcing()
-        with pytest.raises(shooting.ShootingError,
-                           match="did not converge") as info:
-            averaging.solve_scaled_periodic(spec, 1e-2, [1.0, 0.0, 0.0, 0.0])
-        # the one iterate tried is the seed: x* at rest
-        assert np.array_equal(info.value.best_unknowns, [1.0, 0.0, 0.0, 0.0])
-        assert info.value.best_residual > averaging.RESIDUAL_TOL
-        entries, diags = averaging.bifurcation_from_infinity(spec, [1e-2])
-        assert entries == []
+        eps = np.array([1e-4, 1e-2])
+        seeds = averaging._first_order_seed(spec, np.array([1.0, 0.0]),
+                                            eps ** 1.5)
+        converged, failed = averaging.solve_scaled_periodic(spec, eps, seeds)
+        y0, traj, row = converged
+        assert np.array_equal(y0, seeds[0]) and row == 0
+        assert traj.states.shape[1] == 2
+        assert isinstance(failed, shooting.ShootingError)
+        assert "did not converge" in str(failed)
+        # the one iterate tried is the seed
+        assert np.array_equal(failed.best_unknowns, seeds[1])
+        assert failed.best_residual > averaging.RESIDUAL_TOL
+        entries, diags = averaging.bifurcation_from_infinity(
+            spec, [1e-3, 1e-2, 1e-4])
+        assert [e.eps for e in entries] == [1e-3, 1e-4]
+        assert [d["eps"] for d in diags] == [1e-2]
         assert "did not converge" in diags[0]["error"]
 
-    def test_flow_error_leaves_partial_family(self, monkeypatch):
+    @staticmethod
+    def family_failing_integration(monkeypatch, failing):
+        """The acceptance family with its stacked integration number
+        ``failing`` raising FlowError; returns (entries, diags, rows per
+        integration)."""
         real = flow.integrate_with_variational
-        calls = []
+        rows = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def fail_one(field_jacobian, X0, *args, **kwargs):
+            rows.append(len(X0))
+            if len(rows) == failing:
+                raise flow.FlowError("integration failed: synthetic")
+            return real(field_jacobian, X0, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "integrate_with_variational", fail_one)
+        entries, diags = averaging.bifurcation_from_infinity(
+            acceptance_forcing(), [1e-2, 1e-3, 1e-4])
+        return entries, diags, rows
+
+    def test_flow_error_leaves_partial_family(self, monkeypatch):
+        """A FlowError in the second stacked integration fails the one
+        row still open in it; the rows that converged in the first keep
+        their entries."""
+        entries, diags, rows = self.family_failing_integration(monkeypatch, 2)
+        assert rows == [3, 1]
+        assert [e.eps for e in entries] == [1e-3, 1e-4]
+        assert diags == [{"eps": 1e-2,
+                          "error": "integration failed: synthetic"}]
+
+    def test_flow_error_in_first_integration_fails_every_eps(self,
+                                                             monkeypatch):
+        entries, diags, rows = self.family_failing_integration(monkeypatch, 1)
+        assert rows == [3] and entries == []
+        assert diags == [{"eps": e, "error": "integration failed: synthetic"}
+                         for e in (1e-2, 1e-3, 1e-4)]
+
+
+def spatial_two_harmonics():
+    return averaging.ForcingSpec(
+        period=T, const=(0.3, -0.5, 0.2),
+        cos=[(0.2, 0.1, 0.0), (0.0, -0.1, 0.15)],
+        sin=[(0.0, 0.1, 0.3), (0.1, 0.0, -0.05)])
+
+
+def first_order_xi(spec, t):
+    """xi(t) and xi'(t), rows (len(t), N), of the zero-mean T-periodic
+    solution of xi'' = p - p_bar, summed harmonic by harmonic from the
+    forcing's coefficients."""
+    t = np.asarray(t, float)[:, None]
+    xi, dxi = np.zeros((t.size, spec.dim)), np.zeros((t.size, spec.dim))
+    for h, C in enumerate(spec.cos, 1):
+        f = 2.0 * np.pi * h / spec.period
+        xi -= np.cos(f * t) * C / f ** 2
+        dxi += np.sin(f * t) * C / f
+    for h, S in enumerate(spec.sin, 1):
+        f = 2.0 * np.pi * h / spec.period
+        xi -= np.sin(f * t) * S / f ** 2
+        dxi -= np.cos(f * t) * S / f
+    return xi, dxi
+
+
+ORACLE_SPECS = {"planar": acceptance_forcing(),
+                "spatial": spatial_two_harmonics()}
+
+
+class TestFirstOrderAveraging:
+    """The family against first-order averaging: x = x* + lam xi(t) +
+    O(lam^2), lam = eps^{3/2} (Sanders, Verhulst and Murdock,
+    Averaging Methods in Nonlinear Dynamical Systems)."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_xi_solves_the_averaged_equation(self, name):
+        """The oracle itself: xi'' = p - p_bar by central differences of
+        xi', and xi has zero mean."""
+        spec = ORACLE_SPECS[name]
+        ts = np.linspace(0.0, T, 2001)
+        h = 1e-5
+        ddxi = (first_order_xi(spec, ts + h)[1]
+                - first_order_xi(spec, ts - h)[1]) / (2.0 * h)
+        assert np.max(np.abs(ddxi - (spec(ts) - spec.mean()))) < 1e-8
+        xi = first_order_xi(spec, ts)[0]
+        assert np.max(np.abs(np.mean(xi[:-1], axis=0))) < 1e-14
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_family_within_second_order(self, name):
+        """y0 lies within 10 lam^2 of the seed (x* + lam xi(0),
+        lam xi'(0)), and sup_dev within 10 lam^2 of lam max|xi|, the
+        maximum taken on the N_SAMPLES times sup_dev reads."""
+        spec = ORACLE_SPECS[name]
+        eps_list = [1e-2, 1e-3, 1e-4]
+        entries, diags = averaging.bifurcation_from_infinity(spec, eps_list)
+        assert diags == []
+        assert [e.eps for e in entries] == eps_list
+        x_star = averaging.averaged_equilibrium(spec.mean())
+        xi0, dxi0 = first_order_xi(spec, [0.0])
+        xi = first_order_xi(spec, np.linspace(0.0, T, averaging.N_SAMPLES))[0]
+        xi_max = np.max(np.linalg.norm(xi, axis=1))
+        for e in entries:
+            lam = e.eps ** 1.5
+            seed = np.concatenate([x_star + lam * xi0[0], lam * dxi0[0]])
+            assert np.linalg.norm(e.y0 - seed) <= 10.0 * lam ** 2
+            assert abs(e.sup_dev - lam * xi_max) <= 10.0 * lam ** 2
+            assert e.defect < averaging.RESIDUAL_TOL
+
+    def test_constant_forcing_converges_on_its_seed(self, monkeypatch):
+        """Without harmonics the seed, at rest at x*, is periodic: every
+        eps converges in one stacked integration, on the seed itself."""
+        real = flow.integrate_with_variational
+        rows = []
+
+        def counted(field_jacobian, X0, *args, **kwargs):
+            rows.append(len(X0))
+            return real(field_jacobian, X0, *args, **kwargs)
 
         monkeypatch.setattr(flow, "integrate_with_variational", counted)
-        averaging.bifurcation_from_infinity(acceptance_forcing(), [1e-2])
-        first = len(calls)
-
-        def fail_after_first(*args, **kwargs):
-            if len(calls) >= first:
-                raise flow.FlowError("integration failed: synthetic")
-            return counted(*args, **kwargs)
-
-        calls.clear()
-        monkeypatch.setattr(flow, "integrate_with_variational",
-                            fail_after_first)
+        spec = averaging.ForcingSpec(period=T, const=(0.3, -0.5, 0.2))
         entries, diags = averaging.bifurcation_from_infinity(
-            acceptance_forcing(), [1e-2, 1e-3])
-        assert [e.eps for e in entries] == [1e-2]
-        assert diags == [{"eps": 1e-3,
-                          "error": "integration failed: synthetic"}]
+            spec, [1e-2, 1e-3, 1e-4])
+        assert diags == [] and rows == [3]
+        seed = np.concatenate([averaging.averaged_equilibrium(spec.mean()),
+                               np.zeros(3)])
+        for e in entries:
+            assert np.array_equal(e.y0, seed)
+            assert e.defect < averaging.RESIDUAL_TOL
 
 
 @pytest.fixture(scope="module")

@@ -34,7 +34,9 @@ sin1 = 0.0,0.3
 
 # [remove] k below 1, mu outside (0, S_k/4) (S_1/4 is about 2.49 for
 # T = 2 pi), a negative [run] seed, [run] l below 1, a negative [run]
-# eps and a negative [shoot] segments
+# eps, a negative [shoot] segments, and a [shoot] eps_schedule or
+# [average] eps_list value that is not positive (the last with a forcing
+# of nonzero mean, so that eps_list alone is wrong)
 BAD_CONFIGS = [
     "[run]\n[remove]\nk = 0\n",
     "[run]\n[remove]\nmu_list = 10\n",
@@ -43,6 +45,10 @@ BAD_CONFIGS = [
     BASE.replace("eps = 1e-3", "eps = 1e-3\nl = 0"),
     BASE.replace("eps = 1e-3", "eps = -1e-3"),
     BASE + "\n[shoot]\nsegments = -1\n",
+    BASE + "\n[shoot]\neps_schedule = -1e-3\n",
+    BASE + "\n[shoot]\neps_schedule = 1e-3,0\n",
+    BASE.replace("sin1", "const = 1.0,0.0\nsin1")
+    + "\n[average]\neps_list = 1e-2,-1e-3\n",
 ]
 
 
@@ -94,6 +100,9 @@ class TestConfig:
         ("theorem-demo", BAD_CONFIGS[4]),
         ("theorem-demo", BAD_CONFIGS[5]),
         ("shoot", BAD_CONFIGS[6]),
+        ("shoot", BAD_CONFIGS[7]),
+        ("shoot", BAD_CONFIGS[8]),
+        ("average", BAD_CONFIGS[9]),
         ("flow", BASE + "\n[integrator]\nmax_step = -1\n"),
     ])
     def test_bad_value_exits_config(self, tmp_path, capsys, command, text):
@@ -251,6 +260,10 @@ MALFORMED_PERTURBATIONS = {
                "unknown perturbation 'nosuch'"),
     "fatou": (BASE.replace("forced_kepler", "fatou"),
               "unknown perturbation 'fatou'"),
+    "zero with a coefficient": (
+        "[run]\n[perturbation]\nname = zero\ncos1 = 7\n",
+        r"\[perturbation\]: name = zero takes no coefficients, "
+        r"got \['cos1'\]"),
 }
 
 
@@ -386,18 +399,20 @@ eps_list = 1e-2,1e-3
         out = tmp_path / "out"
         assert cli.main(["average", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "family.csv").read_text().splitlines()
+        # 2 |x*|^{-3N} at x* = (1, 0)
+        assert "# averaged_jacobian_det = 2.0000000000000000e+00" in lines
         slope_line = [ln for ln in lines if "fitted_slope" in ln][0]
         slope = float(slope_line.split("=")[1])
         assert -0.55 < slope < -0.45
 
     def test_needs_forcing(self, tmp_path, capsys):
         """No forcing, a zero perturbation and a forcing with zero mean
-        are configuration errors: none has a bifurcation from
-        infinity."""
+        are configuration errors: none has a bifurcation from infinity.
+        The command finds it after main made the output directory, which
+        goes again."""
         zero_mean = "[perturbation]\nname = forced_kepler\ncos1 = 1.0,0.0\n"
         for text in ("[run]\n",
-                     "[run]\n\n[perturbation]\nname = zero\n"
-                     "const = 1.0,0.0\n",
+                     "[run]\n\n[perturbation]\nname = zero\n",
                      "[run]\n\n" + zero_mean):
             cfg = write_config(tmp_path, text)
             code = cli.main(["average", "--config", cfg,
@@ -407,6 +422,26 @@ eps_list = 1e-2,1e-3
             assert "configuration error" in err
             assert ("needs a forced_kepler perturbation with a nonzero "
                     "mean") in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+    def test_config_error_removes_the_parents_main_made(self, tmp_path):
+        cfg = write_config(tmp_path, "[run]\n")
+        code = cli.main(["average", "--config", cfg,
+                         "--out", str(tmp_path / "a" / "b" / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "a").exists()
+
+    def test_config_error_keeps_existing_directory(self, tmp_path):
+        """An output directory that was there before the run stays, with
+        what it held."""
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "kept.txt").write_text("x")
+        code = cli.main(["average", "--config",
+                         write_config(tmp_path, "[run]\n"),
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
     def test_partial_exit(self, tmp_path, monkeypatch):
         def fake(spec, eps_list):
@@ -437,6 +472,24 @@ eps_list = 1e-2,1e-3
         diags = json.loads((out / "average_diagnostics.json").read_text())
         assert diags["diagnostics"] == [{"error": message}]
 
+    def test_failed_det_check_is_partial(self, tmp_path, capsys,
+                                         monkeypatch):
+        """The determinant's self-check runs on every average run; a
+        failure (forced by a negative tolerance) exits 2 with the
+        diagnostics and writes no family."""
+        monkeypatch.setattr(cli.averaging, "DET_TOL", -1.0)
+        text = ("[run]\n[perturbation]\nname = forced_kepler\n"
+                "const = 1.0,0.0\n")
+        out = tmp_path / "o"
+        code = cli.main(["average", "--config", write_config(tmp_path, text),
+                         "--out", str(out)])
+        assert code == cli.EXIT_PARTIAL
+        assert "disagrees with the closed form" in capsys.readouterr().err
+        diags = json.loads((out / "average_diagnostics.json").read_text())
+        assert "disagrees with the closed form" in \
+            diags["diagnostics"][0]["error"]
+        assert not (out / "family.csv").exists()
+
     def test_integration_failure_is_partial(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise cli.flow.FlowError("integration failed: synthetic")
@@ -449,8 +502,10 @@ eps_list = 1e-2,1e-3
         code = cli.main(["average", "--config", cfg, "--out", str(out)])
         assert code == cli.EXIT_PARTIAL
         diags = json.loads((out / "average_diagnostics.json").read_text())
+        # every eps shares the failed integration, so each gets one
         assert diags["diagnostics"] == [
-            {"eps": 1e-2, "error": "integration failed: synthetic"}]
+            {"eps": eps, "error": "integration failed: synthetic"}
+            for eps in (1e-2, 1e-3, 1e-4)]
         rows = [ln for ln in (out / "family.csv").read_text().splitlines()
                 if not ln.startswith("#")]
         assert rows == ["eps,min_u,sup_dev,defect"]
@@ -470,12 +525,14 @@ class TestRemoveCommand:
         l1s = [float(r.split(",")[3]) for r in rows[1:]]
         assert l1s[0] > l1s[1]
 
-    def test_rejects_3d(self, tmp_path):
+    def test_rejects_3d(self, tmp_path, capsys):
         text = "[run]\ndimension = 3\n[remove]\nmu_list = 0.1\n"
         cfg = write_config(tmp_path, text)
         code = cli.main(["remove-collisions", "--config", cfg,
                          "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
+        assert "remove-collisions is planar only" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestShootCommand:

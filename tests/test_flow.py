@@ -525,8 +525,6 @@ UNCALLED_PUBLIC = {
                                      "gradient transport",
     "algebra.lc_plane_check": "Levi-Civita identities: Re(conj(v1) i v2) "
                               "= 0 on the planes of lc_plane_basis",
-    "averaging.averaged_jacobian_det": "criterion 10: the non-degenerate "
-                                       "averaged equilibrium",
     "manifolds.closed_form_variation": "closed-form oracle of "
                                        "flow.monodromy and of the composed "
                                        "shooting monodromy",
