@@ -270,13 +270,14 @@ class DOP853:
     estimate.  A boolean ``mask`` over the flattened state restricts
     the error norm to those components; the others ride along on the
     accepted steps.  ``nfev`` counts every evaluation of ``fun``.  The
-    tolerances, max_step and t_bound are taken as given
-    (``IntegratorConfig`` and ``flow`` check them), save scipy's floor
-    of 100 eps on rtol.
+    tolerances and t_bound are taken as given (``flow`` fixes the
+    tolerances and checks t_bound), save scipy's floor of 100 eps on
+    rtol.  A step is as long as the error test allows, unbounded as at
+    scipy's default.
     """
 
-    def __init__(self, fun, y0, t_bound, rtol, atol, max_step=np.inf,
-                 first_step=None, mask=None):
+    def __init__(self, fun, y0, t_bound, rtol, atol, first_step=None,
+                 mask=None):
         y0 = np.asarray(y0, float)
         if not np.isfinite(y0).all():
             raise ValueError("All components of the initial state `y0` "
@@ -288,7 +289,7 @@ class DOP853:
         self._fun, self._shape = fun, y0.shape
         self.t, self.t_bound = 0.0, t_bound
         self.y, self.y_old = y0.ravel(), None
-        self.rtol, self.atol, self.max_step = rtol, atol, max_step
+        self.rtol, self.atol = rtol, atol
         self.mask = mask
         self.finished = False
         self.nfev = 0
@@ -331,7 +332,7 @@ class DOP853:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        return min(100 * h0, h1, interval_length, self.max_step)
+        return min(100 * h0, h1, interval_length)
 
     def _rk_step(self, y, h):
         """One step of the 12-stage pair; fills K and returns the 8th-order
@@ -362,9 +363,7 @@ class DOP853:
     def _step_impl(self):
         t, y = self.t, self.y
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
+        if self.h_abs < min_step:
             h_abs = min_step
         else:
             h_abs = self.h_abs

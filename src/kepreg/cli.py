@@ -33,8 +33,7 @@ class ConfigError(ValueError):
 ALLOWED_KEYS = {
     "run": {"dimension", "period", "k_list", "seed", "eps", "l"},
     "perturbation": {"name", "const", "cos1", "sin1", "cos2", "sin2"},
-    "integrator": {"rel_tol", "abs_tol", "max_step"},
-    "shoot": {"segments", "eps_schedule"},
+    "shoot": {"eps_schedule"},
     "average": {"eps_list"},
     "remove": {"mu_list", "k"},
     "certify": {"n_seeds"},
@@ -118,15 +117,7 @@ class RunConfig:
             raise ConfigError("l must be >= 1")
         self.perturbation = _parse_perturbation(parser, self.period,
                                                 self.dimension)
-        integ = parser["integrator"] if parser.has_section("integrator") else {}
-        self.cfg = flow.IntegratorConfig(
-            rel_tol=float(integ.get("rel_tol", 1e-12)),
-            abs_tol=float(integ.get("abs_tol", 1e-14)),
-            max_step=float(integ.get("max_step", np.inf)))
         shoot_sec = parser["shoot"] if parser.has_section("shoot") else {}
-        self.segments = int(shoot_sec.get("segments", 0))
-        if self.segments < 0:
-            raise ConfigError("segments must be >= 0 (0: the default 8k)")
         self.eps_schedule = _parse_floats(
             shoot_sec.get("eps_schedule", "")) or None
         if not all(e > 0.0 for e in self.eps_schedule or ()):
@@ -142,11 +133,13 @@ class RunConfig:
         self.remove_k = int(rem.get("k", 1))
         if self.remove_k < 1:
             raise ConfigError("[remove] k must be >= 1")
-        quarter = manifolds.constants(manifolds.ManifoldSpec(
-            k=self.remove_k, T=self.period)).S / 4.0
-        if not all(0.0 < mu < quarter for mu in self.mu_list):
-            raise ConfigError(f"mu_list must lie in (0, S_k/4) = "
-                              f"(0, {quarter})")
+        # the source orbit's 2k collisions lie S_k/(2k) apart, and windows
+        # of half-width 2 mu around them must not overlap
+        bound = manifolds.constants(manifolds.ManifoldSpec(
+            k=self.remove_k, T=self.period)).S / (8.0 * self.remove_k)
+        if not all(0.0 < mu < bound for mu in self.mu_list):
+            raise ConfigError(f"mu_list must lie in (0, S_k/(8k)) = "
+                              f"(0, {bound})")
         cert = parser["certify"] if parser.has_section("certify") else {}
         self.certify_seeds = int(cert.get("n_seeds", 100))
         if self.certify_seeds < 1:
@@ -229,7 +222,7 @@ def cmd_flow(config, out):
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(spec, rng))
         fld = lambda X: model.reg_field(X, config.eps, pert)
-        traj = flow.integrate(fld, X0, c.S, config.cfg)
+        traj = flow.integrate(fld, X0, c.S)
         flow.trajectory_to_csv(traj, out / f"trajectory_k{k}.csv",
                                config.eps, pert, config.header_lines())
         reports[str(k)] = flow.invariant_report(traj, config.eps, pert)
@@ -237,28 +230,45 @@ def cmd_flow(config, out):
     return EXIT_OK
 
 
-def _continue_branch(config, pert, k):
+def _schedule(config, to_eps):
+    """The continuation targets: [shoot] eps_schedule, which RunConfig
+    checks is positive, or else eps/4, eps/2, eps, empty at eps = 0.  A
+    run with no target is a configuration error, and so is one that
+    reads its orbit at [run] eps (``to_eps``) where eps is no target."""
+    schedule = config.eps_schedule or [
+        e for e in (config.eps / 4.0, config.eps / 2.0, config.eps)
+        if e > 0.0]
+    if not schedule:
+        raise ConfigError("no continuation target: [run] eps is 0 and "
+                          "[shoot] eps_schedule is not set")
+    if to_eps and not any(_at_eps(e, config) for e in schedule):
+        raise ConfigError(f"[run] eps = {config.eps!r} is not among the "
+                          f"continuation targets {schedule}")
+    return schedule
+
+
+def _at_eps(eps, config):
+    """Whether eps is [run] eps."""
+    return abs(eps - config.eps) < 1e-15
+
+
+def _continue_branch(config, pert, k, schedule):
     spec = manifolds.ManifoldSpec(k=k, T=config.period, dim=config.dimension)
     c = manifolds.constants(spec)
     rng = np.random.default_rng(config.seed + k)
     params = manifolds.random_seed_params(spec, rng)
     X_seed = manifolds.seed_state(spec, params)
-    # a schedule given is positive (RunConfig checks it); the default one
-    # is empty at eps = 0
-    schedule = config.eps_schedule or [
-        e for e in (config.eps / 4.0, config.eps / 2.0, config.eps)
-        if e > 0.0]
-    return shooting.continue_in_epsilon(
-        spec, pert, X_seed, c.S, schedule, m=config.segments, cfg=config.cfg)
+    return shooting.continue_in_epsilon(spec, pert, X_seed, c.S, schedule)
 
 
 def cmd_shoot(config, out):
+    schedule = _schedule(config, to_eps=False)
     pert = config.perturbation
     orbits = []
     all_diags = []
     failures = []
     for k in config.k_list:
-        family, diags = _continue_branch(config, pert, k)
+        family, diags = _continue_branch(config, pert, k, schedule)
         orbits.extend(family)
         all_diags.extend(diags)
         if diags:
@@ -270,19 +280,20 @@ def cmd_shoot(config, out):
 
 
 def cmd_theorem_demo(config, out):
+    schedule = _schedule(config, to_eps=True)
     pert = config.perturbation
     ks = list(range(1, config.l + 1))
     final = []
     failures = []
     for k in ks:
-        family, diags = _continue_branch(config, pert, k)
-        target = [o for o in family if abs(o.eps - config.eps) < 1e-15]
+        family, diags = _continue_branch(config, pert, k, schedule)
+        target = [o for o in family if _at_eps(o.eps, config)]
         if not target:
             failures.append({"k": k, "diagnostics": diags})
             continue
         orbit = target[-1]
         final.append(orbit)
-        gensol = reconstruct.to_generalized(orbit, pert, config.cfg)
+        gensol = reconstruct.to_generalized(orbit, pert)
         reconstruct.generalized_to_csv(
             gensol, out / f"generalized_k{k}.csv",
             header_lines=config.header_lines())
@@ -317,8 +328,7 @@ def cmd_certify(config, out):
     # every k and seed shares one integration, so a failure of it leaves
     # no certificate and is reported for every k
     try:
-        reports = manifolds.nondegeneracy_certificate(specs, np.array(X0),
-                                                      config.cfg)
+        reports = manifolds.nondegeneracy_certificate(specs, np.array(X0))
         diags = []
     except flow.FlowError as exc:
         reports = []
@@ -334,6 +344,8 @@ def cmd_certify(config, out):
 
 
 def cmd_reconstruct(config, out):
+    # at eps = 0 the orbit is the rectilinear one and nothing is continued
+    schedule = _schedule(config, to_eps=True) if config.eps > 0.0 else None
     pert = config.perturbation
     failures = []
     for k in config.k_list:
@@ -348,13 +360,13 @@ def cmd_reconstruct(config, out):
                 energy_band=(-c.tau, -c.tau),
                 monodromy=None, k=k, dim=config.dimension)
         else:
-            family, diags = _continue_branch(config, pert, k)
-            target = [o for o in family if abs(o.eps - config.eps) < 1e-15]
+            family, diags = _continue_branch(config, pert, k, schedule)
+            target = [o for o in family if _at_eps(o.eps, config)]
             if not target:
                 failures.append({"k": k, "diagnostics": diags})
                 continue
             orbit = target[-1]
-        gensol = reconstruct.to_generalized(orbit, pert, config.cfg)
+        gensol = reconstruct.to_generalized(orbit, pert)
         reconstruct.generalized_to_csv(
             gensol, out / f"generalized_k{k}.csv",
             header_lines=config.header_lines())
@@ -380,7 +392,7 @@ def cmd_remove_collisions(config, out):
     c = manifolds.constants(spec)
     X0 = manifolds.seed_state(spec, manifolds.rectilinear_seed_params(spec))
     fld = lambda X: model.reg_field(X, 0.0, None)
-    traj = flow.integrate(fld, X0, c.S, config.cfg)
+    traj = flow.integrate(fld, X0, c.S)
     with open(out / "removal.csv", "w") as fh:
         for line in config.header_lines():
             fh.write(f"# {line}\n")

@@ -15,7 +15,7 @@ time, where every k takes one full turn of z: the seeds of every k of
 one dimension share one stacked integration.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,7 +270,7 @@ def _principal_angle(vec, span):
     return np.arccos(np.minimum(1.0, cosang))
 
 
-def nondegeneracy_certificate(spec, X0, cfg=None):
+def nondegeneracy_certificate(spec, X0):
     """Certify (Id - P) Y* leaves the forbidden span, numerically.
 
     P is the monodromy over S_k, composed as M(sigma_k)^k from the
@@ -298,10 +298,8 @@ def nondegeneracy_certificate(spec, X0, cfg=None):
     Ystar = variation_start(specs, stack)     # checks every row on M_k
     if three_d and np.any(np.abs(model.bl_value(stack)) > ON_MANIFOLD_TOL):
         raise ValueError("3D certificate needs a BL = 0 state")
-    # nothing reads the interpolant
-    cfg = replace(cfg or flow.IntegratorConfig(), dense=False)
     _, mono = flow.monodromy(lambda X: model.reg_field_jacobian(X, 0.0),
-                             stack, [c.sigma for c in consts], cfg)
+                             stack, [c.sigma for c in consts])
     k = np.array([s.k for s in specs])
     P = mono.M.copy()
     for j in range(1, k.max()):

@@ -201,7 +201,7 @@ class GeneralizedSolution:
         return far
 
 
-def to_generalized(orbit, pert, cfg=None):
+def to_generalized(orbit, pert):
     """Generalized solution of a converged periodic orbit.
 
     Re-integrates the orbit densely over [0, S], locates collisions and
@@ -209,9 +209,8 @@ def to_generalized(orbit, pert, cfg=None):
     the way, otherwise the projected u(t) would not solve the physical
     equation.
     """
-    cfg = cfg or flow.IntegratorConfig()
     fld = lambda X: model.reg_field(X, orbit.eps, pert)
-    traj = flow.integrate(fld, orbit.X0, orbit.S, cfg)
+    traj = flow.integrate(fld, orbit.X0, orbit.S)
     if orbit.dim == 3:
         bl = np.max(np.abs(model.bl_value(traj.states[:, :10])))
         if bl > 1e-9:

@@ -8,7 +8,7 @@ continuation in eps grows families out of the unperturbed manifolds.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,15 @@ BAND_SAMPLES = 400          # points of an orbit at which E is sampled
 # 2,989 at the largest step and 3,169 at 0.6 of it; the six acceptance
 # families take 17,483, 17,483, 17,615 and 17,543.
 FIRST_STEP_FACTOR = 0.8
+# Shooting segments per unit of k: a problem on M_k has m = 8k.  Halving
+# the segment length halves the sequential stages of every stacked
+# integration, while the Jacobian's SVD grows with its m * D columns.
+# Continuing 5 families per case (2 BLAS threads), 8k took 9-42% less
+# wall time than 4k in 2D at k = 1..3 and in 3D at k = 1, 2, but 19% more
+# in 3D at k = 3, where one SVD of 242 columns takes 15 ms against 4 ms
+# at 4k.  No bench workload runs k > 1, so none would guard a choice by
+# size.
+SEGMENTS_PER_K = 8
 
 
 class ShootingError(KepregError):
@@ -63,19 +72,8 @@ class ShootingProblem:
     eps: float
     pert: object
     X_ref: np.ndarray               # anchor state for the phase conditions
-    # Shooting segments; 0 = the default 8k.  Halving the segment length
-    # halves the sequential stages of every stacked integration, while the
-    # Jacobian's SVD grows with its m * D columns.  Continuing 5 families
-    # per case (2 BLAS threads), 8k took 9-42% less wall time than 4k in
-    # 2D at k = 1..3 and in 3D at k = 1, 2, but 19% more in 3D at k = 3,
-    # where one SVD of 242 columns takes 15 ms against 4 ms at 4k.  No
-    # bench workload runs k > 1, so none would guard a choice by size.
-    m: int = 0
-    cfg: flow.IntegratorConfig = field(default_factory=flow.IntegratorConfig)
 
     def __post_init__(self):
-        if self.m <= 0:
-            self.m = 8 * self.spec.k
         self.X_ref = np.asarray(self.X_ref, float)
         if self.X_ref.size != model.state_dim(self.spec.dim):
             raise ValueError("anchor state has the wrong dimension")
@@ -96,6 +94,11 @@ class ShootingProblem:
     @property
     def D(self):
         return model.state_dim(self.spec.dim)
+
+    @property
+    def m(self):
+        """Number of shooting segments."""
+        return SEGMENTS_PER_K * self.spec.k
 
     @property
     def n_unknowns(self):
@@ -172,16 +175,12 @@ def _rotation_deriv(problem, theta):
     return dR
 
 
-def _normalized_stack(problem, states, S):
-    """Row lengths h (n * m, 1), stacked starts (n * m, D) and the
-    segment integrator config of a batch in normalized time."""
+def _normalized_stack(states, S):
+    """Row lengths h (n * m, 1) and stacked starts (n * m, D) of a batch
+    in normalized time."""
     n, m, D = states.shape
     h = np.repeat(np.asarray(S, float) / m, m)[:, None]
-    # max_step bounds s; a sigma-step advances row j by h_j times it.
-    # Dense output is off: only the energy band reads it, and asks for it.
-    cfg = replace(problem.cfg, dense=False,
-                  max_step=problem.cfg.max_step / np.max(h))
-    return h, states.reshape(n * m, D), cfg
+    return h, states.reshape(n * m, D)
 
 
 def _integrate_segments(problem, states, S, variational=False):
@@ -191,13 +190,14 @@ def _integrate_segments(problem, states, S, variational=False):
     All n * m segments are one stacked integration in normalized time:
     row j solves dX/dsigma = h_j f(X) on sigma in [0, 1] with its own
     length h_j = S_j / m (and its Jacobian scaled by h_j), so rows of
-    different S share one step sequence.
+    different S share one step sequence.  Dense output is off: only the
+    energy band reads it, and ``_finish`` integrates its own stack.
     """
     D = states.shape[-1]
-    h, X, cfg = _normalized_stack(problem, states, S)
+    h, X = _normalized_stack(states, S)
     if not variational:
-        traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0, cfg,
-                              first_step=problem._first_step)
+        traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
+                              dense=False, first_step=problem._first_step)
         return _settle(problem, traj).states[-1].reshape(states.shape)
 
     def scaled_pair(Y):
@@ -205,7 +205,7 @@ def _integrate_segments(problem, states, S, variational=False):
         return h * F, h[..., None] * J
 
     traj, M = flow.integrate_with_variational(
-        scaled_pair, X, 1.0, cfg, first_step=problem._first_step)
+        scaled_pair, X, 1.0, dense=False, first_step=problem._first_step)
     _settle(problem, traj)
     return (traj.states[-1, :, :D].reshape(states.shape),
             M.reshape(states.shape + (D,)))
@@ -329,8 +329,8 @@ def _finish(problem, unknowns, res_norm, J=None):
 
     The monodromy is the product M_{m-1} ... M_0 of the segment
     fundamental matrices on J's block diagonal; R(theta) is added back
-    to the closure block first, which for m = 1 is that diagonal block.
-    The dense segment stack is integrated for the energy band alone.
+    to the closure block first.  The dense segment stack is integrated
+    for the energy band alone.
     """
     if J is None:
         _, J = residual_and_jacobian(problem, unknowns)
@@ -344,9 +344,8 @@ def _finish(problem, unknowns, res_norm, J=None):
     for Mj in blocks.reshape(m, D, m, D)[seg, :, seg, :]:
         M = Mj @ M
     mono = flow.MonodromyData(M=M, X0=X0, field_dir=problem.field(X0))
-    h, X, cfg = _normalized_stack(problem, states[None], S)
+    h, X = _normalized_stack(states[None], S)
     traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
-                          replace(cfg, dense=True),
                           first_step=problem._first_step)
     band = energy_band(traj, problem.eps, problem.pert)
     # The closure rows add time_shift(), one forcing period, to t, so a
@@ -491,8 +490,7 @@ def solve(problem, unknowns0):
         best_unknowns=best_u, best_residual=best_r)
 
 
-def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
-                        cfg=None):
+def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets):
     """Natural-parameter continuation from an unperturbed seed.
 
     The first solve is seeded with ``seed_unknowns`` at (X_seed, S_seed),
@@ -513,7 +511,6 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
     at the sigma-step that first one fixed (FIRST_STEP_FACTOR times its
     largest step).
     """
-    cfg = cfg or flow.IntegratorConfig()
     family = []
     diags = []
     X_cur, eps_cur, u_cur = np.asarray(X_seed, float), 0.0, None
@@ -522,7 +519,7 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets, m=0,
         eps_try = eps_target
         while True:
             problem = ShootingProblem(spec=spec, eps=eps_try, pert=pert,
-                                      X_ref=X_cur, m=m, cfg=cfg)
+                                      X_ref=X_cur)
             problem._first_step, problem._settles = step, True
             if u_cur is None:
                 u_cur = seed_unknowns(problem, X_cur, S_seed)

@@ -32,11 +32,13 @@ sin1 = 0.0,0.3
 """
 
 
-# [remove] k below 1, mu outside (0, S_k/4) (S_1/4 is about 2.49 for
-# T = 2 pi), a negative [run] seed, [run] l below 1, a negative [run]
-# eps, a negative [shoot] segments, and a [shoot] eps_schedule or
+# [remove] k below 1, mu outside (0, S_k/(8k)) (S_1/8 is about 1.2467
+# for T = 2 pi), a negative [run] seed, [run] l below 1, a negative [run]
+# eps, the [shoot] segments key, which is gone, a [shoot] eps_schedule or
 # [average] eps_list value that is not positive (the last with a forcing
-# of nonzero mean, so that eps_list alone is wrong)
+# of nonzero mean, so that eps_list alone is wrong), the [integrator]
+# section, which is gone, and mu = 1.25 at k = 1, which lies in
+# (0, S_1/4) but makes the removal windows of the two collisions overlap
 BAD_CONFIGS = [
     "[run]\n[remove]\nk = 0\n",
     "[run]\n[remove]\nmu_list = 10\n",
@@ -44,11 +46,22 @@ BAD_CONFIGS = [
     BASE.replace("seed = 3", "seed = -3"),
     BASE.replace("eps = 1e-3", "eps = 1e-3\nl = 0"),
     BASE.replace("eps = 1e-3", "eps = -1e-3"),
-    BASE + "\n[shoot]\nsegments = -1\n",
+    BASE + "\n[shoot]\nsegments = 16\n",
     BASE + "\n[shoot]\neps_schedule = -1e-3\n",
     BASE + "\n[shoot]\neps_schedule = 1e-3,0\n",
     BASE.replace("sin1", "const = 1.0,0.0\nsin1")
     + "\n[average]\neps_list = 1e-2,-1e-3\n",
+    BASE + "\n[integrator]\nrel_tol = 1e-6\n",
+    "[run]\n[remove]\nmu_list = 1.25\nk = 1\n",
+]
+
+# Valid configs whose command would have no orbit to continue to, or
+# none at the [run] eps it reads its orbit at: the command refuses them.
+NO_TARGET = [
+    ("shoot", BASE.replace("eps = 1e-3", "eps = 0")),
+    ("theorem-demo", BASE.replace("eps = 1e-3", "eps = 0")),
+    ("theorem-demo", BASE + "\n[shoot]\neps_schedule = 2.5e-4,5e-4\n"),
+    ("reconstruct", BASE + "\n[shoot]\neps_schedule = 2.5e-4,5e-4\n"),
 ]
 
 
@@ -86,11 +99,8 @@ class TestConfig:
         for text in BAD_CONFIGS:
             with pytest.raises(cli.ConfigError):
                 cli.RunConfig(write_config(tmp_path, text))
-        # IntegratorConfig rejects it as ValueError, which main also
-        # reports as a configuration error
-        with pytest.raises(ValueError, match="max_step"):
-            cli.RunConfig(write_config(tmp_path,
-                                       "[integrator]\nmax_step = -1\n"))
+        for _, text in NO_TARGET:
+            cli.RunConfig(write_config(tmp_path, text))
 
     @pytest.mark.parametrize("command,text", [
         ("remove-collisions", BAD_CONFIGS[0]),
@@ -103,7 +113,9 @@ class TestConfig:
         ("shoot", BAD_CONFIGS[7]),
         ("shoot", BAD_CONFIGS[8]),
         ("average", BAD_CONFIGS[9]),
-        ("flow", BASE + "\n[integrator]\nmax_step = -1\n"),
+        ("flow", BAD_CONFIGS[10]),
+        ("remove-collisions", BAD_CONFIGS[11]),
+        *NO_TARGET,
     ])
     def test_bad_value_exits_config(self, tmp_path, capsys, command, text):
         out = tmp_path / "out"

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-from kepreg import flow, manifolds, model
+from kepreg import _solvers, flow, manifolds, model
 
 rng = np.random.default_rng(11)
 
@@ -66,25 +66,25 @@ class TestIntegrate:
                                    atol=1e-9), (spec, s)
 
     def test_tolerance_halving_converges(self):
+        """The stepper's end state converges as its tolerances shrink;
+        flow fixes them, so the stepper is run on its own."""
         X0 = manifolds.seed_state(
             manifolds.ManifoldSpec(k=1, T=T, dim=2),
             manifolds.circular_seed_params(
                 manifolds.ManifoldSpec(k=1, T=T, dim=2)))
-        ref = flow.integrate(kepler_field(), X0, 5.0,
-                             flow.IntegratorConfig(1e-13, 1e-15)).eval(5.0)
-        errs = []
-        for rtol in (1e-6, 1e-9, 1e-12):
-            cfg = flow.IntegratorConfig(rel_tol=rtol, abs_tol=rtol * 1e-2)
-            errs.append(np.linalg.norm(
-                flow.integrate(kepler_field(), X0, 5.0, cfg).eval(5.0) - ref))
+
+        def end_state(rtol):
+            stepper = _solvers.DOP853(kepler_field(), X0, 5.0, rtol,
+                                      rtol * 1e-2)
+            while not stepper.finished:
+                assert stepper.step()
+            return stepper.y
+
+        ref = end_state(1e-13)
+        errs = [np.linalg.norm(end_state(rtol) - ref)
+                for rtol in (1e-6, 1e-9, 1e-12)]
         assert errs[0] > errs[2]
         assert errs[2] < 1e-10
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            flow.IntegratorConfig(rel_tol=0.0)
-        with pytest.raises(ValueError, match="max_step"):
-            flow.IntegratorConfig(max_step=-1.0)
 
     @pytest.mark.parametrize("stack", [False, True])
     def test_endpoint_only_without_dense_output(self, stack):
@@ -100,7 +100,7 @@ class TestIntegrate:
         X0 = X0 if stack else X0[0]
         fld = kepler_field()
         dense = flow.integrate(fld, X0, c.S)
-        ends = flow.integrate(fld, X0, c.S, flow.IntegratorConfig(dense=False))
+        ends = flow.integrate(fld, X0, c.S, dense=False)
         assert ends.s.shape == (2,)
         assert ends.states.shape == (2,) + X0.shape
         assert ends.s[0] == 0.0 and ends.s[-1] == dense.s[-1]
@@ -222,8 +222,7 @@ class TestDenseOutput:
         fld = lambda y: np.array([y[1], -y[0]])
         with pytest.raises(ValueError, match="nonzero length"):
             flow.integrate(fld, np.array([1.0, 0.0]), 0.0)
-        ends = flow.integrate(fld, np.array([1.0, 0.0]), 0.0,
-                              flow.IntegratorConfig(dense=False))
+        ends = flow.integrate(fld, np.array([1.0, 0.0]), 0.0, dense=False)
         assert np.array_equal(ends.states[-1], [1.0, 0.0])
 
     def test_rejects_backward_interval(self):
@@ -233,8 +232,7 @@ class TestDenseOutput:
         with pytest.raises(ValueError, match="forward"):
             flow.integrate(fld, np.ones(1), -1.0)
         with pytest.raises(ValueError, match="forward"):
-            flow.integrate(fld, np.ones(1), -1.0,
-                           flow.IntegratorConfig(dense=False))
+            flow.integrate(fld, np.ones(1), -1.0, dense=False)
         with pytest.raises(ValueError, match="forward"):
             flow.integrate_with_variational(
                 lambda X: (-X, -np.eye(1)), np.ones(1), -1.0)
@@ -284,9 +282,10 @@ class TestVariational:
         # the flow is volume preserving
         assert data.det == pytest.approx(1.0, abs=1e-6)
         # M maps the field at the start to the field at the end; the
-        # trajectory runs in normalized time, sigma = 1 at s = S
-        assert traj.s_end == 1.0
-        f_end = model.reg_field(traj.eval(1.0), 0.0, None)
+        # trajectory runs in normalized time, sigma = 1 at s = S, and
+        # holds the end points only
+        assert traj.s_end == 1.0 and traj.sol is None
+        f_end = model.reg_field(traj.states[-1, : traj.dim], 0.0, None)
         assert np.allclose(data.M @ data.field_dir, f_end, atol=1e-7)
         assert np.array_equal(data.field_dir, model.reg_field(X0, 0.0))
         # field_dir is reg_field's at X0, perturbed and stacked too
@@ -421,17 +420,23 @@ class TestEvents:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_every_collision_of_k3_at_shifted_origins(self, dim):
         """All 2k collisions of k = 3, refined in one call, for several
-        time origins and at a bounded step."""
+        time origins, and from a start further along the orbit, which
+        takes another step sequence."""
         spec = manifolds.ManifoldSpec(k=3, T=T, dim=dim)
         c = manifolds.constants(spec)
-        expected = [(np.pi / 2 + j * np.pi) / c.omega for j in range(6)]
+        expected = np.array([(np.pi / 2 + j * np.pi) / c.omega
+                             for j in range(6)])
+        shift = 0.3 * np.pi / c.omega       # before the first collision
         for t0 in (0.0, 1.3, 4.1):
             X0 = manifolds.seed_state(
                 spec, manifolds.rectilinear_seed_params(spec, t0=t0))
-            for cfg in (None, flow.IntegratorConfig(max_step=0.05)):
-                traj = flow.integrate(kepler_field(), X0, c.S, cfg)
+            for s0 in (0.0, shift):
+                traj = flow.integrate(
+                    kepler_field(),
+                    manifolds.closed_form_flow(spec, X0, s0), c.S)
                 got = [e.s for e in flow.detect_events(traj)]
-                assert np.allclose(got, expected, rtol=0.0, atol=1e-8)
+                assert np.allclose(got, expected - s0, rtol=0.0,
+                                   atol=1e-8)
 
     def test_circular_orbit_has_no_collisions(self):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
@@ -441,13 +446,16 @@ class TestEvents:
         traj = flow.integrate(kepler_field(), X0, c.S)
         assert flow.detect_events(traj) == []
 
-    def test_events_stable_under_step_halving(self):
+    def test_events_stable_under_a_shifted_start(self):
+        """The collisions of an integration from a start further along
+        the orbit, on another step sequence, are the same to 1e-9."""
         spec, c, traj = self._rectilinear()
         ref = [e.s for e in flow.detect_events(traj)]
-        cfg = flow.IntegratorConfig(max_step=0.05)
-        X0 = traj.eval(0.0)
-        traj2 = flow.integrate(kepler_field(), X0, c.S, cfg)
-        got = [e.s for e in flow.detect_events(traj2)]
+        shift = 0.3 * np.pi / c.omega       # before the first collision
+        X1 = manifolds.closed_form_flow(spec, traj.eval(0.0), shift)
+        traj2 = flow.integrate(kepler_field(), X1, c.S)
+        got = [e.s + shift for e in flow.detect_events(traj2)]
+        assert len(got) == len(ref)
         assert np.allclose(ref, got, atol=1e-9)
 
 
@@ -558,3 +566,105 @@ def test_every_public_name_has_a_caller():
                 if not references.get(node.name, set()) - inside:
                     uncalled.add(f"{path.stem}.{node.name}")
     assert uncalled == set(UNCALLED_PUBLIC)
+
+
+# Every settable value of src/kepreg: a parameter with a default, as
+# "module.function(parameter)" (methods as Class.method, nested functions
+# under their enclosing one), or a field with a default of a dataclass,
+# as "module.Class.field".  Adding or removing one changes this set in
+# the same diff.
+SETTABLE = {
+    "_solvers.DOP853.__init__(first_step)",
+    "_solvers.DOP853.__init__(mask)",
+    "averaging._kepler_force(lam)",
+    "averaging.family_to_csv(header_lines)",
+    "cli.main(argv)",
+    "flow.FlowError.__init__(last_s)",
+    "flow.FlowError.__init__(last_state)",
+    "flow.MonodromyData.det",
+    "flow.Trajectory.eval(rows)",
+    "flow._bracketed_roots(rtol)",
+    "flow.integrate(dense)",
+    "flow.integrate(first_step)",
+    "flow.integrate_with_variational(dense)",
+    "flow.integrate_with_variational(first_step)",
+    "flow.trajectory_to_csv(header_lines)",
+    "manifolds.ManifoldSpec.dim",
+    "manifolds.SeedParams.phi1",
+    "manifolds.SeedParams.phi2",
+    "manifolds.SeedParams.plane",
+    "manifolds.SeedParams.psi",
+    "manifolds.SeedParams.t0",
+    "manifolds.rectilinear_seed_params(plane)",
+    "manifolds.rectilinear_seed_params(t0)",
+    "model.ForcingSpec.__init__(cos)",
+    "model.ForcingSpec.__init__(sin)",
+    "model.Perturbation.__init__(name)",
+    "model.Perturbation.evaluate(second)",
+    "model._LinearForcing.__init__(name)",
+    "model._LinearForcing.evaluate(second)",
+    "model.forced_kepler(const)",
+    "model.forced_kepler(cos)",
+    "model.forced_kepler(dim)",
+    "model.forced_kepler(sin)",
+    "model.reg_energy_gradient(pert)",
+    "model.reg_field(pert)",
+    "model.reg_field_jacobian(pert)",
+    "model.zero_perturbation(dim)",
+    "model.zero_perturbation(period)",
+    "reconstruct.collision_limits(eps)",
+    "reconstruct.collision_limits(pert)",
+    "reconstruct.generalized_to_csv(header_lines)",
+    "reconstruct.remove_collisions(eps)",
+    "reconstruct.remove_collisions(pert)",
+    "shooting.PeriodicOrbit.dim",
+    "shooting.PeriodicOrbit.k",
+    "shooting.PeriodicOrbit.pert_name",
+    "shooting.PeriodicOrbit.theta",
+    "shooting.PeriodicOrbit.unknowns",
+    "shooting.ShootingError.__init__(best_residual)",
+    "shooting.ShootingError.__init__(best_unknowns)",
+    "shooting._finish(J)",
+    "shooting._integrate_segments(variational)",
+    "shooting._strong_sweep(first)",
+    "shooting.pack_unknowns(theta)",
+    "shooting.save_orbits(meta)",
+    "shooting.seed_unknowns(theta)",
+}
+
+
+def _settable(module, node, prefix=""):
+    """The settable values of the definitions under node."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            name = f"{module}.{prefix}{child.name}"
+            args = child.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):]
+            with_default += [a for a, d in zip(args.kwonlyargs,
+                                               args.kw_defaults)
+                             if d is not None]
+            found |= {f"{name}({a.arg})" for a in with_default}
+            found |= _settable(module, child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d)
+                   for d in child.decorator_list):
+                found |= {f"{module}.{child.name}.{st.target.id}"
+                          for st in child.body
+                          if isinstance(st, ast.AnnAssign)
+                          and st.value is not None}
+            found |= _settable(module, child, f"{prefix}{child.name}.")
+        else:
+            found |= _settable(module, child, prefix)
+    return found
+
+
+def test_settable_values_are_listed():
+    """The settable values of src/kepreg are SETTABLE, no more, no
+    fewer."""
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted((root / "src" / "kepreg").glob("*.py")):
+        found |= _settable(path.stem, ast.parse(path.read_text()))
+    assert found == SETTABLE

@@ -125,8 +125,8 @@ class TestResidual:
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, 3),
-            X_ref=np.zeros(10), m=2)
-        states = np.arange(20.0).reshape(2, 10)
+            X_ref=np.zeros(10))
+        states = np.arange(80.0).reshape(8, 10)
         u = shooting.pack_unknowns(problem, states, 9.5, 0.3)
         s2, S2, th2 = shooting.unpack_unknowns(problem, u)
         assert np.allclose(s2, states)
@@ -167,7 +167,7 @@ def per_segment_reference(problem, u):
     ends, Ms = [], []
     for X in states:
         traj, M = flow.integrate_with_variational(
-            problem.field_jacobian, X, S / problem.m, problem.cfg)
+            problem.field_jacobian, X, S / problem.m)
         ends.append(traj.states[-1, : problem.D])
         Ms.append(M)
     targets = list(states[1:]) + [shooting._rotation(problem, theta)
@@ -543,17 +543,20 @@ class TestComposedMonodromy:
     """A solved orbit's monodromy is M_{m-1} ... M_0, the segment
     matrices of its converged shooting Jacobian."""
 
-    @pytest.mark.parametrize("m", [1, 0], ids=["m1", "m8k"])
+    @pytest.mark.parametrize("per_k", [1, 8], ids=["m1k", "m8k"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_unperturbed_matches_closed_variation(self, dim, k, m):
+    def test_unperturbed_matches_closed_variation(self, monkeypatch, dim,
+                                                  k, per_k):
+        monkeypatch.setattr(shooting, "SEGMENTS_PER_K", per_k)
         spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
             spec, np.random.default_rng(10 * dim + k)))
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, dim),
-            X_ref=X0, m=m)
+            X_ref=X0)
+        assert problem.m == per_k * k
         orbit = shooting.solve(problem,
                                shooting.seed_unknowns(problem, X0, c.S))
         got = orbit.monodromy.M @ manifolds.variation_start(spec, orbit.X0)
@@ -737,13 +740,13 @@ class TestCarriedStep:
         log = []
         real_plain, real_var = flow.integrate, flow.integrate_with_variational
 
-        def plain(fun, X0, s_end, cfg=None, first_step=None):
+        def plain(fun, X0, s_end, dense=True, first_step=None):
             log.append((np.ndim(X0) == 2, s_end, first_step))
-            return real_plain(fun, X0, s_end, cfg, first_step)
+            return real_plain(fun, X0, s_end, dense, first_step)
 
-        def variational(fun, X0, s_end, cfg=None, first_step=None):
+        def variational(fun, X0, s_end, dense=True, first_step=None):
             log.append((np.ndim(X0) == 2, s_end, first_step))
-            return real_var(fun, X0, s_end, cfg, first_step)
+            return real_var(fun, X0, s_end, dense, first_step)
 
         monkeypatch.setattr(flow, "integrate", plain)
         monkeypatch.setattr(flow, "integrate_with_variational", variational)
