@@ -20,11 +20,9 @@ import numpy as np
 
 from . import flow, shooting
 from .errors import KepregError
-from .model import ForcingSpec
 
 __all__ = [
     "AveragingError",
-    "ForcingSpec",
     "averaged_equilibrium",
     "averaged_jacobian_matrix",
     "averaged_jacobian_det",

@@ -9,23 +9,18 @@ with t the *lifted* (unreduced) time; reduction modulo the forcing
 period happens only when a perturbation is evaluated.  The regularized
 energy is
 
-    K_eps(X) = tau |z|^2 + |w|^2 / 8 - 1 - eps * P(t, z, eps)
+    K_eps(X) = tau |z|^2 + |w|^2 / 8 - 1 - eps * P(t, z)
 
-with P(t, z, eps) = |z|^2 U(t, u(z), eps) and u(z) the Levi-Civita
+with P(t, z) = |z|^2 U(t, u(z)) and u(z) the Levi-Civita
 (2D) or Kustaanheimo-Stiefel (3D) position.  The same -eps*P sign is
 used in both dimensions so that both reduce to the same physical
 equation.
 """
 
-from abc import ABC, abstractmethod
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
     "Perturbation",
-    "PerturbationError",
-    "PerturbationValues",
     "zero_perturbation",
     "forced_kepler",
     "ForcingSpec",
@@ -50,99 +45,6 @@ __all__ = [
 ]
 
 
-class PerturbationError(ValueError):
-    """Raised when a perturbation fails its derivative self-check."""
-
-
-# Perturbation.self_check evaluates U at this eps and accepts a relative
-# error up to SELF_CHECK_REL_TOL against central differences.
-SELF_CHECK_EPS = 1e-3
-SELF_CHECK_REL_TOL = 1e-5
-
-
-class PerturbationValues(NamedTuple):
-    """U and its derivatives at one point or a stack of points.
-
-    ``value``, ``dt`` and ``dt2`` have the shape of t, the u-vectors
-    ``grad`` and ``grad_dt`` and the Hessian ``hess`` add one or two
-    trailing axes of length N.  The second derivatives may be None
-    unless requested; ``hess`` is None when U is affine in u, where it
-    vanishes.
-    """
-
-    value: np.ndarray
-    grad: np.ndarray
-    dt: np.ndarray
-    hess: np.ndarray = None
-    grad_dt: np.ndarray = None
-    dt2: np.ndarray = None
-
-
-class Perturbation(ABC):
-    """A smooth T-periodic force function U(t, u), evaluated on arrays.
-
-    A perturbation is a subclass that implements ``evaluate``; it is the
-    only way U is evaluated.  U must be smooth at u = 0 as well: the
-    regularized energy carries it as |z|^2 U(t, u(z), eps), and
-    regularized orbits evaluate it through their collisions, at u = 0.
-
-    Parameters
-    ----------
-    period : float
-        Forcing period T.
-    """
-
-    def __init__(self, period, name="custom"):
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.period = float(period)
-        self.name = name
-
-    def _reduce(self, t):
-        T = self.period
-        return t - T * np.floor(t / T)
-
-    @abstractmethod
-    def evaluate(self, t, u, eps, second=False):
-        """U, grad_u U and dU/dt at t of shape S and u of shape S + (N,).
-
-        With ``second`` the Hessian in u (None when U is affine in u),
-        d/dt grad_u U and d^2U/dt^2 are added.  Implementations reduce t
-        modulo the period with ``_reduce``.
-        """
-
-    def self_check(self, points):
-        """Compare analytic derivatives with central differences.
-
-        ``points`` is an iterable of (t, u) samples.  Raises
-        PerturbationError when either grad or dt disagrees with the
-        finite-difference value of U beyond SELF_CHECK_REL_TOL relative
-        error.
-        """
-        eps, rel_tol = SELF_CHECK_EPS, SELF_CHECK_REL_TOL
-        for t, u in points:
-            u = np.asarray(u, float)
-            ev = self.evaluate(t, u, eps)
-            h = 1e-6 * np.maximum(1.0, np.abs(u))
-            ts = np.full(u.size, float(t))
-            g_fd = (self.evaluate(ts, u + np.diag(h), eps).value
-                    - self.evaluate(ts, u - np.diag(h), eps).value) / (2 * h)
-            scale = max(1.0, float(np.linalg.norm(ev.grad)))
-            if np.linalg.norm(ev.grad - g_fd) > rel_tol * scale:
-                raise PerturbationError(
-                    f"grad of '{self.name}' disagrees with finite differences "
-                    f"at t={t}, u={u}: {ev.grad} vs {g_fd}")
-            ht = 1e-6 * max(1.0, self.period)
-            vp, vm = self.evaluate(np.array([t + ht, t - ht]),
-                                   np.array([u, u]), eps).value
-            d_fd = (vp - vm) / (2 * ht)
-            if abs(ev.dt - d_fd) > rel_tol * max(1.0, abs(ev.dt)):
-                raise PerturbationError(
-                    f"dt of '{self.name}' disagrees with finite differences "
-                    f"at t={t}, u={u}: {ev.dt} vs {d_fd}")
-        return True
-
-
 class ForcingSpec:
     """T-periodic N-vector forcing p(t) as a truncated real Fourier series.
 
@@ -152,6 +54,8 @@ class ForcingSpec:
     """
 
     def __init__(self, period, const, cos=None, sin=None):
+        if period <= 0:
+            raise ValueError("period must be positive")
         self.period = float(period)
         self.const = np.asarray(const, float)
         self.cos = np.asarray(cos, float) if cos is not None else \
@@ -194,28 +98,42 @@ class ForcingSpec:
         return self.const.copy()
 
 
-class _LinearForcing(Perturbation):
-    """U(t, u) = <p(t), u>, with every derivative in closed form.
+class Perturbation:
+    """The linear forcing U(t, u) = <p(t), u>, smooth and T-periodic.
 
-    U is linear in u, so the Hessian vanishes, d/dt grad_u U = p'(t)
-    and d^2U/dt^2 = <p''(t), u>.
+    It is the one kind of U the package runs, and ``evaluate`` is the
+    only way U is evaluated.  U is smooth at u = 0, as it must be: the
+    regularized energy carries it as |z|^2 U(t, u(z)), and regularized
+    orbits evaluate it through their collisions, at u = 0.
+
+    Parameters
+    ----------
+    forcing : ForcingSpec
+        The forcing vector p(t); its period is the period of U.
     """
 
     def __init__(self, forcing, name="forced_kepler"):
-        super().__init__(forcing.period, name=name)
         self.forcing = forcing
+        self.period = forcing.period
+        self.name = name
 
-    def evaluate(self, t, u, eps, second=False):
-        jet = self.forcing.jet(self._reduce(t))
+    def evaluate(self, t, u):
+        """(U, grad_u U, dU/dt, d/dt grad_u U, d^2U/dt^2) at t of shape S
+        and u of shape S + (N,), from one jet of p at t modulo the period.
+
+        U is linear in u, so its Hessian in u vanishes, grad_u U = p(t),
+        d/dt grad_u U = p'(t) and d^2U/dt^2 = <p''(t), u>.
+        """
+        T = self.period
+        jet = self.forcing.jet(t - T * np.floor(t / T))
         vals = np.matvec(jet, np.asarray(u, float))
-        return PerturbationValues(value=vals[..., 0], grad=jet[..., 0, :],
-                                  dt=vals[..., 1], grad_dt=jet[..., 1, :],
-                                  dt2=vals[..., 2])
+        return (vals[..., 0], jet[..., 0, :], vals[..., 1], jet[..., 1, :],
+                vals[..., 2])
 
 
 def zero_perturbation(period=2.0 * np.pi, dim=2):
     """The trivial U = 0, for unperturbed runs."""
-    return _LinearForcing(ForcingSpec(period, np.zeros(dim)), name="zero")
+    return Perturbation(ForcingSpec(period, np.zeros(dim)), name="zero")
 
 
 def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
@@ -225,7 +143,7 @@ def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
     p = ForcingSpec(period, const, cos, sin)
     if p.dim != dim:
         raise ValueError("forcing coefficients must have length dim")
-    return _LinearForcing(p)
+    return Perturbation(p)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +213,9 @@ def position(z):
 # piece of the field once: |z|^2, the position Jacobian A and u(z), A^T
 # grad U, and the coefficient 2 (eps U - tau) of z in w'.  F is
 # assembled from those pieces.  The Jacobian reuses them and adds
-# A^T d/dt grad U and the curvature sum_k g_k B_k (+ A^T H A) of
-# U(t, u(z)) in z, starting from a constant template that holds its
-# I/4 block.
+# A^T d/dt grad U and the curvature sum_k g_k B_k of U(t, u(z)) in z
+# (U is linear in u, so there is no A^T H A term), starting from a
+# constant template that holds its I/4 block.
 
 def _split(X):
     """(z, w, t, tau) views of a state (D,) or a stack of states (..., D)."""
@@ -305,9 +223,9 @@ def _split(X):
     return X[..., :zd], X[..., zd:2 * zd], X[..., 2 * zd], X[..., 2 * zd + 1]
 
 
-def _perturbation_value(z, t, eps, pert):
+def _perturbation_value(z, t, pert):
     """U at (t, u(z))."""
-    return pert.evaluate(t, position(z), eps).value
+    return pert.evaluate(t, position(z))[0]
 
 
 def reg_energy(X, eps, pert):
@@ -316,7 +234,7 @@ def reg_energy(X, eps, pert):
     r2 = np.vecdot(z, z)
     K = tau * r2 + np.vecdot(w, w) / 8.0 - 1.0
     if eps != 0.0:
-        K = K - eps * r2 * _perturbation_value(z, t, eps, pert)
+        K = K - eps * r2 * _perturbation_value(z, t, pert)
     return K
 
 
@@ -339,9 +257,8 @@ def _kernel(X, eps, pert, jacobian):
     F is w' = (2 eps U - 2 tau) z + eps |z|^2 A^T grad U and
     tau' = eps |z|^2 dU/dt beside z' = w/4 and t' = |z|^2.  DF's (w, z)
     block is (2 eps U - 2 tau) I + eps (2 (z Ag^T + Ag z^T) + |z|^2 curv)
-    with Ag = A^T grad U and curv = sum_k g_k B[k] + A^T H A (H = None
-    when U is affine in u), and its t column and tau row both hold
-    eps (2 dU/dt z + |z|^2 A^T d/dt grad U).
+    with Ag = A^T grad U and curv = sum_k g_k B[k], and its t column and
+    tau row both hold eps (2 dU/dt z + |z|^2 A^T d/dt grad U).
     """
     X = np.asarray(X, float)
     zd = (X.shape[-1] - 2) // 2
@@ -352,17 +269,17 @@ def _kernel(X, eps, pert, jacobian):
     np.multiply(w, 0.25, out=F[..., :zd])
     F[..., 2 * zd] = r2
     Fw = F[..., zd:2 * zd]
-    perturbed = eps != 0.0 and pert is not None
+    perturbed = eps != 0.0
     if perturbed:
         z = np.ascontiguousarray(z)
         A = position_jacobian(z)
-        ev = pert.evaluate(t, 0.5 * np.matvec(A, z), eps, jacobian)
-        Ag = np.vecmat(ev.grad, A)
+        U, gU, Ut, gUt, Utt = pert.evaluate(t, 0.5 * np.matvec(A, z))
+        Ag = np.vecmat(gU, A)
         er2 = eps * r2
-        c = 2.0 * (eps * ev.value - tau)
+        c = 2.0 * (eps * U - tau)
         np.multiply(c[..., None], z, out=Fw)
         Fw += er2[..., None] * Ag
-        np.multiply(er2, ev.dt, out=F[..., 2 * zd + 1])
+        np.multiply(er2, Ut, out=F[..., 2 * zd + 1])
     else:
         c = -2.0 * tau
         np.multiply(c[..., None], z, out=Fw)
@@ -376,18 +293,16 @@ def _kernel(X, eps, pert, jacobian):
     np.multiply(z, -2.0, out=J[..., zd:2 * zd, 2 * zd + 1])
     np.multiply(z, 2.0, out=J[..., 2 * zd, :zd])
     if perturbed:
-        curv = (ev.grad @ _B_FLAT[zd]).reshape(X.shape[:-1] + (zd, zd))
-        if ev.hess is not None:
-            curv = curv + np.swapaxes(A, -1, -2) @ ev.hess @ A
+        curv = (gU @ _B_FLAT[zd]).reshape(X.shape[:-1] + (zd, zd))
         zAg = z[..., :, None] * Ag[..., None, :]
         Jwz = J[..., zd:2 * zd, :zd]
         np.multiply(er2[..., None, None], curv, out=Jwz)
         Jwz += (2.0 * eps) * (zAg + np.swapaxes(zAg, -1, -2))
         col = J[..., zd:2 * zd, 2 * zd]
-        np.multiply((2.0 * eps * ev.dt)[..., None], z, out=col)
-        col += er2[..., None] * np.vecmat(ev.grad_dt, A)
+        np.multiply((2.0 * eps * Ut)[..., None], z, out=col)
+        col += er2[..., None] * np.vecmat(gUt, A)
         J[..., 2 * zd + 1, :zd] = col
-        np.multiply(er2, ev.dt2, out=J[..., 2 * zd + 1, 2 * zd])
+        np.multiply(er2, Utt, out=J[..., 2 * zd + 1, 2 * zd])
     # the diagonal of the (w, z) block, a strided view of flat J
     diag = J.reshape(X.shape[:-1] + (D * D,))[
         ..., zd * D: zd * D + zd * (D + 1): D + 1]
@@ -396,7 +311,8 @@ def _kernel(X, eps, pert, jacobian):
 
 
 def reg_field(X, eps, pert=None):
-    """Right-hand side of the regularized Hamiltonian system."""
+    """Right-hand side of the regularized Hamiltonian system; pert may be
+    left out only at eps = 0."""
     return _kernel(X, eps, pert, False)
 
 
@@ -421,9 +337,9 @@ def reg_field_jacobian(X, eps, pert=None):
     """The regularized field F(X) together with its exact Jacobian DF(X).
 
     Returns (F, J), F equal to ``reg_field(X, eps, pert)``, from one
-    evaluation of the perturbation: the second derivatives of U come
-    from ``pert.evaluate(..., second=True)``, whose ``hess`` is None
-    when U is affine in u.  Everything else is assembled analytically.
+    evaluation of the perturbation, which gives d/dt grad_u U and
+    d^2U/dt^2 beside U, grad_u U and dU/dt.  U is linear in u, so it
+    has no Hessian in u.  Everything else is assembled analytically.
     """
     return _kernel(X, eps, pert, True)
 
@@ -507,8 +423,8 @@ def state_energy(X, eps, pert):
     """
     z, _, t, tau = _split(np.asarray(X, float))
     E = -tau
-    if eps != 0.0 and pert is not None:
-        E = E + eps * _perturbation_value(z, t, eps, pert)
+    if eps != 0.0:
+        E = E + eps * _perturbation_value(z, t, pert)
     return E
 
 
@@ -528,8 +444,8 @@ def physical_field(t, y, eps, pert):
     if np.any(r == 0.0):
         raise ValueError("physical field is singular at u = 0")
     acc = -u / r ** 3
-    if eps != 0.0 and pert is not None:
-        acc = acc + eps * pert.evaluate(t, u, eps).grad
+    if eps != 0.0:
+        acc = acc + eps * pert.evaluate(t, u)[1]
     return np.concatenate([v, acc], axis=-1)
 
 

@@ -118,7 +118,7 @@ def _states(traj, s):
     return traj.eval(np.ravel(s)).T.reshape(np.shape(s) + (traj.dim,))
 
 
-def collision_limits(traj, s0, eps=0.0, pert=None):
+def collision_limits(traj, s0, eps, pert):
     """Direction and energy limits at a collision, from the closed formulas.
 
     direction is the physical image of the unit z'(s0); the energy limit

@@ -587,8 +587,9 @@ def orbit_record(orbit):
 
 
 def save_orbits(orbits, path, meta=None):
-    """Write an orbit archive as JSON (one record per orbit)."""
+    """Write an orbit archive as JSON (one record per orbit), on one line:
+    json.dumps without an indent runs the C encoder."""
     payload = {"meta": dict(meta or {}),
                "orbits": [orbit_record(o) for o in orbits]}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(json.dumps(payload))

@@ -3,14 +3,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import kepreg
-from kepreg import averaging, flow, shooting
+from kepreg import averaging, flow, model, shooting
 
 T = 2.0 * np.pi
 
 
 def acceptance_forcing():
     """p(t) = (1 + cos t, 0)."""
-    return averaging.ForcingSpec(period=T, const=(1.0, 0.0),
+    return model.ForcingSpec(period=T, const=(1.0, 0.0),
                                  cos=[(1.0, 0.0)])
 
 
@@ -32,7 +32,7 @@ class TestForcingSpec:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            averaging.ForcingSpec(period=T, const=(1.0, 0.0),
+            model.ForcingSpec(period=T, const=(1.0, 0.0),
                                   cos=[(1.0, 0.0, 0.0)])
 
 
@@ -98,7 +98,7 @@ class TestAveragedEquation:
 
 
 def spatial_forcing():
-    return averaging.ForcingSpec(period=T, const=(0.3, -0.5, 0.2),
+    return model.ForcingSpec(period=T, const=(0.3, -0.5, 0.2),
                                  cos=[(0.2, 0.1, 0.0)], sin=[(0.0, 0.1, 0.3)])
 
 
@@ -255,7 +255,7 @@ class TestTypedFailures:
 
 
 def spatial_two_harmonics():
-    return averaging.ForcingSpec(
+    return model.ForcingSpec(
         period=T, const=(0.3, -0.5, 0.2),
         cos=[(0.2, 0.1, 0.0), (0.0, -0.1, 0.15)],
         sin=[(0.0, 0.1, 0.3), (0.1, 0.0, -0.05)])
@@ -332,7 +332,7 @@ class TestFirstOrderAveraging:
             return real(field_jacobian, X0, *args, **kwargs)
 
         monkeypatch.setattr(flow, "integrate_with_variational", counted)
-        spec = averaging.ForcingSpec(period=T, const=(0.3, -0.5, 0.2))
+        spec = model.ForcingSpec(period=T, const=(0.3, -0.5, 0.2))
         entries, diags = averaging.bifurcation_from_infinity(
             spec, [1e-2, 1e-3, 1e-4])
         assert diags == [] and rows == [3]
@@ -372,7 +372,7 @@ class TestBifurcation:
             assert np.linalg.norm(x0 - x_star) < 10.0 * np.sqrt(e.eps)
 
     def test_zero_mean_rejected(self):
-        fs = averaging.ForcingSpec(period=T, const=(0.0, 0.0),
+        fs = model.ForcingSpec(period=T, const=(0.0, 0.0),
                                    cos=[(1.0, 0.0)])
         with pytest.raises(ValueError):
             averaging.bifurcation_from_infinity(fs, [1e-3])

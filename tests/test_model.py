@@ -31,34 +31,12 @@ def sample_pert(dim):
     return model.forced_kepler(T, const=[0.1] * dim, cos=cos, sin=sin, dim=dim)
 
 
-class Quadratic(model.Perturbation):
-    """U = a(t) |u|^2 / 2 with a(t) = 1 + 0.3 cos(t) - 0.2 sin(2t): not
-    affine in u, so ``evaluate`` returns the Hessian a(t) Id."""
-
-    def __init__(self):
-        super().__init__(T, name="quadratic")
-
-    def evaluate(self, t, u, eps, second=False):
-        t = self._reduce(np.asarray(t, float))
-        u = np.asarray(u, float)
-        a = 1.0 + 0.3 * np.cos(t) - 0.2 * np.sin(2 * t)
-        da = -0.3 * np.sin(t) - 0.4 * np.cos(2 * t)
-        dda = -0.3 * np.cos(t) + 0.8 * np.sin(2 * t)
-        q = 0.5 * np.vecdot(u, u)
-        out = model.PerturbationValues(value=a * q, grad=a[..., None] * u,
-                                       dt=da * q)
-        if not second:
-            return out
-        eye = np.eye(u.shape[-1])
-        return out._replace(hess=a[..., None, None] * eye,
-                            grad_dt=da[..., None] * u, dt2=dda * q)
-
-
 def reference_field_jacobian(X, eps, pert):
     """The field and its Jacobian assembled term by term from grad_z P,
-    its z-Hessian and its t-derivative, each term computed on its own:
-    the reference that ``model.reg_field`` and
-    ``model.reg_field_jacobian`` must match."""
+    its z-Hessian and its t-derivative, each term computed on its own
+    from p, p' and p'' of the forcing series at t modulo the period
+    rather than from ``pert.evaluate``: the reference that
+    ``model.reg_field`` and ``model.reg_field_jacobian`` must match."""
     X = np.asarray(X, float)
     zd = (X.shape[-1] - 2) // 2
     z, w = X[..., :zd], X[..., zd:2 * zd]
@@ -78,84 +56,57 @@ def reference_field_jacobian(X, eps, pert):
     if eps == 0.0:
         return F, J
     A = model.position_jacobian(z)
-    ev = pert.evaluate(t, model.position(z), eps, second=True)
-    Ag = np.vecmat(ev.grad, A)
-    grad_P = 2.0 * ev.value[..., None] * z + r2[..., None] * Ag
+    u = model.position(z)
+    jet = pert.forcing.jet(np.mod(t, pert.period))
+    p, dp, ddp = jet[..., 0, :], jet[..., 1, :], jet[..., 2, :]
+    U, dU = np.vecdot(p, u), np.vecdot(dp, u)
+    Ag = np.vecmat(p, A)
+    grad_P = 2.0 * U[..., None] * z + r2[..., None] * Ag
     F[..., zd:2 * zd] += eps * grad_P
-    F[..., 2 * zd + 1] = eps * r2 * ev.dt
+    F[..., 2 * zd + 1] = eps * r2 * dU
     B = model._position_hessians(zd)
-    curv = np.einsum("...k,kij->...ij", ev.grad, B)
-    if ev.hess is not None:
-        curv = curv + np.swapaxes(A, -1, -2) @ ev.hess @ A
+    curv = np.einsum("...k,kij->...ij", p, B)
     zAg = z[..., :, None] * Ag[..., None, :]
     Hp = (2.0 * (zAg + np.swapaxes(zAg, -1, -2))
-          + (2.0 * ev.value)[..., None, None] * eye
+          + (2.0 * U)[..., None, None] * eye
           + r2[..., None, None] * curv)
-    dgradP_dt = (2.0 * ev.dt[..., None] * z
-                 + r2[..., None] * np.vecmat(ev.grad_dt, A))
+    dgradP_dt = 2.0 * dU[..., None] * z + r2[..., None] * np.vecmat(dp, A)
     J[..., zd:2 * zd, :zd] += eps * Hp
     J[..., zd:2 * zd, 2 * zd] = eps * dgradP_dt
     J[..., 2 * zd + 1, :zd] = eps * dgradP_dt
-    J[..., 2 * zd + 1, 2 * zd] = eps * r2 * ev.dt2
+    J[..., 2 * zd + 1, 2 * zd] = eps * r2 * np.vecdot(ddp, u)
     return F, J
 
 
 class TestPerturbations:
     def test_zero(self):
         p = model.zero_perturbation(T, 2)
-        ev = p.evaluate(1.0, [1.0, 2.0], 0.1, second=True)
-        assert ev.value == 0.0 and ev.dt == 0.0 and ev.dt2 == 0.0
-        assert np.array_equal(ev.grad, [0.0, 0.0])
-        assert np.array_equal(ev.grad_dt, [0.0, 0.0])
-        assert ev.hess is None
+        U, grad, dt, grad_dt, dt2 = p.evaluate(1.0, [1.0, 2.0])
+        assert U == 0.0 and dt == 0.0 and dt2 == 0.0
+        assert np.array_equal(grad, [0.0, 0.0])
+        assert np.array_equal(grad_dt, [0.0, 0.0])
+
+    def test_nonpositive_period_rejected(self):
+        for period in (0.0, -T):
+            with pytest.raises(ValueError):
+                model.forced_kepler(period)
+            with pytest.raises(ValueError):
+                model.ForcingSpec(period, [1.0, 0.0])
 
     def test_time_reduction(self):
         p = sample_pert(2)
         u = np.array([0.4, -0.2])
-        assert p.evaluate(0.3, u, 0.0).value == pytest.approx(
-            p.evaluate(0.3 + 7 * T, u, 0.0).value, rel=1e-12)
+        assert p.evaluate(0.3, u)[0] == pytest.approx(
+            p.evaluate(0.3 + 7 * T, u)[0], rel=1e-12)
 
     def test_forced_kepler_is_linear_in_u(self):
         p = sample_pert(2)
         t = 1.234
         u = np.array([0.5, -0.3])
-        assert p.evaluate(t, 2.0 * u, 0.0).value == pytest.approx(
-            2.0 * p.evaluate(t, u, 0.0).value, rel=1e-12)
+        assert p.evaluate(t, 2.0 * u)[0] == pytest.approx(
+            2.0 * p.evaluate(t, u)[0], rel=1e-12)
         # gradient is the forcing vector itself, independent of u
-        assert np.allclose(p.evaluate(t, u, 0.0).grad,
-                           p.evaluate(t, 5.0 * u, 0.0).grad)
-
-    def test_self_check_passes(self):
-        for dim in (2, 3):
-            pts = [(rng.uniform(0, T), rng.normal(size=dim)) for _ in range(5)]
-            assert sample_pert(dim).self_check(pts)
-            assert Quadratic().self_check(pts)
-
-    def test_self_check_catches_wrong_gradient(self):
-        class WrongGradient(model.Perturbation):
-            def evaluate(self, t, u, eps, second=False):
-                u = np.asarray(u, float)
-                return model.PerturbationValues(
-                    value=np.vecdot(u, u),
-                    grad=3.0 * u,                 # wrong: should be 2 u
-                    dt=np.zeros(np.shape(t)))
-
-        with pytest.raises(model.PerturbationError):
-            WrongGradient(T).self_check([(0.5, np.array([1.0, 2.0]))])
-
-    def test_self_check_catches_wrong_dt(self):
-        class WrongDt(model.Perturbation):
-            def evaluate(self, t, u, eps, second=False):
-                t = self._reduce(np.asarray(t, float))
-                u = np.asarray(u, float)
-                grad = np.zeros(u.shape)
-                grad[..., 0] = np.sin(t)
-                return model.PerturbationValues(
-                    value=np.sin(t) * u[..., 0], grad=grad,
-                    dt=-np.cos(t) * u[..., 0])    # wrong sign
-
-        with pytest.raises(model.PerturbationError):
-            WrongDt(T).self_check([(0.5, np.array([1.0, 2.0]))])
+        assert np.allclose(p.evaluate(t, u)[1], p.evaluate(t, 5.0 * u)[1])
 
 
 class TestStateLayout:
@@ -239,7 +190,7 @@ class TestRegularizedField:
 
             def P(zz):
                 return float(np.dot(zz, zz)) * pert.evaluate(
-                    t, model.position(zz), 1e-3).value
+                    t, model.position(zz))[0]
 
             for i in range(zd):
                 h = 1e-6
@@ -257,13 +208,27 @@ class TestRegularizedField:
         g = grad_z_P(z, t, 1e-3, pert)
         zc = complex(z[0], z[1])
         u = model.position(z)
-        ev = pert.evaluate(t, u, 1e-3)
-        gu = ev.grad
-        expected = (2.0 * ev.value * zc
+        U, gu = pert.evaluate(t, u)[:2]
+        expected = (2.0 * U * zc
                     + 2.0 * abs(zc) ** 2
                     * np.conj(zc) * complex(gu[0], gu[1]))
         assert g[0] == pytest.approx(expected.real, abs=1e-12)
         assert g[1] == pytest.approx(expected.imag, abs=1e-12)
+
+    def test_nonzero_eps_needs_a_perturbation(self):
+        """eps alone decides whether U is evaluated: a nonzero eps with
+        no perturbation raises rather than returning the eps = 0 field."""
+        for dim in (2, 3):
+            X = random_state(dim)
+            for fn in (model.reg_field, model.reg_field_jacobian,
+                       model.reg_energy_gradient):
+                with pytest.raises(AttributeError):
+                    fn(X, 1e-3)
+            for fn in (model.reg_energy, model.state_energy):
+                with pytest.raises(AttributeError):
+                    fn(X, 1e-3, None)
+        with pytest.raises(AttributeError):
+            model.physical_field(0.3, [1.0, 0.0, 0.0, 0.5], 1e-3, None)
 
     def test_P_vanishes_at_origin(self):
         pert = sample_pert(2)
@@ -273,12 +238,10 @@ class TestRegularizedField:
             np.dot([1.0, 2.0], [1.0, 2.0]) / 8.0 - 1.0, rel=1e-13)
 
     def test_field_jacobian_fd(self):
-        """For forced_kepler (affine in u), Quadratic, whose Hessian
-        reaches the A^T H A term, and the zero perturbation; the field
+        """For forced_kepler and the zero perturbation; the field
         returned beside the Jacobian is reg_field's, bit for bit."""
         for dim in (2, 3):
-            for pert in (sample_pert(dim), Quadratic(),
-                         model.zero_perturbation(T, dim)):
+            for pert in (sample_pert(dim), model.zero_perturbation(T, dim)):
                 for eps in (0.0, 1e-3, 1e-2):
                     X = random_state(dim)
                     F, J = model.reg_field_jacobian(X, eps, pert)
@@ -304,29 +267,28 @@ class TestRegularizedField:
             pert = sample_pert(dim)
             t = rng.uniform(-T, 2 * T, size=5)
             u = rng.normal(size=(5, dim))
-            exact = pert.evaluate(t, u, 1e-2, second=True)
-            assert exact.hess is None      # U is linear in u
+            value, grad, dt, grad_dt, dt2 = pert.evaluate(t, u)
             p = pert.forcing(t)
-            assert np.allclose(exact.value, np.vecdot(p, u), atol=5e-7), \
+            assert np.allclose(value, np.vecdot(p, u), atol=5e-7), \
                 f"dim={dim} value"
-            assert np.allclose(exact.grad, p, atol=5e-7), f"dim={dim} grad"
+            assert np.allclose(grad, p, atol=5e-7), f"dim={dim} grad"
             ht = 1e-6 * max(1.0, T)
             ref_dt = (np.vecdot(pert.forcing(t + ht), u)
                       - np.vecdot(pert.forcing(t - ht), u)) / (2 * ht)
-            assert np.allclose(exact.dt, ref_dt, atol=5e-7), f"dim={dim} dt"
+            assert np.allclose(dt, ref_dt, atol=5e-7), f"dim={dim} dt"
             hu = 1e-6 * np.maximum(1.0, np.abs(u))
             for i in range(dim):
                 step = np.zeros(dim)
                 step[i] = 1.0
-                dgrad = (pert.evaluate(t, u + hu[:, i:i + 1] * step, 1e-2).grad
-                         - pert.evaluate(t, u - hu[:, i:i + 1] * step,
-                                         1e-2).grad) / (2 * hu[:, i:i + 1])
+                dgrad = (pert.evaluate(t, u + hu[:, i:i + 1] * step)[1]
+                         - pert.evaluate(t, u - hu[:, i:i + 1] * step)[1]
+                         ) / (2 * hu[:, i:i + 1])
                 assert np.allclose(dgrad, 0.0, atol=5e-7), f"dim={dim} hess"
-            plus = pert.evaluate(t + ht, u, 1e-2)
-            minus = pert.evaluate(t - ht, u, 1e-2)
-            assert np.allclose(exact.grad_dt, (plus.grad - minus.grad)
-                               / (2 * ht), atol=5e-7), f"dim={dim} grad_dt"
-            assert np.allclose(exact.dt2, (plus.dt - minus.dt) / (2 * ht),
+            plus = pert.evaluate(t + ht, u)
+            minus = pert.evaluate(t - ht, u)
+            assert np.allclose(grad_dt, (plus[1] - minus[1]) / (2 * ht),
+                               atol=5e-7), f"dim={dim} grad_dt"
+            assert np.allclose(dt2, (plus[2] - minus[2]) / (2 * ht),
                                atol=5e-7), f"dim={dim} dt2"
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -338,8 +300,7 @@ class TestRegularizedField:
         Xs = np.array([random_state(dim) for _ in range(m)])
         if m == 1:
             Xs = Xs[0]
-        for pert in (sample_pert(dim), Quadratic(),
-                     model.zero_perturbation(T, dim)):
+        for pert in (sample_pert(dim), model.zero_perturbation(T, dim)):
             for eps in (0.0, 1e-3, 1e-2):
                 F_ref, J_ref = reference_field_jacobian(Xs, eps, pert)
                 F, J = model.reg_field_jacobian(Xs, eps, pert)
@@ -353,15 +314,14 @@ class TestRegularizedField:
                                 f"{name}")
 
     def test_stacked_kernels_match_rows(self):
-        """A stack of states gives the row-by-row results, for a
-        perturbation affine in u, one with a Hessian and the zero one,
-        and the same for BL and the position map.  The field that
+        """A stack of states gives the row-by-row results, for
+        forced_kepler and the zero perturbation, and the same for BL and
+        the position map.  The field that
         reg_field_jacobian returns is reg_field's, bit for bit, for one
         state and for a stack."""
         for dim in (2, 3):
             Xs = np.array([random_state(dim) for _ in range(5)])
-            for pert in (sample_pert(dim), Quadratic(),
-                         model.zero_perturbation(T, dim)):
+            for pert in (sample_pert(dim), model.zero_perturbation(T, dim)):
                 for eps in (0.0, 1e-3, 1e-2):
                     for fn in (model.reg_energy, model.reg_field,
                                model.reg_energy_gradient):
@@ -495,7 +455,7 @@ class TestPhysicalSystem:
             # w along the BL gradient -i z is removed, so BL = 0
             g = -Z @ model.I_MUL_MATRIX.T
             W = W - (np.vecdot(g, W) / r2)[:, None] * g
-        U = pert.evaluate(t, model.position(Z), eps).value
+        U = pert.evaluate(t, model.position(Z))[0]
         tau = (1.0 - np.vecdot(W, W) / 8.0) / r2 + eps * U
         X = np.column_stack([Z, W, t, tau])
         assert np.allclose(model.reg_energy(X, eps, pert), 0.0, atol=1e-12)

@@ -148,7 +148,7 @@ class TestCollisions:
     def test_inconsistent_state_rejected(self, circ_gensol):
         # a non-collision point violates the zero-energy relation
         with pytest.raises(ValueError):
-            reconstruct.collision_limits(circ_gensol.traj, 1.0)
+            reconstruct.collision_limits(circ_gensol.traj, 1.0, 0.0, None)
 
 
 class TestGeneralizedSolution:

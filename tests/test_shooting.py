@@ -880,7 +880,7 @@ class TestEnergyBand:
             for s in np.linspace(traj.s0, traj.s_end, 400):
                 z, _, t, tau = model.unpack_state(traj.eval(s))
                 energies.append(-tau + EPS * pert.evaluate(
-                    t, model.position(z), EPS).value)
+                    t, model.position(z))[0])
             band = shooting.energy_band(traj, EPS, pert)
             assert np.allclose(band, (min(energies), max(energies)),
                                rtol=1e-14, atol=1e-15)
