@@ -108,6 +108,22 @@ class TestPerturbations:
         # gradient is the forcing vector itself, independent of u
         assert np.allclose(p.evaluate(t, u)[1], p.evaluate(t, 5.0 * u)[1])
 
+    def test_evaluate_stack_matches_rows(self):
+        """t of shape S and u of shape S + (N,) give values of shape S and
+        vectors of shape S + (N,), each row equal to evaluate at that row,
+        with times on both sides of [0, T)."""
+        for dim in (2, 3):
+            p = sample_pert(dim)
+            t = rng.uniform(-T, 3 * T, size=6)
+            u = rng.normal(size=(6, dim))
+            stacked = p.evaluate(t, u)
+            for out, shape in zip(stacked, [(6,), (6, dim), (6,), (6, dim),
+                                             (6,)]):
+                assert np.shape(out) == shape
+            for i in range(6):
+                for out, row in zip(stacked, p.evaluate(t[i], u[i])):
+                    assert np.allclose(out[i], row, rtol=1e-13, atol=1e-15)
+
 
 class TestStateLayout:
     def test_pack_unpack_roundtrip(self):
