@@ -81,12 +81,6 @@ class Trajectory:
     axis comes last, so the points read at once lie along the fastest
     axis.  On step i, with x = (s - s_i) / (s_{i+1} - s_i), the dense
     output is states[i] + x (F_0 + (1 - x) (F_1 + x (F_2 + ... + x F_6))).
-
-    ``settled_step`` is the largest step the integration accepted, the
-    size the step controller settled on after its start-up ramp (the
-    last step, cut short at the end, never exceeds it).  A later
-    integration of a like system can start near it through
-    ``first_step`` instead of ramping up again.
     """
 
     s: np.ndarray
@@ -94,7 +88,6 @@ class Trajectory:
     sol: object                 # DOP853 coefficients (see above) or None
     nfev: int
     dim: int                    # state dimension (augmented columns excluded)
-    settled_step: float         # largest accepted step (see above)
 
     def eval(self, s, rows=None):
         """Dense-output state at s (augmented columns stripped).
@@ -174,14 +167,11 @@ def _solve(fun, Y0, s_end, dense, dim, state, first_step):
     stepper = _solvers.DOP853(fun, Y0, float(s_end), REL_TOL, ABS_TOL,
                               first_step, state)
     ts, ys, coeffs = [0.0], [stepper.y], []
-    settled = 0.0
     while not stepper.finished:
-        s_old = stepper.t
         if not stepper.step():
             raise FlowError(
                 f"integration failed: {_solvers.TOO_SMALL_STEP}",
                 last_s=stepper.t, last_state=stepper.y.reshape(shape))
-        settled = max(settled, stepper.t - s_old)
         if dense:
             ts.append(stepper.t)
             ys.append(stepper.y)
@@ -192,8 +182,7 @@ def _solve(fun, Y0, s_end, dense, dim, state, first_step):
     sol = (np.stack(coeffs, axis=-1).reshape((7,) + shape + (-1,))
            if dense else None)
     return Trajectory(s=np.array(ts), states=np.reshape(ys, (-1,) + shape),
-                      sol=sol, nfev=stepper.nfev, dim=dim,
-                      settled_step=settled)
+                      sol=sol, nfev=stepper.nfev, dim=dim)
 
 
 def integrate(field, X0, s_end, dense=True, first_step=None):
@@ -221,14 +210,14 @@ def integrate_with_variational(field_jacobian, X0, s_end, dense=True,
     with M the fundamental solution at s_end >= 0, M(0) = Id.  Step control
     reads the state columns only: the matrix columns are integrated on
     the state's accepted steps and do not shorten them, so the state
-    takes the steps of a plain ``integrate`` give or take one (on a cold
-    start the first step size is still chosen from every column; a given
-    ``first_step`` is taken as it is).  For a stack X0 (m, D),
-    ``field_jacobian`` maps (m, D) states to (m, D) and (m, D, D), and M
-    is the (m, D, D) stack.  The right-hand side is assembled here, in
-    ``fun``: each row (D + D*D,) is viewed as (D + 1, D), the state and
-    then M, and each stage writes F and J M into one new array of that
-    shape.  ``dense`` is as for ``integrate``.
+    takes the steps of a plain ``integrate`` give or take one.  For a
+    stack X0 (m, D), ``field_jacobian`` maps (m, D) states to (m, D) and
+    (m, D, D), and M is the (m, D, D) stack.  The right-hand side is
+    assembled here, in ``fun``: each row (D + D*D,) is viewed as
+    (D + 1, D), the state and then M, and each stage writes F and J M
+    into one new array of that shape.  ``dense`` and ``first_step`` are
+    as for ``integrate`` (shooting passes its ``SIGMA_STEP``); a cold
+    start chooses the first step from every column.
     """
     X0 = np.asarray(X0, float)
     D = X0.shape[-1]

@@ -223,9 +223,11 @@ def _split(X):
     return X[..., :zd], X[..., zd:2 * zd], X[..., 2 * zd], X[..., 2 * zd + 1]
 
 
-def _perturbation_value(z, t, pert):
-    """U at (t, u(z))."""
-    return pert.evaluate(t, position(z))[0]
+def _evaluate(pert, eps, t, u):
+    """``pert.evaluate(t, u)`` at a nonzero eps, which needs a pert."""
+    if pert is None:
+        raise ValueError(f"eps = {eps} needs a perturbation, but pert is None")
+    return pert.evaluate(t, u)
 
 
 def reg_energy(X, eps, pert):
@@ -234,7 +236,7 @@ def reg_energy(X, eps, pert):
     r2 = np.vecdot(z, z)
     K = tau * r2 + np.vecdot(w, w) / 8.0 - 1.0
     if eps != 0.0:
-        K = K - eps * r2 * _perturbation_value(z, t, pert)
+        K = K - eps * r2 * _evaluate(pert, eps, t, position(z))[0]
     return K
 
 
@@ -273,7 +275,8 @@ def _kernel(X, eps, pert, jacobian):
     if perturbed:
         z = np.ascontiguousarray(z)
         A = position_jacobian(z)
-        U, gU, Ut, gUt, Utt = pert.evaluate(t, 0.5 * np.matvec(A, z))
+        U, gU, Ut, gUt, Utt = _evaluate(pert, eps, t,
+                                        0.5 * np.matvec(A, z))
         Ag = np.vecmat(gU, A)
         er2 = eps * r2
         c = 2.0 * (eps * U - tau)
@@ -424,7 +427,7 @@ def state_energy(X, eps, pert):
     z, _, t, tau = _split(np.asarray(X, float))
     E = -tau
     if eps != 0.0:
-        E = E + eps * _perturbation_value(z, t, pert)
+        E = E + eps * _evaluate(pert, eps, t, position(z))[0]
     return E
 
 
@@ -445,7 +448,7 @@ def physical_field(t, y, eps, pert):
         raise ValueError("physical field is singular at u = 0")
     acc = -u / r ** 3
     if eps != 0.0:
-        acc = acc + eps * pert.evaluate(t, u)[1]
+        acc = acc + eps * _evaluate(pert, eps, t, u)[1]
     return np.concatenate([v, acc], axis=-1)
 
 

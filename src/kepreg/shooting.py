@@ -36,16 +36,6 @@ MAX_OUTER = 12              # sweep and reduced-step rounds per solve
 FD_STEP = 1e-2              # central-difference step of the reduced Jacobian
 EPS_STEP_FLOOR = 1e-8       # smallest eps step continuation halves down to
 BAND_SAMPLES = 400          # points of an orbit at which E is sampled
-# A continuation starts every integration after its first at this
-# fraction of the largest step that first one accepted (a sigma-step,
-# fixed for the whole continuation).  Accepted sigma-steps vary along a
-# segment stack, and a rejected first step costs 12 field evaluations
-# where a short one costs a fraction of a step.  At the default segment
-# counts the bench continuation takes 2,905 variational evaluations with
-# this start, as with a start at 1 / ceil(1 / largest step), against
-# 2,989 at the largest step and 3,169 at 0.6 of it; the six acceptance
-# families take 17,483, 17,483, 17,615 and 17,543.
-FIRST_STEP_FACTOR = 0.8
 # Shooting segments per unit of k: a problem on M_k has m = 8k.  Halving
 # the segment length halves the sequential stages of every stacked
 # integration, while the Jacobian's SVD grows with its m * D columns.
@@ -55,6 +45,15 @@ FIRST_STEP_FACTOR = 0.8
 # at 4k.  No bench workload runs k > 1, so none would guard a choice by
 # size.
 SEGMENTS_PER_K = 8
+# First step, in normalized sigma, of every segment-stack integration.  At
+# m = 8k each segment is a quarter turn of z for every k and dimension, so
+# the step the integrator settles on barely moves: a cold first Jacobian's
+# largest accepted step was 0.225-0.245 on 18 families (2D and 3D,
+# k = 1..3, three seeds each, eps = 2.5e-4).  A rejected first step costs
+# 12 field evaluations where a short one costs a fraction of a step, so
+# the start is 0.8 times the smallest of them.  Re-measure it whenever
+# SEGMENTS_PER_K changes.
+SIGMA_STEP = 0.18
 
 
 class ShootingError(KepregError):
@@ -84,12 +83,6 @@ class ShootingProblem:
         if self.spec.dim == 3:
             rows.append(model.group_direction(self.X_ref))
         self._phase_rows = np.array(rows)
-        # First step, in normalized sigma, of every segment integration;
-        # None starts each one cold, as a direct solve does.  A problem of
-        # continue_in_epsilon inherits it, or (``_settles``) sets it once
-        # from its first integration.
-        self._first_step = None
-        self._settles = False
 
     @property
     def D(self):
@@ -151,15 +144,6 @@ def seed_unknowns(problem, X0, S, theta=0.0):
                          S, theta)
 
 
-def _settle(problem, traj):
-    """Fix the problem's sigma-step from ``traj``, a segment-stack
-    integration over sigma in [0, 1], when the problem may and has none
-    yet; returns ``traj``."""
-    if problem._settles and problem._first_step is None:
-        problem._first_step = FIRST_STEP_FACTOR * traj.settled_step
-    return traj
-
-
 def _rotation(problem, theta):
     if problem.spec.dim == 2:
         return np.eye(problem.D)
@@ -190,23 +174,23 @@ def _integrate_segments(problem, states, S, variational=False):
     All n * m segments are one stacked integration in normalized time:
     row j solves dX/dsigma = h_j f(X) on sigma in [0, 1] with its own
     length h_j = S_j / m (and its Jacobian scaled by h_j), so rows of
-    different S share one step sequence.  Dense output is off: only the
-    energy band reads it, and ``_finish`` integrates its own stack.
+    different S share one step sequence, started at SIGMA_STEP.  Dense
+    output is off: only the energy band reads it, and ``_finish``
+    integrates its own stack.
     """
     D = states.shape[-1]
     h, X = _normalized_stack(states, S)
     if not variational:
         traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
-                              dense=False, first_step=problem._first_step)
-        return _settle(problem, traj).states[-1].reshape(states.shape)
+                              dense=False, first_step=SIGMA_STEP)
+        return traj.states[-1].reshape(states.shape)
 
     def scaled_pair(Y):
         F, J = problem.field_jacobian(Y)
         return h * F, h[..., None] * J
 
     traj, M = flow.integrate_with_variational(
-        scaled_pair, X, 1.0, dense=False, first_step=problem._first_step)
-    _settle(problem, traj)
+        scaled_pair, X, 1.0, dense=False, first_step=SIGMA_STEP)
     return (traj.states[-1, :, :D].reshape(states.shape),
             M.reshape(states.shape + (D,)))
 
@@ -346,7 +330,7 @@ def _finish(problem, unknowns, res_norm, J=None):
     mono = flow.MonodromyData(M=M, X0=X0, field_dir=problem.field(X0))
     h, X = _normalized_stack(states[None], S)
     traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
-                          first_step=problem._first_step)
+                          first_step=SIGMA_STEP)
     band = energy_band(traj, problem.eps, problem.pert)
     # The closure rows add time_shift(), one forcing period, to t, so a
     # residual below RESIDUAL_TOL leaves (t(S) - t(0)) / T within
@@ -506,21 +490,18 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets):
     integration again; no bench or acceptance family raises one.
     Returns (family, diagnostics); the family is partial when a target
     fails, with the failure recorded in the diagnostics at the eps that
-    was tried.  Only the first
-    integration starts cold: every later one, in every problem, starts
-    at the sigma-step that first one fixed (FIRST_STEP_FACTOR times its
-    largest step).
+    was tried.  Every integration starts at SIGMA_STEP, as in a direct
+    ``solve``, so a solve here gives what ``solve`` gives on the same
+    problem and start, bit for bit.
     """
     family = []
     diags = []
     X_cur, eps_cur, u_cur = np.asarray(X_seed, float), 0.0, None
-    step = None                 # the first step every problem inherits
     for eps_target in eps_targets:
         eps_try = eps_target
         while True:
             problem = ShootingProblem(spec=spec, eps=eps_try, pert=pert,
                                       X_ref=X_cur)
-            problem._first_step, problem._settles = step, True
             if u_cur is None:
                 u_cur = seed_unknowns(problem, X_cur, S_seed)
             try:
@@ -534,8 +515,6 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets):
                     return family, diags
                 eps_try = eps_cur + (eps_try - eps_cur) / 2.0
                 continue
-            finally:
-                step = problem._first_step
             X_cur, eps_cur, u_cur = orbit.X0, eps_try, orbit.unknowns
             if eps_try == eps_target:
                 family.append(orbit)

@@ -188,8 +188,7 @@ class TestDenseOutput:
         traj = trajs["variational stack"]
         trajs["variational stack, random"] = flow.Trajectory(
             s=traj.s, states=local.normal(size=traj.states.shape),
-            sol=local.normal(size=traj.sol.shape), nfev=0, dim=traj.dim,
-            settled_step=traj.settled_step)
+            sol=local.normal(size=traj.sol.shape), nfev=0, dim=traj.dim)
         return trajs
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -357,8 +356,8 @@ class TestFirstStep:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_warm_start_matches_cold(self, dim, variational):
         """A stack of four segment starts of a perturbed orbit over
-        S/4: started at the cold run's settled step, it ends within
-        1e-12 of the cold run and takes no more steps."""
+        S/4: started at the largest step the cold run accepted, it ends
+        within 1e-12 of the cold run and takes no more steps."""
         local = np.random.default_rng(30 + dim)
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
         c = manifolds.constants(spec)
@@ -376,22 +375,15 @@ class TestFirstStep:
                                   first_step=first_step)
 
         cold = run(None)
-        # the settled step is the largest accepted one, past the ramp
-        assert cold.settled_step == np.max(np.diff(cold.s))
-        assert cold.settled_step > 10 * cold.s[1]
-        warm = run(cold.settled_step)
-        assert warm.s[1] == cold.settled_step
+        # the largest accepted step lies past the start-up ramp
+        settled = np.max(np.diff(cold.s))
+        assert settled > 10 * cold.s[1]
+        warm = run(settled)
+        assert warm.s[1] == settled
         assert np.max(np.abs(warm.states[-1, ..., : warm.dim]
                              - cold.states[-1, ..., : cold.dim])) < 1e-12
         assert warm.n_steps <= cold.n_steps
         assert warm.nfev < cold.nfev
-
-    def test_single_step_settles_on_the_interval(self):
-        """A run taken in one step settles on its whole length."""
-        fld = lambda y: np.zeros(1)
-        traj = flow.integrate(fld, np.zeros(1), 0.5, first_step=0.5)
-        assert traj.n_steps == 1
-        assert traj.settled_step == 0.5
 
 
 class TestEvents:
@@ -670,3 +662,20 @@ def test_settable_values_are_listed():
     for path in sorted((root / "src" / "kepreg").glob("*.py")):
         found |= _settable(path.stem, ast.parse(path.read_text()))
     assert found == SETTABLE
+
+
+def test_private_attributes_are_set_on_self_alone():
+    """No module of src/kepreg assigns to a _private attribute of any
+    name but self: a private attribute is set by its own object's
+    methods, never threaded in from outside."""
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted((root / "src" / "kepreg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and node.attr.startswith("_")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                found.add(f"{path.name}:{node.lineno}")
+    assert found == set()

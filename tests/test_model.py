@@ -233,17 +233,19 @@ class TestRegularizedField:
 
     def test_nonzero_eps_needs_a_perturbation(self):
         """eps alone decides whether U is evaluated: a nonzero eps with
-        no perturbation raises rather than returning the eps = 0 field."""
+        no perturbation raises a ValueError that names both, rather than
+        returning the eps = 0 field."""
+        missing = r"eps = 0\.001 needs a perturbation, but pert is None"
         for dim in (2, 3):
             X = random_state(dim)
             for fn in (model.reg_field, model.reg_field_jacobian,
                        model.reg_energy_gradient):
-                with pytest.raises(AttributeError):
+                with pytest.raises(ValueError, match=missing):
                     fn(X, 1e-3)
             for fn in (model.reg_energy, model.state_energy):
-                with pytest.raises(AttributeError):
+                with pytest.raises(ValueError, match=missing):
                     fn(X, 1e-3, None)
-        with pytest.raises(AttributeError):
+        with pytest.raises(ValueError, match=missing):
             model.physical_field(0.3, [1.0, 0.0, 0.0, 0.5], 1e-3, None)
 
     def test_P_vanishes_at_origin(self):

@@ -19,15 +19,22 @@ def forcing_pert(dim):
                                sin=[[0.0, 0.0, 0.3]], dim=3)
 
 
+def fixture_seed(spec):
+    """Seed state on M_k of the family2d (2D) and orbit3d (3D) fixtures."""
+    if spec.dim == 2:
+        params = manifolds.random_seed_params(spec, np.random.default_rng(5))
+    else:
+        params = manifolds.SeedParams(psi=0.9, phi1=0.4, phi2=1.3, t0=0.2)
+    return manifolds.seed_state(spec, params)
+
+
 @pytest.fixture(scope="module")
 def family2d():
     spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
     c = manifolds.constants(spec)
-    rng = np.random.default_rng(5)
-    X_seed = manifolds.seed_state(spec, manifolds.random_seed_params(spec,
-                                                                     rng))
     family, diags = shooting.continue_in_epsilon(
-        spec, forcing_pert(2), X_seed, c.S, [EPS / 4, EPS / 2, EPS])
+        spec, forcing_pert(2), fixture_seed(spec), c.S,
+        [EPS / 4, EPS / 2, EPS])
     assert diags == []
     return spec, family
 
@@ -36,10 +43,8 @@ def family2d():
 def orbit3d():
     spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
     c = manifolds.constants(spec)
-    params = manifolds.SeedParams(psi=0.9, phi1=0.4, phi2=1.3, t0=0.2)
-    X_seed = manifolds.seed_state(spec, params)
     family, diags = shooting.continue_in_epsilon(
-        spec, forcing_pert(3), X_seed, c.S, [EPS / 4])
+        spec, forcing_pert(3), fixture_seed(spec), c.S, [EPS / 4])
     assert diags == []
     return spec, family[-1]
 
@@ -49,10 +54,8 @@ def orbit3d_eps():
     """The orbit3d seed continued to eps = EPS."""
     spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
     c = manifolds.constants(spec)
-    params = manifolds.SeedParams(psi=0.9, phi1=0.4, phi2=1.3, t0=0.2)
     family, diags = shooting.continue_in_epsilon(
-        spec, forcing_pert(3), manifolds.seed_state(spec, params), c.S,
-        [EPS / 4, EPS])
+        spec, forcing_pert(3), fixture_seed(spec), c.S, [EPS / 4, EPS])
     assert diags == []
     return family[-1]
 
@@ -729,9 +732,9 @@ class TestWorkCounts:
 
 
 class TestCarriedStep:
-    """A continuation starts its first integration cold and every later
-    one at the first step that one fixed; a direct solve starts each
-    integration cold."""
+    """A continuation carries each eps step's converged unknowns to the
+    next; every integration, continued or direct, starts at
+    SIGMA_STEP."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -763,32 +766,38 @@ class TestCarriedStep:
         assert diags == []
         return family
 
-    def test_one_cold_start_per_continuation(self, monkeypatch):
-        """Per call: the first integration, a stacked variational one,
-        starts cold, and every later one at the sigma-step it fixed; a
-        continuation makes no unstacked integration."""
+    def test_every_integration_starts_at_sigma_step(self, monkeypatch):
+        """Every integration of a continuation and of a direct solve is
+        a stack over sigma in [0, 1] started at SIGMA_STEP."""
         log = self.spy(monkeypatch)
-        for _ in range(2):
-            log.clear()
-            self.continuation()
-            assert len(log) > 10
-            assert log[0] == (True, 1.0, None)
-            assert all(is_stack and s_end == 1.0
-                       for is_stack, s_end, _ in log)
-            sigma = log[1][2]
-            assert sigma is not None
-            assert all(first == sigma for _, _, first in log[1:])
-
-    def test_direct_solve_starts_cold(self, monkeypatch):
+        self.continuation()
+        continued = len(log)
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2), X_ref=X0)
-        log = self.spy(monkeypatch)
         shooting.solve(problem, shooting.seed_unknowns(problem, X0, c.S))
-        assert len(log) == 2
-        assert all(first is None for _, _, first in log)
+        assert continued > 10 and len(log) > continued
+        assert set(log) == {(True, 1.0, shooting.SIGMA_STEP)}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_direct_solve_matches_continuation(self, dim, family2d, orbit3d):
+        """A direct solve of a continuation's first problem, with the
+        same anchor, eps and seed unknowns, returns the continuation's
+        first orbit bit for bit."""
+        continued = family2d[1][0] if dim == 2 else orbit3d[1]
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        X_seed = fixture_seed(spec)
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS / 4, pert=forcing_pert(dim), X_ref=X_seed)
+        direct = shooting.solve(problem, shooting.seed_unknowns(
+            problem, X_seed, manifolds.constants(spec).S))
+        assert direct.eps == continued.eps
+        assert np.array_equal(direct.unknowns, continued.unknowns)
+        assert direct.S == continued.S
+        assert direct.energy_band == continued.energy_band
+        assert np.array_equal(direct.monodromy.M, continued.monodromy.M)
 
     def test_later_step_starts_at_converged_unknowns(self, monkeypatch):
         """The first solve starts at the closed-form seed, and each later
