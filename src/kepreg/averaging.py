@@ -11,7 +11,9 @@ Methods in Nonlinear Dynamical Systems) gives x = x* + lam xi(t) +
 O(lam^2), xi the zero-mean periodic solution of xi'' = p - p_bar, and
 every eps starts its Newton iteration there.  Every eps of a family is
 solved in one stack: each Newton step is one variational integration of
-the rows still open.
+the rows still open.  The forcing is a ``model.Perturbation``, the object
+the regularized field takes: its ``jet`` gives p and p', its ``mean``
+p_bar and its ``freq`` the harmonic frequencies of the seed.
 """
 
 from dataclasses import dataclass
@@ -47,18 +49,21 @@ class AveragingError(KepregError):
 def averaged_equilibrium(p_bar):
     """Equilibrium x* = p_bar/|p_bar|^{3/2} of the averaged equation.
 
-    Returns None when the mean vanishes (no bifurcation from infinity).
-    The defining relation x*/|x*|^3 = p_bar is verified to
-    ``EQUILIBRIUM_TOL`` relative to max(1, |p_bar|); a failure raises
-    ``AveragingError``.
+    Returns None when the mean is zero (no bifurcation from infinity).
+    x* is p_bar/|p_bar| times |p_bar|^{-1/2}, with norms by hypot, which
+    squares nothing: finite and nonzero for every finite nonzero p_bar.
+    The defining relation (x*/|x*|)/|x*|^2 = p_bar is verified to
+    ``EQUILIBRIUM_TOL`` relative to max(1, |p_bar|); a failure, a NaN
+    included, raises ``AveragingError``.
     """
     p_bar = np.asarray(p_bar, float)
-    norm = float(np.linalg.norm(p_bar))
+    norm = float(np.hypot.reduce(p_bar))
     if norm == 0.0:
         return None
-    x = p_bar / norm ** 1.5
-    check = x / np.linalg.norm(x) ** 3
-    if np.linalg.norm(check - p_bar) > EQUILIBRIUM_TOL * max(1.0, norm):
+    x = p_bar / norm * norm ** -0.5
+    nx = float(np.hypot.reduce(x))
+    err = np.hypot.reduce(x / nx / (nx * nx) - p_bar)
+    if not err <= EQUILIBRIUM_TOL * max(1.0, norm):
         raise AveragingError(
             "averaged equilibrium fails its defining relation")
     return x
@@ -100,14 +105,22 @@ def averaged_jacobian_det(x):
     criterion 10).  Cross-checked against the numerically assembled
     block matrix to ``DET_TOL`` relative (``AveragingError`` otherwise);
     the block antidiagonal contributes a dimension-dependent sign, so
-    the comparison (and the return value) is in absolute value.
+    the comparison (and the return value) is in absolute value.  A
+    determinant that overflows or underflows a float also raises
+    ``AveragingError``: 0 or inf would misstate it.
     """
     x = np.asarray(x, float)
-    if np.linalg.norm(x) == 0.0:
+    norm = float(np.hypot.reduce(x))
+    if norm == 0.0:
         raise ValueError("Jacobian undefined at x = 0")
-    closed = 2.0 * float(np.linalg.norm(x)) ** (-3 * x.size)
+    with np.errstate(over="ignore"):
+        closed = float(2.0 * np.power(norm, -3 * x.size))
+    if not np.finfo(float).tiny <= closed <= np.finfo(float).max:
+        raise AveragingError(
+            f"averaged Jacobian determinant 2 |x|^(-{3 * x.size}) at |x| = "
+            f"{norm:.3e} is not a normal float")
     assembled = abs(float(np.linalg.det(averaged_jacobian_matrix(x))))
-    if abs(assembled - closed) > DET_TOL * closed:
+    if not abs(assembled - closed) <= DET_TOL * closed:
         raise AveragingError(
             f"assembled determinant {assembled} disagrees with the closed "
             f"form {closed}")
@@ -124,19 +137,19 @@ MAX_ITER = 30
 N_SAMPLES = 400             # times per period at which an orbit is read
 
 
-def _scaled_system(spec, lam):
+def _scaled_system(pert, lam):
     """Field and Jacobian [[0, Id, 0], [lam S(x), 0, lam p'(t)], [0, 0, 0]] of
     x'' = lam (-x/|x|^3 + p(t)), lam = eps^{3/2}, on Y = (x, x', t), as
     one callable Y -> (field, Jacobian).  lam is one value or one per row
     (m,) of a stack Y (m, 2N + 1).  J starts from a template of its
     constant entries, built here once."""
-    n = spec.dim
+    n = pert.dim
     lam = np.asarray(lam, float)[..., None]
     template = np.zeros((2 * n + 1, 2 * n + 1))
     template[:n, n:2 * n] = np.eye(n)
 
     def field_jacobian(Y):
-        jet = spec.jet(Y[..., -1])          # one Fourier evaluation
+        jet = pert.jet(Y[..., -1])          # one Fourier evaluation
         force, S = _kepler_force(Y[..., :n], lam)
         F = np.empty(Y.shape)
         F[..., :n] = Y[..., n:2 * n]
@@ -151,7 +164,7 @@ def _scaled_system(spec, lam):
     return field_jacobian
 
 
-def _first_order_seed(spec, x_star, lam):
+def _first_order_seed(pert, x_star, lam):
     """Starts (x* + lam xi(0), lam xi'(0)) of first-order averaging, one
     row per lam (m,).
 
@@ -161,16 +174,14 @@ def _first_order_seed(spec, x_star, lam):
     f_h^2, so xi(0) = -sum_h C_h / f_h^2 and xi'(0) = -sum_h S_h / f_h.
     A forcing without harmonics starts at rest at x*, which is periodic.
     """
-    omega = 2.0 * np.pi / spec.period
-    f_cos = omega * np.arange(1, len(spec.cos) + 1)[:, None]
-    f_sin = omega * np.arange(1, len(spec.sin) + 1)[:, None]
-    xi = -np.sum(spec.cos / f_cos ** 2, axis=0)
-    dxi = -np.sum(spec.sin / f_sin, axis=0)
+    f = pert.freq[:, None]
+    xi = -np.sum(pert.cos / f[: len(pert.cos)] ** 2, axis=0)
+    dxi = -np.sum(pert.sin / f[: len(pert.sin)], axis=0)
     lam = np.asarray(lam, float)[:, None]
     return np.concatenate([x_star + lam * xi, lam * dxi], axis=1)
 
 
-def solve_scaled_periodic(spec, eps, y0):
+def solve_scaled_periodic(pert, eps, y0):
     """T-periodic solutions of x'' = eps^{3/2}(-x/|x|^3 + p(t)), one per
     row of eps (m,) and of the starts y0 = (x, x') (m, 2N).
 
@@ -196,9 +207,9 @@ def solve_scaled_periodic(spec, eps, y0):
             break
         try:
             traj, M = flow.integrate_with_variational(
-                _scaled_system(spec, lam[open_rows]),
+                _scaled_system(pert, lam[open_rows]),
                 np.column_stack([y[open_rows], np.zeros(open_rows.size)]),
-                spec.period)
+                pert.period)
         except flow.FlowError as exc:
             for i in open_rows:
                 outcomes[i] = exc
@@ -231,7 +242,7 @@ class FamilyEntry:
     defect: float
 
 
-def bifurcation_from_infinity(spec, eps_list):
+def bifurcation_from_infinity(pert, eps_list):
     """Family of large T-periodic solutions, every eps solved at once.
 
     Each eps starts from its first-order averaging seed, and
@@ -240,13 +251,13 @@ def bifurcation_from_infinity(spec, eps_list):
     (entries, diagnostics): an entry for every eps that converged and a
     diagnostic for every other, each in ``eps_list`` order.
     """
-    x_star = averaged_equilibrium(spec.mean())
+    x_star = averaged_equilibrium(pert.mean())
     if x_star is None:
         raise ValueError("zero-mean forcing has no bifurcation from infinity")
     eps = np.asarray(eps_list, float)
     outcomes = solve_scaled_periodic(
-        spec, eps, _first_order_seed(spec, x_star, eps ** 1.5))
-    ts = np.linspace(0.0, spec.period, N_SAMPLES)
+        pert, eps, _first_order_seed(pert, x_star, eps ** 1.5))
+    ts = np.linspace(0.0, pert.period, N_SAMPLES)
     entries = []
     diags = []
     for e, outcome in zip(eps_list, outcomes):
@@ -254,7 +265,7 @@ def bifurcation_from_infinity(spec, eps_list):
             diags.append({"eps": e, "error": str(outcome)})
             continue
         y0, traj, row = outcome
-        xs = traj.eval(ts, rows=np.full(N_SAMPLES, row))[: spec.dim]
+        xs = traj.eval(ts, rows=np.full(N_SAMPLES, row))[: pert.dim]
         radii = np.linalg.norm(xs, axis=0)
         dev = np.max(np.linalg.norm(xs - x_star[:, None], axis=0))
         entries.append(FamilyEntry(
@@ -275,7 +286,7 @@ def fit_scaling_slope(entries):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def family_to_csv(entries, path, header_lines=()):
+def family_to_csv(entries, path, header_lines):
     """Summary CSV: eps, min|u_eps|, sup-deviation from x*, defect, slope."""
     slope = fit_scaling_slope(entries) if len(entries) >= 2 else float("nan")
     with open(path, "w") as fh:

@@ -152,14 +152,6 @@ class RunConfig:
                 lines.append(f"{section}.{key} = {val}")
         return lines
 
-    def forcing_spec(self):
-        """Forcing series for the averaging command (physical forcing p)."""
-        pert = self.perturbation
-        if pert.name != "forced_kepler" or not np.any(pert.forcing.mean()):
-            raise ConfigError("the average command needs a forced_kepler "
-                              "perturbation with a nonzero mean (const)")
-        return pert.forcing
-
 
 def _write_json(path, payload, config):
     """payload under the config header, one line: json.dumps without an
@@ -259,6 +251,17 @@ def _continue_branch(config, pert, k, schedule):
     return shooting.continue_in_epsilon(spec, pert, X_seed, c.S, schedule)
 
 
+def _orbit_at_eps(config, pert, k, schedule, failures):
+    """The last orbit of k's continued branch at [run] eps, or None with
+    the branch's diagnostics appended to failures."""
+    family, diags = _continue_branch(config, pert, k, schedule)
+    target = [o for o in family if _at_eps(o.eps, config)]
+    if not target:
+        failures.append({"k": k, "diagnostics": diags})
+        return None
+    return target[-1]
+
+
 def cmd_shoot(config, out):
     schedule = _schedule(config, to_eps=False)
     pert = config.perturbation
@@ -284,12 +287,9 @@ def cmd_theorem_demo(config, out):
     final = []
     failures = []
     for k in ks:
-        family, diags = _continue_branch(config, pert, k, schedule)
-        target = [o for o in family if _at_eps(o.eps, config)]
-        if not target:
-            failures.append({"k": k, "diagnostics": diags})
+        orbit = _orbit_at_eps(config, pert, k, schedule, failures)
+        if orbit is None:
             continue
-        orbit = target[-1]
         final.append(orbit)
         gensol = reconstruct.to_generalized(orbit, pert)
         reconstruct.generalized_to_csv(
@@ -358,12 +358,9 @@ def cmd_reconstruct(config, out):
                 energy_band=(-c.tau, -c.tau),
                 monodromy=None, k=k, dim=config.dimension)
         else:
-            family, diags = _continue_branch(config, pert, k, schedule)
-            target = [o for o in family if _at_eps(o.eps, config)]
-            if not target:
-                failures.append({"k": k, "diagnostics": diags})
+            orbit = _orbit_at_eps(config, pert, k, schedule, failures)
+            if orbit is None:
                 continue
-            orbit = target[-1]
         gensol = reconstruct.to_generalized(orbit, pert)
         reconstruct.generalized_to_csv(
             gensol, out / f"generalized_k{k}.csv",
@@ -372,11 +369,15 @@ def cmd_reconstruct(config, out):
 
 
 def cmd_average(config, out):
-    spec = config.forcing_spec()
+    pert = config.perturbation
+    # a zero perturbation has zero mean
+    if not np.any(pert.mean()):
+        raise ConfigError("the average command needs a forced_kepler "
+                          "perturbation with a nonzero mean (const)")
     det = averaging.averaged_jacobian_det(
-        averaging.averaged_equilibrium(spec.mean()))
+        averaging.averaged_equilibrium(pert.mean()))
     entries, diags = averaging.bifurcation_from_infinity(
-        spec, config.avg_eps_list)
+        pert, config.avg_eps_list)
     averaging.family_to_csv(
         entries, out / "family.csv",
         config.header_lines() + [f"averaged_jacobian_det = {det:.16e}"])

@@ -303,12 +303,13 @@ def _radial_momentum(X):
     return np.vecdot(X[..., :zd], X[..., zd:2 * zd])
 
 
-def _bracketed_roots(f, lo, hi, xtol, rtol=ROOT_RTOL):
+def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol, rtol=ROOT_RTOL):
     """Roots of f in the brackets [lo[j], hi[j]], all refined at once.
 
-    ``f(x, i)`` maps points x in the brackets i (an index array) to the
-    values of f there; it is called once on both ends of every bracket
-    and then once per iteration on one point of each bracket still open.
+    ``f_lo`` and ``f_hi`` are the values of f at the ends, which every
+    caller holds already.  ``f(x, i)`` maps points x in the brackets i
+    (an index array) to the values of f there; it is called once per
+    iteration on one point of each bracket still open.
     Each point is a secant (regula falsi) step with the Illinois rule: an
     end kept twice in a row has its value halved.  A step lands at least
     tol/2 inside its bracket, and a bracket that has not halved in two
@@ -321,8 +322,7 @@ def _bracketed_roots(f, lo, hi, xtol, rtol=ROOT_RTOL):
     """
     a, b = np.array(lo, float), np.array(hi, float)
     n = a.size
-    fab = _finite_values(f, np.concatenate([a, b]), np.tile(np.arange(n), 2))
-    fa, fb = fab[:n], fab[n:]
+    fa, fb = _finite(f_lo, a), _finite(f_hi, b)
     if np.any(np.sign(fa) * np.sign(fb) > 0.0):
         raise ValueError("f must have different signs at the ends of "
                          "every bracket")
@@ -350,7 +350,7 @@ def _bracketed_roots(f, lo, hi, xtol, rtol=ROOT_RTOL):
         frac[wj > w2[j] / 2] = 0.5
         w2[j], w1[j] = w1[j], wj
         c = a[j] + frac * (b[j] - a[j])
-        fc = _finite_values(f, c, j)
+        fc = _finite(f(c, j), c)
         on_a = (np.sign(fc) == np.sign(fa[j])) | (fc == 0.0)
         on_b = ~on_a | (fc == 0.0)
         ja, jb = j[on_a], j[on_b]
@@ -361,9 +361,10 @@ def _bracketed_roots(f, lo, hi, xtol, rtol=ROOT_RTOL):
         b[jb], fb[jb], gb[jb] = c[on_b], fc[on_b], fc[on_b]
 
 
-def _finite_values(f, x, i):
-    """f(x, i), or ValueError if a value is NaN."""
-    fx = np.asarray(f(x, i), float)
+def _finite(fx, x):
+    """The values fx of f at x as a new float array, or ValueError if one
+    is NaN."""
+    fx = np.array(fx, float)
     if np.any(np.isnan(fx)):
         raise ValueError(f"f is NaN at x = {x[np.isnan(fx)]}")
     return fx
@@ -387,7 +388,7 @@ def detect_events(traj):
     v0, v1 = vals[:-1], vals[1:]
     i = np.flatnonzero((v0 == 0.0) | ((v0 < 0.0) & (v1 > 0.0)))
     s_star = _bracketed_roots(lambda s, _: _radial_momentum(traj.eval(s).T),
-                              grid[i], grid[i + 1], EVENT_XTOL)
+                              grid[i], grid[i + 1], v0[i], v1[i], EVENT_XTOL)
     states = traj.eval(s_star).T
     zd = (traj.dim - 2) // 2
     hit = np.vecdot(states[:, :zd], states[:, :zd]) < COLLISION_R2_THRESHOLD
@@ -411,7 +412,7 @@ def invariant_report(traj, eps, pert):
     return report
 
 
-def trajectory_to_csv(traj, path, eps, pert, header_lines=()):
+def trajectory_to_csv(traj, path, eps, pert, header_lines):
     """One row per accepted step: s, state components, K_eps, (3D) BL."""
     states = traj.states[:, : traj.dim]
     zd = (traj.dim - 2) // 2

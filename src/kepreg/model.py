@@ -1,4 +1,8 @@
-"""Perturbations, regularized Hamiltonians and vector fields.
+"""The perturbation, regularized Hamiltonians and vector fields.
+
+The perturbation is one object, ``Perturbation``: the Fourier series of
+a T-periodic forcing p(t) and U(t, u) = <p(t), u>.  The field and
+``averaging`` both take it.
 
 The extended regularized state is a flat array
 
@@ -23,7 +27,6 @@ __all__ = [
     "Perturbation",
     "zero_perturbation",
     "forced_kepler",
-    "ForcingSpec",
     "pack_state",
     "unpack_state",
     "state_dim",
@@ -45,18 +48,26 @@ __all__ = [
 ]
 
 
-class ForcingSpec:
-    """T-periodic N-vector forcing p(t) as a truncated real Fourier series.
+class Perturbation:
+    """The linear forcing U(t, u) = <p(t), u>, smooth and T-periodic, with
+    p(t) = const + sum_h cos[h-1] cos(f_h t) + sin[h-1] sin(f_h t) a
+    truncated real Fourier series, f_h = 2 pi h / period = ``freq``[h-1];
+    a missing row of cos or sin is zero.
 
-    Evaluates at a scalar t or an array of times, from one cos and one
-    sin of the harmonic phases.  The mean is the constant coefficient,
-    read off exactly rather than estimated by quadrature.
+    It is the one kind of U the package runs, and ``evaluate`` is the
+    only way U is evaluated.  U is smooth at u = 0, as it must be: the
+    regularized energy carries it as |z|^2 U(t, u(z)), and regularized
+    orbits evaluate it through their collisions, at u = 0.  ``jet``
+    gives p, p' and p'' from one cos and one sin of the phases; ``mean``
+    is const, read off exactly rather than estimated by quadrature.
     """
 
-    def __init__(self, period, const, cos=None, sin=None):
+    def __init__(self, period, const, cos=None, sin=None,
+                 name="forced_kepler"):
         if period <= 0:
             raise ValueError("period must be positive")
         self.period = float(period)
+        self.name = name
         self.const = np.asarray(const, float)
         self.cos = np.asarray(cos, float) if cos is not None else \
             np.zeros((0, self.const.size))
@@ -66,12 +77,12 @@ class ForcingSpec:
                 self.sin.shape[1:] != self.const.shape:
             raise ValueError("coefficient shapes do not match")
         n, N = max(len(self.cos), len(self.sin)), self.dim
-        self._freq = 2.0 * np.pi / self.period * np.arange(1, n + 1)
+        self.freq = 2.0 * np.pi / self.period * np.arange(1, n + 1)
         C = np.zeros((n, N))
         C[: len(self.cos)] = self.cos
         S = np.zeros((n, N))
         S[: len(self.sin)] = self.sin
-        f = self._freq[:, None]
+        f = self.freq[:, None]
         # rows: cos and sin of the phases; columns: p, p' and p''
         self._coef = np.block([[C, f * S, -f ** 2 * C],
                                [S, -f * C, -f ** 2 * S]])
@@ -82,40 +93,15 @@ class ForcingSpec:
     def dim(self):
         return self.const.size
 
-    def _basis(self, t):
-        phase = np.multiply.outer(t, self._freq)
-        return np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
-
-    def __call__(self, t):
-        return self.const + self._basis(t) @ self._coef[:, : self.dim]
-
     def jet(self, t):
         """p, p' and p'' at t, stacked as (..., 3, N)."""
-        series = self._basis(t) @ self._coef
+        phase = np.multiply.outer(t, self.freq)
+        series = np.concatenate([np.cos(phase), np.sin(phase)],
+                                axis=-1) @ self._coef
         return self._jet0 + series.reshape(series.shape[:-1] + (3, self.dim))
 
     def mean(self):
         return self.const.copy()
-
-
-class Perturbation:
-    """The linear forcing U(t, u) = <p(t), u>, smooth and T-periodic.
-
-    It is the one kind of U the package runs, and ``evaluate`` is the
-    only way U is evaluated.  U is smooth at u = 0, as it must be: the
-    regularized energy carries it as |z|^2 U(t, u(z)), and regularized
-    orbits evaluate it through their collisions, at u = 0.
-
-    Parameters
-    ----------
-    forcing : ForcingSpec
-        The forcing vector p(t); its period is the period of U.
-    """
-
-    def __init__(self, forcing, name="forced_kepler"):
-        self.forcing = forcing
-        self.period = forcing.period
-        self.name = name
 
     def evaluate(self, t, u):
         """(U, grad_u U, dU/dt, d/dt grad_u U, d^2U/dt^2) at t of shape S
@@ -125,25 +111,25 @@ class Perturbation:
         d/dt grad_u U = p'(t) and d^2U/dt^2 = <p''(t), u>.
         """
         T = self.period
-        jet = self.forcing.jet(t - T * np.floor(t / T))
+        jet = self.jet(t - T * np.floor(t / T))
         vals = np.matvec(jet, np.asarray(u, float))
         return (vals[..., 0], jet[..., 0, :], vals[..., 1], jet[..., 1, :],
                 vals[..., 2])
 
 
-def zero_perturbation(period=2.0 * np.pi, dim=2):
+def zero_perturbation(period, dim):
     """The trivial U = 0, for unperturbed runs."""
-    return Perturbation(ForcingSpec(period, np.zeros(dim)), name="zero")
+    return Perturbation(period, np.zeros(dim), name="zero")
 
 
 def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
     """Linear forcing U(t, u) = <p(t), u> with p a truncated Fourier series."""
     if const is None:
         const = np.zeros(dim)
-    p = ForcingSpec(period, const, cos, sin)
+    p = Perturbation(period, const, cos, sin)
     if p.dim != dim:
         raise ValueError("forcing coefficients must have length dim")
-    return Perturbation(p)
+    return p
 
 
 # ---------------------------------------------------------------------------

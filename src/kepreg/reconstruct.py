@@ -109,7 +109,9 @@ class TimeMap:
                         len(self._t_table) - 1)
             s[left] = flow._bracketed_roots(
                 lambda sx, i: self.t_of(sx) - ts[left[i]],
-                self._s_table[j - 1], self._s_table[j], xtol=1e-15)
+                self._s_table[j - 1], self._s_table[j],
+                self._t_table[j - 1] - ts[left], self._t_table[j] - ts[left],
+                xtol=1e-15)
         return s.reshape(t.shape)[()]
 
 
@@ -608,9 +610,10 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None):
     def s_of_t(t):
         t = np.asarray(t, float) % T_mu
         ts = t.reshape(-1)
+        # t_of_s(0) = 0 and t_of_s(S) = T_mu exactly
         s = flow._bracketed_roots(lambda s, i: t_of_s(s) - ts[i],
                                   np.zeros(ts.size), np.full(ts.size, S),
-                                  xtol=1e-13)
+                                  -ts, T_mu - ts, xtol=1e-13)
         return s.reshape(t.shape)[()]
 
     def u_mu(t):
@@ -631,7 +634,7 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None):
 # ---------------------------------------------------------------------------
 # export
 
-def generalized_to_csv(gensol, path, header_lines=()):
+def generalized_to_csv(gensol, path, header_lines):
     """u(t) at CSV_SAMPLES times with energy and collision flags, events
     as a footer."""
     ts, X, vs = gensol._sample(CSV_SAMPLES)

@@ -150,15 +150,6 @@ def _rotation(problem, theta):
     return model.group_rotation_matrix(theta)
 
 
-def _rotation_deriv(problem, theta):
-    # d/dtheta of the left multiplication by cos(theta) + i sin(theta)
-    dg = -np.sin(theta) * np.eye(4) + np.cos(theta) * model.I_MUL_MATRIX
-    dR = np.zeros((10, 10))
-    dR[:4, :4] = dg
-    dR[4:8, 4:8] = dg
-    return dR
-
-
 def _normalized_stack(states, S):
     """Row lengths h (n * m, 1) and stacked starts (n * m, D) of a batch
     in normalized time."""
@@ -248,7 +239,9 @@ def residual_and_jacobian(problem, unknowns):
     # dPhi_h/dS = field at the endpoint times dh/dS = 1/m
     J[:iS, iS] = np.ravel(problem.field(ends)) / m
     if problem.spec.dim == 3:
-        J[iS - D:iS, iS + 1] = -_rotation_deriv(problem, theta) @ X0
+        # d/dtheta R(theta) X0 is the circle action's generator at R X0
+        J[iS - D:iS, iS + 1] = -model.group_direction(
+            _rotation(problem, theta) @ X0)
     row = iS
     J[row, :D] = model.reg_energy_gradient(X0, problem.eps, problem.pert)
     row += 1
@@ -565,10 +558,10 @@ def orbit_record(orbit):
     }
 
 
-def save_orbits(orbits, path, meta=None):
+def save_orbits(orbits, path, meta):
     """Write an orbit archive as JSON (one record per orbit), on one line:
     json.dumps without an indent runs the C encoder."""
-    payload = {"meta": dict(meta or {}),
+    payload = {"meta": dict(meta),
                "orbits": [orbit_record(o) for o in orbits]}
     with open(path, "w") as fh:
         fh.write(json.dumps(payload))

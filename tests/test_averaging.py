@@ -10,30 +10,7 @@ T = 2.0 * np.pi
 
 def acceptance_forcing():
     """p(t) = (1 + cos t, 0)."""
-    return model.ForcingSpec(period=T, const=(1.0, 0.0),
-                                 cos=[(1.0, 0.0)])
-
-
-class TestForcingSpec:
-    def test_evaluation(self):
-        fs = acceptance_forcing()
-        assert np.allclose(fs(0.0), [2.0, 0.0])
-        assert np.allclose(fs(np.pi), [0.0, 0.0])
-        assert fs.dim == 2
-
-    def test_mean_is_exact(self):
-        fs = acceptance_forcing()
-        assert np.allclose(fs.mean(), [1.0, 0.0])
-        # quadrature cross-check
-        ts = np.linspace(0.0, T, 20001)
-        vals = np.array([fs(t) for t in ts])
-        assert np.allclose(np.trapezoid(vals, ts, axis=0) / T, [1.0, 0.0],
-                           atol=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            model.ForcingSpec(period=T, const=(1.0, 0.0),
-                                  cos=[(1.0, 0.0, 0.0)])
+    return model.Perturbation(period=T, const=(1.0, 0.0), cos=[(1.0, 0.0)])
 
 
 class TestAveragedEquation:
@@ -98,8 +75,8 @@ class TestAveragedEquation:
 
 
 def spatial_forcing():
-    return model.ForcingSpec(period=T, const=(0.3, -0.5, 0.2),
-                                 cos=[(0.2, 0.1, 0.0)], sin=[(0.0, 0.1, 0.3)])
+    return model.Perturbation(period=T, const=(0.3, -0.5, 0.2),
+                              cos=[(0.2, 0.1, 0.0)], sin=[(0.0, 0.1, 0.3)])
 
 
 def forward_difference_jacobian(spec, lam, y0, t0):
@@ -110,7 +87,7 @@ def forward_difference_jacobian(spec, lam, y0, t0):
     def fun(t, y):
         x, xd = y[:n], y[n:]
         return np.concatenate([xd, lam * (-x / np.linalg.norm(x) ** 3
-                                          + spec(t))])
+                                          + spec.jet(t)[0])])
 
     def flow_map(y):
         return solve_ivp(fun, (t0, t0 + T), y, method="DOP853", rtol=1e-12,
@@ -131,19 +108,18 @@ class TestScaledSystem:
                                       spatial_forcing()])
     def test_one_fourier_evaluation_per_call(self, spec, monkeypatch):
         """p and p' of one field-Jacobian call come from one evaluation
-        of the Fourier basis, and match p(t) and the jet's p'."""
+        of the Fourier series, and match the jet's p and p'."""
         calls = []
-        basis = spec._basis
-        monkeypatch.setattr(spec, "_basis",
-                            lambda t: calls.append(t) or basis(t))
+        jet = spec.jet
+        monkeypatch.setattr(spec, "jet", lambda t: calls.append(t) or jet(t))
         n, lam, t = spec.dim, 0.1 ** 1.5, 0.7
         Y = np.concatenate([np.full(n, 0.9), np.full(n, 0.1), [t]])
         F, J = averaging._scaled_system(spec, lam)(Y)
         assert len(calls) == 1
         x = Y[:n]
         p = F[n:2 * n] / lam + x / np.linalg.norm(x) ** 3
-        assert np.allclose(p, spec(t), rtol=1e-14, atol=1e-15)
-        assert np.array_equal(J[n:2 * n, -1], lam * spec.jet(t)[1])
+        assert np.allclose(p, jet(t)[0], rtol=1e-14, atol=1e-15)
+        assert np.array_equal(J[n:2 * n, -1], lam * jet(t)[1])
 
     @pytest.mark.parametrize("spec", [acceptance_forcing(),
                                       spatial_forcing()])
@@ -255,7 +231,7 @@ class TestTypedFailures:
 
 
 def spatial_two_harmonics():
-    return model.ForcingSpec(
+    return model.Perturbation(
         period=T, const=(0.3, -0.5, 0.2),
         cos=[(0.2, 0.1, 0.0), (0.0, -0.1, 0.15)],
         sin=[(0.0, 0.1, 0.3), (0.1, 0.0, -0.05)])
@@ -296,7 +272,8 @@ class TestFirstOrderAveraging:
         h = 1e-5
         ddxi = (first_order_xi(spec, ts + h)[1]
                 - first_order_xi(spec, ts - h)[1]) / (2.0 * h)
-        assert np.max(np.abs(ddxi - (spec(ts) - spec.mean()))) < 1e-8
+        p = spec.jet(ts)[:, 0]
+        assert np.max(np.abs(ddxi - (p - spec.mean()))) < 1e-8
         xi = first_order_xi(spec, ts)[0]
         assert np.max(np.abs(np.mean(xi[:-1], axis=0))) < 1e-14
 
@@ -332,7 +309,7 @@ class TestFirstOrderAveraging:
             return real(field_jacobian, X0, *args, **kwargs)
 
         monkeypatch.setattr(flow, "integrate_with_variational", counted)
-        spec = model.ForcingSpec(period=T, const=(0.3, -0.5, 0.2))
+        spec = model.Perturbation(period=T, const=(0.3, -0.5, 0.2))
         entries, diags = averaging.bifurcation_from_infinity(
             spec, [1e-2, 1e-3, 1e-4])
         assert diags == [] and rows == [3]
@@ -372,8 +349,7 @@ class TestBifurcation:
             assert np.linalg.norm(x0 - x_star) < 10.0 * np.sqrt(e.eps)
 
     def test_zero_mean_rejected(self):
-        fs = model.ForcingSpec(period=T, const=(0.0, 0.0),
-                                   cos=[(1.0, 0.0)])
+        fs = model.Perturbation(period=T, const=(0.0, 0.0), cos=[(1.0, 0.0)])
         with pytest.raises(ValueError):
             averaging.bifurcation_from_infinity(fs, [1e-3])
 

@@ -141,13 +141,12 @@ class TestConfig:
         gets zero rows."""
         text = ("[run]\n[perturbation]\nname = forced_kepler\n"
                 "cos1 = 0.3,0.0\nsin2 = 0.0,0.2\n")
-        forcing = cli.RunConfig(write_config(tmp_path, text)) \
-            .perturbation.forcing
-        assert np.array_equal(forcing.cos, [[0.3, 0.0], [0.0, 0.0]])
-        assert np.array_equal(forcing.sin, [[0.0, 0.0], [0.0, 0.2]])
+        pert = cli.RunConfig(write_config(tmp_path, text)).perturbation
+        assert np.array_equal(pert.cos, [[0.3, 0.0], [0.0, 0.0]])
+        assert np.array_equal(pert.sin, [[0.0, 0.0], [0.0, 0.2]])
         t = np.linspace(0.0, 2.0 * np.pi, 7)
         want = np.stack([0.3 * np.cos(t), 0.2 * np.sin(2.0 * t)], axis=-1)
-        assert np.allclose(forcing(t), want, rtol=0.0, atol=1e-15)
+        assert np.allclose(pert.jet(t)[:, 0], want, rtol=0.0, atol=1e-15)
 
     def test_readme_example_parses(self, tmp_path):
         """README's example config is a valid config, with every section
@@ -435,6 +434,25 @@ eps_list = 1e-2,1e-3
             assert ("needs a forced_kepler perturbation with a nonzero "
                     "mean") in err
             assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+    @pytest.mark.parametrize("const", ["1e300,0.0", "1e-300,0.0",
+                                       "1e-170,0.0"])
+    def test_extreme_mean_is_diagnosed(self, tmp_path, capsys, const):
+        """A nonzero mean whose averaged Jacobian determinant 2 |x*|^(-3N)
+        overflows (1e300) or underflows (1e-300, 1e-170) a float exits 2
+        with the reason in average_diagnostics.json, not with a
+        traceback."""
+        text = ("[run]\n[perturbation]\nname = forced_kepler\n"
+                f"const = {const}\n")
+        out = tmp_path / "out"
+        code = cli.main(["average", "--config", write_config(tmp_path, text),
+                         "--out", str(out)])
+        assert code == cli.EXIT_PARTIAL
+        assert "is not a normal float" in capsys.readouterr().err
+        diags = json.loads((out / "average_diagnostics.json").read_text())
+        assert "is not a normal float" in diags["diagnostics"][0]["error"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "average_diagnostics.json"]
 
     def test_config_error_removes_the_parents_main_made(self, tmp_path):
         cfg = write_config(tmp_path, "[run]\n")

@@ -576,7 +576,6 @@ SETTABLE = {
     "_solvers.DOP853.__init__(first_step)",
     "_solvers.DOP853.__init__(mask)",
     "averaging._kepler_force(lam)",
-    "averaging.family_to_csv(header_lines)",
     "cli.main(argv)",
     "flow.FlowError.__init__(last_s)",
     "flow.FlowError.__init__(last_state)",
@@ -587,7 +586,6 @@ SETTABLE = {
     "flow.integrate(first_step)",
     "flow.integrate_with_variational(dense)",
     "flow.integrate_with_variational(first_step)",
-    "flow.trajectory_to_csv(header_lines)",
     "manifolds.ManifoldSpec.dim",
     "manifolds.SeedParams.phi1",
     "manifolds.SeedParams.phi2",
@@ -596,9 +594,9 @@ SETTABLE = {
     "manifolds.SeedParams.t0",
     "manifolds.rectilinear_seed_params(plane)",
     "manifolds.rectilinear_seed_params(t0)",
-    "model.ForcingSpec.__init__(cos)",
-    "model.ForcingSpec.__init__(sin)",
+    "model.Perturbation.__init__(cos)",
     "model.Perturbation.__init__(name)",
+    "model.Perturbation.__init__(sin)",
     "model.forced_kepler(const)",
     "model.forced_kepler(cos)",
     "model.forced_kepler(dim)",
@@ -606,9 +604,6 @@ SETTABLE = {
     "model.reg_energy_gradient(pert)",
     "model.reg_field(pert)",
     "model.reg_field_jacobian(pert)",
-    "model.zero_perturbation(dim)",
-    "model.zero_perturbation(period)",
-    "reconstruct.generalized_to_csv(header_lines)",
     "reconstruct.remove_collisions(eps)",
     "reconstruct.remove_collisions(pert)",
     "shooting.PeriodicOrbit.dim",
@@ -622,7 +617,6 @@ SETTABLE = {
     "shooting._integrate_segments(variational)",
     "shooting._strong_sweep(first)",
     "shooting.pack_unknowns(theta)",
-    "shooting.save_orbits(meta)",
     "shooting.seed_unknowns(theta)",
 }
 

@@ -57,7 +57,7 @@ def reference_field_jacobian(X, eps, pert):
         return F, J
     A = model.position_jacobian(z)
     u = model.position(z)
-    jet = pert.forcing.jet(np.mod(t, pert.period))
+    jet = pert.jet(np.mod(t, pert.period))
     p, dp, ddp = jet[..., 0, :], jet[..., 1, :], jet[..., 2, :]
     U, dU = np.vecdot(p, u), np.vecdot(dp, u)
     Ag = np.vecmat(p, A)
@@ -91,7 +91,7 @@ class TestPerturbations:
             with pytest.raises(ValueError):
                 model.forced_kepler(period)
             with pytest.raises(ValueError):
-                model.ForcingSpec(period, [1.0, 0.0])
+                model.Perturbation(period, [1.0, 0.0])
 
     def test_time_reduction(self):
         p = sample_pert(2)
@@ -123,6 +123,36 @@ class TestPerturbations:
             for i in range(6):
                 for out, row in zip(stacked, p.evaluate(t[i], u[i])):
                     assert np.allclose(out[i], row, rtol=1e-13, atol=1e-15)
+
+
+class TestFourierSeries:
+    """The forcing series p(t) that a Perturbation holds, read as
+    jet(t)[..., 0, :]."""
+
+    def acceptance_forcing(self):
+        """p(t) = (1 + cos t, 0)."""
+        return model.Perturbation(period=T, const=(1.0, 0.0),
+                                  cos=[(1.0, 0.0)])
+
+    def test_evaluation(self):
+        fs = self.acceptance_forcing()
+        assert np.allclose(fs.jet(0.0)[0], [2.0, 0.0])
+        assert np.allclose(fs.jet(np.pi)[0], [0.0, 0.0])
+        assert fs.dim == 2
+
+    def test_mean_is_exact(self):
+        fs = self.acceptance_forcing()
+        assert np.allclose(fs.mean(), [1.0, 0.0])
+        # quadrature cross-check
+        ts = np.linspace(0.0, T, 20001)
+        vals = fs.jet(ts)[:, 0]
+        assert np.allclose(np.trapezoid(vals, ts, axis=0) / T, [1.0, 0.0],
+                           atol=1e-6)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            model.Perturbation(period=T, const=(1.0, 0.0),
+                               cos=[(1.0, 0.0, 0.0)])
 
 
 class TestStateLayout:
@@ -286,13 +316,13 @@ class TestRegularizedField:
             t = rng.uniform(-T, 2 * T, size=5)
             u = rng.normal(size=(5, dim))
             value, grad, dt, grad_dt, dt2 = pert.evaluate(t, u)
-            p = pert.forcing(t)
+            p = pert.jet(t)[:, 0]
             assert np.allclose(value, np.vecdot(p, u), atol=5e-7), \
                 f"dim={dim} value"
             assert np.allclose(grad, p, atol=5e-7), f"dim={dim} grad"
             ht = 1e-6 * max(1.0, T)
-            ref_dt = (np.vecdot(pert.forcing(t + ht), u)
-                      - np.vecdot(pert.forcing(t - ht), u)) / (2 * ht)
+            ref_dt = (np.vecdot(pert.jet(t + ht)[:, 0], u)
+                      - np.vecdot(pert.jet(t - ht)[:, 0], u)) / (2 * ht)
             assert np.allclose(dt, ref_dt, atol=5e-7), f"dim={dim} dt"
             hu = 1e-6 * np.maximum(1.0, np.abs(u))
             for i in range(dim):
