@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, shooting
+from . import flow, model, shooting
 from .errors import KepregError
 
 __all__ = [
@@ -250,17 +250,35 @@ def bifurcation_from_infinity(pert, eps_list):
     stack; an orbit maps back via u_eps = eps^{-1/2} x.  Returns
     (entries, diagnostics): an entry for every eps that converged and a
     diagnostic for every other, each in ``eps_list`` order.
+
+    The integration holds x to ``flow.REL_TOL`` |x*| alone, so an eps
+    whose predicted sup_dev lam max_t |xi(t)| is nonzero but not above
+    that gets a diagnostic; without harmonics xi = 0 and x = x* exactly.
     """
     x_star = averaged_equilibrium(pert.mean())
     if x_star is None:
         raise ValueError("zero-mean forcing has no bifurcation from infinity")
     eps = np.asarray(eps_list, float)
-    outcomes = solve_scaled_periodic(
-        pert, eps, _first_order_seed(pert, x_star, eps ** 1.5))
+    lam = eps ** 1.5
     ts = np.linspace(0.0, pert.period, N_SAMPLES)
+    f2 = pert.freq[:, None] ** 2            # xi: p - p_bar over -f_h^2
+    xi = model.Perturbation(pert.period, np.zeros(pert.dim),
+                            -pert.cos / f2[: len(pert.cos)],
+                            -pert.sin / f2[: len(pert.sin)])
+    predicted = lam * np.max(np.linalg.norm(xi.jet(ts)[:, 0], axis=-1))
+    floor = flow.REL_TOL * np.linalg.norm(x_star)
+    resolved = (predicted == 0.0) | (predicted > floor)
+    outcomes = iter(solve_scaled_periodic(
+        pert, eps[resolved], _first_order_seed(pert, x_star, lam[resolved])))
     entries = []
     diags = []
-    for e, outcome in zip(eps_list, outcomes):
+    for e, ok, pred in zip(eps_list, resolved, predicted):
+        if not ok:
+            diags.append({"eps": e, "error": (
+                f"predicted deviation {pred:.3e} from x* is not above the "
+                f"integration's resolution REL_TOL |x*| = {floor:.3e}")})
+            continue
+        outcome = next(outcomes)
         if isinstance(outcome, KepregError):
             diags.append({"eps": e, "error": str(outcome)})
             continue

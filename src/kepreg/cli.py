@@ -40,8 +40,19 @@ ALLOWED_KEYS = {
 }
 
 
-def _parse_floats(text):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+def _parse_float(key, text):
+    """One finite float of the INI value ``key`` ("[section] key")."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = np.nan
+    if not np.isfinite(x):
+        raise ConfigError(f"{key} must be a finite number, got {text!r}")
+    return x
+
+
+def _parse_floats(key, text):
+    return [_parse_float(key, x) for x in text.split(",") if x.strip() != ""]
 
 
 def _parse_ints(text):
@@ -69,13 +80,15 @@ def _parse_perturbation(parser, period, dim):
              if f"{kind}{m}" in sec), default=0)
 
     def rows(kind):
-        return [_parse_floats(sec.get(f"{kind}{m}", "")) or [0.0] * dim
+        return [_parse_floats(f"[perturbation] {kind}{m}",
+                              sec.get(f"{kind}{m}", "")) or [0.0] * dim
                 for m in range(1, n + 1)] or None
 
+    const = (_parse_floats("[perturbation] const", sec.get("const", ""))
+             or [0.0] * dim)
+    cos, sin = rows("cos"), rows("sin")
     try:
-        const = _parse_floats(sec.get("const", "")) or [0.0] * dim
-        return model.forced_kepler(period, const, rows("cos"), rows("sin"),
-                                   dim=dim)
+        return model.forced_kepler(period, const, cos, sin, dim=dim)
     except ValueError as exc:
         raise ConfigError(f"[perturbation]: {exc}") from None
 
@@ -100,7 +113,8 @@ class RunConfig:
         self.dimension = int(run.get("dimension", 2))
         if self.dimension not in (2, 3):
             raise ConfigError("dimension must be 2 or 3")
-        self.period = float(run.get("period", 2.0 * np.pi))
+        self.period = _parse_float("[run] period",
+                                   run.get("period", 2.0 * np.pi))
         if self.period <= 0:
             raise ConfigError("period must be positive")
         self.k_list = _parse_ints(run.get("k_list", "1"))
@@ -109,7 +123,7 @@ class RunConfig:
         self.seed = int(run.get("seed", 0))
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        self.eps = float(run.get("eps", 0.0))
+        self.eps = _parse_float("[run] eps", run.get("eps", 0.0))
         if self.eps < 0:
             raise ConfigError("eps must be >= 0")
         self.l = int(run.get("l", len(self.k_list)))
@@ -119,16 +133,17 @@ class RunConfig:
                                                 self.dimension)
         shoot_sec = parser["shoot"] if parser.has_section("shoot") else {}
         self.eps_schedule = _parse_floats(
-            shoot_sec.get("eps_schedule", "")) or None
+            "[shoot] eps_schedule", shoot_sec.get("eps_schedule", "")) or None
         if not all(e > 0.0 for e in self.eps_schedule or ()):
             raise ConfigError("[shoot] eps_schedule values must be > 0")
         avg = parser["average"] if parser.has_section("average") else {}
         self.avg_eps_list = _parse_floats(
-            avg.get("eps_list", "1e-2,1e-3,1e-4"))
+            "[average] eps_list", avg.get("eps_list", "1e-2,1e-3,1e-4"))
         if not all(e > 0.0 for e in self.avg_eps_list):
             raise ConfigError("[average] eps_list values must be > 0")
         rem = parser["remove"] if parser.has_section("remove") else {}
         self.mu_list = _parse_floats(
+            "[remove] mu_list",
             rem.get("mu_list", "0.1,0.05,0.025,0.0125,0.00625"))
         self.remove_k = int(rem.get("k", 1))
         if self.remove_k < 1:
@@ -397,7 +412,7 @@ def cmd_remove_collisions(config, out):
             fh.write(f"# {line}\n")
         fh.write("mu,T_mu,min_u_mu,forcing_l1\n")
         for mu in config.mu_list:
-            res = reconstruct.remove_collisions(traj, c.S, mu)
+            res = reconstruct.remove_collisions(traj, c.S, mu, 0.0, None)
             l1 = res.forcing_l1()
             fh.write(f"{mu:.6e},{res.T_mu:.16e},{res.min_u:.16e},"
                      f"{l1:.16e}\n")

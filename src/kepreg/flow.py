@@ -17,7 +17,7 @@ the state's accepted steps (internal numerical differentiation, Hairer,
 Norsett and Wanner, Solving ODEs I).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .errors import KepregError
 __all__ = [
     "Trajectory",
     "FlowError",
-    "Event",
-    "MonodromyData",
     "integrate",
     "integrate_with_variational",
     "monodromy",
@@ -241,39 +239,18 @@ def integrate_with_variational(field_jacobian, X0, s_end, dense=True,
     return traj, traj.states[-1, ..., D:].reshape(X0.shape + (D,))
 
 
-@dataclass
-class MonodromyData:
-    """Fundamental matrix at a period plus basic bookkeeping.
-
-    For one state M is (D, D), X0 and field_dir (D,) and det a float; a
-    stack of m states holds the stacked arrays, det then (m,).
-    """
-
-    M: np.ndarray
-    X0: np.ndarray
-    field_dir: np.ndarray
-    det: object = field(init=False)
-
-    def __post_init__(self):
-        det = np.linalg.det(self.M)
-        self.det = float(det) if det.ndim == 0 else det
-
-    def multipliers(self):
-        return np.linalg.eigvals(self.M)
-
-
 def monodromy(field_jacobian, X0, S):
     """Fundamental matrix of dX/ds = f(X) over [0, S] from X0.
 
     ``field_jacobian`` is as for ``integrate_with_variational``.  X0 is
-    one state (D,), or a stack (m, D) integrated as one system, giving
-    one ``MonodromyData`` of stacked arrays.  S is one length, or for a
-    stack one length per row (m,).  The integration runs in normalized
-    time: row j solves dX/dsigma = S_j f(X) on sigma in [0, 1] (its
-    Jacobian scaled by S_j), so rows of different S share one step
-    sequence, and the returned trajectory runs over sigma.  It holds
-    the end points only: no caller reads an interpolant.  ``field_dir``
-    is f at X0, unscaled.
+    one state (D,), giving M (D, D), or a stack (m, D) integrated as one
+    system, giving M (m, D, D).  S is one length, or for a stack one
+    length per row (m,).  Returns (trajectory, M) as
+    ``integrate_with_variational`` does.  The integration runs in
+    normalized time: row j solves dX/dsigma = S_j f(X) on sigma in
+    [0, 1] (its Jacobian scaled by S_j), so rows of different S share
+    one step sequence, and the returned trajectory runs over sigma.  It
+    holds the end points only: no caller reads an interpolant.
     """
     X0 = np.asarray(X0, float)
     h = np.asarray(S, float)[..., None]
@@ -282,20 +259,11 @@ def monodromy(field_jacobian, X0, S):
         F, J = field_jacobian(X)
         return h * F, h[..., None] * J
 
-    traj, M = integrate_with_variational(scaled, X0, 1.0, dense=False)
-    return traj, MonodromyData(M=M, X0=X0, field_dir=field_jacobian(X0)[0])
+    return integrate_with_variational(scaled, X0, 1.0, dense=False)
 
 
 # ---------------------------------------------------------------------------
 # collision detection
-
-@dataclass
-class Event:
-    """A collision: its s and the state there."""
-
-    s: float
-    state: np.ndarray
-
 
 def _radial_momentum(X):
     """<z, w> of a state (D,) or a stack (..., D)."""
@@ -378,7 +346,8 @@ def detect_events(traj):
     step is subdivided into EVENT_GRID points; the -/+ sign changes of
     <z, w> are refined together by ``_bracketed_roots`` on the dense
     interpolant, and a localized state is a collision when its |z|^2 is
-    below COLLISION_R2_THRESHOLD.
+    below COLLISION_R2_THRESHOLD.  Returns the s of the collisions as a
+    1-D array, ascending: the brackets are disjoint and in grid order.
     """
     if traj.sol is None:
         raise ValueError("collision detection needs dense output")
@@ -392,9 +361,7 @@ def detect_events(traj):
     states = traj.eval(s_star).T
     zd = (traj.dim - 2) // 2
     hit = np.vecdot(states[:, :zd], states[:, :zd]) < COLLISION_R2_THRESHOLD
-    return sorted((Event(s=float(s), state=X)
-                   for s, X in zip(s_star[hit], states[hit])),
-                  key=lambda e: e.s)
+    return s_star[hit]
 
 
 # ---------------------------------------------------------------------------

@@ -298,21 +298,21 @@ def nondegeneracy_certificate(spec, X0):
     Ystar = variation_start(specs, stack)     # checks every row on M_k
     if three_d and np.any(np.abs(model.bl_value(stack)) > ON_MANIFOLD_TOL):
         raise ValueError("3D certificate needs a BL = 0 state")
-    _, mono = flow.monodromy(lambda X: model.reg_field_jacobian(X, 0.0),
-                             stack, [c.sigma for c in consts])
+    _, M = flow.monodromy(lambda X: model.reg_field_jacobian(X, 0.0),
+                          stack, [c.sigma for c in consts])
     k = np.array([s.k for s in specs])
-    P = mono.M.copy()
+    P = M.copy()
     for j in range(1, k.max()):
         more = k > j
-        P[more] = P[more] @ mono.M[more]
-    period = flow.MonodromyData(M=P, X0=stack, field_dir=mono.field_dir)
+        P[more] = P[more] @ M[more]
+    field_dir = model.reg_field(stack, 0.0)
     residual = Ystar - np.matvec(P, Ystar)
-    forbidden = [period.field_dir]
+    forbidden = [field_dir]
     if three_d:
         forbidden.append(model.group_direction(stack))
     forbidden = np.stack(forbidden, axis=1)             # (m, n, D)
     angle = _principal_angle(residual, np.swapaxes(forbidden, 1, 2))
-    dim_e, rank = degeneracy_index(period,
+    dim_e, rank = degeneracy_index(P, field_dir,
                                    model.reg_energy_gradient(stack, 0.0))
     reports = [{
         "k": s.k,
@@ -327,21 +327,23 @@ def nondegeneracy_certificate(spec, X0):
         "rank_Id_minus_Gamma": int(rk),
         "det_monodromy": float(d),
     } for s, X, r, f, a, e, rk, d in zip(specs, stack, residual, forbidden,
-                                          angle, dim_e, rank, period.det)]
+                                          angle, dim_e, rank,
+                                          np.linalg.det(P))]
     return reports if X0.ndim == 2 else reports[0]
 
 
-def degeneracy_index(mono, grad_H):
+def degeneracy_index(M, field_dir, grad_H):
     """Degeneracy index dim(E) = 1 + dim ker(Id - Gamma) of a closed orbit.
 
     Builds the adapted basis (v1 not in W, v2 = field direction, rest
     spanning W), extracts the (D-2) x (D-2) block Gamma of the monodromy
-    and decides the rank of Id - Gamma by SVD, counting singular values
+    M and decides the rank of Id - Gamma by SVD, counting singular values
     above RANK_TOL times its norm.  Returns (dim_E, rank(Id - Gamma)).
-    ``mono`` is one orbit's ``MonodromyData`` with grad_H (D,), or a
-    stacked one with grad_H (m, D), giving two (m,) integer arrays.
+    M is one orbit's (D, D) monodromy with its field direction and
+    grad_H (D,) at the start, or a stack (m, D, D) with (m, D) vectors,
+    giving two (m,) integer arrays.
     """
-    w = np.asarray(mono.field_dir, float)
+    w = np.asarray(field_dir, float)
     if np.any(np.linalg.norm(w, axis=-1) == 0.0):
         raise ValueError("field direction vanishes (equilibrium point)")
     g = np.asarray(grad_H, float)
@@ -353,7 +355,7 @@ def degeneracy_index(mono, grad_H):
     Q, _ = np.linalg.qr(np.concatenate([g[..., None], w_hat[..., None], eye],
                                        axis=-1))
     B = np.concatenate([g[..., None], w[..., None], Q[..., 2:]], axis=-1)
-    Mp = np.linalg.solve(B, mono.M @ B)
+    Mp = np.linalg.solve(B, M @ B)
     A = np.eye(D - 2) - Mp[..., 2:, 2:]
     svals = np.linalg.svd(A, compute_uv=False)
     thresh = RANK_TOL * np.maximum(np.linalg.norm(A, axis=(-2, -1)), 1e-30)

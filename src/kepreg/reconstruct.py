@@ -167,15 +167,6 @@ class GeneralizedSolution:
     def u(self, t):
         return model.state_position(self.state_at_t(t))
 
-    def v(self, t):
-        """Velocity du/dt; diverges at collisions."""
-        return model.state_velocity(self.state_at_t(t))
-
-    def energy(self, t):
-        """Physical energy |v|^2/2 - 1/|u|, smooth through collisions
-        as -tau + eps U."""
-        return model.state_energy(self.state_at_t(t), self.eps, self.pert)
-
     def sample(self, n):
         """Arrays (t, u, v) at n times over one period; v is NaN inside
         excision windows of half-width EXCISION * period around each
@@ -219,9 +210,8 @@ def to_generalized(orbit, pert):
             raise ValueError(f"BL drifts to {bl:.2e} along the orbit; its "
                              "KS projection is not a physical solution")
     tmap = TimeMap(traj)
-    events = flow.detect_events(traj)
-    collisions = [collision_limits(traj, e.s, orbit.eps, pert)
-                  for e in events]
+    collisions = [collision_limits(traj, s, orbit.eps, pert)
+                  for s in flow.detect_events(traj)]
     period = orbit.eta * pert.period
     return GeneralizedSolution(period=period, traj=traj, tmap=tmap,
                                collisions=collisions, eps=orbit.eps,
@@ -541,7 +531,7 @@ class RemovalResult:
         return float(np.max(np.abs(udd - rhs)))
 
 
-def remove_collisions(traj, S, mu, eps=0.0, pert=None):
+def remove_collisions(traj, S, mu, eps, pert):
     """Deform a closed planar collision orbit into a collisionless one.
 
     Adds mu^3 bump((s - s_c)/mu) v_c to z(s) in a window of half-width
@@ -562,8 +552,7 @@ def remove_collisions(traj, S, mu, eps=0.0, pert=None):
     if np.linalg.norm(diff) > 1e-6:
         raise ValueError("the source orbit does not close over [0, S]; the "
                          "anti-periodic case is unsupported")
-    events = flow.detect_events(traj)
-    s_cols = sorted(e.s for e in events if 0.0 < e.s < S)
+    s_cols = [float(s) for s in flow.detect_events(traj) if 0.0 < s < S]
     if len(s_cols) >= 2:
         gaps = list(np.diff(s_cols)) + [s_cols[0] + S - s_cols[-1]]
         if min(gaps) <= 4.0 * mu:

@@ -256,8 +256,8 @@ def residual_and_jacobian(problem, unknowns):
 class PeriodicOrbit:
     """A converged closed orbit of the perturbed regularized system.
 
-    ``monodromy`` is the fundamental matrix over one period S at X0,
-    composed from the segment matrices of the converged shooting
+    ``monodromy`` is the (D, D) fundamental matrix over one period S at
+    X0, composed from the segment matrices of the converged shooting
     Jacobian; ``energy_band`` is read off the converged segment stack.
     ``unknowns`` are the converged shooting unknowns, from which
     ``continue_in_epsilon`` seeds its next solve; None on an orbit not
@@ -270,7 +270,7 @@ class PeriodicOrbit:
     eta: int
     residual_norm: float
     energy_band: tuple               # (min, max) of E = -tau + eps U
-    monodromy: flow.MonodromyData
+    monodromy: np.ndarray
     theta: float = 0.0
     pert_name: str = "zero"
     k: int = 0
@@ -278,7 +278,7 @@ class PeriodicOrbit:
     unknowns: np.ndarray = None
 
     def multipliers(self):
-        return self.monodromy.multipliers()
+        return np.linalg.eigvals(self.monodromy)
 
 
 def energy_band(traj, eps, pert):
@@ -320,7 +320,6 @@ def _finish(problem, unknowns, res_norm, J=None):
     M = np.eye(D)
     for Mj in blocks.reshape(m, D, m, D)[seg, :, seg, :]:
         M = Mj @ M
-    mono = flow.MonodromyData(M=M, X0=X0, field_dir=problem.field(X0))
     h, X = _normalized_stack(states[None], S)
     traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
                           first_step=SIGMA_STEP)
@@ -330,7 +329,7 @@ def _finish(problem, unknowns, res_norm, J=None):
     # RESIDUAL_TOL / T of 1: the winding index is 1 on every solved orbit.
     return PeriodicOrbit(X0=X0, S=S, eps=problem.eps, eta=1,
                          residual_norm=res_norm, energy_band=band,
-                         monodromy=mono, theta=theta,
+                         monodromy=M, theta=theta,
                          pert_name=problem.pert.name, k=problem.spec.k,
                          dim=problem.spec.dim, unknowns=unknowns)
 

@@ -55,6 +55,27 @@ BAD_CONFIGS = [
     "[run]\n[remove]\nmu_list = 1.25\nk = 1\n",
 ]
 
+MEAN = "[run]\n[perturbation]\nname = forced_kepler\nconst = 1.0,0.0\n"
+
+# (command, key, config) with one value of key that is not a finite
+# number: each exits 3 naming the key, before the command runs
+NON_FINITE = [
+    ("average", "[perturbation] const", MEAN.replace("1.0,0.0", "inf,0.0")),
+    ("average", "[perturbation] const", MEAN.replace("1.0,0.0", "nan,0.0")),
+    ("flow", "[perturbation] cos1", BASE.replace("0.3,0.0", "0.3,-inf")),
+    ("theorem-demo", "[run] eps", BASE.replace("eps = 1e-3", "eps = nan")),
+    ("theorem-demo", "[run] period",
+     BASE.replace("period = 6.283185307179586", "period = nan")),
+    ("theorem-demo", "[run] period",
+     BASE.replace("period = 6.283185307179586", "period = inf")),
+    ("shoot", "[shoot] eps_schedule",
+     BASE + "\n[shoot]\neps_schedule = 1e-3,inf\n"),
+    ("average", "[average] eps_list",
+     MEAN + "\n[average]\neps_list = 1e-2,1e400\n"),
+    ("remove-collisions", "[remove] mu_list",
+     "[run]\n[remove]\nmu_list = 0.1,nan\n"),
+]
+
 # Valid configs whose command would have no orbit to continue to, or
 # none at the [run] eps it reads its orbit at: the command refuses them.
 NO_TARGET = [
@@ -123,6 +144,19 @@ class TestConfig:
                          "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,text", NON_FINITE,
+                             ids=[f"{c}-{k}" for c, k, _ in NON_FINITE])
+    def test_non_finite_value_exits_config(self, tmp_path, capsys, command,
+                                           key, text):
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", write_config(tmp_path, text),
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key} must be a "
+                              "finite number")
         assert not out.exists()
 
     def test_perturbation_construction(self, tmp_path):
@@ -415,6 +449,24 @@ eps_list = 1e-2,1e-3
         slope_line = [ln for ln in lines if "fitted_slope" in ln][0]
         slope = float(slope_line.split("=")[1])
         assert -0.55 < slope < -0.45
+
+    def test_unresolved_deviation_is_diagnosed(self, tmp_path):
+        """At const = 1e-100, |x*| = 1e50 and the integration holds x to
+        1e-12 |x*| alone, far above the predicted deviations lam
+        max|xi| (about 1e-3, 3e-5 and 1e-6): every eps gets a diagnostic
+        in place of a sup_dev that rounding would swamp to 0."""
+        text = MEAN.replace("1.0,0.0", "1e-100,0.0") + "cos1 = 1.0,0.0\n"
+        out = tmp_path / "out"
+        code = cli.main(["average", "--config", write_config(tmp_path, text),
+                         "--out", str(out)])
+        assert code == cli.EXIT_PARTIAL
+        diags = json.loads((out / "average_diagnostics.json").read_text())
+        assert [d["eps"] for d in diags["diagnostics"]] == [1e-2, 1e-3, 1e-4]
+        for d in diags["diagnostics"]:
+            assert "is not above the integration's resolution" in d["error"]
+        rows = [ln for ln in (out / "family.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows == ["eps,min_u,sup_dev,defect"]
 
     def test_needs_forcing(self, tmp_path, capsys):
         """No forcing, a zero perturbation and a forcing with zero mean

@@ -277,25 +277,27 @@ class TestVariational:
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(
             spec, manifolds.random_seed_params(spec, rng))
-        traj, data = flow.monodromy(kepler_field_jacobian(), X0, c.S)
+        traj, M = flow.monodromy(kepler_field_jacobian(), X0, c.S)
         # the flow is volume preserving
-        assert data.det == pytest.approx(1.0, abs=1e-6)
+        assert M.shape == (6, 6)
+        assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-6)
         # M maps the field at the start to the field at the end; the
         # trajectory runs in normalized time, sigma = 1 at s = S, and
         # holds the end points only
         assert traj.s_end == 1.0 and traj.sol is None
         f_end = model.reg_field(traj.states[-1, : traj.dim], 0.0, None)
-        assert np.allclose(data.M @ data.field_dir, f_end, atol=1e-7)
-        assert np.array_equal(data.field_dir, model.reg_field(X0, 0.0))
-        # field_dir is reg_field's at X0, perturbed and stacked too
+        assert np.allclose(M @ model.reg_field(X0, 0.0), f_end, atol=1e-7)
+        # the same row by row on a perturbed stack, M then (m, D, D)
         pert = TestStateStepControl.forced(2)
         X0s = np.array([X0, manifolds.seed_state(
             spec, manifolds.random_seed_params(
                 spec, np.random.default_rng(3)))])
-        _, mono = flow.monodromy(kepler_field_jacobian(1e-3, pert), X0s,
-                                 c.S)
-        for Xi, fi in zip(X0s, mono.field_dir):
-            assert np.array_equal(fi, model.reg_field(Xi, 1e-3, pert))
+        traj, Ms = flow.monodromy(kepler_field_jacobian(1e-3, pert), X0s,
+                                  c.S)
+        assert Ms.shape == (2, 6, 6)
+        f_end = model.reg_field(traj.states[-1, :, : traj.dim], 1e-3, pert)
+        assert np.allclose(np.matvec(Ms, model.reg_field(X0s, 1e-3, pert)),
+                           f_end, atol=1e-7)
 
     def test_fd_cross_check(self):
         """Variational columns match directional differences of the flow."""
@@ -400,14 +402,24 @@ class TestEvents:
         3D."""
         for dim, k in ((2, 1), (2, 2), (3, 1), (3, 2)):
             spec, c, traj = self._rectilinear(k, dim)
-            events = flow.detect_events(traj)
+            got = flow.detect_events(traj)
             expected = [(np.pi / 2 + j * np.pi) / c.omega for j in range(2 * k)]
-            got = [e.s for e in events]
             assert len(got) == len(expected)
             assert np.allclose(got, expected, atol=1e-8)
-            for e in events:
-                z, _, _, _ = model.unpack_state(e.state)
+            for s in got:
+                z, _, _, _ = model.unpack_state(traj.eval(s))
                 assert np.dot(z, z) < 1e-16
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_collisions_strictly_ascending(self, k, dim):
+        """detect_events returns the collision s as a 1-D float array in
+        strictly ascending order, unsorted: its brackets are disjoint
+        and in grid order."""
+        _, _, traj = self._rectilinear(k, dim)
+        got = flow.detect_events(traj)
+        assert got.ndim == 1 and got.dtype == float and got.size == 2 * k
+        assert np.all(np.diff(got) > 0.0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_every_collision_of_k3_at_shifted_origins(self, dim):
@@ -426,7 +438,7 @@ class TestEvents:
                 traj = flow.integrate(
                     kepler_field(),
                     manifolds.closed_form_flow(spec, X0, s0), c.S)
-                got = [e.s for e in flow.detect_events(traj)]
+                got = flow.detect_events(traj)
                 assert np.allclose(got, expected - s0, rtol=0.0,
                                    atol=1e-8)
 
@@ -436,17 +448,17 @@ class TestEvents:
         X0 = manifolds.seed_state(spec,
                                   manifolds.circular_seed_params(spec))
         traj = flow.integrate(kepler_field(), X0, c.S)
-        assert flow.detect_events(traj) == []
+        assert flow.detect_events(traj).size == 0
 
     def test_events_stable_under_a_shifted_start(self):
         """The collisions of an integration from a start further along
         the orbit, on another step sequence, are the same to 1e-9."""
         spec, c, traj = self._rectilinear()
-        ref = [e.s for e in flow.detect_events(traj)]
+        ref = flow.detect_events(traj)
         shift = 0.3 * np.pi / c.omega       # before the first collision
         X1 = manifolds.closed_form_flow(spec, traj.eval(0.0), shift)
         traj2 = flow.integrate(kepler_field(), X1, c.S)
-        got = [e.s + shift for e in flow.detect_events(traj2)]
+        got = flow.detect_events(traj2) + shift
         assert len(got) == len(ref)
         assert np.allclose(ref, got, atol=1e-9)
 
@@ -537,12 +549,15 @@ def test_every_public_name_has_a_caller():
     """Every public top-level function and class of kepreg, and every
     public method of a public class, is referenced from src/kepreg or
     bench outside its own definition, or is listed in UNCALLED_PUBLIC
-    with the oracle it serves."""
+    with the oracle it serves.  A method counts as referenced only
+    through an attribute (obj.name): a local variable of its name does
+    not call it."""
     root = Path(__file__).resolve().parents[1]
     paths = sorted((root / "src" / "kepreg").glob("*.py"))
     trees = {path: ast.parse(path.read_text())
              for path in paths + sorted((root / "bench").glob("*.py"))}
     references = {}                 # name -> ids of the nodes naming it
+    attributes = {}                 # the same, Attribute nodes alone
     for tree in trees.values():
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name)
@@ -550,19 +565,22 @@ def test_every_public_name_has_a_caller():
                     else node.name if isinstance(node, ast.alias) else None)
             if name is not None:
                 references.setdefault(name, set()).add(id(node))
-    public = {}                     # "module.name" -> its definition
+            if isinstance(node, ast.Attribute):
+                attributes.setdefault(name, set()).add(id(node))
+    public = {}                     # "module.name" -> (definition, refs)
     for path in paths:
         for node in trees[path].body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                public[f"{path.stem}.{node.name}"] = node
+                public[f"{path.stem}.{node.name}"] = (node, references)
                 if isinstance(node, ast.ClassDef):
-                    public |= {f"{path.stem}.{node.name}.{m.name}": m
+                    public |= {f"{path.stem}.{node.name}.{m.name}":
+                               (m, attributes)
                                for m in node.body
                                if isinstance(m, ast.FunctionDef)
                                and not m.name.startswith("_")}
-    uncalled = {key for key, node in public.items()
-                if not references.get(node.name, set())
+    uncalled = {key for key, (node, refs) in public.items()
+                if not refs.get(node.name, set())
                 - {id(n) for n in ast.walk(node)}}
     assert uncalled == set(UNCALLED_PUBLIC)
 
@@ -579,7 +597,6 @@ SETTABLE = {
     "cli.main(argv)",
     "flow.FlowError.__init__(last_s)",
     "flow.FlowError.__init__(last_state)",
-    "flow.MonodromyData.det",
     "flow.Trajectory.eval(rows)",
     "flow._bracketed_roots(rtol)",
     "flow.integrate(dense)",
@@ -604,8 +621,6 @@ SETTABLE = {
     "model.reg_energy_gradient(pert)",
     "model.reg_field(pert)",
     "model.reg_field_jacobian(pert)",
-    "reconstruct.remove_collisions(eps)",
-    "reconstruct.remove_collisions(pert)",
     "shooting.PeriodicOrbit.dim",
     "shooting.PeriodicOrbit.k",
     "shooting.PeriodicOrbit.pert_name",

@@ -184,9 +184,9 @@ class TestCertificates:
             c = manifolds.constants(spec)
             X0 = manifolds.seed_state(
                 spec, manifolds.random_seed_params(spec, rng))
-            _, mono = flow.monodromy(
+            _, M = flow.monodromy(
                 lambda X: model.reg_field_jacobian(X, 0.0), X0, c.S)
-            got = mono.M @ manifolds.variation_start(spec, X0)
+            got = M @ manifolds.variation_start(spec, X0)
             expected = manifolds.closed_form_variation(spec, X0, c.S)
             scale = max(1.0, np.linalg.norm(expected))
             assert np.linalg.norm(got - expected) < 1e-6 * scale
@@ -218,18 +218,18 @@ class TestCertificates:
         for dim in (2, 3):
             for k in (1, 2, 3):
                 spec, X0 = _seed_stack(dim, k, n=3)
-                _, mono = flow.monodromy(
+                _, Ms = flow.monodromy(
                     lambda X: model.reg_field_jacobian(X, 0.0), X0,
                     manifolds.constants(spec).S)
+                fields = model.reg_field(X0, 0.0)
                 grads = model.reg_energy_gradient(X0, 0.0)
-                dim_e, rank = manifolds.degeneracy_index(mono, grads)
+                dim_e, rank = manifolds.degeneracy_index(Ms, fields, grads)
                 assert dim_e.tolist() == [X0.shape[1] - 2] * len(X0)
                 assert rank.tolist() == [1] * len(X0)
                 # one orbit at a time gives the same
-                for X, M, F, g in zip(X0, mono.M, mono.field_dir, grads):
-                    one = flow.MonodromyData(M=M, X0=X, field_dir=F)
-                    got = manifolds.degeneracy_index(one, g)
-                    assert got == (X.size - 2, 1), (dim, k)
+                for M, F, g in zip(Ms, fields, grads):
+                    got = manifolds.degeneracy_index(M, F, g)
+                    assert got == (M.shape[0] - 2, 1), (dim, k)
 
 
 def _seed_stack(dim, k, n=6):
@@ -259,9 +259,9 @@ class TestSigmaPeriodPower:
         fj = lambda X: model.reg_field_jacobian(X, 0.0)
         _, full = flow.monodromy(fj, X0, c.S)
         _, part = flow.monodromy(fj, X0, c.sigma)
-        power = np.linalg.matrix_power(part.M, k)
-        scale = np.max(np.abs(full.M), axis=(1, 2))
-        assert np.all(np.max(np.abs(power - full.M), axis=(1, 2))
+        power = np.linalg.matrix_power(part, k)
+        scale = np.max(np.abs(full), axis=(1, 2))
+        assert np.all(np.max(np.abs(power - full), axis=(1, 2))
                       < 1e-10 * scale)
 
 
