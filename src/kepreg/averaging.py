@@ -12,7 +12,7 @@ O(lam^2), xi the zero-mean periodic solution of xi'' = p - p_bar, and
 every eps starts its Newton iteration there.  Every eps of a family is
 solved in one stack: each Newton step is one variational integration of
 the rows still open.  The forcing is a ``model.Perturbation``, the object
-the regularized field takes: its ``jet`` gives p and p', its ``mean``
+the regularized field takes: its ``jet`` gives p and p', its ``const``
 p_bar and its ``freq`` the harmonic frequencies of the seed.
 """
 
@@ -131,7 +131,8 @@ def averaged_jacobian_det(x):
 # shooting for the rescaled problem
 
 # Newton stops at a period-map defect of 1e-10, above what the 1e-12 relative
-# integration resolves; with the exact Jacobian it needs a few steps, not 30.
+# integration resolves while |x| <= 100 (above that, at REL_TOL |x|); with
+# the exact Jacobian it needs a few steps, not 30.
 RESIDUAL_TOL = 1e-10
 MAX_ITER = 30
 N_SAMPLES = 400             # times per period at which an orbit is read
@@ -188,10 +189,12 @@ def solve_scaled_periodic(pert, eps, y0):
     Newton on the period map, every row at once: each step is one
     variational integration of (x, x', t) from t = 0 over the rows still
     open, and a row leaves the stack once its defect |y(T) - y0| is below
-    ``RESIDUAL_TOL``.  Returns one outcome per row, in row order: for a
-    converged row (y0, trajectory, row), the trajectory of its last
-    integration and its row there, read with ``trajectory.eval(s,
-    rows=...)``; for any other row the error that ended it, a
+    ``RESIDUAL_TOL``, or below ``flow.REL_TOL`` |x0| (x0 the row's
+    position) where that is larger: the integration resolves no finer.
+    Returns one outcome per row, in row order: for a converged row (y0,
+    trajectory, row), the trajectory of its last integration and its row
+    there, read with ``trajectory.eval(s, rows=np.full(np.shape(s),
+    row))``; for any other row the error that ended it, a
     ``ShootingError`` with its best iterate when it is still open after
     ``MAX_ITER`` steps, or the ``FlowError`` of a failed integration,
     which ends every row open in it.
@@ -218,7 +221,11 @@ def solve_scaled_periodic(pert, eps, y0):
         last_r[open_rows] = np.linalg.norm(defect, axis=1)
         better = open_rows[last_r[open_rows] < best_r[open_rows]]
         best_y[better], best_r[better] = y[better], last_r[better]
-        done = last_r[open_rows] < RESIDUAL_TOL
+        # The integration holds x to REL_TOL |x| alone, so a defect below
+        # that is integration noise, and a Newton step solved from it is
+        # noise too (0.75-2.2 |x| long at |x| = 1e7): such a row is done.
+        floor = flow.REL_TOL * np.linalg.norm(y[open_rows, : d // 2], axis=1)
+        done = last_r[open_rows] < np.maximum(RESIDUAL_TOL, floor)
         for row in np.flatnonzero(done):
             outcomes[open_rows[row]] = (y[open_rows[row]], traj, row)
         step = np.linalg.solve(M[~done, :d, :d] - np.eye(d),
@@ -255,7 +262,7 @@ def bifurcation_from_infinity(pert, eps_list):
     whose predicted sup_dev lam max_t |xi(t)| is nonzero but not above
     that gets a diagnostic; without harmonics xi = 0 and x = x* exactly.
     """
-    x_star = averaged_equilibrium(pert.mean())
+    x_star = averaged_equilibrium(pert.const)
     if x_star is None:
         raise ValueError("zero-mean forcing has no bifurcation from infinity")
     eps = np.asarray(eps_list, float)
@@ -283,9 +290,9 @@ def bifurcation_from_infinity(pert, eps_list):
             diags.append({"eps": e, "error": str(outcome)})
             continue
         y0, traj, row = outcome
-        xs = traj.eval(ts, rows=np.full(N_SAMPLES, row))[: pert.dim]
-        radii = np.linalg.norm(xs, axis=0)
-        dev = np.max(np.linalg.norm(xs - x_star[:, None], axis=0))
+        xs = traj.eval(ts, rows=np.full(N_SAMPLES, row))[:, : pert.dim]
+        radii = np.linalg.norm(xs, axis=-1)
+        dev = np.max(np.linalg.norm(xs - x_star, axis=-1))
         entries.append(FamilyEntry(
             eps=float(e), y0=y0,
             min_u=float(np.min(radii) / np.sqrt(e)),

@@ -88,9 +88,13 @@ def _parse_perturbation(parser, period, dim):
              or [0.0] * dim)
     cos, sin = rows("cos"), rows("sin")
     try:
-        return model.forced_kepler(period, const, cos, sin, dim=dim)
+        pert = model.Perturbation(period, const, cos, sin)
     except ValueError as exc:
         raise ConfigError(f"[perturbation]: {exc}") from None
+    if pert.dim != dim:
+        raise ConfigError("[perturbation]: forcing coefficients must have "
+                          "length dim")
+    return pert
 
 
 class RunConfig:
@@ -386,11 +390,11 @@ def cmd_reconstruct(config, out):
 def cmd_average(config, out):
     pert = config.perturbation
     # a zero perturbation has zero mean
-    if not np.any(pert.mean()):
+    if not np.any(pert.const):
         raise ConfigError("the average command needs a forced_kepler "
                           "perturbation with a nonzero mean (const)")
     det = averaging.averaged_jacobian_det(
-        averaging.averaged_equilibrium(pert.mean()))
+        averaging.averaged_equilibrium(pert.const))
     entries, diags = averaging.bifurcation_from_infinity(
         pert, config.avg_eps_list)
     averaging.family_to_csv(

@@ -69,7 +69,8 @@ class Trajectory:
 
     ``states`` has shape (n_steps + 1, D_aug) for one initial state and
     (n_steps + 1, m, D_aug) for a stack of m; D_aug exceeds ``dim`` by
-    the fundamental-matrix columns of a variational integration.  No
+    the fundamental-matrix columns of a variational integration, and
+    ``eval`` reads the dense output in the same layout, points first.  No
     dense output => end points only: ``s`` and ``states`` then hold the
     start and the end of the integration, ``n_steps`` is 1 and ``sol``
     is None.
@@ -88,34 +89,36 @@ class Trajectory:
     dim: int                    # state dimension (augmented columns excluded)
 
     def eval(self, s, rows=None):
-        """Dense-output state at s (augmented columns stripped).
+        """Dense-output states at s, augmented columns stripped, of shape
+        s.shape + states.shape[1:-1] + (dim,): the layout of ``states``.
 
-        A scalar s gives states.shape[1:] cut to ``dim`` columns (the
-        read of the one-point array, its axis dropped), a 1-D array of n
-        points appends an axis of n.  Each point is read on
-        the step scipy's ``OdeSolution`` picks: a node belongs to the
-        step that ends there, and points beyond either end extrapolate
-        the first or last step.  The values equal scipy's bit for bit.
-        ``rows``, for a stack and a 1-D s, reads point j on row rows[j]
-        of the stack alone, giving (dim, n): the same values as the full
-        evaluation's [rows[j], :, j], without the other rows.
+        s may have any shape.  Each point is read on the step scipy's
+        ``OdeSolution`` picks: a node belongs to the step that ends there,
+        and points beyond either end extrapolate the first or last step.
+        The values equal scipy's bit for bit.  ``rows``, for a stack and
+        an array of row indices of the shape of s, reads each point on
+        its row of the stack alone, giving s.shape + (dim,): the values
+        the full read takes on each point's row, without the other rows.
         """
         if self.sol is None:
             raise ValueError("trajectory was integrated without dense output")
         s = np.asarray(s)
-        if s.ndim > 1:
-            raise ValueError("s must be a scalar or a 1-D array")
         pts = s.reshape(-1)
         i = np.clip(np.searchsorted(self.s, pts) - 1, 0, self.n_steps - 1)
         x = (pts - self.s[i]) / (self.s[i + 1] - self.s[i])
-        if rows is not None:
+        if rows is None:
+            y_old = np.take(self.states[..., : self.dim], i, axis=0)
+            y = _horner(self.sol[..., : self.dim, :][..., i], x,
+                        np.moveaxis(y_old, 0, -1))
+        else:
+            rows = np.ravel(rows)
             # sol[:, rows, :dim, i] puts the point axis first
             F = np.moveaxis(self.sol[:, rows, : self.dim, i], 0, -1)
-            return _horner(F, x, self.states[i, rows, : self.dim].T)
-        y_old = np.take(self.states[..., : self.dim], i, axis=0)
-        y = _horner(self.sol[..., : self.dim, :][..., i], x,
-                    np.moveaxis(y_old, 0, -1))
-        return y if s.ndim else y[..., 0]
+            y = _horner(F, x, self.states[i, rows, : self.dim].T)
+        # evaluated with the points along the fastest axis, then viewed
+        # points first
+        return y.transpose(-1, *range(y.ndim - 1)).reshape(
+            s.shape + y.shape[:-1])
 
     @property
     def s0(self):
@@ -267,8 +270,8 @@ def monodromy(field_jacobian, X0, S):
 
 def _radial_momentum(X):
     """<z, w> of a state (D,) or a stack (..., D)."""
-    zd = (X.shape[-1] - 2) // 2
-    return np.vecdot(X[..., :zd], X[..., zd:2 * zd])
+    z, w, _, _ = model.unpack_state(X)
+    return np.vecdot(z, w)
 
 
 def _bracketed_roots(f, lo, hi, f_lo, f_hi, xtol, rtol=ROOT_RTOL):
@@ -353,15 +356,13 @@ def detect_events(traj):
         raise ValueError("collision detection needs dense output")
     grid = np.append(np.linspace(traj.s[:-1], traj.s[1:], EVENT_GRID,
                                  endpoint=False, axis=1).ravel(), traj.s[-1])
-    vals = _radial_momentum(traj.eval(grid).T)
+    vals = _radial_momentum(traj.eval(grid))
     v0, v1 = vals[:-1], vals[1:]
     i = np.flatnonzero((v0 == 0.0) | ((v0 < 0.0) & (v1 > 0.0)))
-    s_star = _bracketed_roots(lambda s, _: _radial_momentum(traj.eval(s).T),
+    s_star = _bracketed_roots(lambda s, _: _radial_momentum(traj.eval(s)),
                               grid[i], grid[i + 1], v0[i], v1[i], EVENT_XTOL)
-    states = traj.eval(s_star).T
-    zd = (traj.dim - 2) // 2
-    hit = np.vecdot(states[:, :zd], states[:, :zd]) < COLLISION_R2_THRESHOLD
-    return s_star[hit]
+    z = model.unpack_state(traj.eval(s_star))[0]
+    return s_star[np.vecdot(z, z) < COLLISION_R2_THRESHOLD]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,7 @@ def invariant_report(traj, eps, pert):
 def trajectory_to_csv(traj, path, eps, pert, header_lines):
     """One row per accepted step: s, state components, K_eps, (3D) BL."""
     states = traj.states[:, : traj.dim]
-    zd = (traj.dim - 2) // 2
+    zd = model.unpack_state(states)[0].shape[-1]
     cols = ([f"z{i}" for i in range(zd)] + [f"w{i}" for i in range(zd)]
             + ["t", "tau", "K"])
     values = [traj.s, states, model.reg_energy(states, eps, pert)]

@@ -145,11 +145,11 @@ def rectilinear_seed_params(spec, t0=0.0, plane=None):
 
 def _check_on_manifold(spec, X0):
     c = constants(spec)
-    _check_states(c.tau, X0)
+    _check_rows_on_manifold(c.tau, X0)
     return c
 
 
-def _check_states(tau_k, X):
+def _check_rows_on_manifold(tau_k, X):
     """Raise unless every state of X (D,) or (m, D) has tau = tau_k, one
     value or one per row, and K_0 = 0."""
     dtau = np.ravel(np.abs(np.asarray(X, float)[..., -1] - tau_k))
@@ -221,11 +221,11 @@ def variation_start(spec, X0):
     stack = np.atleast_2d(X0)
     _, consts = _per_row(spec, len(stack))
     tau = np.array([c.tau for c in consts])
-    _check_states(tau, stack)
-    zd = (stack.shape[-1] - 2) // 2
+    _check_rows_on_manifold(tau, stack)
     Y = np.zeros(stack.shape)
-    Y[:, :zd] = stack[:, :zd]
-    Y[:, -1] = -2.0 * tau
+    z, _, _, Y_tau = model.unpack_state(Y)      # views of Y
+    z[:] = model.unpack_state(stack)[0]
+    Y_tau[:] = -2.0 * tau
     return Y.reshape(X0.shape)
 
 

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "Perturbation",
     "zero_perturbation",
-    "forced_kepler",
     "pack_state",
     "unpack_state",
     "state_dim",
@@ -58,8 +57,9 @@ class Perturbation:
     only way U is evaluated.  U is smooth at u = 0, as it must be: the
     regularized energy carries it as |z|^2 U(t, u(z)), and regularized
     orbits evaluate it through their collisions, at u = 0.  ``jet``
-    gives p, p' and p'' from one cos and one sin of the phases; ``mean``
-    is const, read off exactly rather than estimated by quadrature.
+    gives p, p' and p'' from one cos and one sin of the phases; the mean
+    of p is ``const``, read off exactly rather than estimated by
+    quadrature.
     """
 
     def __init__(self, period, const, cos=None, sin=None,
@@ -100,9 +100,6 @@ class Perturbation:
                                 axis=-1) @ self._coef
         return self._jet0 + series.reshape(series.shape[:-1] + (3, self.dim))
 
-    def mean(self):
-        return self.const.copy()
-
     def evaluate(self, t, u):
         """(U, grad_u U, dU/dt, d/dt grad_u U, d^2U/dt^2) at t of shape S
         and u of shape S + (N,), from one jet of p at t modulo the period.
@@ -120,16 +117,6 @@ class Perturbation:
 def zero_perturbation(period, dim):
     """The trivial U = 0, for unperturbed runs."""
     return Perturbation(period, np.zeros(dim), name="zero")
-
-
-def forced_kepler(period, const=None, cos=None, sin=None, dim=2):
-    """Linear forcing U(t, u) = <p(t), u> with p a truncated Fourier series."""
-    if const is None:
-        const = np.zeros(dim)
-    p = Perturbation(period, const, cos, sin)
-    if p.dim != dim:
-        raise ValueError("forcing coefficients must have length dim")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +137,11 @@ def pack_state(z, w, t, tau):
 
 
 def unpack_state(X):
+    """(z, w, t, tau) views of a state (D,) or a stack of states (..., D);
+    t and tau have the shape of the stack, 0-d for one state."""
     X = np.asarray(X, float)
-    zd = (len(X) - 2) // 2
-    return X[:zd], X[zd:2 * zd], float(X[2 * zd]), float(X[2 * zd + 1])
+    zd = (X.shape[-1] - 2) // 2
+    return X[..., :zd], X[..., zd:2 * zd], X[..., 2 * zd], X[..., 2 * zd + 1]
 
 
 _B2 = np.array([[[2.0, 0.0], [0.0, -2.0]],
@@ -203,12 +192,6 @@ def position(z):
 # (U is linear in u, so there is no A^T H A term), starting from a
 # constant template that holds its I/4 block.
 
-def _split(X):
-    """(z, w, t, tau) views of a state (D,) or a stack of states (..., D)."""
-    zd = (X.shape[-1] - 2) // 2
-    return X[..., :zd], X[..., zd:2 * zd], X[..., 2 * zd], X[..., 2 * zd + 1]
-
-
 def _evaluate(pert, eps, t, u):
     """``pert.evaluate(t, u)`` at a nonzero eps, which needs a pert."""
     if pert is None:
@@ -218,7 +201,7 @@ def _evaluate(pert, eps, t, u):
 
 def reg_energy(X, eps, pert):
     """Extended regularized Hamiltonian K_eps(X), scalar or (m,)."""
-    z, w, t, tau = _split(np.asarray(X, float))
+    z, w, t, tau = unpack_state(X)
     r2 = np.vecdot(z, z)
     K = tau * r2 + np.vecdot(w, w) / 8.0 - 1.0
     if eps != 0.0:
@@ -339,7 +322,7 @@ def reg_field_jacobian(X, eps, pert=None):
 def bl_value(X):
     """First integral Re(conj(z) i w) of the spatial regularized system,
     scalar for one state (10,) and (m,) for a stack (m, 10)."""
-    z, w, _, _ = _split(np.asarray(X, float))
+    z, w, _, _ = unpack_state(X)
     if z.shape[-1] != 4:
         raise ValueError("bl_value is defined for 3D states only")
     z0, z1, z2, z3 = np.moveaxis(z, -1, 0)
@@ -393,12 +376,12 @@ def group_rotation_matrix(theta):
 
 def state_position(X):
     """Physical position u(z) of a state or a stack of states."""
-    return position(_split(np.asarray(X, float))[0])
+    return position(unpack_state(X)[0])
 
 
 def state_velocity(X):
     """Physical velocity du/dt = A w / (4 |z|^2); diverges at a collision."""
-    z, w, _, _ = _split(np.asarray(X, float))
+    z, w, _, _ = unpack_state(X)
     r2 = np.vecdot(z, z)[..., None]
     return np.matvec(position_jacobian(z), w) / (4.0 * r2)
 
@@ -410,7 +393,7 @@ def state_energy(X, eps, pert):
     ``physical_energy(u, v)``, and unlike that it stays finite through
     a collision.
     """
-    z, _, t, tau = _split(np.asarray(X, float))
+    z, _, t, tau = unpack_state(X)
     E = -tau
     if eps != 0.0:
         E = E + eps * _evaluate(pert, eps, t, position(z))[0]

@@ -75,7 +75,7 @@ class TimeMap:
         self.t_end = float(ts[-1])
 
     def t_of(self, s):
-        return self.traj.eval(s)[-2]
+        return self.traj.eval(s)[..., -2][()]
 
     def _inv(self, t):
         """Table seed of the inverse: s(t) interpolated linearly."""
@@ -91,10 +91,9 @@ class TimeMap:
         for _ in range(4):
             if todo.size == 0:
                 break
-            X = self.traj.eval(s[todo])
-            gap = X[-2] - ts[todo]
-            z = X[: (len(X) - 2) // 2]
-            r2 = np.sum(z * z, axis=0)
+            z, _, t_at, _ = model.unpack_state(self.traj.eval(s[todo]))
+            gap = t_at - ts[todo]
+            r2 = np.sum(z * z, axis=-1)
             done = np.abs(gap) < 1e-13 * t_scale
             converged[todo[done]] = True
             step = ~done & (r2 >= 1e-8)
@@ -113,11 +112,6 @@ class TimeMap:
                 self._t_table[j - 1] - ts[left], self._t_table[j] - ts[left],
                 xtol=1e-15)
         return s.reshape(t.shape)[()]
-
-
-def _states(traj, s):
-    """Dense-output states at s, of shape s.shape + (D,)."""
-    return traj.eval(np.ravel(s)).T.reshape(np.shape(s) + (traj.dim,))
 
 
 def collision_limits(traj, s0, eps, pert):
@@ -162,7 +156,7 @@ class GeneralizedSolution:
     def state_at_t(self, t):
         """Regularized state at t: (D,) for a scalar, t.shape + (D,)
         for an array."""
-        return _states(self.traj, self.tmap.s_of(t))
+        return self.traj.eval(self.tmap.s_of(t))
 
     def u(self, t):
         return model.state_position(self.state_at_t(t))
@@ -244,7 +238,7 @@ def collision_side_limits(gensol, event):
     h = SIDE_DELTA / np.array([1.0, 2.0, 4.0])
     out = {}
     for label, sign in (("minus", -1.0), ("plus", +1.0)):
-        X = gensol.traj.eval(event.s0 + sign * h).T
+        X = gensol.traj.eval(event.s0 + sign * h)
         udir = _richardson(_unit(model.state_position(X)))
         E = _richardson(model.state_energy(X, gensol.eps, gensol.pert))
         vdir = _richardson(_unit(model.state_velocity(X)))
@@ -561,7 +555,7 @@ def remove_collisions(traj, S, mu, eps, pert):
     # window centres: each collision and its images one period away,
     # each with the unit normal to z'(s_c) = w(s_c) / 4
     # (w_0, w_1) as complex, exactly, signed zeros included
-    w = _states(traj, s_cols)[:, 2:4].copy().view(complex)[:, 0]
+    w = traj.eval(s_cols)[:, 2:4].copy().view(complex)[:, 0]
     normals = np.repeat(1j * w / np.abs(w), 3)
     centres = (np.reshape(s_cols, (-1, 1)) + [-S, 0.0, S]).ravel()
 
@@ -574,11 +568,11 @@ def remove_collisions(traj, S, mu, eps, pert):
         return jet @ normals.real + 1j * (jet @ normals.imag)
 
     def z_mu(s):
-        X = _states(traj, s)
+        X = traj.eval(s)
         return X[..., 0] + 1j * X[..., 1] + windows(s)[0]
 
     def p_of_s(s):
-        X = _states(traj, s)
+        X = traj.eval(s)
         F = model.reg_field(X, eps, pert)
         wz, wzp, wzpp = windows(s)
         z = X[..., 0] + 1j * X[..., 1] + wz

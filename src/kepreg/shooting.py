@@ -284,19 +284,17 @@ class PeriodicOrbit:
 def energy_band(traj, eps, pert):
     """Range of the physical energy E = -tau + eps U along an orbit.
 
-    ``traj`` is one trajectory, or a stack of m segments integrated over
-    one common interval (as in normalized time) that trace the orbit in
-    row order.  E is sampled at BAND_SAMPLES evenly spaced points of the
-    whole orbit, each read on the segment it falls on alone; a single
-    trajectory is the case m = 1.
+    ``traj`` is a stack of m segments integrated over one common interval
+    (as in normalized time) that trace the orbit in row order; a
+    trajectory over the whole orbit is the stack of m = 1.  E is sampled
+    at BAND_SAMPLES evenly spaced points of the whole orbit, each read on
+    the segment it falls on alone.
     """
-    stack = traj.states.ndim == 3
-    m = traj.states.shape[1] if stack else 1
+    m = traj.states.shape[1]
     x = np.linspace(0.0, m, BAND_SAMPLES)   # orbit position in segments
     seg = np.minimum(np.floor(x).astype(int), m - 1)
     sigma = traj.s0 + (x - seg) * (traj.s_end - traj.s0)
-    Y = traj.eval(sigma, rows=seg if stack else None)
-    E = model.state_energy(Y.T, eps, pert)
+    E = model.state_energy(traj.eval(sigma, rows=seg), eps, pert)
     return float(np.min(E)), float(np.max(E))
 
 

@@ -39,10 +39,10 @@ def criterion(num, name):
 
 def forcing_pert(dim):
     if dim == 2:
-        return model.forced_kepler(T, cos=[[0.3, 0.0]], sin=[[0.0, 0.3]],
-                                   dim=2)
-    return model.forced_kepler(T, cos=[[0.3, 0.0, 0.0]],
-                               sin=[[0.0, 0.3, 0.0]], dim=3)
+        return model.Perturbation(T, np.zeros(2), [[0.3, 0.0]],
+                                  [[0.0, 0.3]])
+    return model.Perturbation(T, np.zeros(3), [[0.3, 0.0, 0.0]],
+                              [[0.0, 0.3, 0.0]])
 
 
 def continue_family(k, dim, rng_seed):
@@ -281,7 +281,7 @@ def test_collision_physics():
 @criterion(10, "averaging scaling")
 def test_averaging_scaling():
     fs = model.Perturbation(period=T, const=(1.0, 0.0), cos=[(1.0, 0.0)])
-    x_star = averaging.averaged_equilibrium(fs.mean())
+    x_star = averaging.averaged_equilibrium(fs.const)
     assert np.allclose(x_star, [1.0, 0.0], atol=1e-14)
     d = averaging.averaged_jacobian_det(x_star)       # includes the
     assert abs(d - 2.0) < 1e-10                       # assembled check

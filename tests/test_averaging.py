@@ -150,7 +150,7 @@ class TestScaledSystem:
         field_jacobian = averaging._scaled_system(spec, lam)
         rng = np.random.default_rng(1)
         Y0 = np.concatenate([
-            averaging.averaged_equilibrium(spec.mean())
+            averaging.averaged_equilibrium(spec.const)
             + 0.1 * rng.normal(size=n), 0.05 * rng.normal(size=n), [0.7]])
         _, M = flow.integrate_with_variational(field_jacobian, Y0, T)
 
@@ -273,7 +273,7 @@ class TestFirstOrderAveraging:
         ddxi = (first_order_xi(spec, ts + h)[1]
                 - first_order_xi(spec, ts - h)[1]) / (2.0 * h)
         p = spec.jet(ts)[:, 0]
-        assert np.max(np.abs(ddxi - (p - spec.mean()))) < 1e-8
+        assert np.max(np.abs(ddxi - (p - spec.const))) < 1e-8
         xi = first_order_xi(spec, ts)[0]
         assert np.max(np.abs(np.mean(xi[:-1], axis=0))) < 1e-14
 
@@ -287,7 +287,7 @@ class TestFirstOrderAveraging:
         entries, diags = averaging.bifurcation_from_infinity(spec, eps_list)
         assert diags == []
         assert [e.eps for e in entries] == eps_list
-        x_star = averaging.averaged_equilibrium(spec.mean())
+        x_star = averaging.averaged_equilibrium(spec.const)
         xi0, dxi0 = first_order_xi(spec, [0.0])
         xi = first_order_xi(spec, np.linspace(0.0, T, averaging.N_SAMPLES))[0]
         xi_max = np.max(np.linalg.norm(xi, axis=1))
@@ -313,7 +313,7 @@ class TestFirstOrderAveraging:
         entries, diags = averaging.bifurcation_from_infinity(
             spec, [1e-2, 1e-3, 1e-4])
         assert diags == [] and rows == [3]
-        seed = np.concatenate([averaging.averaged_equilibrium(spec.mean()),
+        seed = np.concatenate([averaging.averaged_equilibrium(spec.const),
                                np.zeros(3)])
         for e in entries:
             assert np.array_equal(e.y0, seed)

@@ -468,6 +468,26 @@ eps_list = 1e-2,1e-3
                 if not ln.startswith("#")]
         assert rows == ["eps,min_u,sup_dev,defect"]
 
+    def test_small_mean_stops_at_the_resolution(self, tmp_path):
+        """At const = 1e-14, |x*| = 1e7 and the integration holds x to
+        REL_TOL |x*| = 1e-5 alone, so Newton stops once the defect is
+        below that.  Every entry's sup_dev then lies within 10 lam^2 of
+        lam max|xi| = lam (xi = -cos t), the bound of the first-order
+        oracle test, and min_u is |x*| / sqrt(eps); eps = 1e-4, whose
+        predicted deviation is not resolved, gets a diagnostic."""
+        text = MEAN.replace("1.0,0.0", "1e-14,0.0") + "cos1 = 1.0,0.0\n"
+        out = tmp_path / "out"
+        code = cli.main(["average", "--config", write_config(tmp_path, text),
+                         "--out", str(out)])
+        assert code == cli.EXIT_PARTIAL
+        rows = [[float(x) for x in ln.split(",")] for ln in
+                (out / "family.csv").read_text().splitlines()[-2:]]
+        assert [eps for eps, *_ in rows] == [1e-2, 1e-3]
+        for eps, min_u, sup_dev, _ in rows:
+            lam = eps ** 1.5
+            assert abs(sup_dev - lam) <= 10.0 * lam ** 2
+            assert min_u == pytest.approx(1e7 / np.sqrt(eps), rel=1e-9)
+
     def test_needs_forcing(self, tmp_path, capsys):
         """No forcing, a zero perturbation and a forcing with zero mean
         are configuration errors: none has a bifurcation from infinity.

@@ -137,8 +137,8 @@ class TestDenseOutput:
 
     @staticmethod
     def reference(traj):
-        """scipy's per-step evaluation of the same steps, cut to
-        ``eval``'s shapes."""
+        """scipy's per-step evaluation of the same steps, its point axis
+        moved first and cut to ``eval``'s shapes."""
         flat = traj.states.reshape(traj.n_steps + 1, -1)
         F = traj.sol.reshape(7, -1, traj.n_steps)
         sol = OdeSolution(traj.s, [
@@ -146,10 +146,9 @@ class TestDenseOutput:
             for i in range(traj.n_steps)])
 
         def evaluate(s):
-            out = sol(s)
-            out = out.reshape(traj.states.shape[1:] + out.shape[1:])
-            return out[..., : traj.dim] if np.ndim(s) == 0 \
-                else out[..., : traj.dim, :]
+            out = np.moveaxis(sol(s), -1, 0) if np.ndim(s) else sol(s)
+            out = out.reshape(np.shape(s) + traj.states.shape[1:])
+            return out[..., : traj.dim]
 
         return evaluate
 
@@ -198,15 +197,15 @@ class TestDenseOutput:
             pts = self.points(traj)
             got, want = traj.eval(pts), ref(pts)
             assert got.shape == want.shape == \
-                traj.states.shape[1:-1] + (traj.dim, pts.size), name
+                (pts.size,) + traj.states.shape[1:-1] + (traj.dim,), name
             assert np.array_equal(got, want), name
-            assert np.array_equal(traj.eval(list(pts[:5])), want[..., :5])
+            assert np.array_equal(traj.eval(list(pts[:5])), want[:5])
             for s in (pts[0], float(pts[1]), np.array(pts[2]), traj.s0,
                       traj.s_end, traj.s[len(traj.s) // 2], pts[-1], 0):
                 assert np.array_equal(traj.eval(s), ref(s)), (name, s)
                 assert traj.eval(s).shape == traj.states.shape[1:-1] + \
                     (traj.dim,), (name, s)
-            assert traj.eval(pts[:0]).shape == got.shape[:-1] + (0,)
+            assert traj.eval(pts[:0]).shape == (0,) + got.shape[1:]
 
     def test_scalar_is_one_point_array(self):
         """A scalar read is the one-point array read, bit for bit, with
@@ -214,7 +213,7 @@ class TestDenseOutput:
         for name, traj in self.trajectories(2).items():
             for s in self.points(traj):
                 got = traj.eval(s)
-                assert np.array_equal(got, traj.eval(np.array([s]))[..., 0])
+                assert np.array_equal(got, traj.eval(np.array([s]))[0])
                 assert got.shape == traj.states.shape[1:-1] + (traj.dim,)
 
     def test_zero_length_interval_has_no_dense_output(self):
@@ -236,10 +235,41 @@ class TestDenseOutput:
             flow.integrate_with_variational(
                 lambda X: (-X, -np.eye(1)), np.ones(1), -1.0)
 
-    def test_rejects_multidimensional_points(self):
-        traj = flow.integrate(lambda y: -y, np.array([1.0]), 1.0)
-        with pytest.raises(ValueError, match="1-D"):
-            traj.eval(np.zeros((2, 2)))
+    def test_two_dimensional_points_read_row_by_row(self):
+        """A 2-D s reads as the stack of its rows, bit for bit."""
+        for name, traj in self.trajectories(2).items():
+            s = self.points(traj)[:48].reshape(6, 8)
+            got = traj.eval(s)
+            assert got.shape == (6, 8) + traj.states.shape[1:-1] + \
+                (traj.dim,), name
+            for i in range(6):
+                assert np.array_equal(got[i], traj.eval(s[i])), (name, i)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_points_first_layout(self, dim, shape):
+        """``eval`` returns the layout of ``states``: s of any shape
+        reads np.shape(s) + states.shape[1:-1] + (dim,), ``rows`` of the
+        shape of s reads np.shape(s) + (dim,), the full read's row of
+        each point bit for bit, and at the nodes the read is ``states``
+        to rounding."""
+        local = np.random.default_rng(8)
+        for name, traj in self.trajectories(dim).items():
+            s = local.uniform(traj.s0, traj.s_end, shape)
+            full = traj.eval(s)
+            assert full.shape == np.shape(s) + traj.states.shape[1:-1] + \
+                (traj.dim,), name
+            if traj.states.ndim == 3:
+                rows = local.integers(0, traj.states.shape[1], shape)
+                got = traj.eval(s, rows=rows)
+                assert got.shape == np.shape(s) + (traj.dim,), name
+                pick = np.take_along_axis(
+                    full, rows[..., None, None], axis=-2)[..., 0, :]
+                assert np.array_equal(got, pick), name
+            if "random" not in name:
+                assert np.allclose(traj.eval(traj.s),
+                                   traj.states[..., : traj.dim],
+                                   rtol=1e-13, atol=1e-13), name
 
 
 class TestVariational:
@@ -324,7 +354,7 @@ class TestStateStepControl:
     def forced(dim):
         cos = [[0.3, 0.0]] if dim == 2 else [[0.3, 0.0, 0.0]]
         sin = [[0.0, 0.3]] if dim == 2 else [[0.0, 0.3, 0.0]]
-        return model.forced_kepler(T, cos=cos, sin=sin, dim=dim)
+        return model.Perturbation(T, np.zeros(dim), cos, sin)
 
     @pytest.mark.parametrize("stack", [False, True])
     @pytest.mark.parametrize("dim", [2, 3])
@@ -526,8 +556,9 @@ class TestInvariantsAndExport:
         assert b",nan," in got and b",-inf," in got
 
 
-# Public names that nothing in src/kepreg or bench calls, each kept for
-# the oracle or acceptance criterion it serves.
+# Public names that nothing reachable from cli.main, the module-level code
+# of src/kepreg or bench calls, each kept for the oracle or acceptance
+# criterion it serves.
 UNCALLED_PUBLIC = {
     "algebra.lc_map": "Levi-Civita identities: the planar change of "
                       "variables u = z^2, v = w / (2 conj z)",
@@ -537,51 +568,80 @@ UNCALLED_PUBLIC = {
                                      "gradient transport",
     "algebra.lc_plane_check": "Levi-Civita identities: Re(conj(v1) i v2) "
                               "= 0 on the planes of lc_plane_basis",
+    "algebra.quat_mul": "quaternion product of the oracles "
+                        "ks_gradient_transport and lc_plane_check",
+    "algebra.quat_conj": "quaternion conjugate of the oracle "
+                         "lc_plane_check",
+    "algebra.pure": "pure quaternion of the oracle ks_gradient_transport",
     "manifolds.closed_form_variation": "closed-form oracle of "
                                        "flow.monodromy and of the composed "
                                        "shooting monodromy",
+    "manifolds.closed_form_time": "analytic t(s) of the oracle "
+                                  "closed_form_variation",
     "manifolds.circular_seed_params": "collisionless oracle orbit of the "
                                       "flow, shooting and reconstruct tests",
 }
 
 
+def _references(node, skip):
+    """(name, through an attribute) of every name, attribute and import
+    under node, outside the subtrees in skip."""
+    found, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if n in skip:
+            continue
+        if isinstance(n, ast.Name):
+            found.add((n.id, False))
+        elif isinstance(n, ast.Attribute):
+            found.add((n.attr, True))
+        elif isinstance(n, ast.alias):
+            found.add((n.name, False))
+        todo.extend(ast.iter_child_nodes(n))
+    return found
+
+
 def test_every_public_name_has_a_caller():
     """Every public top-level function and class of kepreg, and every
-    public method of a public class, is referenced from src/kepreg or
-    bench outside its own definition, or is listed in UNCALLED_PUBLIC
-    with the oracle it serves.  A method counts as referenced only
-    through an attribute (obj.name): a local variable of its name does
-    not call it."""
+    public method of a public class, is reachable from cli.main, the
+    module-level code of src/kepreg or bench, or is listed in
+    UNCALLED_PUBLIC with the oracle it serves.  A definition is reached
+    when reached code refers to it, and then its own code is reached: a
+    function or class through any reference, a method only through an
+    attribute (obj.name), as a local variable of its name does not call
+    it.  A class's code is its body without its methods, but with its
+    __dunder__ methods, which Python calls for it."""
     root = Path(__file__).resolve().parents[1]
-    paths = sorted((root / "src" / "kepreg").glob("*.py"))
-    trees = {path: ast.parse(path.read_text())
-             for path in paths + sorted((root / "bench").glob("*.py"))}
-    references = {}                 # name -> ids of the nodes naming it
-    attributes = {}                 # the same, Attribute nodes alone
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name is not None:
-                references.setdefault(name, set()).add(id(node))
-            if isinstance(node, ast.Attribute):
-                attributes.setdefault(name, set()).add(id(node))
-    public = {}                     # "module.name" -> (definition, refs)
-    for path in paths:
-        for node in trees[path].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                public[f"{path.stem}.{node.name}"] = (node, references)
-                if isinstance(node, ast.ClassDef):
-                    public |= {f"{path.stem}.{node.name}.{m.name}":
-                               (m, attributes)
-                               for m in node.body
-                               if isinstance(m, ast.FunctionDef)
-                               and not m.name.startswith("_")}
-    uncalled = {key for key, (node, refs) in public.items()
-                if not refs.get(node.name, set())
-                - {id(n) for n in ast.walk(node)}}
+    code = [(ast.parse(path.read_text()), set())     # (node, skip)
+            for path in sorted((root / "bench").glob("*.py"))]
+    defs = {}       # "module.name" -> (node, method, its methods)
+    for path in sorted((root / "src" / "kepreg").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                code.append((node, set()))
+                continue
+            methods = set()
+            if isinstance(node, ast.ClassDef):
+                methods = {m for m in node.body
+                           if isinstance(m, ast.FunctionDef)
+                           and not m.name.startswith("__")}
+            defs[f"{path.stem}.{node.name}"] = (node, False, methods)
+            defs |= {f"{path.stem}.{node.name}.{m.name}": (m, True, set())
+                     for m in methods}
+    code.append((defs["cli.main"][0], set()))
+    refs, reached = set(), set()
+    while code:
+        for node, skip in code:
+            refs |= _references(node, skip)
+        code = []
+        for key, (node, method, methods) in defs.items():
+            if key not in reached and ((node.name, True) in refs or (
+                    not method and (node.name, False) in refs)):
+                reached.add(key)
+                code.append((node, methods))
+    uncalled = {key for key in set(defs) - reached
+                if not any(part.startswith("_")
+                           for part in key.split(".")[1:])}
     assert uncalled == set(UNCALLED_PUBLIC)
 
 
@@ -614,10 +674,6 @@ SETTABLE = {
     "model.Perturbation.__init__(cos)",
     "model.Perturbation.__init__(name)",
     "model.Perturbation.__init__(sin)",
-    "model.forced_kepler(const)",
-    "model.forced_kepler(cos)",
-    "model.forced_kepler(dim)",
-    "model.forced_kepler(sin)",
     "model.reg_energy_gradient(pert)",
     "model.reg_field(pert)",
     "model.reg_field_jacobian(pert)",

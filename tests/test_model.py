@@ -28,7 +28,7 @@ def grad_z_P(z, t, eps, pert):
 def sample_pert(dim):
     cos = np.array([[0.3, 0.1, -0.2][:dim], [0.05, -0.07, 0.02][:dim]])
     sin = np.array([[-0.1, 0.25, 0.15][:dim]])
-    return model.forced_kepler(T, const=[0.1] * dim, cos=cos, sin=sin, dim=dim)
+    return model.Perturbation(T, [0.1] * dim, cos, sin)
 
 
 def reference_field_jacobian(X, eps, pert):
@@ -89,8 +89,6 @@ class TestPerturbations:
     def test_nonpositive_period_rejected(self):
         for period in (0.0, -T):
             with pytest.raises(ValueError):
-                model.forced_kepler(period)
-            with pytest.raises(ValueError):
                 model.Perturbation(period, [1.0, 0.0])
 
     def test_time_reduction(self):
@@ -99,7 +97,7 @@ class TestPerturbations:
         assert p.evaluate(0.3, u)[0] == pytest.approx(
             p.evaluate(0.3 + 7 * T, u)[0], rel=1e-12)
 
-    def test_forced_kepler_is_linear_in_u(self):
+    def test_forcing_is_linear_in_u(self):
         p = sample_pert(2)
         t = 1.234
         u = np.array([0.5, -0.3])
@@ -142,7 +140,7 @@ class TestFourierSeries:
 
     def test_mean_is_exact(self):
         fs = self.acceptance_forcing()
-        assert np.allclose(fs.mean(), [1.0, 0.0])
+        assert np.array_equal(fs.const, [1.0, 0.0])
         # quadrature cross-check
         ts = np.linspace(0.0, T, 20001)
         vals = fs.jet(ts)[:, 0]
@@ -286,7 +284,7 @@ class TestRegularizedField:
             np.dot([1.0, 2.0], [1.0, 2.0]) / 8.0 - 1.0, rel=1e-13)
 
     def test_field_jacobian_fd(self):
-        """For forced_kepler and the zero perturbation; the field
+        """For the Fourier forcing and the zero perturbation; the field
         returned beside the Jacobian is reg_field's, bit for bit."""
         for dim in (2, 3):
             for pert in (sample_pert(dim), model.zero_perturbation(T, dim)):
@@ -305,7 +303,7 @@ class TestRegularizedField:
                             f"dim={dim} {pert.name} eps={eps} column {i}"
 
     def test_closed_form_second_derivatives_match_fd(self):
-        """forced_kepler's closed-form jet against an independent
+        """The Fourier forcing's closed-form jet against an independent
         reference: value and grad against <p(t), u> and p(t) from the
         forcing series itself, dt against a central difference of
         <p(t), u>, and the second derivatives against central
@@ -363,7 +361,7 @@ class TestRegularizedField:
 
     def test_stacked_kernels_match_rows(self):
         """A stack of states gives the row-by-row results, for
-        forced_kepler and the zero perturbation, and the same for BL and
+        the Fourier forcing and the zero perturbation, and the same for BL and
         the position map.  The field that
         reg_field_jacobian returns is reg_field's, bit for bit, for one
         state and for a stack."""

@@ -170,7 +170,7 @@ class TestGeneralizedSolution:
             assert energy(c.t0 - off) == pytest.approx(c.energy, abs=1e-9)
 
     def test_array_evaluation_matches_scalar_calls(self, rect_gensol):
-        forced = model.forced_kepler(T, cos=[[0.3, 0.0]], sin=[[0.0, 0.3]])
+        forced = model.Perturbation(T, np.zeros(2), [[0.3, 0.0]], [[0.0, 0.3]])
         for gensol in (rect_gensol,
                        dataclasses.replace(rect_gensol, eps=1e-3,
                                            pert=forced)):

@@ -11,12 +11,12 @@ EPS = 1e-3
 
 def forcing_pert(dim):
     if dim == 2:
-        return model.forced_kepler(T, cos=[[0.3, 0.0]], sin=[[0.0, 0.3]],
-                                   dim=2)
+        return model.Perturbation(T, np.zeros(2), [[0.3, 0.0]],
+                                  [[0.0, 0.3]])
     # same forcing placed in the physical plane reached by the default
     # Levi-Civita plane embedding (first and third components)
-    return model.forced_kepler(T, cos=[[0.3, 0.0, 0.0]],
-                               sin=[[0.0, 0.0, 0.3]], dim=3)
+    return model.Perturbation(T, np.zeros(3), [[0.3, 0.0, 0.0]],
+                              [[0.0, 0.0, 0.3]])
 
 
 def fixture_seed(spec):
@@ -876,6 +876,7 @@ class TestSpatial:
 
 class TestEnergyBand:
     def test_matches_per_point_loop(self):
+        """A trajectory over the whole orbit is the stack of m = 1."""
         for dim in (2, 3):
             spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
             c = manifolds.constants(spec)
@@ -883,10 +884,10 @@ class TestEnergyBand:
             X0 = manifolds.seed_state(spec, manifolds.SeedParams(
                 psi=0.9, phi1=0.4, phi2=1.3, t0=0.2))
             traj = flow.integrate(lambda X: model.reg_field(X, EPS, pert),
-                                  X0, c.S)
+                                  X0[None], c.S)
             energies = []
             for s in np.linspace(traj.s0, traj.s_end, 400):
-                z, _, t, tau = model.unpack_state(traj.eval(s))
+                z, _, t, tau = model.unpack_state(traj.eval(s)[0])
                 energies.append(-tau + EPS * pert.evaluate(
                     t, model.position(z))[0])
             band = shooting.energy_band(traj, EPS, pert)
@@ -914,12 +915,11 @@ class TestEnergyBand:
         x = np.linspace(0.0, m, n)
         seg = np.minimum(np.floor(x).astype(int), m - 1)
         sigma = traj.s0 + (x - seg) * (traj.s_end - traj.s0)
-        Y = traj.eval(sigma).reshape(m, traj.dim, n)
-        E = model.state_energy(Y[seg, :, np.arange(n)], EPS, pert)
+        Y = traj.eval(sigma)[np.arange(n), seg]
+        E = model.state_energy(Y, EPS, pert)
         assert shooting.energy_band(traj, EPS, pert) == \
             (float(np.min(E)), float(np.max(E)))
-        assert np.array_equal(traj.eval(sigma, rows=seg),
-                              Y[seg, :, np.arange(n)].T)
+        assert np.array_equal(traj.eval(sigma, rows=seg), Y)
 
     def test_segment_stack_matches_single_trajectory(self, family2d,
                                                      orbit3d_eps):
@@ -928,8 +928,8 @@ class TestEnergyBand:
         for orbit in (*family2d[1], orbit3d_eps):
             pert = forcing_pert(orbit.dim)
             traj = flow.integrate(
-                lambda X: model.reg_field(X, orbit.eps, pert), orbit.X0,
-                orbit.S)
+                lambda X: model.reg_field(X, orbit.eps, pert),
+                orbit.X0[None], orbit.S)
             band = shooting.energy_band(traj, orbit.eps, pert)
             assert np.max(np.abs(np.subtract(orbit.energy_band,
                                              band))) < 1e-9

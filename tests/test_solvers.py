@@ -16,7 +16,7 @@ T = 2.0 * np.pi
 def forced(dim):
     cos = [[0.3, 0.0]] if dim == 2 else [[0.3, 0.0, 0.0]]
     sin = [[0.0, 0.3]] if dim == 2 else [[0.0, 0.3, 0.0]]
-    return model.forced_kepler(T, cos=cos, sin=sin, dim=dim)
+    return model.Perturbation(T, np.zeros(dim), cos, sin)
 
 
 def seeds(dim, n, seed=21):
@@ -210,7 +210,7 @@ def collision_brackets():
             grid = np.append(np.linspace(traj.s[:-1], traj.s[1:],
                                          flow.EVENT_GRID, endpoint=False,
                                          axis=1).ravel(), traj.s[-1])
-            v = flow._radial_momentum(traj.eval(grid).T)
+            v = flow._radial_momentum(traj.eval(grid))
             g = lambda s, traj=traj: flow._radial_momentum(traj.eval(s))
             for i in np.flatnonzero((v[:-1] * v[1:] < 0.0) & (v[:-1] < 0.0)):
                 out.append((g, grid[i], grid[i + 1]))
