@@ -254,6 +254,12 @@ def monodromy(field_jacobian, X0, S):
     [0, 1] (its Jacobian scaled by S_j), so rows of different S share
     one step sequence, and the returned trajectory runs over sigma.  It
     holds the end points only: no caller reads an interpolant.
+
+    The package computes no monodromy with it: the certificate reads
+    the eps = 0 monodromy from ``manifolds.closed_form_jacobian`` and a
+    shooting orbit composes its own.  It stays as the integrated
+    cross-check of those, and because the benchmark's tracer wraps it
+    by name.
     """
     X0 = np.asarray(X0, float)
     h = np.asarray(S, float)[..., None]

@@ -574,8 +574,9 @@ UNCALLED_PUBLIC = {
                          "lc_plane_check",
     "algebra.pure": "pure quaternion of the oracle ks_gradient_transport",
     "manifolds.closed_form_variation": "closed-form oracle of "
-                                       "flow.monodromy and of the composed "
-                                       "shooting monodromy",
+                                       "flow.monodromy, of "
+                                       "closed_form_jacobian and of the "
+                                       "composed shooting monodromy",
     "manifolds.closed_form_time": "analytic t(s) of the oracle "
                                   "closed_form_variation",
     "manifolds.circular_seed_params": "collisionless oracle orbit of the "
