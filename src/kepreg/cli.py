@@ -263,11 +263,10 @@ def _at_eps(eps, config):
 
 def _continue_branch(config, pert, k, schedule):
     spec = manifolds.ManifoldSpec(k=k, T=config.period, dim=config.dimension)
-    c = manifolds.constants(spec)
     rng = np.random.default_rng(config.seed + k)
     params = manifolds.random_seed_params(spec, rng)
     X_seed = manifolds.seed_state(spec, params)
-    return shooting.continue_in_epsilon(spec, pert, X_seed, c.S, schedule)
+    return shooting.continue_in_epsilon(spec, pert, X_seed, schedule)
 
 
 def _orbit_at_eps(config, pert, k, schedule, failures):

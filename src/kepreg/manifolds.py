@@ -2,16 +2,16 @@
 
 For forcing period T and index k >= 1, the manifold of zero-energy
 states with tau = tau_k = (sqrt(2) k pi / T)^(2/3) is filled by closed
-orbits of common period S_k = 2 k pi sqrt(2 / tau_k), along which the
-flow, the time component and a distinguished variational solution are
-available in closed form.  The closed forms provide the oracles for the
+orbits of common period S_k = 2 k pi sqrt(2 / tau_k).  Along them a
+distinguished variational solution is closed-form, the oracle of the
 numerical monodromy and the Weinstein-type non-degeneracy certificate.
 
 At eps = 0 the field z' = w/4, w' = -2 tau z, t' = |z|^2, tau' = 0 is a
 linear oscillator of frequency omega = sqrt(tau/2) plus a quadrature
-for t, so its fundamental matrix is closed-form too, for every state
-with tau > 0 (``closed_form_jacobian``).  The certificate reads its
-monodromy over S_k from that formula and integrates nothing.
+for t, so its flow and fundamental matrix are closed-form for every
+state with tau > 0, on M_k or off it (``closed_form_flow`` and
+``closed_form_jacobian``).  Continuation seeds read the flow, and the
+certificate its monodromy over S_k: nothing is integrated.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,6 @@ __all__ = [
     "circular_seed_params",
     "rectilinear_seed_params",
     "closed_form_flow",
-    "closed_form_time",
     "closed_form_variation",
     "closed_form_jacobian",
     "variation_start",
@@ -144,6 +143,7 @@ def rectilinear_seed_params(spec, t0=0.0, plane=None):
 
 
 def _check_on_manifold(spec, X0):
+    """The constants of M_k, once X0 is checked on it."""
     c = constants(spec)
     _check_rows_on_manifold(c.tau, X0)
     return c
@@ -173,38 +173,11 @@ def _per_row(spec, n):
     return specs, [table[s] for s in specs]
 
 
-def closed_form_flow(spec, X0, s):
-    """Exact unperturbed solution through X0 on the manifold.
-
-    z(s) = z0 cos(w s) + (w0 / 4w) sin(w s), w(s) = 4 z'(s), tau frozen
-    and t(s) by the analytic quadrature of |z|^2.  ``s`` is one value,
-    giving the state (D,), or a 1-D array of n values, giving the states
-    (n, D); X0 is checked on the manifold once either way.
-    """
-    c = _check_on_manifold(spec, X0)
-    z0, w0, _, tau = model.unpack_state(X0)
-    om = c.omega
-    s = np.asarray(s, float)
-    cs, sn = np.cos(om * s)[..., None], np.sin(om * s)[..., None]
-    z = z0 * cs + (w0 / (4.0 * om)) * sn
-    w = -4.0 * om * z0 * sn + w0 * cs
-    t = _closed_form_time(c, X0, s)[..., None]
-    return np.concatenate([z, w, t, np.full_like(t, tau)], axis=-1)
-
-
-def closed_form_time(spec, X0, s):
-    """Analytic t(s) = t0 + integral of |z|^2 along the closed form."""
-    return _closed_form_time(_check_on_manifold(spec, X0), X0, s)
-
-
-def _closed_form_time(c, X0, s):
-    z0, w0, t0, _ = model.unpack_state(X0)
-    om = c.omega
-    a2 = float(np.dot(z0, z0))
-    b2 = float(np.dot(w0, w0)) / (16.0 * om * om)
-    ab = float(np.dot(z0, w0)) / (2.0 * om)
-    int_cos2, int_sincos, int_sin2 = _time_integrals(om, np.asarray(s, float))
-    return t0 + a2 * int_cos2 + ab * int_sincos + b2 * int_sin2
+def _omega(tau):
+    """omega = sqrt(tau/2) of each state; a tau <= 0 or NaN raises."""
+    if not np.all(tau > 0.0):
+        raise ValueError("closed-form flow needs tau > 0 in every state")
+    return np.sqrt(tau / 2.0)
 
 
 def _time_integrals(om, s):
@@ -213,6 +186,35 @@ def _time_integrals(om, s):
     int_sincos = np.sin(om * s) ** 2 / (2.0 * om)
     int_sin2 = s / 2.0 - np.sin(2.0 * om * s) / (4.0 * om)
     return int_cos2, int_sincos, int_sin2
+
+
+def _time_weights(z0, w0, om):
+    """(a2, ab, b2): |z|^2 = a2 cos^2 + ab sin cos + b2 sin^2 of om s."""
+    return (np.vecdot(z0, z0), np.vecdot(z0, w0) / (2.0 * om),
+            np.vecdot(w0, w0) / (16.0 * om * om))
+
+
+def closed_form_flow(X0, s):
+    """Exact solution Phi_s(X0) of the eps = 0 flow, on M_k or off it.
+
+    z(s) = z0 cos(om s) + (w0 / 4 om) sin(om s), w(s) = 4 z'(s), tau
+    frozen and t(s) by the analytic quadrature of |z|^2.  X0 is one
+    state (D,) or a stack (..., D) and s broadcasts against its stack
+    shape; returns the states (..., D).  Each state has its own
+    omega = sqrt(tau/2), so a tau <= 0 raises ValueError.
+    """
+    z0, w0, t0, tau = model.unpack_state(X0)
+    om = _omega(tau)
+    s = np.asarray(s, float)
+    a2, ab, b2 = _time_weights(z0, w0, om)
+    i_cc, i_sc, i_ss = _time_integrals(om, s)
+    t = (t0 + a2 * i_cc + ab * i_sc + b2 * i_ss)[..., None]
+    cs, sn = np.cos(om * s)[..., None], np.sin(om * s)[..., None]
+    om = om[..., None]
+    z = z0 * cs + (w0 / (4.0 * om)) * sn
+    w = -4.0 * om * z0 * sn + w0 * cs
+    return np.concatenate([z, w, t, np.broadcast_to(tau[..., None], t.shape)],
+                          axis=-1)
 
 
 def variation_start(spec, X0):
@@ -250,7 +252,8 @@ def closed_form_variation(spec, X0, s):
     dz = -om * z0 * sn + (w0 / 4.0) * cs
     Y1 = z - s * dz
     Y2 = 2.0 * tau * s * z
-    Y3 = 3.0 * (closed_form_time(spec, X0, s) - t0) - s * float(np.dot(z, z))
+    t = model.unpack_state(closed_form_flow(X0, s))[2]
+    Y3 = 3.0 * (t - t0) - s * float(np.dot(z, z))
     return model.pack_state(Y1, Y2, Y3, -2.0 * tau)
 
 
@@ -264,24 +267,20 @@ def closed_form_jacobian(X0, s):
     the integrals of the t quadrature, and the tau column adds the
     derivative in omega, through d omega / d tau = 1 / (4 omega).
     """
-    X0 = np.asarray(X0, float)
     z0, w0, _, tau = model.unpack_state(X0)
-    if not np.all(tau > 0.0):
-        raise ValueError("closed-form flow needs tau > 0 in every state")
-    om = np.sqrt(tau / 2.0)
+    om = _omega(tau)
     s = np.asarray(s, float)
     shape = np.broadcast_shapes(om.shape, s.shape)
     n = z0.shape[-1]
     cs, sn = np.cos(om * s), np.sin(om * s)
     i_cc, i_sc, i_ss = _time_integrals(om, s)
-    ab = np.vecdot(z0, w0) / (2.0 * om)
-    b2 = np.vecdot(w0, w0) / (16.0 * om * om)
+    a2, ab, b2 = _time_weights(z0, w0, om)
     # d/d omega of z, w and t, at fixed z0, w0 and t0
     dz = (-s * sn)[..., None] * z0 \
         + ((s * cs - sn / om) / (4.0 * om))[..., None] * w0
     dw = (-4.0 * (sn + om * s * cs))[..., None] * z0 \
         + (-s * sn)[..., None] * w0
-    dt = (np.vecdot(z0, z0) * (s * cs * cs - i_cc)
+    dt = (a2 * (s * cs * cs - i_cc)
           + ab * (s * sn * cs - 2.0 * i_sc)
           + b2 * (s * sn * sn - 3.0 * i_ss)) / om
     eye = np.eye(n)

@@ -134,14 +134,13 @@ def _unpack_batch(problem, U):
     return states, U[:, m * D], theta
 
 
-def seed_unknowns(problem, X0, S, theta=0.0):
-    """Unknowns on the unperturbed orbit through X0 on M_k: the segment
-    starts are its closed form at s = jS/m, j = 0 .. m-1, read in one
-    call with no integration.  X0 must lie on the manifold."""
+def seed_unknowns(problem, X0):
+    """Unknowns on the unperturbed orbit through X0 on M_k (else a
+    ValueError): S = S_k, theta = 0 and the segment starts its closed
+    form at s = jS/m, j = 0 .. m-1, read in one call, not integrated."""
+    S = manifolds._check_on_manifold(problem.spec, X0).S
     s = np.arange(problem.m) * S / problem.m
-    return pack_unknowns(problem, manifolds.closed_form_flow(problem.spec,
-                                                             X0, s),
-                         S, theta)
+    return pack_unknowns(problem, manifolds.closed_form_flow(X0, s), S)
 
 
 def _rotation(problem, theta):
@@ -298,7 +297,7 @@ def energy_band(traj, eps, pert):
     return float(np.min(E)), float(np.max(E))
 
 
-def _finish(problem, unknowns, res_norm, J=None):
+def _finish(problem, unknowns, res_norm, J):
     """The orbit at converged unknowns, given the shooting Jacobian J
     there (taken once here when the solve holds none).
 
@@ -359,7 +358,7 @@ def _line_search(problem, u, step, better, trials):
     return None
 
 
-def _strong_sweep(problem, u, first=None):
+def _strong_sweep(problem, u, first):
     """Gauss-Newton restricted to the well-conditioned directions, at
     most MAX_SWEEP_STEPS steps.
 
@@ -464,12 +463,12 @@ def solve(problem, unknowns0):
         best_unknowns=best_u, best_residual=best_r)
 
 
-def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets):
+def continue_in_epsilon(spec, pert, X_seed, eps_targets):
     """Natural-parameter continuation from an unperturbed seed.
 
-    The first solve is seeded with ``seed_unknowns`` at (X_seed, S_seed),
-    the closed-form orbit on M_k; every later eps step, and every halved
-    retry, starts at the last converged orbit's ``unknowns`` (a
+    The first solve is seeded with ``seed_unknowns`` at X_seed, the
+    closed-form orbit through it on M_k; every later eps step, and every
+    halved retry, starts at the last converged orbit's ``unknowns`` (a
     zero-order predictor), so no integration runs outside ``solve``.  A
     target above the current eps halves its eps-step on a ShootingError
     down to EPS_STEP_FLOOR; a target at or below it gets one solve.  A
@@ -493,7 +492,7 @@ def continue_in_epsilon(spec, pert, X_seed, S_seed, eps_targets):
             problem = ShootingProblem(spec=spec, eps=eps_try, pert=pert,
                                       X_ref=X_cur)
             if u_cur is None:
-                u_cur = seed_unknowns(problem, X_cur, S_seed)
+                u_cur = seed_unknowns(problem, X_cur)
             try:
                 orbit = solve(problem, u_cur)
             except flow.FlowError as exc:

@@ -47,7 +47,6 @@ def forcing_pert(dim):
 
 def continue_family(k, dim, rng_seed):
     spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
-    c = manifolds.constants(spec)
     rng = np.random.default_rng(rng_seed)
     if dim == 2:
         params = manifolds.random_seed_params(spec, rng)
@@ -59,7 +58,7 @@ def continue_family(k, dim, rng_seed):
                                       plane=PLANE_12)
     X_seed = manifolds.seed_state(spec, params)
     family, diags = shooting.continue_in_epsilon(
-        spec, forcing_pert(dim), X_seed, c.S, SCHEDULE)
+        spec, forcing_pert(dim), X_seed, SCHEDULE)
     assert diags == [], f"continuation failed: {diags}"
     return family
 
@@ -93,7 +92,7 @@ def test_manifold_closure():
             # oracle: the closed-form flow agrees along the way
             s_mid = 0.37 * c.S
             assert np.allclose(traj.eval(s_mid),
-                               manifolds.closed_form_flow(spec, X0, s_mid),
+                               manifolds.closed_form_flow(X0, s_mid),
                                atol=1e-8)
 
 

@@ -377,13 +377,13 @@ class TestReconstructCommand:
         nothing for that k: the command exits 2 with the diagnostics."""
         real = cli.shooting.continue_in_epsilon
 
-        def stop_short(spec, pert, X_seed, S_seed, eps_targets, **kwargs):
+        def stop_short(spec, pert, X_seed, eps_targets, **kwargs):
             if spec.k == 1:
-                family, _ = real(spec, pert, X_seed, S_seed,
-                                 eps_targets[:1], **kwargs)
+                family, _ = real(spec, pert, X_seed, eps_targets[:1],
+                                 **kwargs)
                 return family, [{"eps": eps_targets[1],
                                  "error": "synthetic"}]
-            return real(spec, pert, X_seed, S_seed, eps_targets, **kwargs)
+            return real(spec, pert, X_seed, eps_targets, **kwargs)
 
         monkeypatch.setattr(cli.shooting, "continue_in_epsilon", stop_short)
         text = (BASE.replace("k_list = 1", "k_list = 1,2")

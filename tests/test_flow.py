@@ -62,7 +62,7 @@ class TestIntegrate:
             traj = flow.integrate(kepler_field(), X0, S)
             for s in np.linspace(0.0, S, 25):
                 assert np.allclose(traj.eval(s),
-                                   manifolds.closed_form_flow(spec, X0, s),
+                                   manifolds.closed_form_flow(X0, s),
                                    atol=1e-9), (spec, s)
 
     def test_tolerance_halving_converges(self):
@@ -467,7 +467,7 @@ class TestEvents:
             for s0 in (0.0, shift):
                 traj = flow.integrate(
                     kepler_field(),
-                    manifolds.closed_form_flow(spec, X0, s0), c.S)
+                    manifolds.closed_form_flow(X0, s0), c.S)
                 got = flow.detect_events(traj)
                 assert np.allclose(got, expected - s0, rtol=0.0,
                                    atol=1e-8)
@@ -483,10 +483,10 @@ class TestEvents:
     def test_events_stable_under_a_shifted_start(self):
         """The collisions of an integration from a start further along
         the orbit, on another step sequence, are the same to 1e-9."""
-        spec, c, traj = self._rectilinear()
+        _, c, traj = self._rectilinear()
         ref = flow.detect_events(traj)
         shift = 0.3 * np.pi / c.omega       # before the first collision
-        X1 = manifolds.closed_form_flow(spec, traj.eval(0.0), shift)
+        X1 = manifolds.closed_form_flow(traj.eval(0.0), shift)
         traj2 = flow.integrate(kepler_field(), X1, c.S)
         got = flow.detect_events(traj2) + shift
         assert len(got) == len(ref)
@@ -577,8 +577,6 @@ UNCALLED_PUBLIC = {
                                        "flow.monodromy, of "
                                        "closed_form_jacobian and of the "
                                        "composed shooting monodromy",
-    "manifolds.closed_form_time": "analytic t(s) of the oracle "
-                                  "closed_form_variation",
     "manifolds.circular_seed_params": "collisionless oracle orbit of the "
                                       "flow, shooting and reconstruct tests",
 }
@@ -685,11 +683,8 @@ SETTABLE = {
     "shooting.PeriodicOrbit.unknowns",
     "shooting.ShootingError.__init__(best_residual)",
     "shooting.ShootingError.__init__(best_unknowns)",
-    "shooting._finish(J)",
     "shooting._integrate_segments(variational)",
-    "shooting._strong_sweep(first)",
     "shooting.pack_unknowns(theta)",
-    "shooting.seed_unknowns(theta)",
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kepreg import flow, manifolds, model
+from kepreg import flow, manifolds, model, shooting
 
 rng = np.random.default_rng(23)
 
@@ -58,7 +58,7 @@ class TestSeeds:
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
         for s in np.linspace(0.0, c.S, 30):
             z, _, _, _ = model.unpack_state(
-                manifolds.closed_form_flow(spec, X0, s))
+                manifolds.closed_form_flow(X0, s))
             assert np.dot(z, z) == pytest.approx(1.0 / (2.0 * c.tau),
                                                  abs=1e-8)
 
@@ -70,11 +70,19 @@ class TestSeeds:
         assert np.allclose(w0, 0.0)
 
     def test_off_manifold_rejected(self):
+        """A continuation seed must lie on M_k: seed_unknowns rejects a
+        state with tau != tau_k, and one with K_0 != 0."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
-        X0[-1] += 0.1
-        with pytest.raises(ValueError):
-            manifolds.closed_form_flow(spec, X0, 1.0)
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2), X_ref=X0)
+        off_tau, off_K0 = X0.copy(), X0.copy()
+        off_tau[-1] += 0.1
+        _, w0, _, _ = model.unpack_state(off_K0)        # views of off_K0
+        w0 *= 1.1
+        for X in (off_tau, off_K0):
+            with pytest.raises(ValueError, match="off the manifold"):
+                shooting.seed_unknowns(problem, X)
 
 
 class TestClosedForms:
@@ -87,56 +95,49 @@ class TestClosedForms:
 
     def test_closed_form_solves_field(self):
         """FD derivative of the closed form matches the field."""
-        spec, c, X0 = self._setup()
+        _, c, X0 = self._setup()
         h = 1e-6
         for s in np.linspace(0.3, c.S - 0.3, 9):
-            d = (manifolds.closed_form_flow(spec, X0, s + h)
-                 - manifolds.closed_form_flow(spec, X0, s - h)) / (2 * h)
-            f = model.reg_field(manifolds.closed_form_flow(spec, X0, s),
+            d = (manifolds.closed_form_flow(X0, s + h)
+                 - manifolds.closed_form_flow(X0, s - h)) / (2 * h)
+            f = model.reg_field(manifolds.closed_form_flow(X0, s),
                                 0.0, None)
             assert np.allclose(d, f, atol=1e-7)
 
     def test_orbit_closes_with_time_advance(self):
         for dim in (2, 3):
             for k in (1, 2):
-                spec, c, X0 = self._setup(dim, k)
-                XS = manifolds.closed_form_flow(spec, X0, c.S)
+                _, c, X0 = self._setup(dim, k)
+                XS = manifolds.closed_form_flow(X0, c.S)
                 diff = XS - X0
                 assert diff[-2] == pytest.approx(T, abs=1e-10)
                 diff[-2] = 0.0
                 assert np.linalg.norm(diff) < 1e-10
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_array_flow_equals_scalar_calls(self, dim, monkeypatch):
+    def test_array_flow_equals_scalar_calls(self, dim):
         """A 1-D array of s gives the stacked scalar calls bit for bit,
-        (n, D), and checks X0 on the manifold once."""
-        spec, c, X0 = self._setup(dim, 2)
+        (n, D)."""
+        _, c, X0 = self._setup(dim, 2)
         s = np.concatenate([np.linspace(0.0, c.S, 17), [-0.4, 2.5 * c.S]])
-        expected = np.array([manifolds.closed_form_flow(spec, X0, x)
+        expected = np.array([manifolds.closed_form_flow(X0, x)
                              for x in s])
-        real, checks = manifolds._check_on_manifold, []
-
-        def check(*args):
-            checks.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(manifolds, "_check_on_manifold", check)
-        got = manifolds.closed_form_flow(spec, X0, s)
+        got = manifolds.closed_form_flow(X0, s)
         assert got.shape == (s.size, X0.size)
         assert np.array_equal(got, expected)
-        assert len(checks) == 1
 
     def test_time_matches_quadrature(self):
         from scipy.integrate import quad
-        spec, c, X0 = self._setup()
+        _, c, X0 = self._setup()
 
         def r2(s):
             z, _, _, _ = model.unpack_state(
-                manifolds.closed_form_flow(spec, X0, s))
+                manifolds.closed_form_flow(X0, s))
             return float(np.dot(z, z))
 
         for s_end in (1.0, c.S / 3.0, c.S):
-            got = manifolds.closed_form_time(spec, X0, s_end) - X0[-2]
+            t = model.unpack_state(manifolds.closed_form_flow(X0, s_end))[2]
+            got = t - X0[-2]
             expected, _ = quad(r2, 0.0, s_end, limit=200)
             assert got == pytest.approx(expected, abs=1e-9)
 
@@ -146,7 +147,7 @@ class TestClosedForms:
         for s in np.linspace(0.2, c.S - 0.2, 7):
             d = (manifolds.closed_form_variation(spec, X0, s + h)
                  - manifolds.closed_form_variation(spec, X0, s - h)) / (2 * h)
-            X = manifolds.closed_form_flow(spec, X0, s)
+            X = manifolds.closed_form_flow(X0, s)
             Y = manifolds.closed_form_variation(spec, X0, s)
             f = model.reg_field_jacobian(X, 0.0)[1] @ Y
             assert np.allclose(d, f, atol=1e-6)
@@ -248,22 +249,46 @@ def _mixed_stack(dim, n=9):
         s, manifolds.random_seed_params(s, local)) for s in specs])
 
 
+def _off_stack(dim, k, n=6):
+    """_seed_stack moved off M_k, so tau != tau_k and K_0 != 0: w0
+    scaled by 1.2 and tau by 0.7 .. 1.3 down the rows."""
+    spec, X0 = _seed_stack(dim, k, n)
+    _, w0, _, tau = model.unpack_state(X0)          # views of X0
+    w0 *= 1.2
+    tau *= np.linspace(0.7, 1.3, n)
+    return spec, X0
+
+
+STACKS = {"on": _seed_stack, "off": _off_stack}
+
 # The integrated fundamental matrix of the eps = 0 field agrees with
 # the closed form to 2.6e-11 on 30 seeds per dimension and k over sigma_k,
 # S_k and 0.37 sigma_k + 0.1, where max |D Phi| <= 15 (its M(sigma_k)^k
-# over S_k to 1.9e-11): the integrator's error, which 1e-10 bounds.
+# over S_k to 1.9e-11), and to 5.9e-11 on 300 seeds per dimension and k
+# moved off M_k as _off_stack moves them: the integrator's error, which
+# 1e-10 bounds.  The integrated flow agrees to 1.0e-11 on the latter,
+# where max |Phi| <= 19.
 JACOBIAN_VS_INTEGRATION_TOL = 1e-10
+FLOW_VS_INTEGRATION_TOL = 1e-10
+# Central differences of closed_form_flow with step FD_STEP agree with
+# closed_form_jacobian to 7.4e-9 on those off-manifold seeds: truncation
+# O(h^2) and rounding O(1e-16 |Phi| / h), which 1e-7 bounds.
+FD_STEP = 1e-6
+FD_TOL = 1e-7
 
 
 class TestClosedFormJacobian:
+    @pytest.mark.parametrize("manifold", ["on", "off"])
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("where", ["sigma", "S", "between"])
-    def test_matches_variational_integration(self, dim, k, where):
+    def test_matches_variational_integration(self, dim, k, where, manifold):
         """Every column of D Phi_s against the integrated fundamental
-        matrix at eps = 0, for a stack and for its first row alone; s
-        off a multiple of sigma_k exercises the tau column's s terms."""
-        spec, X0 = _seed_stack(dim, k, n=4)
+        matrix at eps = 0, and Phi_s against the integrated flow, for a
+        stack and for its first row alone, on M_k and off it (tau !=
+        tau_k, K_0 != 0); s off a multiple of sigma_k exercises the tau
+        column's s terms."""
+        spec, X0 = STACKS[manifold](dim, k, n=4)
         c = manifolds.constants(spec)
         s = {"sigma": c.sigma, "S": c.S, "between": 0.37 * c.sigma + 0.1}[
             where]
@@ -273,6 +298,27 @@ class TestClosedFormJacobian:
             J = manifolds.closed_form_jacobian(X, s)
             assert J.shape == M.shape
             assert np.max(np.abs(J - M)) < JACOBIAN_VS_INTEGRATION_TOL
+            end = flow.integrate(lambda Y: model.reg_field(Y, 0.0), X, s,
+                                 dense=False).states[-1]
+            Phi = manifolds.closed_form_flow(X, s)
+            assert Phi.shape == X.shape
+            assert np.max(np.abs(Phi - end)) < FLOW_VS_INTEGRATION_TOL
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_flow_differences(self, dim, k):
+        """Every column of D Phi_s off M_k against central differences
+        of closed_form_flow, the D displaced copies of every state in
+        one call per sign."""
+        spec, X0 = _off_stack(dim, k, n=4)
+        c = manifolds.constants(spec)
+        E = FD_STEP * np.eye(X0.shape[1])      # row i displaces column i
+        for s in (0.37 * c.sigma + 0.1, c.S):
+            cols = (manifolds.closed_form_flow(X0[:, None] + E, s)
+                    - manifolds.closed_form_flow(X0[:, None] - E, s))
+            fd = np.swapaxes(cols, 1, 2) / (2.0 * FD_STEP)
+            J = manifolds.closed_form_jacobian(X0, s)
+            assert np.max(np.abs(J - fd)) < FD_TOL
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -288,30 +334,36 @@ class TestClosedFormJacobian:
                     Y - manifolds.closed_form_variation(spec, X, s))) < 1e-13
 
     def test_identity_at_zero(self):
-        spec, X0 = _seed_stack(3, 2, n=3)
+        _, X0 = _seed_stack(3, 2, n=3)
         J = manifolds.closed_form_jacobian(X0, 0.0)
         assert np.array_equal(J, np.broadcast_to(np.eye(10), J.shape))
 
-    def test_s_broadcasts_against_the_stack(self):
+    @pytest.mark.parametrize("manifold", ["on", "off"])
+    @pytest.mark.parametrize("name", ["closed_form_jacobian",
+                                      "closed_form_flow"])
+    def test_s_broadcasts_against_the_stack(self, name, manifold):
         """One s per row, or many s for one state, equal the single
         calls bit for bit."""
-        spec, X0 = _seed_stack(2, 1, n=3)
+        fn = getattr(manifolds, name)
+        _, X0 = STACKS[manifold](2, 1, n=3)
         s = np.array([0.5, 2.0, 7.5])
-        got = manifolds.closed_form_jacobian(X0, s)
-        assert got.shape == (3, 6, 6)
-        for X, x, J in zip(X0, s, got):
-            assert np.array_equal(J, manifolds.closed_form_jacobian(X, x))
-        many = manifolds.closed_form_jacobian(X0[0], s)
-        assert many.shape == (3, 6, 6)
-        for x, J in zip(s, many):
-            assert np.array_equal(J, manifolds.closed_form_jacobian(X0[0], x))
+        got = fn(X0, s)
+        assert got.shape == (3,) + fn(X0[0], 0.5).shape
+        for X, x, one in zip(X0, s, got):
+            assert np.array_equal(one, fn(X, x))
+        many = fn(X0[0], s)
+        assert many.shape == got.shape
+        for x, one in zip(s, many):
+            assert np.array_equal(one, fn(X0[0], x))
 
+    @pytest.mark.parametrize("name", ["closed_form_jacobian",
+                                      "closed_form_flow"])
     @pytest.mark.parametrize("tau", [0.0, -0.5, np.nan])
-    def test_rejects_nonpositive_tau(self, tau):
-        spec, X0 = _seed_stack(2, 1, n=3)
+    def test_rejects_nonpositive_tau(self, tau, name):
+        _, X0 = _seed_stack(2, 1, n=3)
         X0[1, -1] = tau
         with pytest.raises(ValueError, match="tau > 0"):
-            manifolds.closed_form_jacobian(X0, 1.0)
+            getattr(manifolds, name)(X0, 1.0)
 
 
 class TestSigmaPeriodPower:

@@ -31,9 +31,8 @@ def fixture_seed(spec):
 @pytest.fixture(scope="module")
 def family2d():
     spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-    c = manifolds.constants(spec)
     family, diags = shooting.continue_in_epsilon(
-        spec, forcing_pert(2), fixture_seed(spec), c.S,
+        spec, forcing_pert(2), fixture_seed(spec),
         [EPS / 4, EPS / 2, EPS])
     assert diags == []
     return spec, family
@@ -42,9 +41,8 @@ def family2d():
 @pytest.fixture(scope="module")
 def orbit3d():
     spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
-    c = manifolds.constants(spec)
     family, diags = shooting.continue_in_epsilon(
-        spec, forcing_pert(3), fixture_seed(spec), c.S, [EPS / 4])
+        spec, forcing_pert(3), fixture_seed(spec), [EPS / 4])
     assert diags == []
     return spec, family[-1]
 
@@ -53,9 +51,8 @@ def orbit3d():
 def orbit3d_eps():
     """The orbit3d seed continued to eps = EPS."""
     spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
-    c = manifolds.constants(spec)
     family, diags = shooting.continue_in_epsilon(
-        spec, forcing_pert(3), fixture_seed(spec), c.S, [EPS / 4, EPS])
+        spec, forcing_pert(3), fixture_seed(spec), [EPS / 4, EPS])
     assert diags == []
     return family[-1]
 
@@ -64,12 +61,19 @@ def lookahead_problem():
     """The 2D k = 1 problem at EPS of the look-ahead tests, with its
     seed unknowns; its solve takes eleven outer iterations."""
     spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-    c = manifolds.constants(spec)
     X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
         spec, np.random.default_rng(2)))
     problem = shooting.ShootingProblem(
         spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
-    return problem, shooting.seed_unknowns(problem, X0, c.S)
+    return problem, shooting.seed_unknowns(problem, X0)
+
+
+def seed_at_theta(problem, X0, theta):
+    """seed_unknowns with its 3D phase repacked as theta (a 2D problem
+    has none)."""
+    states, S, _ = shooting.unpack_unknowns(
+        problem, shooting.seed_unknowns(problem, X0))
+    return shooting.pack_unknowns(problem, states, S, theta)
 
 
 class TestResidual:
@@ -78,22 +82,21 @@ class TestResidual:
         segment integration agrees with the closed form."""
         for dim in (2, 3):
             spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
-            c = manifolds.constants(spec)
             rng = np.random.default_rng(1)
             X0 = manifolds.seed_state(
                 spec, manifolds.random_seed_params(spec, rng))
             problem = shooting.ShootingProblem(
                 spec=spec, eps=0.0, pert=model.zero_perturbation(T, dim),
                 X_ref=X0)
-            u = shooting.seed_unknowns(problem, X0, c.S)
+            u = shooting.seed_unknowns(problem, X0)
             res = shooting.residual(problem, u)
             assert np.linalg.norm(res) < 1e-10
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_seed_unknowns_is_closed_form(self, monkeypatch, dim):
         """seed_unknowns makes no integration: its segment starts equal
-        closed_form_flow at jS/m bit for bit, S and theta packed after
-        them."""
+        closed_form_flow at jS/m bit for bit, S = S_k and theta = 0
+        packed after them."""
         spec = manifolds.ManifoldSpec(k=2, T=T, dim=dim)
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
@@ -107,15 +110,17 @@ class TestResidual:
         monkeypatch.setattr(flow, "integrate", no_integration)
         monkeypatch.setattr(flow, "integrate_with_variational",
                             no_integration)
-        u = shooting.seed_unknowns(problem, X0, c.S, 0.3)
+        u = shooting.seed_unknowns(problem, X0)
         states, S, theta = shooting.unpack_unknowns(problem, u)
         m = problem.m
-        expected = [manifolds.closed_form_flow(spec, X0, j * c.S / m)
+        expected = [manifolds.closed_form_flow(X0, j * c.S / m)
                     for j in range(m)]
         assert np.array_equal(states, expected)
         assert np.array_equal(states[0], X0)
         assert S == c.S
-        assert theta == (0.3 if dim == 3 else 0.0)
+        assert theta == 0.0
+        assert np.array_equal(u, shooting.pack_unknowns(problem, expected,
+                                                        c.S))
 
     def test_default_segments(self):
         spec = manifolds.ManifoldSpec(k=3, T=T, dim=2)
@@ -141,13 +146,12 @@ class TestResidual:
         against central differences of the residual."""
         for dim in (2, 3):
             spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
-            c = manifolds.constants(spec)
             rng = np.random.default_rng(2)
             X0 = manifolds.seed_state(
                 spec, manifolds.random_seed_params(spec, rng))
             problem = shooting.ShootingProblem(
                 spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
-            u = shooting.seed_unknowns(problem, X0, c.S, 0.2)
+            u = seed_at_theta(problem, X0, 0.2)
             res, J = shooting.residual_and_jacobian(problem, u)
             assert np.allclose(res, shooting.residual(problem, u),
                                atol=1e-12)
@@ -192,12 +196,11 @@ class TestStackedSegments:
         rng = np.random.default_rng(3)
         for dim in (2, 3):
             spec = manifolds.ManifoldSpec(k=2, T=T, dim=dim)
-            c = manifolds.constants(spec)
             X0 = manifolds.seed_state(
                 spec, manifolds.random_seed_params(spec, rng))
             problem = shooting.ShootingProblem(
                 spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
-            u = shooting.seed_unknowns(problem, X0, c.S, 0.1)
+            u = seed_at_theta(problem, X0, 0.1)
             u[: -2] += 1e-4 * rng.normal(size=u.size - 2)
             res, J = shooting.residual_and_jacobian(problem, u)
             defects, Ms, dS = per_segment_reference(problem, u)
@@ -224,12 +227,11 @@ class TestStackedSegments:
         step sequence."""
         rng = np.random.default_rng(4)
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
-        c = manifolds.constants(spec)
         X0 = manifolds.seed_state(
             spec, manifolds.random_seed_params(spec, rng))
         problem = shooting.ShootingProblem(
             spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
-        u = shooting.seed_unknowns(problem, X0, c.S, 0.05)
+        u = seed_at_theta(problem, X0, 0.05)
         iS = problem.m * problem.D
         rows = [u]
         for dS in (-0.3, 0.2):
@@ -251,7 +253,6 @@ class TestStackedSegments:
 class TestTypedFailures:
     def test_nonfinite_jacobian_becomes_shooting_error(self, monkeypatch):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
         real = shooting.residual_and_jacobian
 
@@ -263,7 +264,7 @@ class TestTypedFailures:
         monkeypatch.setattr(shooting, "residual_and_jacobian", nan_jacobian)
         problem = shooting.ShootingProblem(
             spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
-        u = shooting.seed_unknowns(problem, X0, c.S)
+        u = shooting.seed_unknowns(problem, X0)
         with pytest.raises(shooting.ShootingError, match="SVD") as info:
             shooting.solve(problem, u)
         assert info.value.best_unknowns is not None
@@ -271,7 +272,7 @@ class TestTypedFailures:
         # raising it
         monkeypatch.setattr(shooting, "EPS_STEP_FLOOR", EPS / 2)
         family, diags = shooting.continue_in_epsilon(
-            spec, forcing_pert(2), X0, c.S, [EPS])
+            spec, forcing_pert(2), X0, [EPS])
         assert family == []
         assert [d["eps"] for d in diags] == [EPS / 2]
         assert "SVD" in diags[0]["error"]
@@ -280,7 +281,6 @@ class TestTypedFailures:
         """A FlowError from solve ends the continuation at the eps it was
         tried at: one solve attempt and no halving."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
         tried = []
 
@@ -290,7 +290,7 @@ class TestTypedFailures:
 
         monkeypatch.setattr(shooting, "solve", fail)
         family, diags = shooting.continue_in_epsilon(
-            spec, forcing_pert(2), X0, c.S, [EPS / 4, EPS])
+            spec, forcing_pert(2), X0, [EPS / 4, EPS])
         assert tried == [EPS / 4]
         assert family == []
         assert diags == [{"eps": EPS / 4,
@@ -300,7 +300,6 @@ class TestTypedFailures:
         """A FlowError from a Newton trial, after the seed's integration
         succeeded, ends the continuation as one from the seed does."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
         real_rj, real_solve = shooting.residual_and_jacobian, shooting.solve
         calls, tried = [], []
@@ -318,7 +317,7 @@ class TestTypedFailures:
         monkeypatch.setattr(shooting, "residual_and_jacobian", fail_second)
         monkeypatch.setattr(shooting, "solve", spy_solve)
         family, diags = shooting.continue_in_epsilon(
-            spec, forcing_pert(2), X0, c.S, [EPS / 4, EPS])
+            spec, forcing_pert(2), X0, [EPS / 4, EPS])
         assert calls == [EPS / 4, EPS / 4]
         assert tried == [EPS / 4]
         assert family == []
@@ -330,7 +329,6 @@ class TestTypedFailures:
         """A failure of the closing eps = 0 solve leaves the partial
         family and a diagnostic instead of escaping."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
         real = shooting.solve
 
@@ -341,7 +339,7 @@ class TestTypedFailures:
 
         monkeypatch.setattr(shooting, "solve", fail_unperturbed)
         family, diags = shooting.continue_in_epsilon(
-            spec, forcing_pert(2), X0, c.S, [EPS / 4, 0.0])
+            spec, forcing_pert(2), X0, [EPS / 4, 0.0])
         assert [o.eps for o in family] == [EPS / 4]
         assert diags == [{"eps": 0.0,
                           "error": "synthetic failure at eps = 0"}]
@@ -351,10 +349,9 @@ class TestTypedFailures:
         orbit: it joins the family, or its failure ends the continuation
         with a diagnostic, with no halving."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
         family, diags = shooting.continue_in_epsilon(
-            spec, forcing_pert(2), X0, c.S, [EPS / 2, EPS / 4])
+            spec, forcing_pert(2), X0, [EPS / 2, EPS / 4])
         assert [o.eps for o in family] == [EPS / 2, EPS / 4]
         assert diags == []
         assert all(o.residual_norm < shooting.RESIDUAL_TOL for o in family)
@@ -369,7 +366,7 @@ class TestTypedFailures:
 
         monkeypatch.setattr(shooting, "solve", fail_lower)
         family, diags = shooting.continue_in_epsilon(
-            spec, forcing_pert(2), X0, c.S, [EPS / 2, EPS / 4, EPS])
+            spec, forcing_pert(2), X0, [EPS / 2, EPS / 4, EPS])
         assert tried == [EPS / 2, EPS / 4]
         assert [o.eps for o in family] == [EPS / 2]
         assert diags == [{"eps": EPS / 4, "error": "synthetic lower failure"}]
@@ -554,7 +551,6 @@ class TestComposedMonodromy:
                                                   k, per_k):
         monkeypatch.setattr(shooting, "SEGMENTS_PER_K", per_k)
         spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
-        c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
             spec, np.random.default_rng(10 * dim + k)))
         problem = shooting.ShootingProblem(
@@ -562,7 +558,7 @@ class TestComposedMonodromy:
             X_ref=X0)
         assert problem.m == per_k * k
         orbit = shooting.solve(problem,
-                               shooting.seed_unknowns(problem, X0, c.S))
+                               shooting.seed_unknowns(problem, X0))
         got = orbit.monodromy @ manifolds.variation_start(spec, orbit.X0)
         expected = manifolds.closed_form_variation(spec, orbit.X0, orbit.S)
         scale = max(1.0, np.linalg.norm(expected))
@@ -626,13 +622,12 @@ class TestWorkCounts:
         evaluated when it is built.  Every call of a field or energy
         function evaluates the perturbation exactly once."""
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
-        c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
             spec, np.random.default_rng(2)))
         pert = forcing_pert(dim)
         problem = shooting.ShootingProblem(spec=spec, eps=EPS, pert=pert,
                                            X_ref=X0)
-        u = shooting.seed_unknowns(problem, X0, c.S)
+        u = shooting.seed_unknowns(problem, X0)
 
         evaluations, calls, nfev = [], {}, []
         real_evaluate = pert.evaluate
@@ -757,11 +752,10 @@ class TestCarriedStep:
     @staticmethod
     def continuation(seed=5, targets=(EPS / 4, EPS / 2)):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
         X_seed = manifolds.seed_state(spec, manifolds.random_seed_params(
             spec, np.random.default_rng(seed)))
         family, diags = shooting.continue_in_epsilon(
-            spec, forcing_pert(2), X_seed, c.S, list(targets))
+            spec, forcing_pert(2), X_seed, list(targets))
         assert diags == []
         return family
 
@@ -772,11 +766,10 @@ class TestCarriedStep:
         self.continuation()
         continued = len(log)
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
-        c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2), X_ref=X0)
-        shooting.solve(problem, shooting.seed_unknowns(problem, X0, c.S))
+        shooting.solve(problem, shooting.seed_unknowns(problem, X0))
         assert continued > 10 and len(log) > continued
         assert set(log) == {(True, 1.0, shooting.SIGMA_STEP)}
 
@@ -790,8 +783,8 @@ class TestCarriedStep:
         X_seed = fixture_seed(spec)
         problem = shooting.ShootingProblem(
             spec=spec, eps=EPS / 4, pert=forcing_pert(dim), X_ref=X_seed)
-        direct = shooting.solve(problem, shooting.seed_unknowns(
-            problem, X_seed, manifolds.constants(spec).S))
+        direct = shooting.solve(problem,
+                                shooting.seed_unknowns(problem, X_seed))
         assert direct.eps == continued.eps
         assert np.array_equal(direct.unknowns, continued.unknowns)
         assert direct.S == continued.S
@@ -816,8 +809,8 @@ class TestCarriedStep:
         problem = shooting.ShootingProblem(spec=spec, eps=0.0,
                                            pert=forcing_pert(2),
                                            X_ref=X_seed)
-        assert np.array_equal(starts[0], shooting.seed_unknowns(
-            problem, X_seed, manifolds.constants(spec).S))
+        assert np.array_equal(starts[0],
+                              shooting.seed_unknowns(problem, X_seed))
         for orbit, start in zip(family, starts[1:]):
             assert np.array_equal(start, orbit.unknowns)
             assert np.array_equal(orbit.unknowns[:orbit.X0.size], orbit.X0)
@@ -906,8 +899,7 @@ class TestEnergyBand:
         pert = forcing_pert(dim)
         X0 = manifolds.seed_state(spec, manifolds.SeedParams(
             psi=0.9, phi1=0.4, phi2=1.3, t0=0.2))
-        starts = manifolds.closed_form_flow(spec, X0,
-                                            np.arange(m) * c.S / m)
+        starts = manifolds.closed_form_flow(X0, np.arange(m) * c.S / m)
         h = c.S / m
         traj = flow.integrate(lambda Y: h * model.reg_field(Y, EPS, pert),
                               starts, 1.0)

@@ -205,7 +205,7 @@ def collision_brackets():
                                   manifolds.rectilinear_seed_params(spec))
         for s0 in (0.0, 0.3 * np.pi / c.omega):
             traj = flow.integrate(lambda X: model.reg_field(X, 0.0),
-                                  manifolds.closed_form_flow(spec, X0, s0),
+                                  manifolds.closed_form_flow(X0, s0),
                                   c.S)
             grid = np.append(np.linspace(traj.s[:-1], traj.s[1:],
                                          flow.EVENT_GRID, endpoint=False,
