@@ -3,8 +3,10 @@
 Closed orbits on the zero level of K_eps are found by damped
 Gauss-Newton on an overdetermined residual: evenly spaced shooting
 segments, a closure defect (modulo the circle-action phase in 3D), the
-energy constraint, and phase conditions anchored at the seed.  Natural
-continuation in eps grows families out of the unperturbed manifolds.
+energy constraint, and phase conditions anchored at the seed.  Each
+Newton step is taken on the system condensed to (X0, S, theta) by
+eliminating the interior segment starts.  Natural continuation in eps
+grows families out of the unperturbed manifolds.
 """
 
 import json
@@ -19,6 +21,7 @@ __all__ = [
     "ShootingProblem",
     "PeriodicOrbit",
     "ShootingError",
+    "ShootingJacobian",
     "residual",
     "residual_and_jacobian",
     "solve",
@@ -34,26 +37,38 @@ MAX_BACKTRACKS = 20
 MAX_SWEEP_STEPS = 8         # Gauss-Newton steps per strong sweep
 MAX_OUTER = 12              # sweep and reduced-step rounds per solve
 FD_STEP = 1e-2              # central-difference step of the reduced Jacobian
+# The reduced step is a least-squares solve without the reduced
+# Jacobian's singular values below REDUCED_CUTOFF of the largest.  One
+# weak direction is the forcing's symmetry (rotating u while shifting t),
+# along which an exact solve stepped far off M_k for the next sweep to
+# undo: on the 2D k = 1 seed of default_rng(2) at eps = 1e-3 it did not
+# converge in MAX_OUTER rounds, where the truncated one takes 6.  Over
+# the 45 reduced steps of the 18 acceptance families and theorem-demo's
+# l = 3 branches of both bench configs, 39 dropped one value (6.7e-5 to
+# 0.095 of the largest), 6 dropped none, and every value kept was at
+# least 0.115.
+REDUCED_CUTOFF = 0.1
 EPS_STEP_FLOOR = 1e-8       # smallest eps step continuation halves down to
 BAND_SAMPLES = 400          # points of an orbit at which E is sampled
-# Shooting segments per unit of k: a problem on M_k has m = 8k.  Halving
-# the segment length halves the sequential stages of every stacked
-# integration, while the Jacobian's SVD grows with its m * D columns.
-# Continuing 5 families per case (2 BLAS threads), 8k took 9-42% less
-# wall time than 4k in 2D at k = 1..3 and in 3D at k = 1, 2, but 19% more
-# in 3D at k = 3, where one SVD of 242 columns takes 15 ms against 4 ms
-# at 4k.  No bench workload runs k > 1, so none would guard a choice by
-# size.
-SEGMENTS_PER_K = 8
+# Shooting segments per unit of k: a problem on M_k has m = 24k.  Shorter
+# segments cut the sequential stages of every stacked integration (61-73
+# field evaluations per warm Jacobian at 8k, 37 at 16k, 25 at 24k and
+# 32k), and the condensed Newton step grows with m only through its
+# recursion over the segments.  On the 18 acceptance families plus
+# theorem-demo with l = 3 on both bench configs (BENCH_28.json, CPU
+# time, best of 2, 1 BLAS thread), 24k took 1.7 s in all against 2.3 s
+# at 8k, 2.1 s at 16k and 2.1 s at 32k, and was the fastest in 10 of
+# the 12 (dimension, k, config) cases.
+SEGMENTS_PER_K = 24
 # First step, in normalized sigma, of every segment-stack integration.  At
-# m = 8k each segment is a quarter turn of z for every k and dimension, so
-# the step the integrator settles on barely moves: a cold first Jacobian's
-# largest accepted step was 0.225-0.245 on 18 families (2D and 3D,
-# k = 1..3, three seeds each, eps = 2.5e-4).  A rejected first step costs
-# 12 field evaluations where a short one costs a fraction of a step, so
-# the start is 0.8 times the smallest of them.  Re-measure it whenever
-# SEGMENTS_PER_K changes.
-SIGMA_STEP = 0.18
+# a fixed m per k every segment spans the same phase of z for every k and
+# dimension, so the step the integrator settles on barely moves: at
+# m = 24k a cold first Jacobian's largest accepted step was 0.566-0.725
+# on 18 families (2D and 3D, k = 1..3, three seeds each, eps = 2.5e-4).
+# A rejected first step costs 12 field evaluations where a short one
+# costs a fraction of a step, so the start is 0.8 times the smallest of
+# them.  Re-measure it whenever SEGMENTS_PER_K changes.
+SIGMA_STEP = 0.45
 
 
 class ShootingError(KepregError):
@@ -92,11 +107,6 @@ class ShootingProblem:
     def m(self):
         """Number of shooting segments."""
         return SEGMENTS_PER_K * self.spec.k
-
-    @property
-    def n_unknowns(self):
-        extra = 2 if self.spec.dim == 3 else 1      # S, (3D) theta
-        return self.m * self.D + extra
 
     def field(self, X):
         return model.reg_field(X, self.eps, self.pert)
@@ -214,41 +224,86 @@ def residual(problem, unknowns):
     return res.reshape(U.shape[:-1] + res.shape[-1:])
 
 
+@dataclass
+class ShootingJacobian:
+    """The shooting Jacobian at one point, by its nonzero blocks.
+
+    Segment j's defect rows hold ``segments[j]`` = M_j in block column
+    j, -I in block column j + 1 (the closure rows, j = m - 1: -R(theta)
+    in block column 0) and ``dS[j]`` in the S column; the closure rows
+    also hold ``dtheta`` (D, 1) in the theta column (3D; (D, 0) in 2D).
+    The energy, (3D) BL and phase rows depend on X0 alone, through
+    ``x0_rows``.  ``rotation`` is R(theta).
+    """
+
+    segments: np.ndarray            # (m, D, D)
+    dS: np.ndarray                  # (m, D)
+    dtheta: np.ndarray              # (D, n_theta)
+    rotation: np.ndarray            # (D, D)
+    x0_rows: np.ndarray             # (n_res - m D, D)
+
+
 def residual_and_jacobian(problem, unknowns):
     """Residual together with its exact Jacobian from variational flow.
 
     One stacked variational integration gives every segment's end state
-    and fundamental matrix.
+    and fundamental matrix.  The Jacobian is a ``ShootingJacobian``, its
+    blocks alone: the (m D)^2 matrix is never assembled.
     """
     states, S, theta = _unpack_batch(problem, np.reshape(unknowns, (1, -1)))
-    D, m = problem.D, problem.m
     ends, M = _integrate_segments(problem, states, S, variational=True)
     res = _residual_rows(problem, states, theta, ends)[0]
-    X0, theta, ends, M = states[0, 0], theta[0], ends[0], M[0]
-    J = np.zeros((res.size, problem.n_unknowns))
-    iS = m * D
-    # segment j's defect depends on its own start through M[j] and on the
-    # next segment's start (the first one's, rotated, for the closure)
-    blocks = np.zeros((m, D, m, D))
-    seg = np.arange(m)
-    blocks[seg, :, seg, :] = M
-    blocks[seg[:-1], :, seg[1:], :] = -np.eye(D)
-    J[:iS, :iS] = blocks.reshape(iS, iS)
-    J[iS - D:iS, :D] -= _rotation(problem, theta)
-    # dPhi_h/dS = field at the endpoint times dh/dS = 1/m
-    J[:iS, iS] = np.ravel(problem.field(ends)) / m
+    X0, ends, R = states[0, 0], ends[0], _rotation(problem, theta[0])
+    rows = [model.reg_energy_gradient(X0, problem.eps, problem.pert)]
+    dtheta = np.zeros((problem.D, 0))
     if problem.spec.dim == 3:
         # d/dtheta R(theta) X0 is the circle action's generator at R X0
-        J[iS - D:iS, iS + 1] = -model.group_direction(
-            _rotation(problem, theta) @ X0)
-    row = iS
-    J[row, :D] = model.reg_energy_gradient(X0, problem.eps, problem.pert)
-    row += 1
-    if problem.spec.dim == 3:
-        J[row, :D] = model.bl_gradient(X0)
-        row += 1
-    J[row:, :D] = problem._phase_rows
-    return res, J
+        dtheta = -model.group_direction(R @ X0)[:, None]
+        rows.append(model.bl_gradient(X0))
+    # dPhi_h/dS = field at the endpoint times dh/dS = 1/m
+    return res, ShootingJacobian(
+        segments=M[0], dS=problem.field(ends) / problem.m, dtheta=dtheta,
+        rotation=R, x0_rows=np.vstack(rows + [problem._phase_rows]))
+
+
+def _condensed_model(problem, jac, res, v):
+    """The linear model J du + r of jac with its matching rows held at
+    zero, for full residuals res (n, n_res) and condensed steps
+    v = (dX0, dS[, dtheta]) (n, n_v); a single row of either is shared.
+
+    The matching rows vanish when the segment starts move by
+    dx_{j+1} = r_j + M_j dx_j + F_j dS from dx_0 = dX0, which eliminates
+    the m - 1 interior starts (Bock and Plitt 1984).  Returns the full
+    steps du (n, n_unknowns) so built and the rows left (n, n_c): the
+    closure, energy, (3D) BL and phase rows.
+    """
+    D, m = problem.D, problem.m
+    res, v = np.atleast_2d(res), np.atleast_2d(v)
+    r = res[:, : m * D].reshape(len(res), m, D)
+    dx = np.empty((max(len(res), len(v)), m + 1, D))
+    dx[:, 0] = v[:, :D]
+    for j, Mj in enumerate(jac.segments):
+        dx[:, j + 1] = dx[:, j] @ Mj.T + r[:, j] + v[:, D:D + 1] * jac.dS[j]
+    closure = (dx[:, m] - v[:, :D] @ jac.rotation.T
+               + v[:, D + 1:] @ jac.dtheta.T)
+    rows = np.hstack([closure, res[:, m * D:] + v[:, :D] @ jac.x0_rows.T])
+    du = np.hstack([dx[:, :m].reshape(len(dx), -1),
+                    np.broadcast_to(v[:, D:], (len(dx), v.shape[1] - D))])
+    return du, rows
+
+
+def _condense(problem, res, jac):
+    """The condensed residual (n_c,) and matrix (n_c, n_v) at (res, jac):
+    ``_condensed_model``'s rows at v = 0 and their derivative in v,
+    8 x 7 in 2D and 14 x 12 in 3D for every m.  The matrix's closure
+    block is M_{m-1} ... M_0 - R(theta) and its S column carries every
+    segment's F_j to the end; the residual's closure rows carry every
+    matching defect there."""
+    n_v = problem.D + 1 + jac.dtheta.shape[1]
+    rows = _condensed_model(
+        problem, jac, np.vstack([res, np.zeros((n_v, res.size))]),
+        np.vstack([np.zeros(n_v), np.eye(n_v)]))[1]
+    return rows[0], rows[1:].T
 
 
 @dataclass
@@ -256,8 +311,10 @@ class PeriodicOrbit:
     """A converged closed orbit of the perturbed regularized system.
 
     ``monodromy`` is the (D, D) fundamental matrix over one period S at
-    X0, composed from the segment matrices of the converged shooting
-    Jacobian; ``energy_band`` is read off the converged segment stack.
+    X0, the product M_{m-1} ... M_0 of the segment matrices of the
+    shooting Jacobian that ``solve`` condensed at the converged point (no
+    integration of its own); ``energy_band`` is read off the converged
+    segment stack.
     ``unknowns`` are the converged shooting unknowns, from which
     ``continue_in_epsilon`` seeds its next solve; None on an orbit not
     built by ``solve``.
@@ -297,25 +354,20 @@ def energy_band(traj, eps, pert):
     return float(np.min(E)), float(np.max(E))
 
 
-def _finish(problem, unknowns, res_norm, J):
-    """The orbit at converged unknowns, given the shooting Jacobian J
+def _finish(problem, unknowns, res_norm, jac):
+    """The orbit at converged unknowns, given the shooting Jacobian jac
     there (taken once here when the solve holds none).
 
-    The monodromy is the product M_{m-1} ... M_0 of the segment
-    fundamental matrices on J's block diagonal; R(theta) is added back
-    to the closure block first.  The dense segment stack is integrated
+    The monodromy is the product M_{m-1} ... M_0 of jac's segment
+    matrices, the closure block of the condensed Jacobian plus R(theta);
+    no (m D)^2 matrix is built.  The dense segment stack is integrated
     for the energy band alone.
     """
-    if J is None:
-        _, J = residual_and_jacobian(problem, unknowns)
+    if jac is None:
+        _, jac = residual_and_jacobian(problem, unknowns)
     states, S, theta = unpack_unknowns(problem, unknowns)
-    X0, D, m = states[0], problem.D, problem.m
-    iS = m * D
-    blocks = J[:iS, :iS].copy()
-    blocks[iS - D:, :D] += _rotation(problem, theta)
-    seg = np.arange(m)
-    M = np.eye(D)
-    for Mj in blocks.reshape(m, D, m, D)[seg, :, seg, :]:
+    M = np.eye(problem.D)
+    for Mj in jac.segments:
         M = Mj @ M
     h, X = _normalized_stack(states[None], S)
     traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
@@ -324,7 +376,7 @@ def _finish(problem, unknowns, res_norm, J):
     # The closure rows add time_shift(), one forcing period, to t, so a
     # residual below RESIDUAL_TOL leaves (t(S) - t(0)) / T within
     # RESIDUAL_TOL / T of 1: the winding index is 1 on every solved orbit.
-    return PeriodicOrbit(X0=X0, S=S, eps=problem.eps, eta=1,
+    return PeriodicOrbit(X0=states[0], S=S, eps=problem.eps, eta=1,
                          residual_norm=res_norm, energy_band=band,
                          monodromy=M, theta=theta,
                          pert_name=problem.pert.name, k=problem.spec.k,
@@ -359,63 +411,83 @@ def _line_search(problem, u, step, better, trials):
 
 
 def _strong_sweep(problem, u, first):
-    """Gauss-Newton restricted to the well-conditioned directions, at
-    most MAX_SWEEP_STEPS steps.
+    """Gauss-Newton on the condensed system restricted to its
+    well-conditioned directions, at most MAX_SWEEP_STEPS steps.
 
-    Singular directions of the Jacobian below WEAK_CUTOFF (relative to
-    the largest singular value) are frozen; Armijo backtracking (factor
-    1/2, at most MAX_BACKTRACKS trials) guards each step.  A full step
-    is tried with ``residual_and_jacobian`` and, when accepted, supplies
-    the next iteration's residual and Jacobian; after a halved step the
-    pair is taken once at the accepted point.  ``first`` is the pair at
+    Singular directions of the condensed Jacobian below WEAK_CUTOFF
+    (relative to the largest singular value) are frozen.  The strong
+    step in (X0, S, theta) is expanded to every segment start by the
+    elimination, so it zeroes the linearized matching defects as well.
+    Armijo backtracking on the full residual (factor 1/2, at most
+    MAX_BACKTRACKS trials) guards each step.  The full step zeroes the
+    linearized matching rows and leaves the weak part of the condensed
+    residual in the others, so the sweep ends once that part is no
+    smaller than the full residual: the step would then only move the
+    weak defect off the matching rows into the closure rows, and its
+    line search would reject every trial.  A full step is tried with
+    ``residual_and_jacobian`` and, when accepted, supplies the next
+    iteration's residual and Jacobian; after a halved step the pair is
+    taken once at the accepted point.  ``first`` is the pair at
     u when the caller already holds it.  Returns the improved unknowns
-    together with the residual, the Jacobian and its SVD factors there.
+    together with the residual, the Jacobian, the condensed residual and
+    the SVD factors of the condensed matrix there.
     """
-    res, J = first or residual_and_jacobian(problem, u)
-    for _ in range(MAX_SWEEP_STEPS):
+    res, jac = first or residual_and_jacobian(problem, u)
+    for steps in range(MAX_SWEEP_STEPS + 1):
         rnorm = float(np.linalg.norm(res))
-        U, sv, Vt = np.linalg.svd(J, full_matrices=False)
+        cres, matrix = _condense(problem, res, jac)
+        U, sv, Vt = np.linalg.svd(matrix, full_matrices=False)
         keep = sv > WEAK_CUTOFF * sv[0]
-        step = -(Vt[keep].T @ ((U[:, keep].T @ res) / sv[keep]))
-        if np.linalg.norm(step) < STEP_TOL or rnorm < RESIDUAL_TOL:
-            return u, res, J, (U, sv, Vt)
+        strong = U[:, keep].T @ cres
+        if (steps == MAX_SWEEP_STEPS or rnorm < RESIDUAL_TOL
+                or np.linalg.norm(cres - U[:, keep] @ strong) >= rnorm):
+            break
+        step = _condensed_model(problem, jac, res,
+                                -(Vt[keep].T @ (strong / sv[keep])))[0][0]
+        if np.linalg.norm(step) < STEP_TOL:
+            break
         found = _line_search(problem, u, step,
                              lambda rt: np.linalg.norm(rt) < rnorm,
                              MAX_BACKTRACKS)
         if found is None:
-            return u, res, J, (U, sv, Vt)
-        u, res, J = found
-        if J is None:
-            res, J = residual_and_jacobian(problem, u)
-    U, sv, Vt = np.linalg.svd(J, full_matrices=False)
-    return u, res, J, (U, sv, Vt)
+            break
+        u, res, jac = found
+        if jac is None:
+            res, jac = residual_and_jacobian(problem, u)
+    return u, res, jac, cres, (U, sv, Vt)
 
 
 def solve(problem, unknowns0):
     """Solve the multiple-shooting system by a two-level Newton iteration.
 
-    The Jacobian is near-singular along the unperturbed symmetry
+    Every Newton step is taken on the condensed system (``_condense``),
+    8 x 7 (2D) or 14 x 12 (3D) for every m, and expanded back to every
+    segment start; no (m D)^2 matrix is assembled or factored.  The
+    condensed Jacobian is near-singular along the unperturbed symmetry
     directions of the manifold (for resonance-free forcings the
     bifurcation equation is of second order in eps), so a plain damped
     Gauss-Newton stalls.  The solve alternates (i) Gauss-Newton sweeps
     restricted to the well-conditioned directions with (ii) a reduced
-    Newton step on the weak subspace, with the reduced Jacobian taken
-    by central differences (step FD_STEP) of the weak residual
-    components; at most MAX_OUTER such rounds are taken.  The
-    reduced step's full trial is evaluated with ``residual_and_jacobian``
-    and, when accepted, opens the next sweep; a halved trial opens it
-    with one ``residual_and_jacobian`` at the accepted point.  Converges
-    when the residual norm drops below 1e-9; the orbit's monodromy is
-    then composed from the Jacobian the solve holds at the converged
-    point, taken once more only when the last accepted trial was a
-    halved one.
+    Newton step on the weak subspace: its Jacobian is taken by central
+    differences (step FD_STEP) along the weak directions, expanded to
+    keep the matching rows linearly at zero, and solved by least squares
+    without its singular values below REDUCED_CUTOFF of the largest; at
+    most MAX_OUTER such rounds are taken.  The reduced step's full trial
+    is evaluated with ``residual_and_jacobian`` and, when accepted, opens
+    the next sweep; a halved trial opens it with one
+    ``residual_and_jacobian`` at the accepted point.  Converges when the
+    full residual, matching rows included, drops below RESIDUAL_TOL; the
+    orbit's monodromy is then composed from the Jacobian the solve holds
+    at the converged point, taken once more only when the last accepted
+    trial was a halved one.
     """
     u = np.asarray(unknowns0, float).copy()
     best_u, best_r = u.copy(), np.inf       # set by the first sweep
-    first = None                            # (res, J) at u, when known
+    first = None                            # (res, jac) at u, when known
     for _ in range(MAX_OUTER):
         try:
-            u, res, J, (U, sv, Vt) = _strong_sweep(problem, u, first)
+            u, res, jac, cres, (U, sv, Vt) = _strong_sweep(problem, u,
+                                                           first)
         except np.linalg.LinAlgError as exc:
             raise ShootingError(
                 f"SVD of the shooting Jacobian failed ({exc}); it is not "
@@ -424,7 +496,7 @@ def solve(problem, unknowns0):
         if rnorm < best_r:
             best_u, best_r = u.copy(), rnorm
         if rnorm < RESIDUAL_TOL:
-            return _finish(problem, u, rnorm, J)
+            return _finish(problem, u, rnorm, jac)
         weak = sv <= WEAK_CUTOFF * sv[0]
         q = int(np.sum(weak))
         if q == 0:
@@ -432,31 +504,44 @@ def solve(problem, unknowns0):
                 f"stalled at residual {rnorm:.3e} with a well-conditioned "
                 "Jacobian; the seed is outside the convergence basin",
                 best_unknowns=best_u, best_residual=best_r)
-        Vw = Vt[weak]
         Uw = U[:, weak]
-        g = Uw.T @ res
+        # unit directions of the full unknowns: FD_STEP is a probe's
+        # length there
+        Vw = _condensed_model(problem, jac, np.zeros(res.size),
+                              Vt[weak])[0]
+        Vw /= np.linalg.norm(Vw, axis=1)[:, None]
+        g = Uw.T @ cres
+
+        def weak_rows(rt):
+            """Uw^T of the condensed rows of full residuals rt."""
+            return Uw.T @ _condensed_model(problem, jac, rt,
+                                           np.zeros(Vt.shape[1]))[1].T
+
         # all 2q central-difference probes in one batched residual
-        r = residual(problem, u + FD_STEP * np.vstack([Vw, -Vw]))
-        Jg = (Uw.T @ (r[:q] - r[q:]).T) / (2.0 * FD_STEP)
+        r = weak_rows(residual(problem,
+                               u + FD_STEP * np.vstack([Vw, -Vw])))
+        Jg = (r[:, :q] - r[:, q:]) / (2.0 * FD_STEP)
         try:
-            xi = np.linalg.solve(Jg, -g)
+            xi = np.linalg.lstsq(Jg, -g, rcond=REDUCED_CUTOFF)[0]
         except np.linalg.LinAlgError as exc:
             raise ShootingError(
-                f"singular reduced Jacobian at residual {rnorm:.3e}: {exc}",
-                best_unknowns=best_u, best_residual=best_r)
+                f"SVD of the reduced Jacobian failed at residual "
+                f"{rnorm:.3e}: {exc}",
+                best_unknowns=best_u, best_residual=best_r) from exc
         gnorm = float(np.linalg.norm(g))
-        found = _line_search(problem, u, Vw.T @ xi,
-                             lambda rt: np.linalg.norm(Uw.T @ rt) < gnorm,
-                             MAX_BACKTRACKS + 5)
+        found = _line_search(
+            problem, u, Vw.T @ xi,
+            lambda rt: np.linalg.norm(weak_rows(rt)) < gnorm,
+            MAX_BACKTRACKS + 5)
         if found is None:
             raise ShootingError(
                 f"reduced Newton step collapsed at residual {rnorm:.3e}",
                 best_unknowns=best_u, best_residual=best_r)
-        u, res, J = found
-        first = None if J is None else (res, J)
+        u, res, jac = found
+        first = None if jac is None else (res, jac)
     rnorm = float(np.linalg.norm(res))
     if rnorm < RESIDUAL_TOL:
-        return _finish(problem, u, rnorm, J)
+        return _finish(problem, u, rnorm, jac)
     raise ShootingError(
         f"no convergence in {MAX_OUTER} outer iterations "
         f"(residual {rnorm:.3e})",

@@ -59,13 +59,29 @@ def orbit3d_eps():
 
 def lookahead_problem():
     """The 2D k = 1 problem at EPS of the look-ahead tests, with its
-    seed unknowns; its solve takes eleven outer iterations."""
+    seed unknowns; its solve takes six outer iterations."""
     spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
     X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
         spec, np.random.default_rng(2)))
     problem = shooting.ShootingProblem(
         spec=spec, eps=EPS, pert=forcing_pert(2), X_ref=X0)
     return problem, shooting.seed_unknowns(problem, X0)
+
+
+def dense_jacobian(problem, jac):
+    """The (n_res, n_unknowns) matrix of a ShootingJacobian's blocks."""
+    D, m = problem.D, problem.m
+    iS = m * D
+    J = np.zeros((iS + len(jac.x0_rows), iS + 1 + jac.dtheta.shape[1]))
+    for j in range(m):
+        J[j * D:(j + 1) * D, j * D:(j + 1) * D] = jac.segments[j]
+        if j + 1 < m:
+            J[j * D:(j + 1) * D, (j + 1) * D:(j + 2) * D] = -np.eye(D)
+    J[iS - D:iS, :D] -= jac.rotation
+    J[:iS, iS] = jac.dS.ravel()
+    J[iS - D:iS, iS + 1:] = jac.dtheta
+    J[iS:, :D] = jac.x0_rows
+    return J
 
 
 def seed_at_theta(problem, X0, theta):
@@ -127,14 +143,14 @@ class TestResidual:
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2),
             X_ref=np.zeros(6))
-        assert problem.m == 24
+        assert problem.m == 72
 
     def test_pack_unpack_roundtrip(self):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, 3),
             X_ref=np.zeros(10))
-        states = np.arange(80.0).reshape(8, 10)
+        states = np.arange(problem.m * 10.0).reshape(problem.m, 10)
         u = shooting.pack_unknowns(problem, states, 9.5, 0.3)
         s2, S2, th2 = shooting.unpack_unknowns(problem, u)
         assert np.allclose(s2, states)
@@ -152,11 +168,12 @@ class TestResidual:
             problem = shooting.ShootingProblem(
                 spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
             u = seed_at_theta(problem, X0, 0.2)
-            res, J = shooting.residual_and_jacobian(problem, u)
+            res, jac = shooting.residual_and_jacobian(problem, u)
+            J = dense_jacobian(problem, jac)
             assert np.allclose(res, shooting.residual(problem, u),
                                atol=1e-12)
             h = 1e-6
-            for i in range(problem.n_unknowns):
+            for i in range(u.size):
                 up, um = u.copy(), u.copy()
                 up[i] += h
                 um[i] -= h
@@ -184,6 +201,59 @@ def per_segment_reference(problem, u):
     return defects, Ms, dS
 
 
+class TestCondensed:
+    """The condensed system is the full linear model with the interior
+    starts eliminated."""
+
+    # Both sides sum the same O(1) products in another order.
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_expansion_satisfies_the_full_model(self, dim):
+        """A random (dX0, dS[, dtheta]) expanded through the elimination
+        zeroes the matching rows of J du + r, under the Jacobian the
+        directional-difference test checks, and leaves the condensed
+        model in the closure, energy, (3D) BL and phase rows."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(2)))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
+        u = shooting.seed_unknowns(problem, X0)
+        res, jac = shooting.residual_and_jacobian(problem, u)
+        J = dense_jacobian(problem, jac)
+        cres, matrix = shooting._condense(problem, res, jac)
+        assert matrix.shape == ((8, 7) if dim == 2 else (14, 12))
+        n_match = (problem.m - 1) * problem.D
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            v = rng.normal(size=matrix.shape[1])
+            for offset in (1.0, 0.0):
+                du, rows = shooting._condensed_model(problem, jac,
+                                                     offset * res, v)
+                model_rows = J @ du[0] + offset * res
+                scale = np.linalg.norm(J @ du[0]) + np.linalg.norm(res)
+                assert np.linalg.norm(model_rows[:n_match]) < self.TOL * scale
+                for got in (rows[0], matrix @ v + offset * cres):
+                    assert np.linalg.norm(model_rows[n_match:] - got) \
+                        < self.TOL * scale
+
+    @pytest.mark.parametrize("dim, weak", [(2, 3), (3, 5)])
+    def test_weak_count_at_the_seed(self, dim, weak):
+        """At the eps = EPS seed the condensed Jacobian has the weak
+        count of the full one: 3 in 2D and 5 in 3D."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(2)))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
+        res, jac = shooting.residual_and_jacobian(
+            problem, shooting.seed_unknowns(problem, X0))
+        sv = np.linalg.svd(shooting._condense(problem, res, jac)[1],
+                           compute_uv=False)
+        assert np.sum(sv <= shooting.WEAK_CUTOFF * sv[0]) == weak
+
+
 class TestStackedSegments:
     # The stacked system shares one step sequence across the segments
     # (DOP853's error norm is an RMS over every component), so it agrees
@@ -202,21 +272,14 @@ class TestStackedSegments:
                 spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
             u = seed_at_theta(problem, X0, 0.1)
             u[: -2] += 1e-4 * rng.normal(size=u.size - 2)
-            res, J = shooting.residual_and_jacobian(problem, u)
+            res, jac = shooting.residual_and_jacobian(problem, u)
             defects, Ms, dS = per_segment_reference(problem, u)
-            D, m = problem.D, problem.m
-            iS = m * D
+            iS = problem.m * problem.D
             assert np.allclose(res[:iS], defects, rtol=0, atol=self.TOL)
             assert np.allclose(shooting.residual(problem, u)[:iS], defects,
                                rtol=0, atol=self.TOL)
-            assert np.allclose(J[:iS, iS], dS, rtol=0, atol=self.TOL)
-            for j, M in enumerate(Ms):
-                rows = J[j * D:(j + 1) * D]
-                assert np.allclose(rows[:, j * D:(j + 1) * D], M, rtol=0,
-                                   atol=self.TOL)
-                if j + 1 < m:
-                    assert np.array_equal(
-                        rows[:, (j + 1) * D:(j + 2) * D], -np.eye(D))
+            assert np.allclose(jac.dS.ravel(), dS, rtol=0, atol=self.TOL)
+            assert np.allclose(jac.segments, Ms, rtol=0, atol=self.TOL)
 
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -238,14 +301,20 @@ class TestStackedSegments:
             v = u.copy()
             v[iS] += dS
             rows.append(v)
-        _, J = shooting.residual_and_jacobian(problem, u)
-        _, sv, Vt = np.linalg.svd(J, full_matrices=False)
-        weak = Vt[sv <= shooting.WEAK_CUTOFF * sv[0]]
+        # the probes of solve's first reduced step: the weak condensed
+        # directions at the end of the first strong sweep, expanded to
+        # unit steps of the full unknowns
+        swept, res, jac, _, (_, sv, Vt) = shooting._strong_sweep(
+            problem, u, None)
+        weak = shooting._condensed_model(
+            problem, jac, np.zeros(res.size),
+            Vt[sv <= shooting.WEAK_CUTOFF * sv[0]])[0]
         assert len(weak) > 0
-        rows.extend(np.vstack([u + 1e-2 * weak, u - 1e-2 * weak]))
+        weak /= np.linalg.norm(weak, axis=1)[:, None]
+        rows.extend(np.vstack([swept + 1e-2 * weak, swept - 1e-2 * weak]))
         batch = np.array(rows)
         got = shooting.residual(problem, batch)
-        assert got.shape == (len(batch), J.shape[0])
+        assert got.shape == (len(batch), res.size)
         for row, r in zip(batch, got):
             assert np.max(np.abs(r - shooting.residual(problem, row))) < 1e-10
 
@@ -257,9 +326,9 @@ class TestTypedFailures:
         real = shooting.residual_and_jacobian
 
         def nan_jacobian(problem, unknowns):
-            res, J = real(problem, unknowns)
-            J[0, 0] = np.nan
-            return res, J
+            res, jac = real(problem, unknowns)
+            jac.segments[0, 0, 0] = np.nan
+            return res, jac
 
         monkeypatch.setattr(shooting, "residual_and_jacobian", nan_jacobian)
         problem = shooting.ShootingProblem(
@@ -424,12 +493,42 @@ class TestSolve:
         with pytest.raises((shooting.ShootingError, flow.FlowError)):
             shooting.solve(problem, u)
 
+    @pytest.mark.parametrize("theta", [0.05, 0.2])
+    def test_solves_from_rotated_closure(self, theta):
+        """A 3D start whose closure is off by R(theta) has no condensed
+        direction below WEAK_CUTOFF; the first strong sweep ends with
+        the seed's five, so solve takes its reduced steps and finds the
+        period of the theta = 0 start."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
+        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(4)))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS, pert=forcing_pert(3), X_ref=X0)
+        u = seed_at_theta(problem, X0, theta)
 
-def full_strong_step(u, res, J):
-    """The undamped step of a strong sweep from (res, J) at u."""
-    U, sv, Vt = np.linalg.svd(J, full_matrices=False)
+        def weak_count(sv):
+            return int(np.sum(sv <= shooting.WEAK_CUTOFF * sv[0]))
+
+        res, jac = shooting.residual_and_jacobian(problem, u)
+        assert weak_count(np.linalg.svd(shooting._condense(
+            problem, res, jac)[1], compute_uv=False)) == 0
+        assert weak_count(shooting._strong_sweep(problem, u, None)[-1][1]) \
+            == 5
+        orbit = shooting.solve(problem, u)
+        reference = shooting.solve(problem, seed_at_theta(problem, X0, 0.0))
+        assert orbit.residual_norm < shooting.RESIDUAL_TOL
+        assert abs(orbit.S - reference.S) < 1e-8
+
+
+def full_strong_step(problem, u, res, jac):
+    """The undamped step of a strong sweep from (res, jac) at u: the
+    condensed Gauss-Newton step on the strong directions, expanded to
+    every segment start."""
+    cres, matrix = shooting._condense(problem, res, jac)
+    U, sv, Vt = np.linalg.svd(matrix, full_matrices=False)
     keep = sv > shooting.WEAK_CUTOFF * sv[0]
-    return u - Vt[keep].T @ ((U[:, keep].T @ res) / sv[keep])
+    v = -Vt[keep].T @ ((U[:, keep].T @ cres) / sv[keep])
+    return u + shooting._condensed_model(problem, jac, res, v)[0][0]
 
 
 class TestLookAhead:
@@ -467,7 +566,8 @@ class TestLookAhead:
         orbit, log = self.spied_solve(monkeypatch)
         assert orbit.residual_norm < shooting.RESIDUAL_TOL
         rj = [entry[1:] for entry in log if entry[0] == "rj"]
-        full = [full_strong_step(*entry) for entry in rj]
+        problem = lookahead_problem()[0]
+        full = [full_strong_step(problem, *entry) for entry in rj]
         single = [u for name, u, _, _ in log
                   if name == "residual" and u.ndim == 1]
         for point in full:
@@ -494,7 +594,7 @@ class TestLookAhead:
         names = [entry[0] for entry in log]
         second = [i for i, n in enumerate(names) if n == "rj"][worse]
         _, u0, res0, J0 = log[second - 1]
-        full = full_strong_step(u0, res0, J0)
+        full = full_strong_step(lookahead_problem()[0], u0, res0, J0)
         # the worsened call is the sweep's full trial, and is rejected
         assert names[second - 1] == "rj"
         assert np.array_equal(log[second][1], full)
@@ -563,6 +663,26 @@ class TestComposedMonodromy:
         expected = manifolds.closed_form_variation(spec, orbit.X0, orbit.S)
         scale = max(1.0, np.linalg.norm(expected))
         assert np.linalg.norm(got - expected) < 1e-6 * scale
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unperturbed_matches_closed_form_jacobian(self, dim, k):
+        """At eps = 0 and the default m, every column of a solved orbit's
+        monodromy matches closed_form_jacobian(X0, S) within 1e-10
+        relative, on 5 seeds."""
+        spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
+        rng = np.random.default_rng(100 + 10 * dim + k)
+        for _ in range(5):
+            X0 = manifolds.seed_state(
+                spec, manifolds.random_seed_params(spec, rng))
+            problem = shooting.ShootingProblem(
+                spec=spec, eps=0.0, pert=model.zero_perturbation(T, dim),
+                X_ref=X0)
+            orbit = shooting.solve(problem,
+                                   shooting.seed_unknowns(problem, X0))
+            expected = manifolds.closed_form_jacobian(orbit.X0, orbit.S)
+            gap = np.linalg.norm(orbit.monodromy - expected, axis=0)
+            assert np.all(gap < 1e-10 * np.linalg.norm(expected, axis=0))
 
     def test_perturbed_matches_integrated_monodromy(self, family2d,
                                                     orbit3d_eps):
@@ -687,6 +807,26 @@ class TestWorkCounts:
         assert orbit.residual_norm < shooting.RESIDUAL_TOL
         assert self.count(log, "rj") >= 1
         assert self.count(log, "variational") == self.count(log, "rj")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_svd_is_condensed(self, monkeypatch, dim):
+        """Every SVD of a solve is of the condensed Jacobian, 8 x 7 in 2D
+        and 14 x 12 in 3D, whatever m is."""
+        spec = manifolds.ManifoldSpec(k=2, T=T, dim=dim)
+        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(3)))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS / 4, pert=forcing_pert(dim), X_ref=X0)
+        shapes, real_svd = [], np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        orbit = shooting.solve(problem, shooting.seed_unknowns(problem, X0))
+        assert orbit.residual_norm < shooting.RESIDUAL_TOL
+        assert shapes and set(shapes) == {(8, 7) if dim == 2 else (14, 12)}
 
     @pytest.mark.parametrize("held", [True, False],
                              ids=["full_trial", "halved_trial"])
