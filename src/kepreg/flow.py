@@ -217,8 +217,8 @@ def integrate_with_variational(field_jacobian, X0, s_end, dense=True,
     assembled here, in ``fun``: each row (D + D*D,) is viewed as
     (D + 1, D), the state and then M, and each stage writes F and J M
     into one new array of that shape.  ``dense`` and ``first_step`` are
-    as for ``integrate`` (shooting passes its ``SIGMA_STEP``); a cold
-    start chooses the first step from every column.
+    as for ``integrate`` (shooting passes 1.0, its whole normalized
+    interval); a cold start chooses the first step from every column.
     """
     X0 = np.asarray(X0, float)
     D = X0.shape[-1]

@@ -11,6 +11,7 @@ grows families out of the unperturbed manifolds.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,32 +44,30 @@ FD_STEP = 1e-2              # central-difference step of the reduced Jacobian
 # along which an exact solve stepped far off M_k for the next sweep to
 # undo: on the 2D k = 1 seed of default_rng(2) at eps = 1e-3 it did not
 # converge in MAX_OUTER rounds, where the truncated one takes 6.  Over
-# the 45 reduced steps of the 18 acceptance families and theorem-demo's
-# l = 3 branches of both bench configs, 39 dropped one value (6.7e-5 to
-# 0.095 of the largest), 6 dropped none, and every value kept was at
-# least 0.115.
+# the 45 reduced steps of the 6 acceptance families (2D and 3D,
+# k = 1..3) and theorem-demo's l = 3 branches of both bench configs at
+# m = 48k, 39 dropped one value (7.3e-5 to 0.094 of the largest), 6
+# dropped none, and every value kept was at least 0.114 (0.095 and 0.115
+# at 24k).  The gap is narrow: with 12 more families (rng seeds 140 + k
+# and 240 + k), 96 steps, a dropped value reached 0.098, a kept one
+# 0.103, and one step dropped two (BENCH_29.json).
 REDUCED_CUTOFF = 0.1
 EPS_STEP_FLOOR = 1e-8       # smallest eps step continuation halves down to
 BAND_SAMPLES = 400          # points of an orbit at which E is sampled
-# Shooting segments per unit of k: a problem on M_k has m = 24k.  Shorter
-# segments cut the sequential stages of every stacked integration (61-73
-# field evaluations per warm Jacobian at 8k, 37 at 16k, 25 at 24k and
-# 32k), and the condensed Newton step grows with m only through its
-# recursion over the segments.  On the 18 acceptance families plus
-# theorem-demo with l = 3 on both bench configs (BENCH_28.json, CPU
-# time, best of 2, 1 BLAS thread), 24k took 1.7 s in all against 2.3 s
-# at 8k, 2.1 s at 16k and 2.1 s at 32k, and was the fastest in 10 of
-# the 12 (dimension, k, config) cases.
-SEGMENTS_PER_K = 24
-# First step, in normalized sigma, of every segment-stack integration.  At
-# a fixed m per k every segment spans the same phase of z for every k and
-# dimension, so the step the integrator settles on barely moves: at
-# m = 24k a cold first Jacobian's largest accepted step was 0.566-0.725
-# on 18 families (2D and 3D, k = 1..3, three seeds each, eps = 2.5e-4).
-# A rejected first step costs 12 field evaluations where a short one
-# costs a fraction of a step, so the start is 0.8 times the smallest of
-# them.  Re-measure it whenever SEGMENTS_PER_K changes.
-SIGMA_STEP = 0.45
+# Shooting segments per unit of k: a problem on M_k has m = 48k.  At a
+# fixed m per k every segment spans the same phase of z for every k and
+# dimension, and at 48k every segment-stack integration is one DOP853
+# step, the whole segment: 13 field evaluations per residual or
+# Jacobian, where 24k took two steps (25).  On 18 acceptance-style
+# families plus theorem-demo's l = 3 branches of both bench configs
+# (BENCH_29.json) no step was rejected and the largest first-step error
+# norm was 0.23; the norm grows like the step's eighth power, so that
+# is about 20% of margin in step length.  Their CPU time (median of 9,
+# 1 BLAS thread) was 2.5 s in all, against 3.3 s at 24k (a first
+# step of 0.45) and 3.2 s at 64k.  36k, 40k and 42k took 2.2-2.5 s with
+# less margin: first-step norms up to 1.84 (4 steps rejected), 0.85 and
+# 0.66.
+SEGMENTS_PER_K = 48
 
 
 class ShootingError(KepregError):
@@ -174,15 +173,17 @@ def _integrate_segments(problem, states, S, variational=False):
     All n * m segments are one stacked integration in normalized time:
     row j solves dX/dsigma = h_j f(X) on sigma in [0, 1] with its own
     length h_j = S_j / m (and its Jacobian scaled by h_j), so rows of
-    different S share one step sequence, started at SIGMA_STEP.  Dense
-    output is off: only the energy band reads it, and ``_finish``
-    integrates its own stack.
+    different S share one step sequence.  Its first trial step is the
+    whole interval: at m = 48k one accepted step covers it (13 field
+    evaluations), and a step the error test rejects is retried shorter
+    as any other.  Dense output is off: only the energy band reads it,
+    and ``_finish`` integrates its own stack.
     """
     D = states.shape[-1]
     h, X = _normalized_stack(states, S)
     if not variational:
         traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
-                              dense=False, first_step=SIGMA_STEP)
+                              dense=False, first_step=1.0)
         return traj.states[-1].reshape(states.shape)
 
     def scaled_pair(Y):
@@ -190,7 +191,7 @@ def _integrate_segments(problem, states, S, variational=False):
         return h * F, h[..., None] * J
 
     traj, M = flow.integrate_with_variational(
-        scaled_pair, X, 1.0, dense=False, first_step=SIGMA_STEP)
+        scaled_pair, X, 1.0, dense=False, first_step=1.0)
     return (traj.states[-1, :, :D].reshape(states.shape),
             M.reshape(states.shape + (D,)))
 
@@ -234,6 +235,12 @@ class ShootingJacobian:
     also hold ``dtheta`` (D, 1) in the theta column (3D; (D, 0) in 2D).
     The energy, (3D) BL and phase rows depend on X0 alone, through
     ``x0_rows``.  ``rotation`` is R(theta).
+
+    The segment matrices are composed once per Jacobian, on first use,
+    into ``prefix`` and ``suffix``; the condensed rows of any residual
+    and the expansion of a condensed step then take one matrix product
+    each, whatever m.  Only a nonzero residual's own part of an
+    expansion keeps the recursion over the segments (``_expand``).
     """
 
     segments: np.ndarray            # (m, D, D)
@@ -241,6 +248,40 @@ class ShootingJacobian:
     dtheta: np.ndarray              # (D, n_theta)
     rotation: np.ndarray            # (D, D)
     x0_rows: np.ndarray             # (n_res - m D, D)
+
+    @cached_property
+    def prefix(self):
+        """[P_j | c_j] (m + 1, D, D + 1), j = 0 .. m: the move of segment
+        start j per (dX0, dS) when every matching defect is zero,
+        P_j = M_{j-1} ... M_0 and c_{j+1} = M_j c_j + dS[j] from
+        P_0 = I, c_0 = 0.  P_m is the monodromy."""
+        m, D = self.dS.shape
+        affine = np.zeros((m, D + 1, D + 1))
+        affine[:, :D, :D] = self.segments
+        affine[:, :D, D] = self.dS
+        affine[:, D, D] = 1.0
+        return _running_products(affine)[:, :D]
+
+    @cached_property
+    def suffix(self):
+        """(m D, D), block j the transpose of M_{m-1} ... M_{j+1} (I for
+        j = m - 1): matching defects r (n, m D) reach the closure rows as
+        r @ suffix."""
+        m, D = self.dS.shape
+        ends = _running_products(self.segments[::-1].transpose(0, 2, 1))
+        return ends[m - 1::-1].reshape(m * D, D)
+
+
+def _running_products(A):
+    """[I, A_0, A_1 A_0, ..., A_{n-1} ... A_0] (n + 1, d, d) of a stack A
+    (n, d, d), composed by log2(n + 1) batched products (a Hillis-Steele
+    scan) rather than n sequential ones."""
+    P = np.concatenate([np.eye(A.shape[-1])[None], A])
+    span = 1
+    while span < len(P):
+        P[span:] = P[span:] @ P[:-span]
+        span *= 2
+    return P
 
 
 def residual_and_jacobian(problem, unknowns):
@@ -266,43 +307,61 @@ def residual_and_jacobian(problem, unknowns):
         rotation=R, x0_rows=np.vstack(rows + [problem._phase_rows]))
 
 
-def _condensed_model(problem, jac, res, v):
-    """The linear model J du + r of jac with its matching rows held at
-    zero, for full residuals res (n, n_res) and condensed steps
+def _condensed_rows(problem, jac, res, v):
+    """The rows left (n, n_c) of the linear model J du + r of jac when
+    its matching rows are held at zero (the closure, energy, (3D) BL and
+    phase rows), for full residuals res (n, n_res) and condensed steps
     v = (dX0, dS[, dtheta]) (n, n_v); a single row of either is shared.
 
     The matching rows vanish when the segment starts move by
     dx_{j+1} = r_j + M_j dx_j + F_j dS from dx_0 = dX0, which eliminates
-    the m - 1 interior starts (Bock and Plitt 1984).  Returns the full
-    steps du (n, n_unknowns) so built and the rows left (n, n_c): the
-    closure, energy, (3D) BL and phase rows.
+    the m - 1 interior starts (Bock and Plitt 1984).  The closure rows
+    then read dx_m - R(theta) dX0 plus the theta column times its step,
+    and dx_m comes from the composed products: P_m dX0 + c_m dS, plus
+    every defect carried to the end by ``jac.suffix``.
     """
     D, m = problem.D, problem.m
     res, v = np.atleast_2d(res), np.atleast_2d(v)
+    closure = (v[:, :D + 1] @ jac.prefix[m].T - v[:, :D] @ jac.rotation.T
+               + v[:, D + 1:] @ jac.dtheta.T + res[:, : m * D] @ jac.suffix)
+    return np.hstack([closure, res[:, m * D:] + v[:, :D] @ jac.x0_rows.T])
+
+
+def _expand(problem, jac, res, v):
+    """The full steps du (n, n_unknowns) of condensed steps v (n, n_v)
+    at full residuals res (n, n_res), a single row of either shared:
+    the segment starts dx_0 .. dx_{m-1} of ``_condensed_rows``'
+    elimination, then (dS[, dtheta]).
+
+    The part of dx_j in (dX0, dS) is ``jac.prefix`` applied to them, in
+    one product.  Only nonzero matching defects take the recursion
+    e_{j+1} = M_j e_j + r_j from e_0 = 0, which adds their own part.
+    """
+    D, m = problem.D, problem.m
+    res, v = np.atleast_2d(res), np.atleast_2d(v)
+    n = max(len(res), len(v))
+    dx = np.broadcast_to(
+        v[:, :D + 1] @ jac.prefix[:m].reshape(m * D, D + 1).T, (n, m * D))
     r = res[:, : m * D].reshape(len(res), m, D)
-    dx = np.empty((max(len(res), len(v)), m + 1, D))
-    dx[:, 0] = v[:, :D]
-    for j, Mj in enumerate(jac.segments):
-        dx[:, j + 1] = dx[:, j] @ Mj.T + r[:, j] + v[:, D:D + 1] * jac.dS[j]
-    closure = (dx[:, m] - v[:, :D] @ jac.rotation.T
-               + v[:, D + 1:] @ jac.dtheta.T)
-    rows = np.hstack([closure, res[:, m * D:] + v[:, :D] @ jac.x0_rows.T])
-    du = np.hstack([dx[:, :m].reshape(len(dx), -1),
-                    np.broadcast_to(v[:, D:], (len(dx), v.shape[1] - D))])
-    return du, rows
+    if np.any(r):
+        e = np.zeros((len(res), m, D))
+        for j in range(m - 1):
+            e[:, j + 1] = e[:, j] @ jac.segments[j].T + r[:, j]
+        dx = dx + e.reshape(len(res), m * D)
+    return np.hstack([dx, np.broadcast_to(v[:, D:], (n, v.shape[1] - D))])
 
 
 def _condense(problem, res, jac):
     """The condensed residual (n_c,) and matrix (n_c, n_v) at (res, jac):
-    ``_condensed_model``'s rows at v = 0 and their derivative in v,
-    8 x 7 in 2D and 14 x 12 in 3D for every m.  The matrix's closure
-    block is M_{m-1} ... M_0 - R(theta) and its S column carries every
-    segment's F_j to the end; the residual's closure rows carry every
-    matching defect there."""
+    ``_condensed_rows`` at v = 0 and their derivative in v, 8 x 7 in 2D
+    and 14 x 12 in 3D for every m.  The matrix's closure block is
+    P_m - R(theta) = M_{m-1} ... M_0 - R(theta) and its S column c_m
+    carries every segment's F_j to the end; the residual's closure rows
+    carry every matching defect there."""
     n_v = problem.D + 1 + jac.dtheta.shape[1]
-    rows = _condensed_model(
+    rows = _condensed_rows(
         problem, jac, np.vstack([res, np.zeros((n_v, res.size))]),
-        np.vstack([np.zeros(n_v), np.eye(n_v)]))[1]
+        np.vstack([np.zeros(n_v), np.eye(n_v)]))
     return rows[0], rows[1:].T
 
 
@@ -358,20 +417,20 @@ def _finish(problem, unknowns, res_norm, jac):
     """The orbit at converged unknowns, given the shooting Jacobian jac
     there (taken once here when the solve holds none).
 
-    The monodromy is the product M_{m-1} ... M_0 of jac's segment
-    matrices, the closure block of the condensed Jacobian plus R(theta);
-    no (m D)^2 matrix is built.  The dense segment stack is integrated
-    for the energy band alone.
+    The monodromy is P_m = M_{m-1} ... M_0, the last of jac's prefix
+    products, which the condensed Jacobian's closure block already
+    composed; no (m D)^2 matrix is built.  The dense segment stack is
+    integrated for the energy band alone, with the whole interval as its
+    first trial step as in ``_integrate_segments`` (16 field
+    evaluations with the interpolation stages).
     """
     if jac is None:
         _, jac = residual_and_jacobian(problem, unknowns)
     states, S, theta = unpack_unknowns(problem, unknowns)
-    M = np.eye(problem.D)
-    for Mj in jac.segments:
-        M = Mj @ M
+    M = jac.prefix[-1, :, :problem.D].copy()
     h, X = _normalized_stack(states[None], S)
     traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
-                          first_step=SIGMA_STEP)
+                          first_step=1.0)
     band = energy_band(traj, problem.eps, problem.pert)
     # The closure rows add time_shift(), one forcing period, to t, so a
     # residual below RESIDUAL_TOL leaves (t(S) - t(0)) / T within
@@ -442,8 +501,8 @@ def _strong_sweep(problem, u, first):
         if (steps == MAX_SWEEP_STEPS or rnorm < RESIDUAL_TOL
                 or np.linalg.norm(cres - U[:, keep] @ strong) >= rnorm):
             break
-        step = _condensed_model(problem, jac, res,
-                                -(Vt[keep].T @ (strong / sv[keep])))[0][0]
+        step = _expand(problem, jac, res,
+                       -(Vt[keep].T @ (strong / sv[keep])))[0]
         if np.linalg.norm(step) < STEP_TOL:
             break
         found = _line_search(problem, u, step,
@@ -507,15 +566,14 @@ def solve(problem, unknowns0):
         Uw = U[:, weak]
         # unit directions of the full unknowns: FD_STEP is a probe's
         # length there
-        Vw = _condensed_model(problem, jac, np.zeros(res.size),
-                              Vt[weak])[0]
+        Vw = _expand(problem, jac, np.zeros(res.size), Vt[weak])
         Vw /= np.linalg.norm(Vw, axis=1)[:, None]
         g = Uw.T @ cres
 
         def weak_rows(rt):
             """Uw^T of the condensed rows of full residuals rt."""
-            return Uw.T @ _condensed_model(problem, jac, rt,
-                                           np.zeros(Vt.shape[1]))[1].T
+            return Uw.T @ _condensed_rows(problem, jac, rt,
+                                          np.zeros(Vt.shape[1])).T
 
         # all 2q central-difference probes in one batched residual
         r = weak_rows(residual(problem,
@@ -564,9 +622,9 @@ def continue_in_epsilon(spec, pert, X_seed, eps_targets):
     integration again; no bench or acceptance family raises one.
     Returns (family, diagnostics); the family is partial when a target
     fails, with the failure recorded in the diagnostics at the eps that
-    was tried.  Every integration starts at SIGMA_STEP, as in a direct
-    ``solve``, so a solve here gives what ``solve`` gives on the same
-    problem and start, bit for bit.
+    was tried.  Every integration starts with the whole segment as its
+    first trial step, as in a direct ``solve``, so a solve here gives
+    what ``solve`` gives on the same problem and start, bit for bit.
     """
     family = []
     diags = []

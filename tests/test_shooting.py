@@ -143,7 +143,7 @@ class TestResidual:
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2),
             X_ref=np.zeros(6))
-        assert problem.m == 72
+        assert problem.m == 144
 
     def test_pack_unpack_roundtrip(self):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
@@ -229,8 +229,9 @@ class TestCondensed:
         for _ in range(5):
             v = rng.normal(size=matrix.shape[1])
             for offset in (1.0, 0.0):
-                du, rows = shooting._condensed_model(problem, jac,
-                                                     offset * res, v)
+                du = shooting._expand(problem, jac, offset * res, v)
+                rows = shooting._condensed_rows(problem, jac, offset * res,
+                                                v)
                 model_rows = J @ du[0] + offset * res
                 scale = np.linalg.norm(J @ du[0]) + np.linalg.norm(res)
                 assert np.linalg.norm(model_rows[:n_match]) < self.TOL * scale
@@ -252,6 +253,87 @@ class TestCondensed:
         sv = np.linalg.svd(shooting._condense(problem, res, jac)[1],
                            compute_uv=False)
         assert np.sum(sv <= shooting.WEAK_CUTOFF * sv[0]) == weak
+
+
+def recursive_model(problem, jac, res, v):
+    """The condensed linear model segment by segment: the full steps du
+    and the rows left of J du + r for one residual row res and one
+    condensed step v, by the recursion dx_{j+1} = r_j + M_j dx_j + F_j dS
+    from dx_0 = dX0 over every segment."""
+    D, m = problem.D, problem.m
+    dx = [v[:D]]
+    for j in range(m):
+        dx.append(jac.segments[j] @ dx[j] + res[j * D:(j + 1) * D]
+                  + v[D] * jac.dS[j])
+    closure = dx[m] - jac.rotation @ v[:D] + jac.dtheta @ v[D + 1:]
+    rows = np.concatenate([closure, res[m * D:] + jac.x0_rows @ v[:D]])
+    return np.concatenate(dx[:m] + [v[D:]]), rows
+
+
+class TestComposedProducts:
+    """The prefix and suffix products of a ShootingJacobian, composed
+    once, give the rows and steps of the recursion over the segments."""
+
+    # Both sides sum the same products of O(1) matrices in another order.
+    TOL = 1e-12
+
+    @staticmethod
+    def jacobian(dim, k):
+        """The Jacobian at the EPS seed unknowns of a k family, m = 48k."""
+        spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
+        X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
+            spec, np.random.default_rng(20 + k)))
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
+        res, jac = shooting.residual_and_jacobian(
+            problem, seed_at_theta(problem, X0, 0.3))
+        assert problem.m == 48 * k
+        return problem, res, jac
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_and_steps_match_the_recursion(self, dim, k):
+        """Batches of random residuals and condensed steps, a single row
+        of either shared with a batch of the other, the solve's own
+        residual and a zero residual: every row of ``_condensed_rows``
+        and of ``_expand`` matches the recursion within TOL relative."""
+        problem, res, jac = self.jacobian(dim, k)
+        n_v = problem.D + 1 + jac.dtheta.shape[1]
+        rng = np.random.default_rng(dim + 10 * k)
+        batch_r = rng.normal(size=(4, res.size)) * 1e-3
+        batch_v = rng.normal(size=(4, n_v))
+        cases = [(batch_r, batch_v), (res, batch_v), (batch_r, batch_v[0]),
+                 (np.zeros(res.size), batch_v), (res, np.zeros(n_v))]
+        for res_rows, v_rows in cases:
+            du = shooting._expand(problem, jac, res_rows, v_rows)
+            rows = shooting._condensed_rows(problem, jac, res_rows, v_rows)
+            R, V = np.atleast_2d(res_rows), np.atleast_2d(v_rows)
+            n = max(len(R), len(V))
+            assert du.shape[0] == rows.shape[0] == n
+            R = np.broadcast_to(R, (n, R.shape[1]))
+            V = np.broadcast_to(V, (n, V.shape[1]))
+            for i in range(n):
+                want_du, want_rows = recursive_model(problem, jac, R[i],
+                                                     V[i])
+                for got, want in ((du[i], want_du), (rows[i], want_rows)):
+                    assert np.linalg.norm(got - want) \
+                        <= self.TOL * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_monodromy_is_the_sequential_product(self, dim, family2d,
+                                                 orbit3d_eps):
+        """A solved orbit's monodromy, the last prefix product, equals
+        M_{m-1} ... M_0 multiplied one segment at a time."""
+        orbit = family2d[1][-1] if dim == 2 else orbit3d_eps
+        spec = manifolds.ManifoldSpec(k=orbit.k, T=T, dim=dim)
+        problem = shooting.ShootingProblem(
+            spec=spec, eps=orbit.eps, pert=forcing_pert(dim), X_ref=orbit.X0)
+        _, jac = shooting.residual_and_jacobian(problem, orbit.unknowns)
+        M = np.eye(problem.D)
+        for Mj in jac.segments:
+            M = Mj @ M
+        assert np.linalg.norm(orbit.monodromy - M) \
+            <= self.TOL * np.linalg.norm(M)
 
 
 class TestStackedSegments:
@@ -306,9 +388,9 @@ class TestStackedSegments:
         # unit steps of the full unknowns
         swept, res, jac, _, (_, sv, Vt) = shooting._strong_sweep(
             problem, u, None)
-        weak = shooting._condensed_model(
+        weak = shooting._expand(
             problem, jac, np.zeros(res.size),
-            Vt[sv <= shooting.WEAK_CUTOFF * sv[0]])[0]
+            Vt[sv <= shooting.WEAK_CUTOFF * sv[0]])
         assert len(weak) > 0
         weak /= np.linalg.norm(weak, axis=1)[:, None]
         rows.extend(np.vstack([swept + 1e-2 * weak, swept - 1e-2 * weak]))
@@ -528,7 +610,7 @@ def full_strong_step(problem, u, res, jac):
     U, sv, Vt = np.linalg.svd(matrix, full_matrices=False)
     keep = sv > shooting.WEAK_CUTOFF * sv[0]
     v = -Vt[keep].T @ ((U[:, keep].T @ cres) / sv[keep])
-    return u + shooting._condensed_model(problem, jac, res, v)[0][0]
+    return u + shooting._expand(problem, jac, res, v)[0]
 
 
 class TestLookAhead:
@@ -649,6 +731,9 @@ class TestComposedMonodromy:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_unperturbed_matches_closed_variation(self, monkeypatch, dim,
                                                   k, per_k):
+        """At m = k and 8k the error test rejects the whole-segment first
+        step of every integration, which is retried shorter: the
+        fallback still composes the closed-form variation."""
         monkeypatch.setattr(shooting, "SEGMENTS_PER_K", per_k)
         spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
@@ -828,6 +913,37 @@ class TestWorkCounts:
         assert orbit.residual_norm < shooting.RESIDUAL_TOL
         assert shapes and set(shapes) == {(8, 7) if dim == 2 else (14, 12)}
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_step_per_segment_stack(self, monkeypatch, dim, k):
+        """At m = 48k every segment-stack integration of a continuation
+        takes one accepted step and no rejected one: 13 field
+        evaluations (the first, 11 stages and the end point), 16 with
+        the interpolation stages of dense output."""
+        runs, real_plain = [], flow.integrate
+        real_var = flow.integrate_with_variational
+
+        def plain(fun, X0, s_end, dense=True, first_step=None):
+            traj = real_plain(fun, X0, s_end, dense, first_step)
+            runs.append((dense, traj.nfev))
+            return traj
+
+        def variational(fun, X0, s_end, dense=True, first_step=None):
+            traj, M = real_var(fun, X0, s_end, dense, first_step)
+            runs.append((dense, traj.nfev))
+            return traj, M
+
+        monkeypatch.setattr(flow, "integrate", plain)
+        monkeypatch.setattr(flow, "integrate_with_variational", variational)
+        spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
+        family, diags = shooting.continue_in_epsilon(
+            spec, forcing_pert(dim), fixture_seed(spec),
+            [EPS / 4, EPS / 2, EPS])
+        assert diags == [] and len(family) == 3
+        assert len(runs) > 3 and sum(dense for dense, _ in runs) == 3
+        assert {(dense, nfev) for dense, nfev in runs} <= {(False, 13),
+                                                           (True, 16)}
+
     @pytest.mark.parametrize("held", [True, False],
                              ids=["full_trial", "halved_trial"])
     def test_max_outer_exit(self, monkeypatch, held):
@@ -867,8 +983,8 @@ class TestWorkCounts:
 
 class TestCarriedStep:
     """A continuation carries each eps step's converged unknowns to the
-    next; every integration, continued or direct, starts at
-    SIGMA_STEP."""
+    next; every integration, continued or direct, starts with the whole
+    segment as its first trial step."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -899,9 +1015,11 @@ class TestCarriedStep:
         assert diags == []
         return family
 
-    def test_every_integration_starts_at_sigma_step(self, monkeypatch):
+    def test_every_integration_starts_with_the_whole_segment(
+            self, monkeypatch):
         """Every integration of a continuation and of a direct solve is
-        a stack over sigma in [0, 1] started at SIGMA_STEP."""
+        a stack over sigma in [0, 1] whose first trial step is the whole
+        interval, 1.0."""
         log = self.spy(monkeypatch)
         self.continuation()
         continued = len(log)
@@ -911,7 +1029,7 @@ class TestCarriedStep:
             spec=spec, eps=0.0, pert=model.zero_perturbation(T, 2), X_ref=X0)
         shooting.solve(problem, shooting.seed_unknowns(problem, X0))
         assert continued > 10 and len(log) > continued
-        assert set(log) == {(True, 1.0, shooting.SIGMA_STEP)}
+        assert set(log) == {(True, 1.0, 1.0)}
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_direct_solve_matches_continuation(self, dim, family2d, orbit3d):
