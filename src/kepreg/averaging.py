@@ -166,20 +166,21 @@ def _scaled_system(pert, lam):
 
 
 def _first_order_seed(pert, x_star, lam):
-    """Starts (x* + lam xi(0), lam xi'(0)) of first-order averaging, one
-    row per lam (m,).
+    """xi and the starts (x* + lam xi(0), lam xi'(0)) of first-order
+    averaging, one row per lam (m,).
 
     x = x* + lam xi(t) + O(lam^2), where xi is the zero-mean periodic
-    solution of xi'' = p - p_bar: for p - p_bar = sum_h C_h cos f_h t +
-    S_h sin f_h t that is xi = -sum_h (C_h cos f_h t + S_h sin f_h t) /
-    f_h^2, so xi(0) = -sum_h C_h / f_h^2 and xi'(0) = -sum_h S_h / f_h.
-    A forcing without harmonics starts at rest at x*, which is periodic.
+    solution of xi'' = p - p_bar: each harmonic of p over -f_h^2, a
+    ``model.Perturbation`` whose ``jet`` at 0 gives xi(0) and xi'(0).  A
+    forcing without harmonics starts at rest at x*, which is periodic.
     """
-    f = pert.freq[:, None]
-    xi = -np.sum(pert.cos / f[: len(pert.cos)] ** 2, axis=0)
-    dxi = -np.sum(pert.sin / f[: len(pert.sin)], axis=0)
+    f2 = pert.freq[:, None] ** 2
+    xi = model.Perturbation(pert.period, np.zeros(pert.dim),
+                            -pert.cos / f2[: len(pert.cos)],
+                            -pert.sin / f2[: len(pert.sin)])
+    jet = xi.jet(0.0)
     lam = np.asarray(lam, float)[:, None]
-    return np.concatenate([x_star + lam * xi, lam * dxi], axis=1)
+    return xi, np.concatenate([x_star + lam * jet[0], lam * jet[1]], axis=1)
 
 
 def solve_scaled_periodic(pert, eps, y0):
@@ -268,15 +269,12 @@ def bifurcation_from_infinity(pert, eps_list):
     eps = np.asarray(eps_list, float)
     lam = eps ** 1.5
     ts = np.linspace(0.0, pert.period, N_SAMPLES)
-    f2 = pert.freq[:, None] ** 2            # xi: p - p_bar over -f_h^2
-    xi = model.Perturbation(pert.period, np.zeros(pert.dim),
-                            -pert.cos / f2[: len(pert.cos)],
-                            -pert.sin / f2[: len(pert.sin)])
+    xi, seeds = _first_order_seed(pert, x_star, lam)
     predicted = lam * np.max(np.linalg.norm(xi.jet(ts)[:, 0], axis=-1))
     floor = flow.REL_TOL * np.linalg.norm(x_star)
     resolved = (predicted == 0.0) | (predicted > floor)
     outcomes = iter(solve_scaled_periodic(
-        pert, eps[resolved], _first_order_seed(pert, x_star, lam[resolved])))
+        pert, eps[resolved], seeds[resolved]))
     entries = []
     diags = []
     for e, ok, pred in zip(eps_list, resolved, predicted):

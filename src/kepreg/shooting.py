@@ -121,7 +121,7 @@ class ShootingProblem:
         return shift
 
 
-def pack_unknowns(problem, states, S, theta=0.0):
+def pack_unknowns(problem, states, S, theta):
     vec = np.concatenate([np.ravel(states), [S]])
     if problem.spec.dim == 3:
         vec = np.concatenate([vec, [theta]])
@@ -149,7 +149,7 @@ def seed_unknowns(problem, X0):
     form at s = jS/m, j = 0 .. m-1, read in one call, not integrated."""
     S = manifolds._check_on_manifold(problem.spec, X0).S
     s = np.arange(problem.m) * S / problem.m
-    return pack_unknowns(problem, manifolds.closed_form_flow(X0, s), S)
+    return pack_unknowns(problem, manifolds.closed_form_flow(X0, s), S, 0.0)
 
 
 def _rotation(problem, theta):
@@ -237,10 +237,9 @@ class ShootingJacobian:
     ``x0_rows``.  ``rotation`` is R(theta).
 
     The segment matrices are composed once per Jacobian, on first use,
-    into ``prefix`` and ``suffix``; the condensed rows of any residual
-    and the expansion of a condensed step then take one matrix product
-    each, whatever m.  Only a nonzero residual's own part of an
-    expansion keeps the recursion over the segments (``_expand``).
+    into the levels of one scan (``scan``), through which ``_propagate``
+    runs the elimination's recursion for any batch of residuals and
+    condensed steps: log2(m + 1) batched products, whatever m.
     """
 
     segments: np.ndarray            # (m, D, D)
@@ -250,38 +249,44 @@ class ShootingJacobian:
     x0_rows: np.ndarray             # (n_res - m D, D)
 
     @cached_property
-    def prefix(self):
-        """[P_j | c_j] (m + 1, D, D + 1), j = 0 .. m: the move of segment
-        start j per (dX0, dS) when every matching defect is zero,
-        P_j = M_{j-1} ... M_0 and c_{j+1} = M_j c_j + dS[j] from
-        P_0 = I, c_0 = 0.  P_m is the monodromy."""
+    def scan(self):
+        """Levels (m + 1, D, D) of a Hillis-Steele scan of [I, M_0, ...,
+        M_{m-1}], each one batched product of the one before: row j of
+        level i is M_{j-1} ... M_{j-2^i}, the 2^i segment matrices that
+        end at start j (all of them, P_j = M_{j-1} ... M_0, when
+        j <= 2^i).  The last level holds every P_j, and its last row
+        P_m is the monodromy."""
         m, D = self.dS.shape
-        affine = np.zeros((m, D + 1, D + 1))
-        affine[:, :D, :D] = self.segments
-        affine[:, :D, D] = self.dS
-        affine[:, D, D] = 1.0
-        return _running_products(affine)[:, :D]
-
-    @cached_property
-    def suffix(self):
-        """(m D, D), block j the transpose of M_{m-1} ... M_{j+1} (I for
-        j = m - 1): matching defects r (n, m D) reach the closure rows as
-        r @ suffix."""
-        m, D = self.dS.shape
-        ends = _running_products(self.segments[::-1].transpose(0, 2, 1))
-        return ends[m - 1::-1].reshape(m * D, D)
+        levels = [np.concatenate([np.eye(D)[None], self.segments])]
+        span = 1
+        while span <= m:
+            Q = levels[-1]
+            levels.append(np.concatenate([Q[:span], Q[span:] @ Q[:-span]]))
+            span *= 2
+        return levels
 
 
-def _running_products(A):
-    """[I, A_0, A_1 A_0, ..., A_{n-1} ... A_0] (n + 1, d, d) of a stack A
-    (n, d, d), composed by log2(n + 1) batched products (a Hillis-Steele
-    scan) rather than n sequential ones."""
-    P = np.concatenate([np.eye(A.shape[-1])[None], A])
+def _propagate(jac, res, v):
+    """The segment start moves dx_0 .. dx_m (m + 1, D, n) of the
+    recursion dx_{j+1} = M_j dx_j + F_j dS + r_j from dx_0 = dX0, for
+    full residuals res (n, n_res) and condensed steps v = (dX0, dS[,
+    dtheta]) (n, n_v), both 2-D, a single row of either shared.
+
+    Level i of ``jac.scan`` carries to every start j >= 2^i the terms
+    summed at start j - 2^i, so after the last one dx_j holds every
+    term from dX0 and the segments before j: one batched (D x D)(D x n)
+    product per level.
+    """
+    m, D = jac.dS.shape
+    dx = np.empty((m + 1, D, max(len(res), len(v))))
+    dx[0] = v[:, :D].T
+    dx[1:] = (jac.dS[..., None] * v[:, D]
+              + res[:, : m * D].T.reshape(m, D, -1))
     span = 1
-    while span < len(P):
-        P[span:] = P[span:] @ P[:-span]
+    for level in jac.scan[:-1]:
+        dx[span:] += level[span:] @ dx[:-span]
         span *= 2
-    return P
+    return dx
 
 
 def residual_and_jacobian(problem, unknowns):
@@ -313,49 +318,37 @@ def _condensed_rows(problem, jac, res, v):
     phase rows), for full residuals res (n, n_res) and condensed steps
     v = (dX0, dS[, dtheta]) (n, n_v); a single row of either is shared.
 
-    The matching rows vanish when the segment starts move by
-    dx_{j+1} = r_j + M_j dx_j + F_j dS from dx_0 = dX0, which eliminates
-    the m - 1 interior starts (Bock and Plitt 1984).  The closure rows
-    then read dx_m - R(theta) dX0 plus the theta column times its step,
-    and dx_m comes from the composed products: P_m dX0 + c_m dS, plus
-    every defect carried to the end by ``jac.suffix``.
+    The matching rows vanish when the segment starts move as
+    ``_propagate``'s recursion, which eliminates the m - 1 interior
+    starts (Bock and Plitt 1984).  The closure rows then read
+    dx_m - R(theta) dX0 plus the theta column times its step.
     """
     D, m = problem.D, problem.m
     res, v = np.atleast_2d(res), np.atleast_2d(v)
-    closure = (v[:, :D + 1] @ jac.prefix[m].T - v[:, :D] @ jac.rotation.T
-               + v[:, D + 1:] @ jac.dtheta.T + res[:, : m * D] @ jac.suffix)
+    closure = (_propagate(jac, res, v)[m].T - v[:, :D] @ jac.rotation.T
+               + v[:, D + 1:] @ jac.dtheta.T)
     return np.hstack([closure, res[:, m * D:] + v[:, :D] @ jac.x0_rows.T])
 
 
 def _expand(problem, jac, res, v):
     """The full steps du (n, n_unknowns) of condensed steps v (n, n_v)
     at full residuals res (n, n_res), a single row of either shared:
-    the segment starts dx_0 .. dx_{m-1} of ``_condensed_rows``'
-    elimination, then (dS[, dtheta]).
-
-    The part of dx_j in (dX0, dS) is ``jac.prefix`` applied to them, in
-    one product.  Only nonzero matching defects take the recursion
-    e_{j+1} = M_j e_j + r_j from e_0 = 0, which adds their own part.
+    the segment starts dx_0 .. dx_{m-1} of ``_propagate``, then (dS[,
+    dtheta]).
     """
     D, m = problem.D, problem.m
     res, v = np.atleast_2d(res), np.atleast_2d(v)
-    n = max(len(res), len(v))
-    dx = np.broadcast_to(
-        v[:, :D + 1] @ jac.prefix[:m].reshape(m * D, D + 1).T, (n, m * D))
-    r = res[:, : m * D].reshape(len(res), m, D)
-    if np.any(r):
-        e = np.zeros((len(res), m, D))
-        for j in range(m - 1):
-            e[:, j + 1] = e[:, j] @ jac.segments[j].T + r[:, j]
-        dx = dx + e.reshape(len(res), m * D)
-    return np.hstack([dx, np.broadcast_to(v[:, D:], (n, v.shape[1] - D))])
+    dx = _propagate(jac, res, v)[:m]
+    n = dx.shape[-1]
+    return np.hstack([dx.transpose(2, 0, 1).reshape(n, m * D),
+                      np.broadcast_to(v[:, D:], (n, v.shape[1] - D))])
 
 
 def _condense(problem, res, jac):
     """The condensed residual (n_c,) and matrix (n_c, n_v) at (res, jac):
     ``_condensed_rows`` at v = 0 and their derivative in v, 8 x 7 in 2D
     and 14 x 12 in 3D for every m.  The matrix's closure block is
-    P_m - R(theta) = M_{m-1} ... M_0 - R(theta) and its S column c_m
+    P_m - R(theta) = M_{m-1} ... M_0 - R(theta) and its S column
     carries every segment's F_j to the end; the residual's closure rows
     carry every matching defect there."""
     n_v = problem.D + 1 + jac.dtheta.shape[1]
@@ -371,9 +364,9 @@ class PeriodicOrbit:
 
     ``monodromy`` is the (D, D) fundamental matrix over one period S at
     X0, the product M_{m-1} ... M_0 of the segment matrices of the
-    shooting Jacobian that ``solve`` condensed at the converged point (no
-    integration of its own); ``energy_band`` is read off the converged
-    segment stack.
+    shooting Jacobian that ``solve`` condensed at the converged point,
+    the last product of its scan (no integration of its own);
+    ``energy_band`` is read off the converged segment stack.
     ``unknowns`` are the converged shooting unknowns, from which
     ``continue_in_epsilon`` seeds its next solve; None on an orbit not
     built by ``solve``.
@@ -415,19 +408,17 @@ def energy_band(traj, eps, pert):
 
 def _finish(problem, unknowns, res_norm, jac):
     """The orbit at converged unknowns, given the shooting Jacobian jac
-    there (taken once here when the solve holds none).
+    there.
 
-    The monodromy is P_m = M_{m-1} ... M_0, the last of jac's prefix
-    products, which the condensed Jacobian's closure block already
-    composed; no (m D)^2 matrix is built.  The dense segment stack is
-    integrated for the energy band alone, with the whole interval as its
-    first trial step as in ``_integrate_segments`` (16 field
-    evaluations with the interpolation stages).
+    The monodromy is P_m = M_{m-1} ... M_0, the last product of jac's
+    scan, which the condensed Jacobian already composed; no (m D)^2
+    matrix is built.  The dense segment stack is integrated for the
+    energy band alone, with the whole interval as its first trial step
+    as in ``_integrate_segments`` (16 field evaluations with the
+    interpolation stages).
     """
-    if jac is None:
-        _, jac = residual_and_jacobian(problem, unknowns)
     states, S, theta = unpack_unknowns(problem, unknowns)
-    M = jac.prefix[-1, :, :problem.D].copy()
+    M = jac.scan[-1][-1].copy()
     h, X = _normalized_stack(states[None], S)
     traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
                           first_step=1.0)
@@ -451,9 +442,10 @@ def _line_search(problem, u, step, better, trials):
 
     The full step is evaluated with ``residual_and_jacobian``, so when
     it is accepted, as it mostly is, the next Newton iteration needs no
-    integration of its own; the halved steps use plain ``residual``.
-    Returns (trial, residual, Jacobian), the Jacobian None after a
-    halved step, or None when every trial is rejected.
+    integration of its own; the halved steps use plain ``residual``, and
+    an accepted one takes ``residual_and_jacobian`` once more, there.
+    Returns (trial, residual, Jacobian), or None when every trial is
+    rejected.
     """
     trial = u + step
     res, J = residual_and_jacobian(problem, trial)
@@ -462,14 +454,13 @@ def _line_search(problem, u, step, better, trials):
     alpha = 0.5
     for _ in range(trials - 1):
         trial = u + alpha * step
-        res = residual(problem, trial)
-        if better(res):
-            return trial, res, None
+        if better(residual(problem, trial)):
+            return (trial,) + residual_and_jacobian(problem, trial)
         alpha *= 0.5
     return None
 
 
-def _strong_sweep(problem, u, first):
+def _strong_sweep(problem, u, res, jac):
     """Gauss-Newton on the condensed system restricted to its
     well-conditioned directions, at most MAX_SWEEP_STEPS steps.
 
@@ -483,15 +474,12 @@ def _strong_sweep(problem, u, first):
     residual in the others, so the sweep ends once that part is no
     smaller than the full residual: the step would then only move the
     weak defect off the matching rows into the closure rows, and its
-    line search would reject every trial.  A full step is tried with
-    ``residual_and_jacobian`` and, when accepted, supplies the next
-    iteration's residual and Jacobian; after a halved step the pair is
-    taken once at the accepted point.  ``first`` is the pair at
-    u when the caller already holds it.  Returns the improved unknowns
-    together with the residual, the Jacobian, the condensed residual and
-    the SVD factors of the condensed matrix there.
+    line search would reject every trial.  (res, jac) is the residual
+    and Jacobian at u, and every accepted trial of ``_line_search``
+    hands on its own.  Returns the improved unknowns together with the
+    residual, the Jacobian, the condensed residual and the SVD factors
+    of the condensed matrix there.
     """
-    res, jac = first or residual_and_jacobian(problem, u)
     for steps in range(MAX_SWEEP_STEPS + 1):
         rnorm = float(np.linalg.norm(res))
         cres, matrix = _condense(problem, res, jac)
@@ -511,8 +499,6 @@ def _strong_sweep(problem, u, first):
         if found is None:
             break
         u, res, jac = found
-        if jac is None:
-            res, jac = residual_and_jacobian(problem, u)
     return u, res, jac, cres, (U, sv, Vt)
 
 
@@ -531,22 +517,20 @@ def solve(problem, unknowns0):
     differences (step FD_STEP) along the weak directions, expanded to
     keep the matching rows linearly at zero, and solved by least squares
     without its singular values below REDUCED_CUTOFF of the largest; at
-    most MAX_OUTER such rounds are taken.  The reduced step's full trial
-    is evaluated with ``residual_and_jacobian`` and, when accepted, opens
-    the next sweep; a halved trial opens it with one
-    ``residual_and_jacobian`` at the accepted point.  Converges when the
+    most MAX_OUTER such rounds are taken.  Every accepted trial, the
+    reduced step's as the sweeps', comes with its Jacobian
+    (``_line_search``), which opens the next sweep.  Converges when the
     full residual, matching rows included, drops below RESIDUAL_TOL; the
     orbit's monodromy is then composed from the Jacobian the solve holds
-    at the converged point, taken once more only when the last accepted
-    trial was a halved one.
+    at the converged point.
     """
     u = np.asarray(unknowns0, float).copy()
     best_u, best_r = u.copy(), np.inf       # set by the first sweep
-    first = None                            # (res, jac) at u, when known
+    res, jac = residual_and_jacobian(problem, u)
     for _ in range(MAX_OUTER):
         try:
             u, res, jac, cres, (U, sv, Vt) = _strong_sweep(problem, u,
-                                                           first)
+                                                           res, jac)
         except np.linalg.LinAlgError as exc:
             raise ShootingError(
                 f"SVD of the shooting Jacobian failed ({exc}); it is not "
@@ -596,7 +580,6 @@ def solve(problem, unknowns0):
                 f"reduced Newton step collapsed at residual {rnorm:.3e}",
                 best_unknowns=best_u, best_residual=best_r)
         u, res, jac = found
-        first = None if jac is None else (res, jac)
     rnorm = float(np.linalg.norm(res))
     if rnorm < RESIDUAL_TOL:
         return _finish(problem, u, rnorm, jac)

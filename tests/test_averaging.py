@@ -177,7 +177,7 @@ class TestTypedFailures:
         spec = acceptance_forcing()
         eps = np.array([1e-4, 1e-2])
         seeds = averaging._first_order_seed(spec, np.array([1.0, 0.0]),
-                                            eps ** 1.5)
+                                            eps ** 1.5)[1]
         converged, failed = averaging.solve_scaled_periodic(spec, eps, seeds)
         y0, traj, row = converged
         assert np.array_equal(y0, seeds[0]) and row == 0

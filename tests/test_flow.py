@@ -684,7 +684,6 @@ SETTABLE = {
     "shooting.ShootingError.__init__(best_residual)",
     "shooting.ShootingError.__init__(best_unknowns)",
     "shooting._integrate_segments(variational)",
-    "shooting.pack_unknowns(theta)",
 }
 
 

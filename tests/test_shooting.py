@@ -136,7 +136,7 @@ class TestResidual:
         assert S == c.S
         assert theta == 0.0
         assert np.array_equal(u, shooting.pack_unknowns(problem, expected,
-                                                        c.S))
+                                                        c.S, 0.0))
 
     def test_default_segments(self):
         spec = manifolds.ManifoldSpec(k=3, T=T, dim=2)
@@ -255,31 +255,42 @@ class TestCondensed:
         assert np.sum(sv <= shooting.WEAK_CUTOFF * sv[0]) == weak
 
 
-def recursive_model(problem, jac, res, v):
-    """The condensed linear model segment by segment: the full steps du
-    and the rows left of J du + r for one residual row res and one
-    condensed step v, by the recursion dx_{j+1} = r_j + M_j dx_j + F_j dS
-    from dx_0 = dX0 over every segment."""
+def recursive_starts(problem, jac, res, v):
+    """The segment start moves dx_0 .. dx_m of the recursion
+    dx_{j+1} = r_j + M_j dx_j + F_j dS from dx_0 = dX0 over every
+    segment, one segment at a time, for one residual row res and one
+    condensed step v."""
     D, m = problem.D, problem.m
     dx = [v[:D]]
     for j in range(m):
         dx.append(jac.segments[j] @ dx[j] + res[j * D:(j + 1) * D]
                   + v[D] * jac.dS[j])
+    return dx
+
+
+def recursive_model(problem, jac, res, v):
+    """The condensed linear model segment by segment: the full steps du
+    and the rows left of J du + r for one residual row res and one
+    condensed step v, from ``recursive_starts``."""
+    D, m = problem.D, problem.m
+    dx = recursive_starts(problem, jac, res, v)
     closure = dx[m] - jac.rotation @ v[:D] + jac.dtheta @ v[D + 1:]
     rows = np.concatenate([closure, res[m * D:] + jac.x0_rows @ v[:D]])
     return np.concatenate(dx[:m] + [v[D:]]), rows
 
 
 class TestComposedProducts:
-    """The prefix and suffix products of a ShootingJacobian, composed
-    once, give the rows and steps of the recursion over the segments."""
+    """The propagation through the scan of a ShootingJacobian, composed
+    once, gives the segment starts, rows and steps of the recursion
+    over the segments."""
 
     # Both sides sum the same products of O(1) matrices in another order.
     TOL = 1e-12
 
     @staticmethod
     def jacobian(dim, k):
-        """The Jacobian at the EPS seed unknowns of a k family, m = 48k."""
+        """The Jacobian at the EPS seed unknowns of a k family, m
+        segments as SEGMENTS_PER_K sets them."""
         spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(
             spec, np.random.default_rng(20 + k)))
@@ -287,42 +298,64 @@ class TestComposedProducts:
             spec=spec, eps=EPS, pert=forcing_pert(dim), X_ref=X0)
         res, jac = shooting.residual_and_jacobian(
             problem, seed_at_theta(problem, X0, 0.3))
-        assert problem.m == 48 * k
         return problem, res, jac
 
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_rows_and_steps_match_the_recursion(self, dim, k):
-        """Batches of random residuals and condensed steps, a single row
-        of either shared with a batch of the other, the solve's own
-        residual and a zero residual: every row of ``_condensed_rows``
-        and of ``_expand`` matches the recursion within TOL relative."""
-        problem, res, jac = self.jacobian(dim, k)
+    def check_against_recursion(self, problem, res, jac, rng):
+        """Batches of random residuals and condensed steps (both of
+        several rows), a single row of either shared with a batch of the
+        other, the solve's own residual and a zero residual: every row
+        of ``_propagate``, ``_condensed_rows`` and ``_expand`` matches
+        the recursion within TOL relative."""
         n_v = problem.D + 1 + jac.dtheta.shape[1]
-        rng = np.random.default_rng(dim + 10 * k)
         batch_r = rng.normal(size=(4, res.size)) * 1e-3
         batch_v = rng.normal(size=(4, n_v))
         cases = [(batch_r, batch_v), (res, batch_v), (batch_r, batch_v[0]),
                  (np.zeros(res.size), batch_v), (res, np.zeros(n_v))]
         for res_rows, v_rows in cases:
+            R, V = np.atleast_2d(res_rows), np.atleast_2d(v_rows)
+            dx = shooting._propagate(jac, R, V)
             du = shooting._expand(problem, jac, res_rows, v_rows)
             rows = shooting._condensed_rows(problem, jac, res_rows, v_rows)
-            R, V = np.atleast_2d(res_rows), np.atleast_2d(v_rows)
             n = max(len(R), len(V))
+            assert dx.shape == (problem.m + 1, problem.D, n)
             assert du.shape[0] == rows.shape[0] == n
             R = np.broadcast_to(R, (n, R.shape[1]))
             V = np.broadcast_to(V, (n, V.shape[1]))
             for i in range(n):
+                want_dx = np.array(recursive_starts(problem, jac, R[i],
+                                                    V[i]))
                 want_du, want_rows = recursive_model(problem, jac, R[i],
                                                      V[i])
-                for got, want in ((du[i], want_du), (rows[i], want_rows)):
+                for got, want in ((dx[..., i], want_dx), (du[i], want_du),
+                                  (rows[i], want_rows)):
                     assert np.linalg.norm(got - want) \
                         <= self.TOL * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rows_and_steps_match_the_recursion(self, dim, k):
+        """At m = 48k."""
+        problem, res, jac = self.jacobian(dim, k)
+        assert problem.m == 48 * k
+        self.check_against_recursion(problem, res, jac,
+                                     np.random.default_rng(dim + 10 * k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_few_segments_match_the_recursion(self, monkeypatch, dim, k):
+        """At m = k, 1 to 3 segments: the shortest scans, of one and two
+        levels, where a level's span reaches half the starts or more."""
+        monkeypatch.setattr(shooting, "SEGMENTS_PER_K", 1)
+        problem, res, jac = self.jacobian(dim, k)
+        assert problem.m == k
+        assert len(jac.scan) - 1 == k.bit_length()
+        self.check_against_recursion(problem, res, jac,
+                                     np.random.default_rng(dim + 10 * k))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_monodromy_is_the_sequential_product(self, dim, family2d,
                                                  orbit3d_eps):
-        """A solved orbit's monodromy, the last prefix product, equals
+        """A solved orbit's monodromy, the scan's last product, equals
         M_{m-1} ... M_0 multiplied one segment at a time."""
         orbit = family2d[1][-1] if dim == 2 else orbit3d_eps
         spec = manifolds.ManifoldSpec(k=orbit.k, T=T, dim=dim)
@@ -387,7 +420,7 @@ class TestStackedSegments:
         # directions at the end of the first strong sweep, expanded to
         # unit steps of the full unknowns
         swept, res, jac, _, (_, sv, Vt) = shooting._strong_sweep(
-            problem, u, None)
+            problem, u, *shooting.residual_and_jacobian(problem, u))
         weak = shooting._expand(
             problem, jac, np.zeros(res.size),
             Vt[sv <= shooting.WEAK_CUTOFF * sv[0]])
@@ -570,7 +603,7 @@ class TestSolve:
         problem = shooting.ShootingProblem(
             spec=spec, eps=0.3, pert=forcing_pert(2), X_ref=X_bad)
         u = shooting.pack_unknowns(
-            problem, np.tile(X_bad, (problem.m, 1)), 5.0)
+            problem, np.tile(X_bad, (problem.m, 1)), 5.0, 0.0)
         monkeypatch.setattr(shooting, "MAX_OUTER", 2)
         with pytest.raises((shooting.ShootingError, flow.FlowError)):
             shooting.solve(problem, u)
@@ -594,8 +627,8 @@ class TestSolve:
         res, jac = shooting.residual_and_jacobian(problem, u)
         assert weak_count(np.linalg.svd(shooting._condense(
             problem, res, jac)[1], compute_uv=False)) == 0
-        assert weak_count(shooting._strong_sweep(problem, u, None)[-1][1]) \
-            == 5
+        assert weak_count(shooting._strong_sweep(problem, u, res, jac)
+                          [-1][1]) == 5
         orbit = shooting.solve(problem, u)
         reference = shooting.solve(problem, seed_at_theta(problem, X0, 0.0))
         assert orbit.residual_norm < shooting.RESIDUAL_TOL
@@ -948,9 +981,10 @@ class TestWorkCounts:
                              ids=["full_trial", "halved_trial"])
     def test_max_outer_exit(self, monkeypatch, held):
         """The loop ends on an accepted reduced step at the converged
-        point: with its Jacobian (a full trial) the orbit needs no
-        more, without it (a halved trial) exactly one
-        residual_and_jacobian call there."""
+        point, which hands its Jacobian to the orbit: a full trial was
+        evaluated with it, and a halved trial (the search from u*/2
+        along u*, whose full trial 3u*/2 is rejected) takes it once
+        there.  The orbit takes no more."""
         problem, u0 = lookahead_problem()
         log = self.spy(monkeypatch)
         reference = shooting.solve(problem, u0)
@@ -963,7 +997,11 @@ class TestWorkCounts:
             if trials == shooting.MAX_BACKTRACKS:        # strong sweep
                 return real_ls(problem, u, step, better, trials)
             log.append(("reduced", None))
-            return u_star, res_star, J_star if held else None
+            if held:
+                return u_star, res_star, J_star
+            return real_ls(problem, 0.5 * u_star, u_star,
+                           lambda rt: np.linalg.norm(rt)
+                           < shooting.RESIDUAL_TOL, trials)
 
         monkeypatch.setattr(shooting, "_line_search", reduced_converges)
         monkeypatch.setattr(shooting, "MAX_OUTER", 1)
@@ -973,8 +1011,10 @@ class TestWorkCounts:
         assert names.count("reduced") == 1
         after = [u for name, u in log[names.index("reduced"):]
                  if name == "rj"]
-        assert len(after) == (0 if held else 1)
-        assert all(np.array_equal(u, u_star) for u in after)
+        assert len(after) == (0 if held else 2)
+        if not held:
+            assert np.array_equal(after[0], 0.5 * u_star + u_star)
+            assert np.array_equal(after[1], u_star)
         assert self.count(log, "variational") == self.count(log, "rj")
         assert np.array_equal(orbit.X0, reference.X0)
         assert orbit.S == reference.S
