@@ -250,15 +250,10 @@ def _schedule(config, to_eps):
     if not schedule:
         raise ConfigError("no continuation target: [run] eps is 0 and "
                           "[shoot] eps_schedule is not set")
-    if to_eps and not any(_at_eps(e, config) for e in schedule):
+    if to_eps and config.eps not in schedule:
         raise ConfigError(f"[run] eps = {config.eps!r} is not among the "
                           f"continuation targets {schedule}")
     return schedule
-
-
-def _at_eps(eps, config):
-    """Whether eps is [run] eps."""
-    return abs(eps - config.eps) < 1e-15
 
 
 def _continue_branch(config, pert, k, schedule):
@@ -273,7 +268,8 @@ def _orbit_at_eps(config, pert, k, schedule, failures):
     """The last orbit of k's continued branch at [run] eps, or None with
     the branch's diagnostics appended to failures."""
     family, diags = _continue_branch(config, pert, k, schedule)
-    target = [o for o in family if _at_eps(o.eps, config)]
+    # continue_in_epsilon stores each target float as orbit.eps
+    target = [o for o in family if o.eps == config.eps]
     if not target:
         failures.append({"k": k, "diagnostics": diags})
         return None

@@ -398,13 +398,17 @@ def sundman_lift(gensol):
     v = model.state_velocity(X)
     vc = v[:, 0] + 1j * v[:, 1]
     zc = np.sqrt(u[:, 0] + 1j * u[:, 1])
-    # sheet tracking: each sign follows from the previous node's z, z'
-    for i in range(1, len(zc)):
-        z_prev = zc[i - 1]
-        z_pred = z_prev + (s_nodes[i] - s_nodes[i - 1]) * (
-            2.0 * z_prev.conjugate() * vc[i - 1] / 4.0)
-        if abs(zc[i] - z_pred) > abs(-zc[i] - z_pred):
-            zc[i] = -zc[i]
+    # sheet tracking: node i takes the root nearer the prediction
+    # z + ds z' (z' = conj(z) v / 2) from node i - 1.  The prediction is
+    # odd in that node's sheet and negation is exact, so each node's sheet
+    # relative to the previous one is read off the principal roots, and
+    # the signs are their running product.  On an exact tie a node keeps
+    # the previous node's sheet.
+    pred = zc[:-1] + np.diff(s_nodes) * (2.0 * zc[:-1].conjugate()
+                                         * vc[:-1] / 4.0)
+    flip = np.abs(zc[1:] - pred) > np.abs(zc[1:] + pred)
+    sign = np.cumprod(np.concatenate([[1.0], np.where(flip, -1.0, 1.0)]))
+    zc = np.where(sign < 0.0, -zc, zc)
     wc = 2.0 * zc.conjugate() * vc
     states = np.column_stack([zc.real, zc.imag, wc.real, wc.imag, t_nodes,
                               np.zeros(len(zc))])

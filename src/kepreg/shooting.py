@@ -436,27 +436,21 @@ def _finish(problem, unknowns, res_norm, jac):
 WEAK_CUTOFF = 1e-3          # singular values below this (relative) are weak
 
 
-def _line_search(problem, u, step, better, trials):
-    """First of u + alpha step, alpha = 1, 1/2, 1/4, ... (``trials`` in
-    all) whose residual satisfies ``better``.
+def _line_search(problem, u, step, better):
+    """First of u + alpha step, alpha = 1, 1/2, 1/4, ... (MAX_BACKTRACKS
+    trials in all) whose residual satisfies ``better``.
 
-    The full step is evaluated with ``residual_and_jacobian``, so when
-    it is accepted, as it mostly is, the next Newton iteration needs no
-    integration of its own; the halved steps use plain ``residual``, and
-    an accepted one takes ``residual_and_jacobian`` once more, there.
-    Returns (trial, residual, Jacobian), or None when every trial is
-    rejected.
+    Every trial is one ``residual_and_jacobian`` call, whose residual
+    rows are those of ``residual`` bit for bit, so an accepted trial
+    hands its Jacobian to the next Newton iteration and no point is
+    integrated twice.  Returns (trial, residual, Jacobian), or None when
+    every trial is rejected.
     """
-    trial = u + step
-    res, J = residual_and_jacobian(problem, trial)
-    if better(res):
-        return trial, res, J
-    alpha = 0.5
-    for _ in range(trials - 1):
-        trial = u + alpha * step
-        if better(residual(problem, trial)):
-            return (trial,) + residual_and_jacobian(problem, trial)
-        alpha *= 0.5
+    for j in range(MAX_BACKTRACKS):
+        trial = u + 0.5 ** j * step
+        res, J = residual_and_jacobian(problem, trial)
+        if better(res):
+            return trial, res, J
     return None
 
 
@@ -468,17 +462,17 @@ def _strong_sweep(problem, u, res, jac):
     (relative to the largest singular value) are frozen.  The strong
     step in (X0, S, theta) is expanded to every segment start by the
     elimination, so it zeroes the linearized matching defects as well.
-    Armijo backtracking on the full residual (factor 1/2, at most
-    MAX_BACKTRACKS trials) guards each step.  The full step zeroes the
-    linearized matching rows and leaves the weak part of the condensed
-    residual in the others, so the sweep ends once that part is no
-    smaller than the full residual: the step would then only move the
-    weak defect off the matching rows into the closure rows, and its
+    Backtracking on the full residual (``_line_search``: factor 1/2, at
+    most MAX_BACKTRACKS trials) guards each step.  The full step zeroes
+    the linearized matching rows and leaves the weak part of the
+    condensed residual in the others, so the sweep ends once that part
+    is no smaller than the full residual: the step would then only move
+    the weak defect off the matching rows into the closure rows, and its
     line search would reject every trial.  (res, jac) is the residual
-    and Jacobian at u, and every accepted trial of ``_line_search``
-    hands on its own.  Returns the improved unknowns together with the
-    residual, the Jacobian, the condensed residual and the SVD factors
-    of the condensed matrix there.
+    and Jacobian at u, and every accepted trial hands on its own, taken
+    with it.  Returns the improved unknowns together with the residual,
+    the Jacobian, the condensed residual and the SVD factors of the
+    condensed matrix there.
     """
     for steps in range(MAX_SWEEP_STEPS + 1):
         rnorm = float(np.linalg.norm(res))
@@ -494,8 +488,7 @@ def _strong_sweep(problem, u, res, jac):
         if np.linalg.norm(step) < STEP_TOL:
             break
         found = _line_search(problem, u, step,
-                             lambda rt: np.linalg.norm(rt) < rnorm,
-                             MAX_BACKTRACKS)
+                             lambda rt: np.linalg.norm(rt) < rnorm)
         if found is None:
             break
         u, res, jac = found
@@ -517,12 +510,12 @@ def solve(problem, unknowns0):
     differences (step FD_STEP) along the weak directions, expanded to
     keep the matching rows linearly at zero, and solved by least squares
     without its singular values below REDUCED_CUTOFF of the largest; at
-    most MAX_OUTER such rounds are taken.  Every accepted trial, the
-    reduced step's as the sweeps', comes with its Jacobian
-    (``_line_search``), which opens the next sweep.  Converges when the
-    full residual, matching rows included, drops below RESIDUAL_TOL; the
-    orbit's monodromy is then composed from the Jacobian the solve holds
-    at the converged point.
+    most MAX_OUTER such rounds are taken.  The reduced step backtracks as
+    the sweeps do (``_line_search``, at most MAX_BACKTRACKS trials), and
+    every trial is evaluated with its Jacobian, so an accepted one opens
+    the next sweep.  Converges when the full residual, matching rows
+    included, drops below RESIDUAL_TOL; the orbit's monodromy is then
+    composed from the Jacobian the solve holds at the converged point.
     """
     u = np.asarray(unknowns0, float).copy()
     best_u, best_r = u.copy(), np.inf       # set by the first sweep
@@ -573,8 +566,7 @@ def solve(problem, unknowns0):
         gnorm = float(np.linalg.norm(g))
         found = _line_search(
             problem, u, Vw.T @ xi,
-            lambda rt: np.linalg.norm(weak_rows(rt)) < gnorm,
-            MAX_BACKTRACKS + 5)
+            lambda rt: np.linalg.norm(weak_rows(rt)) < gnorm)
         if found is None:
             raise ShootingError(
                 f"reduced Newton step collapsed at residual {rnorm:.3e}",

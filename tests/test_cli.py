@@ -400,6 +400,20 @@ class TestReconstructCommand:
         assert diags["diagnostics"] == [
             {"k": 1, "diagnostics": [{"eps": 2e-4, "error": "synthetic"}]}]
 
+    def test_former_runaway_finishes(self, tmp_path):
+        """2D, [run] seed 3, cos1 = 0.3,0.0 alone, k = 1 and 2 at
+        eps = 1e-3 (ROADMAP item 15): once a run of tens of minutes, it
+        now finishes with every solve converged and writes both CSVs."""
+        text = (BASE.replace("k_list = 1", "k_list = 1,2")
+                .replace("sin1 = 0.0,0.3\n", ""))
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        code = cli.main(["reconstruct", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_OK
+        for k in (1, 2):
+            assert (out / f"generalized_k{k}.csv").exists()
+        assert not list(out.glob("*_diagnostics.json"))
+
 
 class TestAverageCommand:
     def test_family(self, tmp_path):
@@ -610,6 +624,21 @@ class TestRemoveCommand:
         assert code == cli.EXIT_CONFIG
         assert "remove-collisions is planar only" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["theorem-demo", "reconstruct"])
+def test_eps_must_be_a_target_exactly(tmp_path, capsys, command):
+    """[run] eps = 1e-16 is not the continuation target 5e-17, though the
+    two lie within 1e-15 of each other: a configuration error, before
+    anything is continued."""
+    text = (BASE.replace("eps = 1e-3", "eps = 1e-16")
+            + "\n[shoot]\neps_schedule = 5e-17\n")
+    cfg = write_config(tmp_path, text)
+    code = cli.main([command, "--config", cfg, "--out",
+                     str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "is not among the continuation targets" in \
+        capsys.readouterr().err
 
 
 class TestShootCommand:

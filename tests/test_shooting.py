@@ -647,8 +647,10 @@ def full_strong_step(problem, u, res, jac):
 
 
 class TestLookAhead:
-    """A full Gauss-Newton trial is evaluated with its Jacobian, which
-    the next iteration reuses; halved trials use plain residuals."""
+    """Every line-search trial, full or halved, is one
+    residual_and_jacobian call, whose Jacobian the next iteration reuses
+    when the trial is accepted; plain residuals are the reduced step's
+    batched probes alone."""
 
     @staticmethod
     def spied_solve(monkeypatch, worse_call=None):
@@ -698,61 +700,90 @@ class TestLookAhead:
         assert not any(np.array_equal(a[0], b[0])
                        for a, b in zip(rj, rj[1:]))
 
-    def test_rejected_full_step_backtracks_with_residual(self,
-                                                         monkeypatch):
+    def test_rejected_full_step_backtracks_with_jacobians(self,
+                                                          monkeypatch):
         """The last call of the unpatched solve is the full trial that
-        converges; worsening it makes that sweep backtrack, and the
-        solve, identical up to there, ends on the same orbit."""
+        converges; worsening it makes that sweep backtrack, every halved
+        trial one residual_and_jacobian call, and the solve, identical
+        up to there, ends on the same orbit."""
         reference, ref_log = self.spied_solve(monkeypatch)
         worse = sum(entry[0] == "rj" for entry in ref_log) - 1
         orbit, log = self.spied_solve(monkeypatch, worse_call=worse)
-        names = [entry[0] for entry in log]
-        second = [i for i, n in enumerate(names) if n == "rj"][worse]
-        _, u0, res0, J0 = log[second - 1]
+        at = [i for i, entry in enumerate(log) if entry[0] == "rj"]
+        _, u0, res0, J0 = log[at[worse - 1]]
         full = full_strong_step(lookahead_problem()[0], u0, res0, J0)
         # the worsened call is the sweep's full trial, and is rejected
-        assert names[second - 1] == "rj"
-        assert np.array_equal(log[second][1], full)
-        third = names.index("rj", second + 1)
-        trials = log[second + 1:third]
+        assert at[worse] == at[worse - 1] + 1
+        assert np.array_equal(log[at[worse]][1], full)
+        rnorm = np.linalg.norm(res0)
+        accepted = next(i for i in at[worse + 1:]
+                        if np.linalg.norm(log[i][2]) < rnorm)
+        trials = log[at[worse] + 1:accepted + 1]
         assert 1 <= len(trials) <= shooting.MAX_BACKTRACKS - 1
-        assert all(name == "residual" for name, _, _, _ in trials)
+        assert all(name == "rj" for name, _, _, _ in trials)
         for j, (_, u, _, _) in enumerate(trials):
             assert np.allclose(u, u0 + 0.5 ** (j + 1) * (full - u0),
                                rtol=0.0, atol=1e-14)
-        # the last trial is the first one accepted, and the Jacobian is
-        # taken once, there
-        rnorm = np.linalg.norm(res0)
-        assert np.linalg.norm(trials[-1][2]) < rnorm
+        # the last trial is the first one accepted, and its point is
+        # not integrated again
         assert all(np.linalg.norm(r) >= rnorm for _, _, r, _ in trials[:-1])
-        assert np.array_equal(log[third][1], trials[-1][1])
+        assert not any(np.array_equal(u, trials[-1][1])
+                       for _, u, _, _ in log[accepted + 1:])
         assert orbit.residual_norm < shooting.RESIDUAL_TOL
         assert abs(orbit.S - reference.S) < 1e-10
 
     def test_rejected_search_makes_exactly_its_trials(self, monkeypatch):
         """When every trial is rejected the search gives up after
-        ``trials`` evaluations: the full step with its Jacobian, then
-        the halved steps with plain residuals."""
+        MAX_BACKTRACKS residual_and_jacobian calls, at alpha = 1, 1/2,
+        1/4, ..., and calls no plain residual."""
         calls = []
 
         def fake_rj(problem, u):
-            calls.append(("rj", u))
+            calls.append(u)
             return np.zeros(1), np.zeros((1, 2))
 
-        def fake_r(problem, u):
-            calls.append(("residual", u))
-            return np.zeros(1)
+        def no_residual(problem, u):
+            raise AssertionError("a line-search trial called residual")
 
         monkeypatch.setattr(shooting, "residual_and_jacobian", fake_rj)
-        monkeypatch.setattr(shooting, "residual", fake_r)
+        monkeypatch.setattr(shooting, "residual", no_residual)
         step = np.array([1.0, -2.0])
         assert shooting._line_search(None, np.zeros(2), step,
-                                     lambda res: False,
-                                     shooting.MAX_BACKTRACKS) is None
-        assert [name for name, _ in calls] == (
-            ["rj"] + ["residual"] * (shooting.MAX_BACKTRACKS - 1))
-        for j, (_, u) in enumerate(calls):
+                                     lambda res: False) is None
+        assert len(calls) == shooting.MAX_BACKTRACKS
+        for j, u in enumerate(calls):
             assert np.array_equal(u, 0.5 ** j * step)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_residual_calls_are_probe_batches(self, monkeypatch, dim):
+        """Over a k = 1 continuation (whose reduced steps halve some
+        trials) every plain residual call is one batch of the 2q central-
+        difference probes u +- FD_STEP v of a reduced step, q its weak
+        directions (the columns of its lstsq)."""
+        log, real_r, real_lstsq = [], shooting.residual, np.linalg.lstsq
+
+        def spy_r(problem, unknowns):
+            log.append(("residual", np.array(unknowns)))
+            return real_r(problem, unknowns)
+
+        def spy_lstsq(a, *args, **kwargs):
+            log.append(("lstsq", np.shape(a)[1]))
+            return real_lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(shooting, "residual", spy_r)
+        monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        family, diags = shooting.continue_in_epsilon(
+            spec, forcing_pert(dim), fixture_seed(spec),
+            [EPS / 4, EPS / 2, EPS])
+        assert diags == [] and len(family) == 3
+        names = [name for name, _ in log]
+        assert len(log) >= 2 and names == ["residual", "lstsq"] * (
+            len(log) // 2)
+        for (_, probes), (_, q) in zip(log[::2], log[1::2]):
+            assert probes.shape[0] == 2 * q
+            centre = 0.5 * (probes[:q] + probes[q:])
+            assert np.allclose(centre, centre[0], rtol=0.0, atol=1e-14)
 
 
 class TestComposedMonodromy:
@@ -982,27 +1013,36 @@ class TestWorkCounts:
     def test_max_outer_exit(self, monkeypatch, held):
         """The loop ends on an accepted reduced step at the converged
         point, which hands its Jacobian to the orbit: a full trial was
-        evaluated with it, and a halved trial (the search from u*/2
-        along u*, whose full trial 3u*/2 is rejected) takes it once
-        there.  The orbit takes no more."""
+        evaluated with it, and so was a halved trial (the search from
+        u*/2 along u*, whose full trial 3u*/2 is rejected).  The orbit
+        takes no more."""
         problem, u0 = lookahead_problem()
         log = self.spy(monkeypatch)
         reference = shooting.solve(problem, u0)
         u_star = [u for name, u in log if name == "rj"][-1]
         assert np.array_equal(u_star[:problem.D], reference.X0)
         res_star, J_star = shooting.residual_and_jacobian(problem, u_star)
-        real_ls = shooting._line_search
+        real_ls, real_sweep = shooting._line_search, shooting._strong_sweep
+        sweeping = []
 
-        def reduced_converges(problem, u, step, better, trials):
-            if trials == shooting.MAX_BACKTRACKS:        # strong sweep
-                return real_ls(problem, u, step, better, trials)
+        def sweep(*args):
+            sweeping.append(True)
+            try:
+                return real_sweep(*args)
+            finally:
+                sweeping.pop()
+
+        def reduced_converges(problem, u, step, better):
+            if sweeping:
+                return real_ls(problem, u, step, better)
             log.append(("reduced", None))
             if held:
                 return u_star, res_star, J_star
             return real_ls(problem, 0.5 * u_star, u_star,
                            lambda rt: np.linalg.norm(rt)
-                           < shooting.RESIDUAL_TOL, trials)
+                           < shooting.RESIDUAL_TOL)
 
+        monkeypatch.setattr(shooting, "_strong_sweep", sweep)
         monkeypatch.setattr(shooting, "_line_search", reduced_converges)
         monkeypatch.setattr(shooting, "MAX_OUTER", 1)
         log.clear()
