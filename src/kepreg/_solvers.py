@@ -3,9 +3,10 @@
 kepreg runs on numpy alone; this port repeats, operation for operation,
 what it used of ``scipy.integrate.DOP853`` (Hairer, Norsett and Wanner,
 Solving ODEs I, II.5-6: the 8(5,3) pair, its step controller and its
-7th-degree continuous extension).  Every result, step sequence and
-evaluation count equals scipy's bit for bit; the tests check them
-against scipy.
+7th-degree continuous extension).  Every result and step sequence
+equals scipy's bit for bit, and so does every evaluation count save
+one: the field at the end of the last step is left to ``dense``.  The
+tests check them against scipy.
 
 The ported code is covered by SciPy's license:
 
@@ -270,7 +271,12 @@ class DOP853:
     estimate.  A boolean ``mask`` over the flattened state restricts
     the error norm to those components; the others ride along on the
     accepted steps.  ``nfev`` counts every evaluation of ``fun``.  The
-    tolerances and t_bound are taken as given (``flow`` fixes the
+    field at a step's end starts the next step ("first same as last");
+    after the last step, one that ends at t_bound, only ``dense`` reads
+    it and evaluates it, so without dense output an integration makes
+    one evaluation fewer than scipy's.  The error estimates weigh that
+    field 0, so unlike scipy's a last step is not rejected for a
+    non-finite one.  The tolerances and t_bound are taken as given (``flow`` fixes the
     tolerances and checks t_bound), save scipy's floor of 100 eps on
     rtol.  A step is as long as the error test allows, unbounded as at
     scipy's default.
@@ -334,17 +340,18 @@ class DOP853:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval_length)
 
-    def _rk_step(self, y, h):
+    def _rk_step(self, y, h, last):
         """One step of the 12-stage pair; fills K and returns the 8th-order
-        state and its derivative."""
+        state and its derivative, None for a ``last`` step, whose row
+        of K, weighed 0 by the error estimates, is then 0."""
         K = self.K
         K[0] = self.f
         for s, a in enumerate(_A[1:], start=1):
             dy = np.dot(K[:s].T, a[:s]) * h
             K[s] = self.fun(y + dy)
         y_new = y + h * np.dot(K[:-1].T, B)
-        f_new = self.fun(y_new)
-        K[-1] = f_new
+        f_new = None if last else self.fun(y_new)
+        K[-1] = 0.0 if last else f_new
         return y_new, f_new
 
     def step(self):
@@ -377,7 +384,7 @@ class DOP853:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = self._rk_step(y, h)
+            y_new, f_new = self._rk_step(y, h, t_new == self.t_bound)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             if self.mask is None:
                 err = error_norm(self.K, h, scale)
@@ -405,9 +412,12 @@ class DOP853:
 
     def dense(self):
         """Coefficients F_0..F_6 (7, n) of the last step's continuous
-        extension; evaluates the three extra stages."""
+        extension; evaluates the three extra stages, after the field at
+        the end of a last step."""
         K = self.K_extended
         h = self.h_previous
+        if self.f is None:
+            self.f = K[N_STAGES] = self.fun(self.y)
         for s, a in enumerate(_A_EXTRA, start=N_STAGES + 1):
             dy = np.dot(K[:s].T, a[:s]) * h
             K[s] = self.fun(self.y_old + dy)

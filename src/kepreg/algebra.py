@@ -52,12 +52,15 @@ def quat_conj(p):
 
 
 def quat_norm(p):
-    return float(np.sqrt(np.dot(p, p)))
+    """|p| of one quaternion (4,), or of each of a stack (..., 4)."""
+    return np.sqrt(np.vecdot(p, p))
 
 
 def i_mul(q):
-    """Left multiplication by the unit i, as a cheap special case."""
-    return np.array([-q[1], q[0], -q[3], q[2]])
+    """Left multiplication by the unit i, as a cheap special case; q is
+    one quaternion (4,) or a stack (..., 4)."""
+    q = np.asarray(q)
+    return np.stack([-q[..., 1], q[..., 0], -q[..., 3], q[..., 2]], axis=-1)
 
 
 def pure(u):
@@ -120,19 +123,24 @@ def lc_plane_check(v1, v2):
     return abs(quat_mul(quat_conj(v1), i_mul(v2))[0]) <= PLANE_TOL
 
 
-def lc_plane_basis(v1, rng):
+def lc_plane_basis(v1, angle):
     """Orthonormal basis (v1^, v2) of a Levi-Civita plane through v1.
 
     Any unit vector orthogonal to both v1 and i*v1 completes v1 to such
-    a plane; ``rng`` picks the choice inside that 2-plane at random.
+    a plane; ``angle`` picks the choice inside that 2-plane.  v1 is one
+    quaternion (4,) with one angle, or a stack (..., 4) with angles
+    broadcasting to (...), completed by one batched QR; a stack gives
+    each row the bits of its own call.
     """
     v1 = np.asarray(v1, dtype=float)
     n1 = quat_norm(v1)
-    if n1 == 0.0:
+    if np.any(n1 == 0.0):
         raise ValueError("v1 must be nonzero")
-    v1 = v1 / n1
-    q, _ = np.linalg.qr(np.column_stack([v1, i_mul(v1), np.eye(4)]))
+    v1 = v1 / n1[..., None]
+    eye = np.broadcast_to(np.eye(4), v1.shape + (4,))
+    q, _ = np.linalg.qr(np.concatenate(
+        [v1[..., None], i_mul(v1)[..., None], eye], axis=-1))
     # columns 2, 3 of q span the orthogonal complement of {v1, i v1}
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    v2 = np.cos(angle) * q[:, 2] + np.sin(angle) * q[:, 3]
+    angle = np.asarray(angle)[..., None]
+    v2 = np.cos(angle) * q[..., 2] + np.sin(angle) * q[..., 3]
     return v1, v2

@@ -161,8 +161,10 @@ class RunConfig:
                               f"(0, {bound})")
         cert = parser["certify"] if parser.has_section("certify") else {}
         self.certify_seeds = int(cert.get("n_seeds", 100))
-        if self.certify_seeds < 1:
-            raise ConfigError("n_seeds must be >= 1")
+        # seed i of k draws from default_rng(seed + 1000 k + i), so a
+        # 1001st seed of k would repeat the first seed of k + 1
+        if not 1 <= self.certify_seeds <= 1000:
+            raise ConfigError("n_seeds must lie in [1, 1000]")
 
     def header_lines(self):
         lines = []
@@ -212,11 +214,10 @@ def cmd_seed(config, out):
         for k in config.k_list:
             spec = manifolds.ManifoldSpec(k=k, T=config.period,
                                           dim=config.dimension)
-            for _ in range(5):
-                X = manifolds.seed_state(
-                    spec, manifolds.random_seed_params(spec, rng))
-                K0 = model.reg_energy(X, 0.0, None)
-                vals = ",".join(f"{x:.16e}" for x in X)
+            X = manifolds.seed_state(
+                spec, manifolds.random_seed_params(spec, [rng] * 5))
+            for row, K0 in zip(X, model.reg_energy(X, 0.0, None)):
+                vals = ",".join(f"{x:.16e}" for x in row)
                 fh.write(f"{k},{vals},{K0:.3e}\n")
     return EXIT_OK
 
@@ -329,15 +330,17 @@ def cmd_theorem_demo(config, out):
 
 
 def cmd_certify(config, out):
+    n = config.certify_seeds
     specs, X0 = [], []
     for k in config.k_list:
         spec = manifolds.ManifoldSpec(k=k, T=config.period,
                                       dim=config.dimension)
-        for i in range(config.certify_seeds):
-            specs.append(spec)
-            X0.append(manifolds.seed_state(spec, manifolds.random_seed_params(
-                spec, np.random.default_rng(config.seed + 1000 * k + i))))
-    reports = manifolds.nondegeneracy_certificate(specs, np.array(X0))
+        first = config.seed + 1000 * k
+        rngs = map(np.random.default_rng, range(first, first + n))
+        specs += [spec] * n
+        X0.append(manifolds.seed_state(
+            spec, manifolds.random_seed_params(spec, rngs)))
+    reports = manifolds.nondegeneracy_certificate(specs, np.concatenate(X0))
     angles = [r["principal_angle"] for r in reports]
     _write_json(out / "certificates.json",
                 {"min_principal_angle": min(angles),

@@ -81,51 +81,69 @@ class SeedParams:
     |z0| = cos(psi)/sqrt(tau) and |w0| = sqrt(8) sin(psi); phi1/phi2 set
     the in-plane directions.  In 3D the planar data is embedded into the
     Levi-Civita plane spanned by the orthonormal ``plane`` columns.
+    Each angle is one value, or an (n,) array for a stack of n seeds.
     """
 
     psi: float = 0.0
     phi1: float = 0.0
     phi2: float = 0.0
     t0: float = 0.0
-    plane: object = None        # (4, 2) array for 3D seeds
+    plane: object = None        # (4, 2) or (n, 4, 2) array for 3D seeds
 
 
 def _planar_seed(spec, params):
     c = constants(spec)
     r = np.cos(params.psi) / np.sqrt(c.tau)
     rho = np.sqrt(8.0) * np.sin(params.psi)
-    z0 = r * np.array([np.cos(params.phi1), np.sin(params.phi1)])
-    w0 = rho * np.array([np.cos(params.phi2), np.sin(params.phi2)])
+    z0 = r[..., None] * np.stack([np.cos(params.phi1), np.sin(params.phi1)],
+                                 axis=-1)
+    w0 = rho[..., None] * np.stack([np.cos(params.phi2),
+                                    np.sin(params.phi2)], axis=-1)
     return z0, w0
 
 
 def seed_state(spec, params):
     """Initial state on the manifold; K_0 = 0 (and BL = 0 in 3D) hold
-    by construction."""
+    by construction.  One state (D,) for scalar params, a stack (n, D)
+    for params of (n,) arrays, each row the bits of its own call."""
     c = constants(spec)
-    z2, w2 = _planar_seed(spec, params)
-    if spec.dim == 2:
-        return model.pack_state(z2, w2, params.t0, c.tau)
-    plane = params.plane
-    if plane is None:
-        plane = np.column_stack([np.array([1.0, 0.0, 0.0, 0.0]),
-                                 np.array([0.0, 0.0, 1.0, 0.0])])
-    plane = np.asarray(plane, float)
-    z0 = plane @ z2
-    w0 = plane @ w2
+    z0, w0 = _planar_seed(spec, params)
+    if spec.dim == 3:
+        plane = params.plane
+        if plane is None:
+            plane = np.column_stack([np.array([1.0, 0.0, 0.0, 0.0]),
+                                     np.array([0.0, 0.0, 1.0, 0.0])])
+        plane = np.asarray(plane, float)
+        z0, w0 = np.matvec(plane, z0), np.matvec(plane, w0)
     return model.pack_state(z0, w0, params.t0, c.tau)
 
 
 def random_seed_params(spec, rng):
+    """Random SeedParams of one seed per generator: scalars for one
+    generator, (n,) arrays and an (n, 4, 2) plane for a sequence of n.
+
+    Each generator draws its seed before the next one, in the order: in
+    3D a normal (4,) and the plane angle of ``lc_plane_basis``, then
+    psi, phi1, phi2 in [0, 2 pi) and t0 in [0, T).  One generator passed
+    n times thus draws the seeds of n single calls."""
+    three_d = spec.dim == 3
+    high = [2.0 * np.pi] * (3 + three_d) + [spec.T]
+    single = isinstance(rng, np.random.Generator)
+    draws = np.array([np.concatenate([g.standard_normal(4 * three_d),
+                                      g.random(len(high))])
+                      for g in ([rng] if single else rng)])
+    # uniform(0, high) is 0 + high * random() and normal() is
+    # 0 + 1 * standard_normal(): the same numbers, for a fifth of the
+    # call cost (only an exact -0.0 normal draw would turn +0.0)
+    draws[:, -len(high):] *= high
+    if single:
+        draws = draws[0]
     plane = None
-    if spec.dim == 3:
-        v1, v2 = lc_plane_basis(rng.normal(size=4), rng=rng)
-        plane = np.column_stack([v1, v2])
-    return SeedParams(psi=rng.uniform(0.0, 2.0 * np.pi),
-                      phi1=rng.uniform(0.0, 2.0 * np.pi),
-                      phi2=rng.uniform(0.0, 2.0 * np.pi),
-                      t0=rng.uniform(0.0, spec.T),
-                      plane=plane)
+    if three_d:
+        plane = np.stack(lc_plane_basis(draws[..., :4], draws[..., 4]),
+                         axis=-1)
+    psi, phi1, phi2, t0 = np.moveaxis(draws[..., -4:], -1, 0)
+    return SeedParams(psi=psi, phi1=phi1, phi2=phi2, t0=t0, plane=plane)
 
 
 def circular_seed_params(spec):

@@ -132,8 +132,11 @@ def state_dim(dim):
 
 
 def pack_state(z, w, t, tau):
-    return np.concatenate([np.atleast_1d(z), np.atleast_1d(w),
-                           [float(t)], [float(tau)]])
+    """The state (z, w, t, tau): (D,) for one z and w, or (..., D) for
+    stacks (..., zd), with t and tau broadcasting to the stack shape."""
+    z, w = np.asarray(z, float), np.asarray(w, float)
+    t, tau = (np.broadcast_to(x, z.shape[:-1])[..., None] for x in (t, tau))
+    return np.concatenate([z, w, t, tau], axis=-1)
 
 
 def unpack_state(X):
@@ -159,13 +162,21 @@ def _position_hessians(zd):
     return _B2 if zd == 2 else _B3
 
 
+# Each row of every B[k] holds one entry, +-2: its column and its value
+_B_GATHER = {len(B[0]): (np.argmax(B != 0.0, axis=-1), B.sum(axis=-1))
+             for B in (_B2, _B3)}
+
+
 def position_jacobian(z):
     """Jacobian A with A[k, i] = d u_k / d z_i, for z (zd,) or (..., zd).
 
-    u is quadratic in z, so A[k] = B[k] z.
+    u is quadratic in z, so A[k] = B[k] z, an exact gather.  ``take``
+    returns A C-contiguous, and so ``np.matvec`` sums A z as it sums a
+    matvec-built A (the sum of a strided A can differ in the last bit).
     """
     z = np.asarray(z, float)
-    return np.matvec(_position_hessians(z.shape[-1]), z[..., None, :])
+    cols, vals = _B_GATHER[z.shape[-1]]
+    return z.take(cols, axis=-1) * vals
 
 
 def position(z):

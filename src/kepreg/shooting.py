@@ -57,8 +57,8 @@ BAND_SAMPLES = 400          # points of an orbit at which E is sampled
 # Shooting segments per unit of k: a problem on M_k has m = 48k.  At a
 # fixed m per k every segment spans the same phase of z for every k and
 # dimension, and at 48k every segment-stack integration is one DOP853
-# step, the whole segment: 13 field evaluations per residual or
-# Jacobian, where 24k took two steps (25).  On 18 acceptance-style
+# step, the whole segment: 12 field evaluations per residual or
+# Jacobian, where 24k took two steps (24).  On 18 acceptance-style
 # families plus theorem-demo's l = 3 branches of both bench configs
 # (BENCH_29.json) no step was rejected and the largest first-step error
 # norm was 0.23; the norm grows like the step's eighth power, so that
@@ -174,7 +174,7 @@ def _integrate_segments(problem, states, S, variational=False):
     row j solves dX/dsigma = h_j f(X) on sigma in [0, 1] with its own
     length h_j = S_j / m (and its Jacobian scaled by h_j), so rows of
     different S share one step sequence.  Its first trial step is the
-    whole interval: at m = 48k one accepted step covers it (13 field
+    whole interval: at m = 48k one accepted step covers it (12 field
     evaluations), and a step the error test rejects is retried shorter
     as any other.  Dense output is off: only the energy band reads it,
     and ``_finish`` integrates its own stack.

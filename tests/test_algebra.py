@@ -176,8 +176,25 @@ class TestLeviCivitaPlanes:
 
     def test_basis_construction(self):
         for _ in range(20):
-            v1, v2 = lc_plane_basis(rng.normal(size=4), rng=rng)
+            v1, v2 = lc_plane_basis(rng.normal(size=4),
+                                    rng.uniform(0.0, 2 * np.pi))
             assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
             assert abs(np.dot(v1, v2)) < 1e-12
             assert lc_plane_check(v1, v2)
+
+    def test_stacked_basis_is_each_rows_basis(self):
+        """One batched QR gives every row the bits of its own call."""
+        V, angles = rng.normal(size=(2, 5, 4)), rng.uniform(0.0, 6.0, (2, 5))
+        V1, V2 = lc_plane_basis(V, angles)
+        assert V1.shape == V2.shape == (2, 5, 4)
+        for idx in np.ndindex(2, 5):
+            v1, v2 = lc_plane_basis(V[idx], angles[idx])
+            assert np.array_equal(V1[idx], v1)
+            assert np.array_equal(V2[idx], v2)
+        with pytest.raises(ValueError, match="nonzero"):
+            lc_plane_basis(np.vstack([V[0], np.zeros(4)]), 0.0)
+
+    def test_i_mul_broadcasts(self):
+        Q = rng.normal(size=(3, 4))
+        assert np.array_equal(i_mul(Q), [i_mul(q) for q in Q])

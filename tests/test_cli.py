@@ -240,6 +240,17 @@ class TestCertifyCommand:
         assert report["n_seeds"] == 3
         assert report["min_principal_angle"] > cli.manifolds.ANGLE_MIN
 
+    def test_at_most_1000_seeds(self, tmp_path):
+        """Seed i of k draws from default_rng(seed + 1000 k + i): a
+        1001st seed of k would be the first seed of k + 1."""
+        cfg = write_config(tmp_path, BASE + "\n[certify]\nn_seeds = 1001\n")
+        out = tmp_path / "out"
+        code = cli.main(["certify", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+        cli.RunConfig(write_config(tmp_path,
+                                   BASE + "\n[certify]\nn_seeds = 1000\n"))
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_integrates_nothing(self, tmp_path, monkeypatch, dim):
         """k = 1, 2, 3 certify with every integrator raising, since the

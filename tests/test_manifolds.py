@@ -38,6 +38,24 @@ class TestConstants:
             manifolds.ManifoldSpec(k=1, T=T, dim=4)
 
 
+def _seed_drawn_alone(spec, rng):
+    """One seed state drawn as before seeds came in stacks: in 3D the
+    plane by column_stack, then QR of one quaternion, then seed_state."""
+    plane = None
+    if spec.dim == 3:
+        v1 = rng.normal(size=4)
+        v1 = v1 / float(np.sqrt(np.dot(v1, v1)))
+        i_v1 = np.array([-v1[1], v1[0], -v1[3], v1[2]])
+        q, _ = np.linalg.qr(np.column_stack([v1, i_v1, np.eye(4)]))
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        plane = np.column_stack(
+            [v1, np.cos(angle) * q[:, 2] + np.sin(angle) * q[:, 3]])
+    psi, phi1, phi2 = (rng.uniform(0.0, 2.0 * np.pi) for _ in range(3))
+    return manifolds.seed_state(spec, manifolds.SeedParams(
+        psi=psi, phi1=phi1, phi2=phi2, t0=rng.uniform(0.0, spec.T),
+        plane=plane))
+
+
 class TestSeeds:
     def test_seed_constraints(self):
         for dim in (2, 3):
@@ -51,6 +69,49 @@ class TestSeeds:
                     assert X0[-1] == pytest.approx(c.tau)
                     if dim == 3:
                         assert abs(model.bl_value(X0)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 30, 100])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_is_each_seed_drawn_alone(self, dim, n):
+        """cmd_certify's stacks, one generator per seed, equal the seeds
+        drawn one at a time, bit for bit, on [run] seeds 1-10."""
+        for run_seed in range(1, 11):
+            for k in (1, 2, 3):
+                spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
+                first = run_seed + 1000 * k
+                X = manifolds.seed_state(spec, manifolds.random_seed_params(
+                    spec, map(np.random.default_rng, range(first, first + n))))
+                want = [_seed_drawn_alone(spec, np.random.default_rng(first + i))
+                        for i in range(n)]
+                assert X.shape == (n, model.state_dim(dim))
+                assert np.array_equal(X, want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_generator_is_a_stack_of_one(self, dim):
+        spec = manifolds.ManifoldSpec(k=2, T=T, dim=dim)
+        one = manifolds.random_seed_params(spec, np.random.default_rng(5))
+        stack = manifolds.random_seed_params(spec, [np.random.default_rng(5)])
+        assert np.shape(one.psi) == () and np.shape(stack.psi) == (1,)
+        if dim == 3:
+            assert one.plane.shape == (4, 2)
+            assert np.array_equal(stack.plane, [one.plane])
+        X = manifolds.seed_state(spec, one)
+        assert np.array_equal(manifolds.seed_state(spec, stack), [X])
+        assert np.array_equal(X, _seed_drawn_alone(
+            spec, np.random.default_rng(5)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_generator_passed_repeatedly(self, dim):
+        """cmd_seed's stack: one generator n times draws the n seeds of n
+        successive single draws, and leaves the generator where they
+        do."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=dim)
+        mine, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        X = manifolds.seed_state(
+            spec, manifolds.random_seed_params(spec, [mine] * 5))
+        assert np.array_equal(X, [_seed_drawn_alone(spec, theirs)
+                                  for _ in range(5)])
+        assert mine.uniform() == theirs.uniform()
 
     def test_circular_seed_constant_radius(self):
         spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)

@@ -178,6 +178,20 @@ class TestStateLayout:
                 col = (model.position(zp) - model.position(zm)) / (2 * h)
                 assert np.allclose(A[:, i], col, atol=1e-6)
 
+    @pytest.mark.parametrize("rows", [None, 1, 48, 1000])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_position_jacobian_is_an_exact_gather(self, dim, rows):
+        """A = B z by a gather, C-contiguous, so position z^T B z / 2
+        keeps the bits of the matvec of B on one state and on stacks."""
+        zd = 2 * dim - 2
+        z = rng.normal(size=(zd,) if rows is None else (rows, zd))
+        B = model._position_hessians(zd)
+        A = model.position_jacobian(z)
+        want = np.matvec(B, z[..., None, :])
+        assert A.flags.c_contiguous
+        assert np.array_equal(A, want)
+        assert np.array_equal(model.position(z), 0.5 * np.matvec(want, z))
+
     def test_position_hessians_fd(self):
         for dim in (2, 3):
             zd = 2 * dim - 2
