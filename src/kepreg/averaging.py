@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, model, shooting
+from . import _output, flow, model, shooting
 from .errors import KepregError
 
 __all__ = [
@@ -310,13 +310,12 @@ def fit_scaling_slope(entries):
 
 
 def family_to_csv(entries, path, header_lines):
-    """Summary CSV: eps, min|u_eps|, sup-deviation from x*, defect, slope."""
+    """Summary CSV: eps, min|u_eps|, sup-deviation from x*, defect, under
+    header_lines and a ``fitted_slope`` header line
+    (``_output.write_csv``)."""
     slope = fit_scaling_slope(entries) if len(entries) >= 2 else float("nan")
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"# fitted_slope = {slope:.6f}\n")
-        fh.write("eps,min_u,sup_dev,defect\n")
-        for e in entries:
-            fh.write(f"{e.eps:.6e},{e.min_u:.16e},{e.sup_dev:.16e},"
-                     f"{e.defect:.16e}\n")
+    _output.write_csv(
+        path, [*header_lines, f"fitted_slope = {slope:.6f}"],
+        "eps,min_u,sup_dev,defect",
+        (f"{e.eps:.6e},{e.min_u:.16e},{e.sup_dev:.16e},{e.defect:.16e}"
+         for e in entries))

@@ -11,14 +11,14 @@ that fails) writes them to the same file and exits 2.
 
 import argparse
 import configparser
-import json
 import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import averaging, flow, manifolds, model, reconstruct, shooting
+from . import (_output, averaging, flow, manifolds, model, reconstruct,
+               shooting)
 from .errors import KepregError
 
 EXIT_OK = 0
@@ -166,6 +166,10 @@ class RunConfig:
         if not 1 <= self.certify_seeds <= 1000:
             raise ConfigError("n_seeds must lie in [1, 1000]")
 
+    def spec(self, k):
+        """The manifold M_k of the run's period and dimension."""
+        return manifolds.ManifoldSpec(k=k, T=self.period, dim=self.dimension)
+
     def header_lines(self):
         lines = []
         for section in self._parser.sections():
@@ -175,10 +179,8 @@ class RunConfig:
 
 
 def _write_json(path, payload, config):
-    """payload under the config header, one line: json.dumps without an
-    indent runs the C encoder."""
-    payload = {"config": config.header_lines(), **payload}
-    path.write_text(json.dumps(payload))
+    """payload under the config header, on one line."""
+    _output.write_json(path, {"config": config.header_lines(), **payload})
 
 
 def _diagnosed(out, command, diags, config):
@@ -195,30 +197,22 @@ def _diagnosed(out, command, diags, config):
 
 def cmd_seed(config, out):
     rng = np.random.default_rng(config.seed)
-    with open(out / "constants.csv", "w") as fh:
-        for line in config.header_lines():
-            fh.write(f"# {line}\n")
-        fh.write("k,tau,omega,sigma,S\n")
-        for k in config.k_list:
-            spec = manifolds.ManifoldSpec(k=k, T=config.period,
-                                          dim=config.dimension)
-            c = manifolds.constants(spec)
-            fh.write(f"{k},{c.tau:.16e},{c.omega:.16e},{c.sigma:.16e},"
-                     f"{c.S:.16e}\n")
-    with open(out / "seeds.csv", "w") as fh:
-        for line in config.header_lines():
-            fh.write(f"# {line}\n")
-        D = model.state_dim(config.dimension)
-        cols = ",".join(f"x{i}" for i in range(D))
-        fh.write(f"k,{cols},K0\n")
-        for k in config.k_list:
-            spec = manifolds.ManifoldSpec(k=k, T=config.period,
-                                          dim=config.dimension)
-            X = manifolds.seed_state(
-                spec, manifolds.random_seed_params(spec, [rng] * 5))
-            for row, K0 in zip(X, model.reg_energy(X, 0.0, None)):
-                vals = ",".join(f"{x:.16e}" for x in row)
-                fh.write(f"{k},{vals},{K0:.3e}\n")
+    constants, seeds = [], []
+    for k in config.k_list:
+        spec = config.spec(k)
+        c = manifolds.constants(spec)
+        constants.append(f"{k},{c.tau:.16e},{c.omega:.16e},{c.sigma:.16e},"
+                         f"{c.S:.16e}")
+        X = manifolds.seed_state(
+            spec, manifolds.random_seed_params(spec, [rng] * 5))
+        for row, K0 in zip(X, model.reg_energy(X, 0.0, None)):
+            vals = ",".join(f"{x:.16e}" for x in row)
+            seeds.append(f"{k},{vals},{K0:.3e}")
+    cols = ",".join(f"x{i}" for i in range(model.state_dim(config.dimension)))
+    _output.write_csv(out / "constants.csv", config.header_lines(),
+                      "k,tau,omega,sigma,S", constants)
+    _output.write_csv(out / "seeds.csv", config.header_lines(),
+                      f"k,{cols},K0", seeds)
     return EXIT_OK
 
 
@@ -227,8 +221,7 @@ def cmd_flow(config, out):
     pert = config.perturbation
     reports = {}
     for k in config.k_list:
-        spec = manifolds.ManifoldSpec(k=k, T=config.period,
-                                      dim=config.dimension)
+        spec = config.spec(k)
         c = manifolds.constants(spec)
         X0 = manifolds.seed_state(spec, manifolds.random_seed_params(spec, rng))
         fld = lambda X: model.reg_field(X, config.eps, pert)
@@ -258,7 +251,7 @@ def _schedule(config, to_eps):
 
 
 def _continue_branch(config, pert, k, schedule):
-    spec = manifolds.ManifoldSpec(k=k, T=config.period, dim=config.dimension)
+    spec = config.spec(k)
     rng = np.random.default_rng(config.seed + k)
     params = manifolds.random_seed_params(spec, rng)
     X_seed = manifolds.seed_state(spec, params)
@@ -275,6 +268,14 @@ def _orbit_at_eps(config, pert, k, schedule, failures):
         failures.append({"k": k, "diagnostics": diags})
         return None
     return target[-1]
+
+
+def _write_generalized(config, pert, orbit, out):
+    """The generalized solution of orbit, written to generalized_k<k>.csv."""
+    gensol = reconstruct.to_generalized(orbit, pert)
+    reconstruct.generalized_to_csv(gensol, out / f"generalized_k{orbit.k}.csv",
+                                   header_lines=config.header_lines())
+    return gensol
 
 
 def cmd_shoot(config, out):
@@ -306,22 +307,17 @@ def cmd_theorem_demo(config, out):
         if orbit is None:
             continue
         final.append(orbit)
-        gensol = reconstruct.to_generalized(orbit, pert)
-        reconstruct.generalized_to_csv(
-            gensol, out / f"generalized_k{k}.csv",
-            header_lines=config.header_lines())
+        gensol = _write_generalized(config, pert, orbit, out)
         # to_generalized has integrated orbit.X0 over orbit.S already
         flow.trajectory_to_csv(gensol.traj, out / f"orbit_k{k}.csv",
                                orbit.eps, pert, config.header_lines())
     report = shooting.distinctness(final) if len(final) >= 2 else \
         {"pairs": [], "all_disjoint": True}
-    with open(out / "summary.csv", "w") as fh:
-        for line in config.header_lines():
-            fh.write(f"# {line}\n")
-        fh.write("k,S,eta,E_min,E_max,residual\n")
-        for o in final:
-            fh.write(f"{o.k},{o.S:.16e},{o.eta},{o.energy_band[0]:.16e},"
-                     f"{o.energy_band[1]:.16e},{o.residual_norm:.3e}\n")
+    _output.write_csv(
+        out / "summary.csv", config.header_lines(),
+        "k,S,eta,E_min,E_max,residual",
+        (f"{o.k},{o.S:.16e},{o.eta},{o.energy_band[0]:.16e},"
+         f"{o.energy_band[1]:.16e},{o.residual_norm:.3e}" for o in final))
     shooting.save_orbits(final, out / "orbits.json",
                          meta={"config": config.header_lines(),
                                "distinctness": report,
@@ -333,8 +329,7 @@ def cmd_certify(config, out):
     n = config.certify_seeds
     specs, X0 = [], []
     for k in config.k_list:
-        spec = manifolds.ManifoldSpec(k=k, T=config.period,
-                                      dim=config.dimension)
+        spec = config.spec(k)
         first = config.seed + 1000 * k
         rngs = map(np.random.default_rng, range(first, first + n))
         specs += [spec] * n
@@ -355,8 +350,7 @@ def cmd_reconstruct(config, out):
     pert = config.perturbation
     failures = []
     for k in config.k_list:
-        spec = manifolds.ManifoldSpec(k=k, T=config.period,
-                                      dim=config.dimension)
+        spec = config.spec(k)
         c = manifolds.constants(spec)
         if config.eps == 0.0:
             X0 = manifolds.seed_state(spec,
@@ -369,10 +363,7 @@ def cmd_reconstruct(config, out):
             orbit = _orbit_at_eps(config, pert, k, schedule, failures)
             if orbit is None:
                 continue
-        gensol = reconstruct.to_generalized(orbit, pert)
-        reconstruct.generalized_to_csv(
-            gensol, out / f"generalized_k{k}.csv",
-            header_lines=config.header_lines())
+        _write_generalized(config, pert, orbit, out)
     return _diagnosed(out, "reconstruct", failures, config)
 
 
@@ -395,20 +386,18 @@ def cmd_average(config, out):
 def cmd_remove_collisions(config, out):
     if config.dimension != 2:
         raise ConfigError("remove-collisions is planar only")
-    spec = manifolds.ManifoldSpec(k=config.remove_k, T=config.period, dim=2)
+    spec = config.spec(config.remove_k)
     c = manifolds.constants(spec)
     X0 = manifolds.seed_state(spec, manifolds.rectilinear_seed_params(spec))
     fld = lambda X: model.reg_field(X, 0.0, None)
     traj = flow.integrate(fld, X0, c.S)
-    with open(out / "removal.csv", "w") as fh:
-        for line in config.header_lines():
-            fh.write(f"# {line}\n")
-        fh.write("mu,T_mu,min_u_mu,forcing_l1\n")
-        for mu in config.mu_list:
-            res = reconstruct.remove_collisions(traj, c.S, mu, 0.0, None)
-            l1 = res.forcing_l1()
-            fh.write(f"{mu:.6e},{res.T_mu:.16e},{res.min_u:.16e},"
-                     f"{l1:.16e}\n")
+    removals = (reconstruct.remove_collisions(traj, c.S, mu, 0.0, None)
+                for mu in config.mu_list)
+    _output.write_csv(
+        out / "removal.csv", config.header_lines(),
+        "mu,T_mu,min_u_mu,forcing_l1",
+        (f"{r.mu:.6e},{r.T_mu:.16e},{r.min_u:.16e},{r.forcing_l1():.16e}"
+         for r in removals))
     return EXIT_OK
 
 

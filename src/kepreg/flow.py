@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _solvers, model
+from . import _output, _solvers, model
 from .errors import KepregError
 
 __all__ = [
@@ -387,7 +387,8 @@ def invariant_report(traj, eps, pert):
 
 
 def trajectory_to_csv(traj, path, eps, pert, header_lines):
-    """One row per accepted step: s, state components, K_eps, (3D) BL."""
+    """One row per accepted step: s, state components, K_eps, (3D) BL,
+    under header_lines (``_output.write_csv``)."""
     states = traj.states[:, : traj.dim]
     zd = model.unpack_state(states)[0].shape[-1]
     cols = ([f"z{i}" for i in range(zd)] + [f"w{i}" for i in range(zd)]
@@ -397,10 +398,6 @@ def trajectory_to_csv(traj, path, eps, pert, header_lines):
         cols.append("BL")
         values.append(model.bl_value(states))
     rows = np.column_stack(values)
-    fmt = ",".join(["%.16e"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("s," + ",".join(cols) + "\n")
-        for row in rows.tolist():
-            fh.write(fmt % tuple(row))
+    fmt = ",".join(["%.16e"] * rows.shape[1])
+    _output.write_csv(path, header_lines, "s," + ",".join(cols),
+                      (fmt % tuple(row) for row in rows.tolist()))

@@ -23,6 +23,8 @@ equation.
 
 import numpy as np
 
+from .algebra import i_mul
+
 __all__ = [
     "Perturbation",
     "zero_perturbation",
@@ -343,30 +345,20 @@ def bl_value(X):
 
 def bl_gradient(X):
     """Gradient of bl_value, (i w, -i z, 0, 0)."""
-    from .algebra import i_mul
     z, w, _, _ = unpack_state(X)
     return pack_state(i_mul(w), -i_mul(z), 0.0, 0.0)
 
 
 def group_direction(X):
     """Infinitesimal generator (i z, i w, 0, 0) of the circle action, for
-    one 3D state (10,) or a stack (..., 10).
-
-    i q = (-q1, q0, -q3, q2) on each quaternion of z and w, which sit
-    side by side in X[..., :8].
-    """
-    X = np.asarray(X, float)
-    G = np.zeros(X.shape)
-    G[..., 0:8:2] = -X[..., 1:8:2]
-    G[..., 1:8:2] = X[..., 0:8:2]
-    return G
+    one 3D state (10,) or a stack (..., 10)."""
+    z, w, _, _ = unpack_state(X)
+    return pack_state(i_mul(z), i_mul(w), 0.0, 0.0)
 
 
-# left multiplication q -> i q of a quaternion (1, i, j, k)
-I_MUL_MATRIX = np.array([[0.0, -1.0, 0.0, 0.0],
-                         [1.0, 0.0, 0.0, 0.0],
-                         [0.0, 0.0, 0.0, -1.0],
-                         [0.0, 0.0, 1.0, 0.0]])
+# left multiplication q -> i q of a quaternion (1, i, j, k): column j is
+# i times the unit e_j
+I_MUL_MATRIX = i_mul(np.eye(4)).T
 
 
 def group_rotation_matrix(theta):

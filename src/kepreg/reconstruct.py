@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
-from . import flow, model
+from . import _output, flow, model
 
 __all__ = [
     "CollisionEvent",
@@ -622,23 +622,21 @@ def remove_collisions(traj, S, mu, eps, pert):
 # export
 
 def generalized_to_csv(gensol, path, header_lines):
-    """u(t) at CSV_SAMPLES times with energy and collision flags, events
-    as a footer."""
+    """u(t) at CSV_SAMPLES times with energy and collision flags, under
+    header_lines, and the events as ``# collision`` lines after the rows
+    (``_output.write_csv``)."""
     ts, X, vs = gensol._sample(CSV_SAMPLES)
     us = model.state_position(X)
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        ucols = ",".join(f"u{i}" for i in range(gensol.dim))
-        fh.write(f"t,{ucols},r,E,near_collision\n")
-        rows = np.column_stack([ts, us, np.linalg.norm(us, axis=-1),
-                                model.state_energy(X, gensol.eps,
-                                                   gensol.pert)])
-        fmt = ",".join(["%.16e"] * rows.shape[1]) + ",%d\n"
-        near = np.isnan(vs).any(axis=-1)
-        for row, flag in zip(rows.tolist(), near.tolist()):
-            fh.write(fmt % (*row, flag))
-        for c in gensol.collisions:
-            d = ",".join(f"{x:.12e}" for x in c.direction)
-            fh.write(f"# collision t0={c.t0:.12e} s0={c.s0:.12e} "
-                     f"direction={d} energy={c.energy:.12e}\n")
+    ucols = ",".join(f"u{i}" for i in range(gensol.dim))
+    rows = np.column_stack([ts, us, np.linalg.norm(us, axis=-1),
+                            model.state_energy(X, gensol.eps, gensol.pert)])
+    fmt = ",".join(["%.16e"] * rows.shape[1]) + ",%d"
+    near = np.isnan(vs).any(axis=-1)
+    lines = [fmt % (*row, flag)
+             for row, flag in zip(rows.tolist(), near.tolist())]
+    for c in gensol.collisions:
+        d = ",".join(f"{x:.12e}" for x in c.direction)
+        lines.append(f"# collision t0={c.t0:.12e} s0={c.s0:.12e} "
+                     f"direction={d} energy={c.energy:.12e}")
+    _output.write_csv(path, header_lines, f"t,{ucols},r,E,near_collision",
+                      lines)

@@ -9,13 +9,12 @@ eliminating the interior segment starts.  Natural continuation in eps
 grows families out of the unperturbed manifolds.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import flow, manifolds, model
+from . import _output, flow, manifolds, model
 from .errors import KepregError
 
 __all__ = [
@@ -166,34 +165,20 @@ def _normalized_stack(states, S):
     return h, states.reshape(n * m, D)
 
 
-def _integrate_segments(problem, states, S, variational=False):
-    """End states (n, m, D) of every segment of a batch, and with
-    ``variational`` their fundamental matrices (n, m, D, D).
-
-    All n * m segments are one stacked integration in normalized time:
-    row j solves dX/dsigma = h_j f(X) on sigma in [0, 1] with its own
-    length h_j = S_j / m (and its Jacobian scaled by h_j), so rows of
-    different S share one step sequence.  Its first trial step is the
+def _segment_flow(problem, states, S, dense):
+    """The normalized-time trajectory of every segment of a batch
+    (n, m, D) of lengths S (n,), integrated as one stack: row j solves
+    dX/dsigma = h_j f(X) on sigma in [0, 1], h_j = S_j / m, so rows of
+    different S share one step sequence.  The first trial step is the
     whole interval: at m = 48k one accepted step covers it (12 field
-    evaluations), and a step the error test rejects is retried shorter
-    as any other.  Dense output is off: only the energy band reads it,
-    and ``_finish`` integrates its own stack.
+    evaluations, 16 with the interpolation stages of ``dense``), and a
+    step the error test rejects is retried shorter as any other.
+    ``residual`` reads its end states, ``_finish`` the energy band off
+    its dense output.
     """
-    D = states.shape[-1]
     h, X = _normalized_stack(states, S)
-    if not variational:
-        traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
-                              dense=False, first_step=1.0)
-        return traj.states[-1].reshape(states.shape)
-
-    def scaled_pair(Y):
-        F, J = problem.field_jacobian(Y)
-        return h * F, h[..., None] * J
-
-    traj, M = flow.integrate_with_variational(
-        scaled_pair, X, 1.0, dense=False, first_step=1.0)
-    return (traj.states[-1, :, :D].reshape(states.shape),
-            M.reshape(states.shape + (D,)))
+    return flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
+                          dense=dense, first_step=1.0)
 
 
 def _residual_rows(problem, states, theta, ends):
@@ -220,8 +205,8 @@ def residual(problem, unknowns):
     """
     U = np.asarray(unknowns, float)
     states, S, theta = _unpack_batch(problem, U.reshape(-1, U.shape[-1]))
-    res = _residual_rows(problem, states, theta,
-                         _integrate_segments(problem, states, S))
+    ends = _segment_flow(problem, states, S, dense=False).states[-1]
+    res = _residual_rows(problem, states, theta, ends.reshape(states.shape))
     return res.reshape(U.shape[:-1] + res.shape[-1:])
 
 
@@ -292,14 +277,24 @@ def _propagate(jac, res, v):
 def residual_and_jacobian(problem, unknowns):
     """Residual together with its exact Jacobian from variational flow.
 
-    One stacked variational integration gives every segment's end state
-    and fundamental matrix.  The Jacobian is a ``ShootingJacobian``, its
-    blocks alone: the (m D)^2 matrix is never assembled.
+    One stacked variational integration, on the lengths and first step
+    of ``_segment_flow`` with each row's Jacobian scaled by its h_j too,
+    gives every segment's end state and fundamental matrix.  The
+    Jacobian is a ``ShootingJacobian``, its blocks alone: the (m D)^2
+    matrix is never assembled.
     """
     states, S, theta = _unpack_batch(problem, np.reshape(unknowns, (1, -1)))
-    ends, M = _integrate_segments(problem, states, S, variational=True)
-    res = _residual_rows(problem, states, theta, ends)[0]
-    X0, ends, R = states[0, 0], ends[0], _rotation(problem, theta[0])
+    h, X = _normalized_stack(states, S)
+
+    def scaled_pair(Y):
+        F, J = problem.field_jacobian(Y)
+        return h * F, h[..., None] * J
+
+    traj, M = flow.integrate_with_variational(
+        scaled_pair, X, 1.0, dense=False, first_step=1.0)
+    ends = traj.states[-1, :, :problem.D]
+    res = _residual_rows(problem, states, theta, ends[None])[0]
+    X0, R = states[0, 0], _rotation(problem, theta[0])
     rows = [model.reg_energy_gradient(X0, problem.eps, problem.pert)]
     dtheta = np.zeros((problem.D, 0))
     if problem.spec.dim == 3:
@@ -308,7 +303,7 @@ def residual_and_jacobian(problem, unknowns):
         rows.append(model.bl_gradient(X0))
     # dPhi_h/dS = field at the endpoint times dh/dS = 1/m
     return res, ShootingJacobian(
-        segments=M[0], dS=problem.field(ends) / problem.m, dtheta=dtheta,
+        segments=M, dS=problem.field(ends) / problem.m, dtheta=dtheta,
         rotation=R, x0_rows=np.vstack(rows + [problem._phase_rows]))
 
 
@@ -379,10 +374,10 @@ class PeriodicOrbit:
     residual_norm: float
     energy_band: tuple               # (min, max) of E = -tau + eps U
     monodromy: np.ndarray
+    k: int
+    dim: int
     theta: float = 0.0
     pert_name: str = "zero"
-    k: int = 0
-    dim: int = 2
     unknowns: np.ndarray = None
 
     def multipliers(self):
@@ -412,16 +407,12 @@ def _finish(problem, unknowns, res_norm, jac):
 
     The monodromy is P_m = M_{m-1} ... M_0, the last product of jac's
     scan, which the condensed Jacobian already composed; no (m D)^2
-    matrix is built.  The dense segment stack is integrated for the
-    energy band alone, with the whole interval as its first trial step
-    as in ``_integrate_segments`` (16 field evaluations with the
-    interpolation stages).
+    matrix is built.  The energy band is read off the residual's own
+    segment stack, ``_segment_flow`` with dense output.
     """
     states, S, theta = unpack_unknowns(problem, unknowns)
     M = jac.scan[-1][-1].copy()
-    h, X = _normalized_stack(states[None], S)
-    traj = flow.integrate(lambda Y: h * problem.field(Y), X, 1.0,
-                          first_step=1.0)
+    traj = _segment_flow(problem, states[None], S, dense=True)
     band = energy_band(traj, problem.eps, problem.pert)
     # The closure rows add time_shift(), one forcing period, to t, so a
     # residual below RESIDUAL_TOL leaves (t(S) - t(0)) / T within
@@ -673,9 +664,7 @@ def orbit_record(orbit):
 
 
 def save_orbits(orbits, path, meta):
-    """Write an orbit archive as JSON (one record per orbit), on one line:
-    json.dumps without an indent runs the C encoder."""
-    payload = {"meta": dict(meta),
-               "orbits": [orbit_record(o) for o in orbits]}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload))
+    """Write an orbit archive as JSON (one record per orbit), on one line
+    (``_output.write_json``)."""
+    _output.write_json(path, {"meta": dict(meta),
+                              "orbits": [orbit_record(o) for o in orbits]})

@@ -581,23 +581,34 @@ UNCALLED_PUBLIC = {
                                        "composed shooting monodromy",
     "manifolds.circular_seed_params": "collisionless oracle orbit of the "
                                       "flow, shooting and reconstruct tests",
+    "flow.monodromy": "integrated cross-check of closed_form_jacobian and "
+                      "of the composed shooting monodromy; the benchmark's "
+                      "tracer wraps it by name, and its removal is a "
+                      "bench-only change (ROADMAP item 16)",
 }
 
 
 def _references(node, skip):
-    """(name, through an attribute) of every name, attribute and import
-    under node, outside the subtrees in skip."""
+    """(name, qualifier) of every name read, attribute and import under
+    node, outside the subtrees in skip.  A plain name or an import has
+    the qualifier None; obj.name has the last name of obj (a in a.name
+    and a.b.name), or "" when obj ends otherwise, as in f().name.  A
+    name that is stored to (an assignment target or a dataclass field)
+    refers to nothing."""
     found, todo = set(), [node]
     while todo:
         n = todo.pop()
         if n in skip:
             continue
-        if isinstance(n, ast.Name):
-            found.add((n.id, False))
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            found.add((n.id, None))
         elif isinstance(n, ast.Attribute):
-            found.add((n.attr, True))
+            owner = n.value
+            found.add((n.attr, owner.id if isinstance(owner, ast.Name)
+                       else owner.attr if isinstance(owner, ast.Attribute)
+                       else ""))
         elif isinstance(n, ast.alias):
-            found.add((n.name, False))
+            found.add((n.name, None))
         todo.extend(ast.iter_child_nodes(n))
     return found
 
@@ -608,14 +619,16 @@ def test_every_public_name_has_a_caller():
     module-level code of src/kepreg or bench, or is listed in
     UNCALLED_PUBLIC with the oracle it serves.  A definition is reached
     when reached code refers to it, and then its own code is reached: a
-    function or class through any reference, a method only through an
-    attribute (obj.name), as a local variable of its name does not call
-    it.  A class's code is its body without its methods, but with its
-    __dunder__ methods, which Python calls for it."""
+    function or class of module m through its plain name or as m.name,
+    a method only through an attribute (obj.name), as a local variable
+    of its name does not call it, and an attribute of another module or
+    object (self.name) does not call a function of m.  A class's code is
+    its body without its methods, but with its __dunder__ methods, which
+    Python calls for it."""
     root = Path(__file__).resolve().parents[1]
     code = [(ast.parse(path.read_text()), set())     # (node, skip)
             for path in sorted((root / "bench").glob("*.py"))]
-    defs = {}       # "module.name" -> (node, method, its methods)
+    defs = {}       # "module.name" -> (node, module or None, its methods)
     for path in sorted((root / "src" / "kepreg").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -626,8 +639,8 @@ def test_every_public_name_has_a_caller():
                 methods = {m for m in node.body
                            if isinstance(m, ast.FunctionDef)
                            and not m.name.startswith("__")}
-            defs[f"{path.stem}.{node.name}"] = (node, False, methods)
-            defs |= {f"{path.stem}.{node.name}.{m.name}": (m, True, set())
+            defs[f"{path.stem}.{node.name}"] = (node, path.stem, methods)
+            defs |= {f"{path.stem}.{node.name}.{m.name}": (m, None, set())
                      for m in methods}
     code.append((defs["cli.main"][0], set()))
     refs, reached = set(), set()
@@ -635,9 +648,16 @@ def test_every_public_name_has_a_caller():
         for node, skip in code:
             refs |= _references(node, skip)
         code = []
-        for key, (node, method, methods) in defs.items():
-            if key not in reached and ((node.name, True) in refs or (
-                    not method and (node.name, False) in refs)):
+        for key, (node, module, methods) in defs.items():
+            if key in reached:
+                continue
+            if module is None:      # a method
+                called = any(name == node.name and owner is not None
+                             for name, owner in refs)
+            else:
+                called = bool({(node.name, None), (node.name, module)}
+                              & refs)
+            if called:
                 reached.add(key)
                 code.append((node, methods))
     uncalled = {key for key in set(defs) - reached
@@ -678,14 +698,11 @@ SETTABLE = {
     "model.reg_energy_gradient(pert)",
     "model.reg_field(pert)",
     "model.reg_field_jacobian(pert)",
-    "shooting.PeriodicOrbit.dim",
-    "shooting.PeriodicOrbit.k",
     "shooting.PeriodicOrbit.pert_name",
     "shooting.PeriodicOrbit.theta",
     "shooting.PeriodicOrbit.unknowns",
     "shooting.ShootingError.__init__(best_residual)",
     "shooting.ShootingError.__init__(best_unknowns)",
-    "shooting._integrate_segments(variational)",
 }
 
 
@@ -724,6 +741,24 @@ def test_settable_values_are_listed():
     for path in sorted((root / "src" / "kepreg").glob("*.py")):
         found |= _settable(path.stem, ast.parse(path.read_text()))
     assert found == SETTABLE
+
+
+def test_only_the_output_module_writes_files():
+    """Every output file is written by kepreg/_output.py: no other
+    module of src/kepreg opens a file, writes one through a path or
+    encodes JSON."""
+    root = Path(__file__).resolve().parents[1]
+    writers = {"open", "write_text", "write_bytes", "dump", "dumps"}
+    found = set()
+    for path in sorted((root / "src" / "kepreg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if name in writers:
+                    found.add(f"{path.name}:{node.lineno}")
+    assert {f.split(":")[0] for f in found} == {"_output.py"}, found
 
 
 def test_private_attributes_are_set_on_self_alone():

@@ -556,6 +556,122 @@ class TestTypedFailures:
         assert diags == [{"eps": EPS / 4, "error": "synthetic lower failure"}]
 
 
+    def test_halved_success_retries_the_full_target(self, monkeypatch):
+        """After a failed target t and a success at the halved eps, the
+        continuation tries t again, from the halved orbit's unknowns; the
+        family keeps the orbit at t alone, with t's schedule float."""
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        X0 = manifolds.seed_state(spec, manifolds.circular_seed_params(spec))
+        target = EPS / 4
+        real, calls = shooting.solve, []
+
+        def fail_first(problem, unknowns0):
+            orbit = None
+            if calls:
+                orbit = real(problem, unknowns0)
+            calls.append((problem.eps, np.array(unknowns0), orbit))
+            if orbit is None:
+                raise shooting.ShootingError("synthetic first failure")
+            return orbit
+
+        monkeypatch.setattr(shooting, "solve", fail_first)
+        family, diags = shooting.continue_in_epsilon(spec, forcing_pert(2),
+                                                     X0, [target])
+        assert [eps for eps, _, _ in calls] == [target, 0.0 + target / 2.0,
+                                                target]
+        halved = calls[1][2]
+        assert np.array_equal(calls[2][1], halved.unknowns)
+        assert len(family) == 1 and family[0] is calls[2][2]
+        assert type(family[0].eps) is float and family[0].eps == target
+        assert diags == []
+
+class TestSolveExits:
+    """The ShootingErrors of solve's reduced step and of its last round,
+    each with the best sweep iterate, on the look-ahead problem, which
+    needs six rounds: its seed's residual is above RESIDUAL_TOL and its
+    condensed Jacobian has weak directions."""
+
+    @staticmethod
+    def spied_sweeps(monkeypatch):
+        """The (unknowns, residual) each strong sweep returns."""
+        real, swept = shooting._strong_sweep, []
+
+        def sweep(*args):
+            out = real(*args)
+            swept.append((out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(shooting, "_strong_sweep", sweep)
+        return swept
+
+    def test_rejected_searches_collapse_the_reduced_step(self, monkeypatch):
+        """A line search that rejects every trial ends the strong sweep
+        at its start, and then the reduced step, as a collapse."""
+        problem, u0 = lookahead_problem()
+        searches = []
+
+        def reject(problem, u, step, better):
+            searches.append(np.array(u))
+            return None
+
+        monkeypatch.setattr(shooting, "_line_search", reject)
+        rnorm = float(np.linalg.norm(shooting.residual(problem, u0)))
+        with pytest.raises(shooting.ShootingError,
+                           match=f"reduced Newton step collapsed at "
+                                 f"residual {rnorm:.3e}") as info:
+            shooting.solve(problem, u0)
+        assert len(searches) == 2       # the sweep's, then the reduced
+        assert all(np.array_equal(u, u0) for u in searches)
+        assert np.array_equal(info.value.best_unknowns, u0)
+        assert info.value.best_residual == rnorm
+
+    def test_failed_reduced_lstsq_is_a_shooting_error(self, monkeypatch):
+        """A LinAlgError of the reduced least-squares solve becomes a
+        ShootingError caused by it."""
+        problem, u0 = lookahead_problem()
+        swept = self.spied_sweeps(monkeypatch)
+
+        def lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic SVD failure")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        with pytest.raises(shooting.ShootingError,
+                           match="SVD of the reduced Jacobian failed at "
+                                 "residual .*: synthetic SVD failure") as info:
+            shooting.solve(problem, u0)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        (u, res), = swept
+        assert np.array_equal(info.value.best_unknowns, u)
+        assert info.value.best_residual == float(np.linalg.norm(res))
+
+    def test_max_outer_rounds_without_convergence(self, monkeypatch):
+        """With MAX_OUTER = 1 and a reduced step that hands back the
+        seed, which has not converged, the last round's residual is
+        reported with the sweep's better iterate."""
+        problem, u0 = lookahead_problem()
+        res0, jac0 = shooting.residual_and_jacobian(problem, u0)
+        swept = self.spied_sweeps(monkeypatch)
+        real_ls = shooting._line_search
+
+        def back_to_seed(problem, u, step, better):
+            if len(swept) == 0:         # inside the first sweep
+                return real_ls(problem, u, step, better)
+            return u0, res0, jac0
+
+        monkeypatch.setattr(shooting, "_line_search", back_to_seed)
+        monkeypatch.setattr(shooting, "MAX_OUTER", 1)
+        rnorm = float(np.linalg.norm(res0))
+        assert rnorm >= shooting.RESIDUAL_TOL
+        with pytest.raises(shooting.ShootingError,
+                           match=f"no convergence in 1 outer iterations "
+                                 f"\\(residual {rnorm:.3e}\\)") as info:
+            shooting.solve(problem, u0)
+        (u, res), = swept
+        assert np.array_equal(info.value.best_unknowns, u)
+        assert info.value.best_residual == float(np.linalg.norm(res))
+        assert info.value.best_residual < rnorm
+
+
 class TestSolve:
     def test_family_converged(self, family2d):
         spec, family = family2d
@@ -1269,7 +1385,7 @@ class TestDistinctness:
     def _orbit(self, band):
         return shooting.PeriodicOrbit(
             X0=np.zeros(6), S=1.0, eps=0.0, eta=1, residual_norm=0.0,
-            energy_band=band, monodromy=None)
+            energy_band=band, monodromy=None, k=1, dim=2)
 
     def test_disjoint(self):
         rep = shooting.distinctness([self._orbit((-1.0, -0.9)),
