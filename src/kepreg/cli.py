@@ -270,6 +270,19 @@ def _orbit_at_eps(config, pert, k, schedule, failures):
     return target[-1]
 
 
+def _rectilinear_orbit(config, k):
+    """The eps = 0 rectilinear collision orbit on M_k, without shooting
+    unknowns: ``shooting.orbit_trajectory`` takes its closed-form
+    segment starts."""
+    spec = config.spec(k)
+    c = manifolds.constants(spec)
+    X0 = manifolds.seed_state(spec, manifolds.rectilinear_seed_params(spec))
+    return shooting.PeriodicOrbit(
+        X0=X0, S=c.S, eps=0.0, eta=1, residual_norm=0.0,
+        energy_band=(-c.tau, -c.tau), monodromy=None, k=k,
+        dim=config.dimension)
+
+
 def _write_generalized(config, pert, orbit, out):
     """The generalized solution of orbit, written to generalized_k<k>.csv."""
     gensol = reconstruct.to_generalized(orbit, pert)
@@ -308,7 +321,8 @@ def cmd_theorem_demo(config, out):
             continue
         final.append(orbit)
         gensol = _write_generalized(config, pert, orbit, out)
-        # to_generalized has integrated orbit.X0 over orbit.S already
+        # the orbit's trajectory, one row per segment node, is the one
+        # to_generalized read off its segment starts
         flow.trajectory_to_csv(gensol.traj, out / f"orbit_k{k}.csv",
                                orbit.eps, pert, config.header_lines())
     report = shooting.distinctness(final) if len(final) >= 2 else \
@@ -350,15 +364,8 @@ def cmd_reconstruct(config, out):
     pert = config.perturbation
     failures = []
     for k in config.k_list:
-        spec = config.spec(k)
-        c = manifolds.constants(spec)
         if config.eps == 0.0:
-            X0 = manifolds.seed_state(spec,
-                                      manifolds.rectilinear_seed_params(spec))
-            orbit = shooting.PeriodicOrbit(
-                X0=X0, S=c.S, eps=0.0, eta=1, residual_norm=0.0,
-                energy_band=(-c.tau, -c.tau),
-                monodromy=None, k=k, dim=config.dimension)
+            orbit = _rectilinear_orbit(config, k)
         else:
             orbit = _orbit_at_eps(config, pert, k, schedule, failures)
             if orbit is None:
@@ -386,12 +393,9 @@ def cmd_average(config, out):
 def cmd_remove_collisions(config, out):
     if config.dimension != 2:
         raise ConfigError("remove-collisions is planar only")
-    spec = config.spec(config.remove_k)
-    c = manifolds.constants(spec)
-    X0 = manifolds.seed_state(spec, manifolds.rectilinear_seed_params(spec))
-    fld = lambda X: model.reg_field(X, 0.0, None)
-    traj = flow.integrate(fld, X0, c.S)
-    removals = (reconstruct.remove_collisions(traj, c.S, mu, 0.0, None)
+    orbit = _rectilinear_orbit(config, config.remove_k)
+    traj = shooting.orbit_trajectory(orbit, config.perturbation)
+    removals = (reconstruct.remove_collisions(traj, orbit.S, mu, 0.0, None)
                 for mu in config.mu_list)
     _output.write_csv(
         out / "removal.csv", config.header_lines(),

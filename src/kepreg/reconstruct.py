@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
-from . import _output, flow, model
+from . import _output, flow, model, shooting
 
 __all__ = [
     "CollisionEvent",
@@ -191,13 +191,13 @@ class GeneralizedSolution:
 def to_generalized(orbit, pert):
     """Generalized solution of a converged periodic orbit.
 
-    Re-integrates the orbit densely over [0, S], locates collisions and
-    evaluates their limits.  3D orbits must conserve BL to 1e-9 along
-    the way, otherwise the projected u(t) would not solve the physical
-    equation.
+    Reads the orbit's dense trajectory over [0, S] off its segment
+    starts (``shooting.orbit_trajectory``: one stacked step, not a
+    sequential integration), locates collisions and evaluates their
+    limits.  3D orbits must hold BL within 1e-9 of 0 at every node,
+    otherwise the projected u(t) would not solve the physical equation.
     """
-    fld = lambda X: model.reg_field(X, orbit.eps, pert)
-    traj = flow.integrate(fld, orbit.X0, orbit.S)
+    traj = shooting.orbit_trajectory(orbit, pert)
     if orbit.dim == 3:
         bl = np.max(np.abs(model.bl_value(traj.states[:, :10])))
         if bl > 1e-9:

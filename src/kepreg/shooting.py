@@ -27,6 +27,7 @@ __all__ = [
     "solve",
     "continue_in_epsilon",
     "energy_band",
+    "orbit_trajectory",
     "distinctness",
     "save_orbits",
 ]
@@ -422,6 +423,52 @@ def _finish(problem, unknowns, res_norm, jac):
                          monodromy=M, theta=theta,
                          pert_name=problem.pert.name, k=problem.spec.k,
                          dim=problem.spec.dim, unknowns=unknowns)
+
+
+def orbit_trajectory(orbit, pert):
+    """The dense trajectory of orbit over [0, S]: its m segments,
+    integrated as one ``_segment_flow`` stack from the segment starts
+    and chained into one row (``_chain``).
+
+    The starts are the orbit's ``unknowns``; an orbit at eps = 0 built
+    without them takes ``seed_unknowns``' closed-form starts, and one at
+    eps != 0 is a ValueError.  Each segment is integrated from its own
+    start, so no error carries from one segment to the next, and the
+    trajectory passes through every start.
+    """
+    spec = manifolds.ManifoldSpec(k=orbit.k, T=pert.period, dim=orbit.dim)
+    problem = ShootingProblem(spec=spec, eps=orbit.eps, pert=pert,
+                              X_ref=orbit.X0)
+    unknowns = orbit.unknowns
+    if unknowns is None:
+        if orbit.eps != 0.0:
+            raise ValueError(f"an orbit at eps = {orbit.eps!r} needs its "
+                             "shooting unknowns for its trajectory")
+        unknowns = seed_unknowns(problem, orbit.X0)
+    states, S, _ = unpack_unknowns(problem, unknowns)
+    return _chain(_segment_flow(problem, states[None], S, dense=True), S)
+
+
+def _chain(stack, S):
+    """One trajectory over [0, S] of a dense stack of m rows over sigma
+    in [0, 1] that trace one orbit of length S in row order.
+
+    Step i of row j becomes step j n + i, at s = (j + sigma_i) S / m,
+    with the row's state there as its node and the row's DOP853
+    coefficients F_1 .. F_6.  F_0, the step's end node less its node, is
+    the stepper's own within a row; on a row's last step it takes up the
+    matching defect start_{j+1} - end_j, so the dense output is
+    continuous.
+    """
+    _, m, D = stack.states.shape
+    n = stack.n_steps
+    s = np.append((np.arange(m)[:, None] + stack.s[:-1]).ravel() * S / m, S)
+    states = np.concatenate([stack.states[:-1].swapaxes(0, 1).reshape(-1, D),
+                             stack.states[-1, -1:]])
+    sol = np.concatenate([np.diff(states, axis=0).T[None],
+                          stack.sol[1:].swapaxes(1, 2).reshape(6, D, m * n)])
+    return flow.Trajectory(s=s, states=states, sol=sol, nfev=stack.nfev,
+                           dim=D)
 
 
 WEAK_CUTOFF = 1e-3          # singular values below this (relative) are weak

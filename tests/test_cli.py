@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kepreg import cli
+from kepreg import cli, reconstruct, shooting
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -144,6 +144,19 @@ class TestConfig:
                          "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_forcing_rows_of_the_wrong_length(self, tmp_path, capsys):
+        """Rows of length 2 in a 3D run are refused with exit 3."""
+        text = ("[run]\ndimension = 3\neps = 1e-3\n[perturbation]\n"
+                "name = forced_kepler\nconst = 0.0,0.0\ncos1 = 0.3,0.0\n"
+                "sin1 = 0.0,0.3\n")
+        out = tmp_path / "out"
+        code = cli.main(["theorem-demo", "--config",
+                         write_config(tmp_path, text), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert ("forcing coefficients must have length dim"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command,key,text", NON_FINITE,
@@ -626,6 +639,23 @@ class TestRemoveCommand:
         assert rows[0] == "mu,T_mu,min_u_mu,forcing_l1"
         l1s = [float(r.split(",")[3]) for r in rows[1:]]
         assert l1s[0] > l1s[1]
+
+    def test_reads_the_orbit_trajectory(self, tmp_path):
+        """The table is that of the rectilinear orbit's segment-stack
+        trajectory (``shooting.orbit_trajectory``), digit for digit."""
+        text = "[run]\n[remove]\nmu_list = 0.1\nk = 1\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["remove-collisions", "--config", cfg,
+                         "--out", str(out)]) == 0
+        config = cli.RunConfig(cfg)
+        orbit = cli._rectilinear_orbit(config, 1)
+        traj = shooting.orbit_trajectory(orbit, config.perturbation)
+        r = reconstruct.remove_collisions(traj, orbit.S, 0.1, 0.0, None)
+        rows = [ln for ln in (out / "removal.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows[1] == (f"{r.mu:.6e},{r.T_mu:.16e},{r.min_u:.16e},"
+                           f"{r.forcing_l1():.16e}")
 
     def test_rejects_3d(self, tmp_path, capsys):
         text = "[run]\ndimension = 3\n[remove]\nmu_list = 0.1\n"

@@ -494,6 +494,14 @@ class TestEvents:
         assert len(got) == len(ref)
         assert np.allclose(ref, got, atol=1e-9)
 
+    def test_needs_dense_output(self):
+        spec = manifolds.ManifoldSpec(k=1, T=2.0 * np.pi, dim=2)
+        X0 = manifolds.seed_state(spec,
+                                  manifolds.rectilinear_seed_params(spec))
+        traj = flow.integrate(kepler_field(), X0, 1.0, dense=False)
+        with pytest.raises(ValueError, match="needs dense output"):
+            flow.detect_events(traj)
+
 
 class TestInvariantsAndExport:
     def test_invariant_report_unperturbed(self):
@@ -759,6 +767,29 @@ def test_only_the_output_module_writes_files():
                 if name in writers:
                     found.add(f"{path.name}:{node.lineno}")
     assert {f.split(":")[0] for f in found} == {"_output.py"}, found
+
+
+def test_plain_integrations_have_two_callers():
+    """flow.integrate is called in shooting._segment_flow, every segment
+    stack's integration, and in cli.cmd_flow, the integrator's drift
+    check on seed states, alone: an orbit's trajectory is read off its
+    segment stack (shooting.orbit_trajectory), never integrated again
+    from X0 step by step."""
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted((root / "src" / "kepreg").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if (isinstance(f, ast.Attribute) and f.attr == "integrate"
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id == "flow") or (
+                        path.stem == "flow" and isinstance(f, ast.Name)
+                        and f.id == "integrate"):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert found == {"shooting._segment_flow", "cli.cmd_flow"}
 
 
 def test_private_attributes_are_set_on_self_alone():

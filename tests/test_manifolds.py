@@ -526,3 +526,20 @@ class TestStackedCertificates:
         X0[1, -1] += 1e-6
         with pytest.raises(ValueError, match="off the manifold"):
             manifolds.nondegeneracy_certificate(spec, X0)
+
+
+class TestGuards:
+    def test_3d_certificate_needs_bl_zero(self):
+        """A state on the 3D M_1 with BL = -0.68 (w turned by pi/4
+        towards i w) is refused."""
+        spec = manifolds.ManifoldSpec(k=1, T=2.0 * np.pi, dim=3)
+        X0 = manifolds.seed_state(spec, manifolds.SeedParams(
+            psi=0.9, phi1=0.4, phi2=1.3, t0=0.2))
+        iw = model.unpack_state(model.group_direction(X0))[1]
+        X0[4:8] = (X0[4:8] + iw) / np.sqrt(2.0)
+        with pytest.raises(ValueError, match="needs a BL = 0 state"):
+            manifolds.nondegeneracy_certificate(spec, X0)
+
+    def test_degeneracy_index_rejects_a_vanishing_field(self):
+        with pytest.raises(ValueError, match="field direction vanishes"):
+            manifolds.degeneracy_index(np.eye(6), np.zeros(6), np.ones(6))

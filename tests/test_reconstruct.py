@@ -461,3 +461,90 @@ class TestRemoveCollisions:
         c, traj, pert = source
         with pytest.raises(ValueError):
             reconstruct.remove_collisions(traj, 0.6 * c.S, 0.1, 0.0, pert)
+
+
+def off_bl_orbit():
+    """An eps = 0 orbit on the 3D M_1 whose BL is -0.68: the 3D fixture
+    seed with w turned by pi/4 towards i w, which keeps |w|, tau and
+    K_0."""
+    spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
+    c = manifolds.constants(spec)
+    X0 = manifolds.seed_state(spec, manifolds.SeedParams(
+        psi=0.9, phi1=0.4, phi2=1.3, t0=0.2))
+    iw = model.unpack_state(model.group_direction(X0))[1]
+    X0[4:8] = (X0[4:8] + iw) / np.sqrt(2.0)
+    return spec, shooting.PeriodicOrbit(
+        X0=X0, S=c.S, eps=0.0, eta=1, residual_norm=0.0,
+        energy_band=(-c.tau, -c.tau), monodromy=None, k=1, dim=3)
+
+
+def origin_crossing_trajectory(S):
+    """A hand-made planar trajectory, linear on [0, S/2] and [S/2, S]:
+    z = (1, 0) -> (-15, 0) -> (1, 0), w = (1, 1), t = s.  <z, w> changes
+    sign -/+ only at s = 31 S / 32, the one collision it reports; z
+    passes through 0 exactly at s = S / 32 as well, with <z, w> falling."""
+    states = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+                       [-15.0, 0.0, 1.0, 1.0, S / 2, 0.0],
+                       [1.0, 0.0, 1.0, 1.0, S, 0.0]])
+    sol = np.zeros((7, 6, 2))
+    sol[0] = np.diff(states, axis=0).T
+    return flow.Trajectory(s=np.array([0.0, S / 2, S]), states=states,
+                           sol=sol, nfev=0, dim=6)
+
+
+class TestGuards:
+    """Every input guard of reconstruct raises its own message."""
+
+    def test_to_generalized_rejects_bl_off_zero(self):
+        spec, orbit = off_bl_orbit()
+        assert abs(model.bl_value(orbit.X0)) > 0.5
+        manifolds._check_on_manifold(spec, orbit.X0)
+        with pytest.raises(ValueError, match="BL drifts to 6.79e-01"):
+            reconstruct.to_generalized(orbit, model.zero_perturbation(T, 3))
+
+    def test_time_map_rejects_decreasing_t(self):
+        spec = manifolds.ManifoldSpec(k=1, T=T, dim=2)
+        X0 = manifolds.seed_state(spec,
+                                  manifolds.rectilinear_seed_params(spec))
+        traj = flow.integrate(lambda X: -model.reg_field(X, 0.0), X0, 1.0)
+        with pytest.raises(ValueError, match="t\\(s\\) is not monotone"):
+            reconstruct.TimeMap(traj)
+
+    def test_sundman_lift_is_planar_only(self, rect_gensol):
+        with pytest.raises(ValueError, match="is planar only"):
+            reconstruct.sundman_lift(dataclasses.replace(rect_gensol, dim=3))
+
+    def test_sundman_lift_rejects_a_collision_at_the_boundary(
+            self, rect_gensol):
+        at_start = [dataclasses.replace(c, t0=rect_gensol.t_start)
+                    for c in rect_gensol.collisions]
+        with pytest.raises(ValueError, match="at the period boundary"):
+            reconstruct.sundman_lift(
+                dataclasses.replace(rect_gensol, collisions=at_start))
+
+    def test_ode_residual_needs_a_usable_point(self, rect_gensol,
+                                               monkeypatch):
+        monkeypatch.setattr(reconstruct, "ODE_R_MIN", np.inf)
+        with pytest.raises(ValueError, match="no usable sample points"):
+            reconstruct.ode_residual(rect_gensol)
+
+    def test_remove_collisions_is_planar_only(self, source):
+        c, traj, pert = source
+        with pytest.raises(ValueError, match="implemented for planar"):
+            reconstruct.remove_collisions(dataclasses.replace(traj, dim=10),
+                                          c.S, 0.1, 0.0, pert)
+
+    def test_removal_residual_needs_a_sample_point(self, source,
+                                                   monkeypatch):
+        c, traj, pert = source
+        out = reconstruct.remove_collisions(traj, c.S, 0.1, 0.0, pert)
+        monkeypatch.setattr(reconstruct, "REMOVAL_R_MIN", np.inf)
+        with pytest.raises(ValueError, match="no sample points with"):
+            out.residual()
+
+    def test_forcing_rejects_a_deformed_orbit_through_the_origin(self):
+        traj = origin_crossing_trajectory(4.0)
+        out = reconstruct.remove_collisions(traj, 4.0, 0.1, 0.0, None)
+        assert out.collisions_s == [pytest.approx(3.875)]
+        with pytest.raises(ValueError, match="still touches the origin"):
+            out.p_of_s(0.125)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -1411,3 +1412,130 @@ class TestArchive:
         assert rec["eps"] == family[-1].eps
         assert np.allclose(rec["X0"], family[-1].X0)
         assert rec["eta"] == 1
+
+
+def unperturbed_orbit(spec, X0):
+    """The eps = 0 orbit through X0 on spec's M_k, without unknowns."""
+    c = manifolds.constants(spec)
+    return shooting.PeriodicOrbit(
+        X0=X0, S=c.S, eps=0.0, eta=1, residual_norm=0.0,
+        energy_band=(-c.tau, -c.tau), monodromy=None, k=spec.k,
+        dim=spec.dim)
+
+
+class TestOrbitTrajectory:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["rectilinear", "random"])
+    def test_closed_form_oracle(self, dim, k, kind):
+        """At eps = 0 an orbit without unknowns takes the closed-form
+        starts, and its trajectory is the closed-form flow within 1e-12
+        on 10,001 points: each segment's error stays its own."""
+        spec = manifolds.ManifoldSpec(k=k, T=T, dim=dim)
+        params = (manifolds.rectilinear_seed_params(spec)
+                  if kind == "rectilinear" else
+                  manifolds.random_seed_params(
+                      spec, np.random.default_rng(70 + k)))
+        orbit = unperturbed_orbit(spec, manifolds.seed_state(spec, params))
+        traj = shooting.orbit_trajectory(orbit, model.zero_perturbation(T,
+                                                                        dim))
+        assert traj.s0 == 0.0 and traj.s_end == orbit.S
+        s = np.linspace(0.0, orbit.S, 10001)
+        ref = manifolds.closed_form_flow(orbit.X0, s)
+        assert np.max(np.abs(traj.eval(s) - ref)) < 1e-12
+
+    def test_solved_orbit_passes_through_its_starts(self, family2d,
+                                                    orbit3d_eps):
+        """On a solved orbit at eps = 1e-3 the nodes are the segment
+        starts of the unknowns, bit for bit, the dense output just left
+        of every node is the node's state, and the trajectory stays
+        within 1e-9 of a single-state integration of X0 over [0, S]."""
+        for orbit in (family2d[1][-1], orbit3d_eps):
+            assert orbit.eps == EPS
+            pert = forcing_pert(orbit.dim)
+            traj = shooting.orbit_trajectory(orbit, pert)
+            m, D = shooting.SEGMENTS_PER_K * orbit.k, traj.dim
+            assert traj.n_steps == m
+            assert np.array_equal(traj.states[:m].ravel(),
+                                  orbit.unknowns[: m * D])
+            assert np.array_equal(traj.s[:m],
+                                  np.arange(m) * orbit.S / m)
+            scale = np.maximum(1.0, np.abs(traj.states[1:]))
+            assert np.all(np.abs(traj.eval(traj.s[1:]) - traj.states[1:])
+                          <= 4e-16 * scale)
+            left = np.nextafter(traj.s[1:], -np.inf)
+            assert np.max(np.abs(traj.eval(left) - traj.states[1:])) < 1e-12
+            ref = flow.integrate(
+                lambda X: model.reg_field(X, orbit.eps, pert),
+                orbit.X0, orbit.S)
+            s = np.linspace(0.0, orbit.S, 10001)
+            assert np.max(np.abs(traj.eval(s) - ref.eval(s))) < 1e-9
+
+    def test_one_stacked_step(self, family2d, monkeypatch):
+        """The trajectory is one integration call of one DOP853 step on
+        the 48k rows: 12 stages and the 4 of the dense output."""
+        calls = []
+        real = flow.integrate
+
+        def spy(field, X0, s_end, **kwargs):
+            traj = real(field, X0, s_end, **kwargs)
+            calls.append((np.shape(X0), traj.nfev))
+            return traj
+
+        monkeypatch.setattr(flow, "integrate", spy)
+        orbit = family2d[1][-1]
+        traj = shooting.orbit_trajectory(orbit, forcing_pert(2))
+        m = shooting.SEGMENTS_PER_K * orbit.k
+        assert calls == [((m, 6), 16)]
+        assert traj.nfev == 16
+
+    def test_chain_reindexes_a_stack_of_two_steps_per_row(self):
+        """A hand-made stack of m = 3 rows with two steps each chains
+        into one row of 6 steps: step i of row j is step 2j + i, at
+        s = (j + sigma_i) S / m, with its coefficients; F_0 of a row's
+        last step takes up the matching defect, which moves the dense
+        output there by x times the defect, and nowhere else."""
+        rng = np.random.default_rng(3)
+        m, D, S = 3, 4, 2.5
+        states = rng.standard_normal((3, m, D))
+        sol = rng.standard_normal((7, m, D, 2))
+        sol[0] = np.moveaxis(np.diff(states, axis=0), 0, -1)
+        stack = flow.Trajectory(s=np.array([0.0, 0.375, 1.0]),
+                                states=states, sol=sol, nfev=0, dim=D)
+        traj = shooting._chain(stack, S)
+        assert traj.n_steps == 2 * m
+        assert np.array_equal(
+            traj.s, [0.0, 0.375 * S / m, S / m, 1.375 * S / m,
+                     2 * S / m, 2.375 * S / m, S])
+        assert np.array_equal(traj.states[:-1],
+                              states[:2].swapaxes(0, 1).reshape(-1, D))
+        assert np.array_equal(traj.states[-1], states[-1, -1])
+        for j in range(m):
+            for i in range(2):
+                assert np.array_equal(traj.sol[1:, :, 2 * j + i],
+                                      sol[1:, j, :, i])
+        sigma = np.array([0.1, 0.3, 0.5, 0.8, 0.95])
+        x = np.where(sigma > 0.375, (sigma - 0.375) / 0.625, 0.0)
+        for j in range(m):
+            fold = (states[0, j + 1] - states[-1, j] if j < m - 1
+                    else np.zeros(D))
+            want = stack.eval(sigma, rows=np.full(sigma.shape, j))
+            got = traj.eval((j + sigma) * S / m)
+            assert np.allclose(got, want + x[:, None] * fold,
+                               rtol=0.0, atol=1e-12)
+            if j < m - 1:
+                assert np.allclose(traj.eval((j + 1) * S / m),
+                                   states[0, j + 1], rtol=0.0, atol=1e-14)
+
+    def test_perturbed_orbit_needs_its_unknowns(self, family2d):
+        orbit = dataclasses.replace(family2d[1][-1], unknowns=None)
+        with pytest.raises(ValueError, match="needs its shooting unknowns"):
+            shooting.orbit_trajectory(orbit, forcing_pert(2))
+
+
+def test_anchor_of_the_wrong_dimension():
+    spec = manifolds.ManifoldSpec(k=1, T=T, dim=3)
+    with pytest.raises(ValueError, match="anchor state has the wrong "
+                                         "dimension"):
+        shooting.ShootingProblem(spec=spec, eps=EPS, pert=forcing_pert(3),
+                                 X_ref=np.zeros(6))
